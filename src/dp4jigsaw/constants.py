@@ -28,6 +28,9 @@ from .jigsaw import alpha_closed_form
 #: generous bound on the relative error of the float assembly itself
 FLOAT_ASSEMBLY_RELERR = 1e-14
 
+#: terms per block of the streamed L(2, chi) sum
+L2_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class FieldInvariants:
@@ -238,19 +241,20 @@ def finite_density_product(inv, prime_bound, exact=False):
 def dirichlet_l2(d, terms=10 ** 6):
     """L(2, chi_d) for a fundamental discriminant d, with tail bound.
 
-    Direct summation of the periodic character; Abel summation bounds the
-    tail by 2 * max|partial sums| / terms^2.
+    Direct summation of the periodic character, streamed in blocks of
+    L2_BLOCK terms into one math.fsum (exactly rounded, so the blocking
+    cannot change the value); Abel summation bounds the tail by 2 * max|partial sums| / terms^2.
     """
     period = abs(d)
     chi_period = np.array([kronecker_symbol(d, n) for n in range(period)],
                           dtype=np.float64)
-    reps = terms // period + 2
-    chi = np.tile(chi_period, reps)[: terms + 1]
-    n = np.arange(terms + 1, dtype=np.float64)
-    n[0] = 1.0  # chi(0) = 0 for |d| > 1, so the value is irrelevant
-    vals = chi / n ** 2
-    vals[0] = 0.0
-    value = math.fsum(vals.tolist())
+
+    def summands():
+        for start in range(1, terms + 1, L2_BLOCK):
+            n = np.arange(start, min(start + L2_BLOCK, terms + 1), dtype=np.int64)
+            yield from (chi_period[n % period] / n.astype(np.float64) ** 2).tolist()
+
+    value = math.fsum(summands())
     partial_max = float(np.max(np.abs(np.cumsum(chi_period))))
     tail = 2.0 * max(partial_max, 1.0) / terms ** 2
     return value, tail

@@ -14,9 +14,17 @@ surface point has exactly two normalized lifts; hence
                    max(|a2*a8|, a1*a2, |a1*a9|) <= B}.
 
 The fast counter resolves the congruence a2*a8 = -a7 (mod a1) and counts
-each residue class inside its height interval in O(1) per pair (a1, a2),
-vectorized over a2; the naive counter scans a8 directly and exists to
-cross-check it.
+each residue class in O(1), in O(sqrt B) memory:
+
+* the row a1 = 1 has no congruence and is a closed form in the divisor
+  summatory function D(n) = sum_{k <= n} floor(n/k), itself evaluated in
+  O(sqrt n) by the hyperbola identity;
+* for a1 >= 2 the hyperbola split at K = isqrt(B) counts a8 per a2 for
+  a2 <= K, and a2 per a8 for a2 > K, where |a8| <= B // (K + 1);
+* modular inverses come from one vectorized extended Euclid per a1.
+
+Every array holds at most about sqrt(B) int64 values.  The naive counter
+scans a8 directly and exists to cross-check it.
 """
 
 import time
@@ -26,9 +34,16 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import (CoprimalityBroken, EquationViolated, NonpositiveBound,
-                     NonUnitMiddle)
-from .surface import INTEGERS, CountResult, ProjectivePoint
+from .errors import (CoprimalityBroken, EquationViolated, NonUnitMiddle,
+                     OutOfRange)
+from .surface import INTEGERS, CountResult, ProjectivePoint, _int_bound
+
+#: Largest bound torsor_count accepts.  Its largest int64 intermediate is a
+#: sum of class counts for one a1 (or of floor(n/k) in D(n)), each at most
+#: the a1 = 1 row sum_{a2 <= B} (2B/a2 + 1), about B * (2 ln B + 1); at
+#: B = 10^17 that is 7.9e18 < 2^63 - 1 = 9.2e18.  The O(B) running time is
+#: the practical limit far below it.
+MAX_TORSOR_BOUND = 10 ** 17
 
 
 @dataclass(frozen=True)
@@ -101,33 +116,37 @@ def lifted_height(point):
 # Counting
 # ---------------------------------------------------------------------------
 
-def _int_bound(bound):
-    b = Fraction(bound)
-    if b <= 0:
-        raise NonpositiveBound(f"bound must be positive, got {bound}")
-    return int(b)
-
-
 def _inverse_table(m):
-    """inv[i] = i^-1 mod m where gcd(i, m) = 1, else -1."""
+    """inv[i] = i^-1 mod m where gcd(i, m) = 1, else -1.
+
+    Extended Euclid on every residue at once: (r0, r1) are the remainders
+    of (m, i) and t0 * i = r0 (mod m); a residue leaves the active set when
+    r1 reaches 0, with r0 = gcd(i, m).
+    """
     inv = np.full(m, -1, dtype=np.int64)
-    for i in range(1, m):
-        if gcd(i, m) == 1:
-            inv[i] = pow(i, -1, m)
+    idx = np.arange(m, dtype=np.int64)
+    r0, r1 = np.full(m, m, dtype=np.int64), idx.copy()
+    t0, t1 = np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)
+    while idx.size:
+        live = np.flatnonzero(r1)
+        if live.size < idx.size:
+            unit = (r1 == 0) & (r0 == 1)
+            inv[idx[unit]] = t0[unit] % m
+            idx, r0, r1, t0, t1 = idx[live], r0[live], r1[live], t0[live], t1[live]
+        q, r = np.divmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, t0 - q * t1
     return inv
 
 
-def _pair_counts_fast(a1, a2_arr, bound):
+def _pair_counts_fast(a1, a2_arr, bound, inv):
     """Solutions a8 of a2*a8 = -1 (mod a1) with a2*a8 in [-B, B-1], per a2.
 
-    Vectorized over the a2 array for one fixed a1; pairs with
-    gcd(a1, a2) > 1 contribute zero.
+    Vectorized over the a2 array for one fixed a1, with inv its
+    _inverse_table; pairs with gcd(a1, a2) > 1 contribute zero.
     """
     lo = -(bound // a2_arr)           # ceil(-B / a2)
     hi = (bound - 1) // a2_arr        # floor((B-1) / a2)
-    if a1 == 1:
-        return hi - lo + 1
-    inv = _inverse_table(a1)
     r = inv[a2_arr % a1]
     ok = r >= 0
     r = np.where(ok, (-r) % a1, 0)
@@ -135,29 +154,57 @@ def _pair_counts_fast(a1, a2_arr, bound):
     return np.where(ok, np.maximum(count, 0), 0)
 
 
+def _divisor_sum(n):
+    """D(n) = sum_{k=1..n} floor(n/k) = 2 sum_{k <= sqrt n} floor(n/k) - isqrt(n)^2."""
+    r = isqrt(n)
+    return 2 * int((n // np.arange(1, r + 1, dtype=np.int64)).sum()) - r * r
+
+
 def torsor_count(bound, method="fast"):
     """N(B) via the torsor parameterization.
 
-    fast: for each coprime pair (a1, a2) with a1*a2 <= B, count the a8
-    residue class inside its exact interval in constant time; the
+    fast: count pairs (a1, a2) with a1 < a2, a1*a2 <= B; the
     (a1, a2) <-> (a2, a1) swap symmetry of the solution set halves the
-    work and lets a1 stay below sqrt(B).
+    work and keeps a1 <= K = isqrt(B).
+      a1 = 1: sum_{a2=2..B} ((B-1)//a2 + B//a2 + 1) = D(B-1) + D(B) - B,
+        plus B for the pair (1, 1): its 2B values of a8, halved as it is
+        its own swap image.
+      a1 >= 2, a2 <= K: count the a8 class per a2 (_pair_counts_fast).
+      a1 >= 2, a2 > K: |a2*a8| <= B forces 1 <= |a8| <= B // (K + 1); each
+        a8 counts its a2 class -a8^-1 (mod a1) inside
+        (K, min(limit(a8), B // a1)], where limit(a8) is (B-1)//a8 for
+        a8 > 0 and B//|a8| for a8 < 0.
+    B above MAX_TORSOR_BOUND raises OutOfRange before any work.
 
     naive: scan a8 over the whole interval per pair and test divisibility.
     """
     t0 = time.perf_counter()
     b = _int_bound(bound)
+    if b > MAX_TORSOR_BOUND:
+        raise OutOfRange(f"torsor_count supports B <= {MAX_TORSOR_BOUND} "
+                         f"(int64 class counts), got {bound}")
     if b < 1:
         total = 0
     elif method == "fast":
-        total = 4 * b  # the pair (1, 1): interval [-B, B-1], doubled by units
-        for a1 in range(1, isqrt(b) + 1):
-            top = b // a1
-            if top <= a1:
-                break
-            a2 = np.arange(a1 + 1, top + 1, dtype=np.int64)
-            counts = _pair_counts_fast(a1, a2, b)
-            total += 4 * int(counts.sum())  # swap symmetry x units / |mu_K|
+        k = isqrt(b)
+        pairs = _divisor_sum(b - 1) + _divisor_sum(b)  # a1 = 1, with the pair (1, 1)
+        a8 = np.arange(1, b // (k + 1) + 1, dtype=np.int64)
+        top_pos = (b - 1) // a8       # a2 limit for +a8
+        top_neg = b // a8             # a2 limit for -a8
+        for a1 in range(2, k + 1):
+            inv = _inverse_table(a1)
+            a2 = np.arange(a1 + 1, k + 1, dtype=np.int64)
+            pairs += int(_pair_counts_fast(a1, a2, b, inv).sum())
+            cap = b // a1
+            r = inv[a8 % a1]
+            ok = r >= 0
+            up = np.minimum(top_pos, cap)
+            un = np.minimum(top_neg, cap)
+            rp = (-r) % a1            # a2 class for +a8
+            count = ((up - rp) // a1 - (k - rp) // a1
+                     + (un - r) // a1 - (k - r) // a1)
+            pairs += int(count[ok].sum())
+        total = 4 * pairs  # swap symmetry x units / |mu_K|
     elif method == "naive":
         total = 0
         for a1 in range(1, b + 1):

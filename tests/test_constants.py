@@ -101,6 +101,14 @@ class TestZeta:
         value, tail = C.dirichlet_l2(-4)
         assert abs(value - CATALAN) <= tail + 1e-12
 
+    def test_l2_blocking_does_not_change_the_value(self):
+        """fsum is exactly rounded: the blocks give the one-list sum."""
+        terms = 2 * C.L2_BLOCK + 7
+        chi = [C.kronecker_symbol(8, n % 8) for n in range(8)]
+        whole = math.fsum(chi[n % 8] / n ** 2 for n in range(1, terms + 1))
+        assert C.dirichlet_l2(8, terms=terms)[0] == whole
+        assert C.dirichlet_l2(-4)[0] == 0.9159655941767191
+
     def test_zeta2_q(self):
         z, _ = C.dedekind_zeta2(C.get_field("Q"))
         assert z == pytest.approx(math.pi ** 2 / 6, rel=1e-15)

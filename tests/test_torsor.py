@@ -1,7 +1,9 @@
 """Torsor validation, descent to the surface, and count agreement."""
 
 import io
-from math import gcd
+import math
+import random
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -9,9 +11,30 @@ import pytest
 from dp4jigsaw import surface as S
 from dp4jigsaw import torsor as T
 from dp4jigsaw.errors import (EquationViolated, NonpositiveBound,
-                              NonUnitMiddle)
+                              NonUnitMiddle, OutOfRange)
 
 mk = S.ProjectivePoint.make
+
+
+def full_range_count(b):
+    """Oracle: the per-a1 loop over the whole a2 range (a1, B // a1].
+
+    O(B) memory at a1 = 1 and a Python pow table per a1; independent of the
+    closed form, the hyperbola split and the vectorized inverses.
+    """
+    total = 4 * b  # the pair (1, 1)
+    for a1 in range(1, isqrt(b) + 1):
+        a2 = np.arange(a1 + 1, b // a1 + 1, dtype=np.int64)
+        inv = np.array([pow(i, -1, a1) if gcd(i, a1) == 1 else -1
+                        for i in range(a1)], dtype=np.int64)
+        r = inv[a2 % a1]
+        ok = r >= 0
+        r = np.where(ok, (-r) % a1, 0)
+        lo = -(b // a2)
+        hi = (b - 1) // a2
+        count = (hi - r) // a1 + (r - lo) // a1 + 1
+        total += 4 * int(np.where(ok, np.maximum(count, 0), 0).sum())
+    return total
 
 
 class TestValidate:
@@ -102,6 +125,48 @@ class TestCounts:
     def test_naive_equals_fast_for_all_b_to_1e4(self):
         assert (T.torsor_height_counts(10 ** 4, "naive")
                 == T.torsor_height_counts(10 ** 4, "fast")).all()
+
+
+class TestFastCounter:
+    def test_inverse_table_matches_pow(self):
+        for m in range(1, 401):
+            expected = [pow(x, -1, m) if gcd(x, m) == 1 else -1 for x in range(m)]
+            assert T._inverse_table(m).tolist() == expected, m
+
+    def test_oracle_every_b_to_500(self):
+        for b in range(1, 501):
+            assert T.torsor_count(b).count == full_range_count(b), b
+
+    def test_oracle_random_bounds(self):
+        rng = random.Random(20260)
+        for b in (rng.randint(500, 2 * 10 ** 5) for _ in range(50)):
+            assert T.torsor_count(b).count == full_range_count(b), b
+
+    def test_oracle_where_isqrt_changes(self):
+        for n in range(1, 61):
+            for b in (n * n - 1, n * n, n * n + 1):
+                if b >= 1:
+                    assert T.torsor_count(b).count == full_range_count(b), b
+
+    def test_matches_height_counts_to_500(self):
+        hist = T.torsor_height_counts(500)
+        for b in range(1, 501):
+            assert T.torsor_count(b).count == hist[b], b
+
+    def test_pinned_1e6(self):
+        assert T.torsor_count(10 ** 6).count == 311249256
+
+    def test_max_bound_fits_int64(self):
+        b = T.MAX_TORSOR_BOUND
+        assert b * (2 * math.log(b) + 1) < 2 ** 63 - 1
+
+    def test_bound_above_limit_fails_before_any_work(self, monkeypatch):
+        def started(*args):
+            raise AssertionError("counting started above MAX_TORSOR_BOUND")
+        monkeypatch.setattr(T, "_divisor_sum", started)
+        monkeypatch.setattr(T, "_inverse_table", started)
+        with pytest.raises(OutOfRange):
+            T.torsor_count(T.MAX_TORSOR_BOUND + 1)
 
 
 class TestNormalizedPoints:
