@@ -29,10 +29,6 @@ class NegativeRank(Dp4Error):
     """Unit rank q must be a nonnegative integer."""
 
 
-class PartitionFailure(Dp4Error):
-    """A jigsaw identity failed; this signals an implementation bug."""
-
-
 class OutOfRange(Dp4Error):
     """A numeric argument violates its stated range."""
 
@@ -91,6 +87,10 @@ class ConfigInvalid(Dp4Error):
 
 class IdentityFailed(Dp4Error):
     """An identity checked by a subcommand does not hold."""
+
+
+class PartitionFailure(IdentityFailed):
+    """A jigsaw identity failed; this signals an implementation bug."""
 
 
 class DegenerateDesignMatrix(Dp4Error):

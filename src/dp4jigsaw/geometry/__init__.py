@@ -1,15 +1,12 @@
 """Exact polyhedral geometry over the rationals."""
 
 from .polytope import (AffineForm, ConeLineDiagnostic, HPolytope,
-                       RationalCone, VPolytope, box, cone_contains_line,
-                       enumerate_vertices, exact_volume, interiors_disjoint,
-                       monte_carlo_volume, product_polytope, slice_polytope,
-                       standard_simplex, strictly_feasible, unimodular_image)
+                       RationalCone, box, cone_contains_line, exact_volume,
+                       interiors_disjoint, product_polytope, standard_simplex,
+                       strictly_feasible)
 
 __all__ = [
-    "AffineForm", "ConeLineDiagnostic", "HPolytope", "RationalCone",
-    "VPolytope", "box", "cone_contains_line", "enumerate_vertices",
-    "exact_volume", "interiors_disjoint", "monte_carlo_volume",
-    "product_polytope", "slice_polytope", "standard_simplex",
-    "strictly_feasible", "unimodular_image",
+    "AffineForm", "ConeLineDiagnostic", "HPolytope", "RationalCone", "box",
+    "cone_contains_line", "exact_volume", "interiors_disjoint",
+    "product_polytope", "standard_simplex", "strictly_feasible",
 ]

@@ -1,12 +1,13 @@
 """Exact rational polytopes: vertex enumeration, volumes, slices, cones.
 
 All polytopes are closed and bounded; inequalities are normalized to
-primitive integer rows <c, x> + b >= 0.  Two independent vertex-enumeration
-routes are available: a brute-force active-set search for small instances
-(dimension <= 6 and at most 16 inequalities) and incremental double
-description on the homogenization otherwise.  Volumes come from a
-determinant triangulation fanned from a base vertex over recursively
-triangulated facets.
+primitive integer rows <c, x> + b >= 0.  Vertices come from one route:
+incremental double description of the homogenization cone, which also
+reports emptiness and recession directions, with every vertex certified
+by an active-set rank check.  The brute-force active-set search
+`_vertices_brute` is kept only as the reference the tests compare against.
+Volumes come from a determinant triangulation fanned from a base vertex
+over recursively triangulated facets.
 
 A polytope that is nonempty but not full-dimensional has volume exactly 0;
 that is a meaningful output here, not an error.
@@ -17,16 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
-
 from ..errors import DimensionMismatch, EmptyGeneratorList, UnboundedInput
 from . import _simplex
 from ._dd import dd_cone
 from ._intlinalg import (affine_rank, clear_denominators, frac_det, int_rank,
                          primitive, solve_square)
-
-BRUTE_MAX_DIM = 6
-BRUTE_MAX_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -60,13 +56,6 @@ class AffineForm:
 
 
 @dataclass(frozen=True)
-class VPolytope:
-    """Irredundant vertex list of a bounded polytope."""
-
-    vertices: tuple
-
-
-@dataclass(frozen=True)
 class RationalCone:
     """A cone given by primitive integer generators."""
 
@@ -91,49 +80,11 @@ def _rows_of(forms):
     return [f.as_row() for f in forms]
 
 
-def _feasible_rows(dim, rows):
-    """Exact LP feasibility of {x : <c,x> + b >= 0 for all rows}."""
-    if not rows:
-        return True
-    # A(xp - xm) - s = -b with xp, xm, s >= 0.
-    m = len(rows)
-    a_matrix = []
-    for i, row in enumerate(rows):
-        c = row[:dim]
-        slack = [0] * m
-        slack[i] = -1
-        a_matrix.append(list(c) + [-x for x in c] + slack)
-    b_vector = [-row[dim] for row in rows]
-    ok, _ = _simplex.feasible(a_matrix, b_vector)
-    return ok
-
-
-def _has_recession(dim, rows):
-    """Does {r : <c, r> >= 0 for all rows} contain a nonzero vector?"""
-    hom = [row[:dim] for row in rows if any(row[:dim])]
-    if not hom:
-        return dim > 0
-    m = len(hom)
-    for j in range(dim):
-        for sigma in (1, -1):
-            a_matrix = []
-            for i, c in enumerate(hom):
-                slack = [0] * m
-                slack[i] = -1
-                a_matrix.append(list(c) + [-x for x in c] + slack)
-            b_vector = [0] * m
-            pin = [0] * dim
-            pin[j] = 1
-            a_matrix.append(pin + [-x for x in pin] + [0] * m)
-            b_vector.append(sigma)
-            ok, _ = _simplex.feasible(a_matrix, b_vector)
-            if ok:
-                return True
-    return False
-
-
 def _vertices_brute(dim, rows):
-    """Active-set search: solve every d-subset of rows, keep feasible points."""
+    """Active-set search: solve every d-subset of rows, keep feasible points.
+
+    The test suite's reference for `_vertices_dd`; no production code calls it.
+    """
     coeff = [row[:dim] for row in rows]
     const = [row[dim] for row in rows]
     found = set()
@@ -151,7 +102,8 @@ def _vertices_dd(dim, rows):
     """Vertices via double description of the homogenization cone.
 
     Returns (vertex set, recession flag).  An empty polytope yields
-    (empty set, False) regardless of homogeneous recession directions.
+    (empty set, False) regardless of homogeneous recession directions; a
+    nonempty one with a line in it yields an empty vertex set and True.
     """
     t_row = tuple([0] * dim + [1])
     hom_rows = [t_row] + [tuple(row) for row in rows]
@@ -186,18 +138,9 @@ def _enumerate(dim, rows):
         if not any(row[:dim]) and row[dim] < 0:
             return ()
     rows = [row for row in rows if any(row[:dim])]
-    if len(rows) <= BRUTE_MAX_ROWS and dim <= BRUTE_MAX_DIM:
-        if not _feasible_rows(dim, rows):
-            return ()
-        if _has_recession(dim, rows):
-            raise UnboundedInput(f"recession direction exists (dim={dim})")
-        verts = _vertices_brute(dim, rows)
-    else:
-        verts, recession = _vertices_dd(dim, rows)
-        if not verts:
-            return ()
-        if recession:
-            raise UnboundedInput(f"recession direction exists (dim={dim})")
+    verts, recession = _vertices_dd(dim, rows)
+    if recession:
+        raise UnboundedInput(f"recession direction exists (dim={dim})")
     return tuple(sorted(verts))
 
 
@@ -350,18 +293,9 @@ def _volume(dim, forms, vertices):
 # Public operations
 # ---------------------------------------------------------------------------
 
-def enumerate_vertices(p):
-    """Exactly the vertex set of p, as a VPolytope."""
-    return VPolytope(p.vertices)
-
-
 def exact_volume(p):
     """Exact Lebesgue volume of p in its ambient dimension."""
     return p.volume()
-
-
-def slice_polytope(p, fixed):
-    return p.slice(fixed)
 
 
 def _merged_rows_flat(p1, p2):
@@ -522,35 +456,3 @@ def standard_simplex(dim, scale=1):
         rows.append(AffineForm.ge(e, 0))
     rows.append(AffineForm.le([1] * dim, scale))
     return HPolytope(dim, rows)
-
-
-def unimodular_image(p, matrix):
-    """Image of p under the inverse substitution x = M y (|det M| arbitrary).
-
-    For integer unimodular M this is a volume-preserving reparameterization.
-    """
-    return p.transform(matrix)
-
-
-def monte_carlo_volume(p, samples=1_000_000, seed=0):
-    """Float hit-rate estimate of the volume; a sanity oracle, not a proof."""
-    if p.is_empty():
-        return 0.0
-    verts = np.array([[float(x) for x in v] for v in p.vertices])
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
-    widths = hi - lo
-    if np.any(widths == 0):
-        return 0.0
-    rng = np.random.RandomState(seed)
-    pts = rng.uniform(lo, hi, size=(samples, p.dimension))
-    ok = np.ones(samples, dtype=bool)
-    for form in p.inequalities:
-        vals = pts @ np.array([float(c) for c in form.coeffs]) + float(form.const)
-        ok &= vals >= 0
-    return float(ok.mean() * np.prod(widths))
-
-
-def evaluate_forms(p, point):
-    """All inequality values at a rational point (diagnostic helper)."""
-    return tuple(f.evaluate(point) for f in p.inequalities)

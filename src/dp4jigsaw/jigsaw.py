@@ -33,18 +33,11 @@ from .geometry import (AffineForm, HPolytope, RationalCone, cone_contains_line,
 EDGE_LABELS = ("57", "45", "34", "36")
 
 #: Per-place inequality block for each edge: two rows on (a_{n,1}, a_{n,2}).
+#: The same pairs are the classes of the two boundary components spanning
+#: each edge, in the (e_{n,1}, e_{n,2}) coordinates of the place: the
+#: per-place effective-cone generators.  Evaluating them on a dual vector
+#: reproduces the inequality block, which is why one table serves both.
 EDGE_INEQUALITIES = {
-    "57": ((-1, 0), (3, 1)),
-    "45": ((-3, -1), (2, 1)),
-    "34": ((-2, -1), (1, 1)),
-    "36": ((0, 1), (-1, -1)),
-}
-
-#: Classes of the two boundary components spanning each edge, in the
-#: (e_{n,1}, e_{n,2}) coordinates of the place.  These are the per-place
-#: effective-cone generators; evaluating them on a dual vector reproduces
-#: the inequality block above, which is why the tuples coincide.
-EDGE_CONE_CLASSES = {
     "57": ((-1, 0), (3, 1)),    # A5, A7
     "45": ((-3, -1), (2, 1)),   # A4, A5
     "34": ((-2, -1), (1, 1)),   # A3, A4
@@ -73,13 +66,6 @@ def _check_rank(q):
 def face_key(face):
     """Stable string key for a face tuple, e.g. '57,36'."""
     return ",".join(face)
-
-
-def parse_face_key(key):
-    face = tuple(key.split(","))
-    for edge in face:
-        _check_edge(edge)
-    return face
 
 
 def all_faces(q):
@@ -170,7 +156,7 @@ def effective_generators(face):
     gens = [a1, a2]
     for n, edge in enumerate(face):
         _check_edge(edge)
-        for ce1, ce2 in EDGE_CONE_CLASSES[edge]:
+        for ce1, ce2 in EDGE_INEQUALITIES[edge]:
             vec = [0] * dim
             vec[1 + 2 * n] = ce1
             vec[2 + 2 * n] = ce2
@@ -318,10 +304,13 @@ def degenerate_face_report(q, allow_large=False):
     _require_rank_cap(q, allow_large)
     cache = _FaceCache()
     faces = all_faces(q)
+    # Both verdicts depend only on the sorted face, as the volume does.
+    keys = dict.fromkeys(tuple(sorted(f)) for f in faces)
+    strict = {k: strictly_feasible(cache.polytope(k)) for k in keys}
+    line = {k: cone_contains_line(effective_generators(k)).contains_line for k in keys}
     volume_zero = [f for f in faces if cache.volume(f) == 0]
-    strict_zero = [f for f in faces if not strictly_feasible(cache.polytope(f))]
-    cone_line = [f for f in faces
-                 if cone_contains_line(effective_generators(f)).contains_line]
+    strict_zero = [f for f in faces if not strict[tuple(sorted(f))]]
+    cone_line = [f for f in faces if line[tuple(sorted(f))]]
     report = {
         "q": q,
         "volume_zero_faces": sorted(face_key(f) for f in volume_zero),

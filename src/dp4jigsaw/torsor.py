@@ -268,36 +268,6 @@ def enumerate_normalized(bound):
     return out
 
 
-def enumerate_valid(coord_bound):
-    """All valid torsor points with every |a_i| <= coord_bound (exhaustive)."""
-    m = coord_bound
-    points = []
-    units = (1, -1)
-    sign_combos = [(a3, a4, a5, a6, a7)
-                   for a3 in units for a4 in units for a5 in units
-                   for a6 in units for a7 in units]
-    for a3, a4, a5, a6, a7 in sign_combos:
-        c = a3 * a4 * a4 * a5 ** 3 * a7
-        for a2 in range(-m, m + 1):
-            for a8 in range(-m, m + 1):
-                rest = -(a2 * a8 + c)
-                # a1 * a9 = rest with both factors bounded
-                for a1 in range(-m, m + 1):
-                    if a1 == 0:
-                        if rest == 0:
-                            for a9 in range(-m, m + 1):
-                                points.append(validate(
-                                    (0, a2, a3, a4, a5, a6, a7, a8, a9)))
-                        continue
-                    if rest % a1 != 0:
-                        continue
-                    a9 = rest // a1
-                    if abs(a9) <= m:
-                        points.append(validate(
-                            (a1, a2, a3, a4, a5, a6, a7, a8, a9)))
-    return points
-
-
 def fibers_over_points(bound):
     """Group normalized torsor points of height <= bound by surface image."""
     fibers = {}

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dp4jigsaw import reporting
+from dp4jigsaw import jigsaw, reporting
 from dp4jigsaw.cli import main
 from dp4jigsaw.errors import DegenerateDesignMatrix, IoFailure
 
@@ -130,9 +130,17 @@ class TestCli:
         for name in ("counts.csv", "counts.json", "counts.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_threads_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DP4_THREADS", "2")
-        assert run_cli(["count", "--bound", "5"], tmp_path) == 0
+    def test_compare_labels_its_two_counters(self, tmp_path):
+        assert run_cli(["compare", "--bound", "20"], tmp_path) == 0
+        rows = reporting.parse_counts_csv((tmp_path / "counts.csv").read_text())
+        assert [r.method for r in rows] == ["direct-divisor", "torsor-lifted"] * 20
+        assert [r.bound for r in rows[::2]] == list(range(1, 21))
+        assert all(a.count == b.count for a, b in zip(rows[::2], rows[1::2]))
+
+    @pytest.mark.parametrize("command", ["alpha", "jigsaw"])
+    def test_failed_identity_exits_1(self, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(jigsaw, "alpha_closed_form", lambda q: F(1, 3))
+        assert run_cli([command, "--q", "0"], tmp_path) == 1
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -11,18 +11,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dp4jigsaw.errors import (DimensionMismatch, EmptyGeneratorList,
                               UnboundedInput)
 from dp4jigsaw.geometry import (AffineForm, HPolytope, RationalCone, box,
-                                cone_contains_line, enumerate_vertices,
-                                exact_volume, interiors_disjoint,
-                                monte_carlo_volume, product_polytope,
-                                slice_polytope, standard_simplex,
-                                strictly_feasible, unimodular_image)
+                                cone_contains_line, exact_volume,
+                                interiors_disjoint, product_polytope,
+                                standard_simplex, strictly_feasible)
 from dp4jigsaw.geometry.polytope import _vertices_brute, _vertices_dd
 from dp4jigsaw.geometry._simplex import feasible
-from tests_support import random_unimodular
+from tests_support import monte_carlo_volume, random_unimodular
 
 
 def union_q0():
@@ -49,11 +49,11 @@ def q0_face(rows):
 
 class TestVertexEnumeration:
     def test_unit_square(self):
-        verts = enumerate_vertices(box([(0, 1), (0, 1)])).vertices
+        verts = box([(0, 1), (0, 1)]).vertices
         assert set(verts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_q0_union_polytope(self):
-        verts = enumerate_vertices(union_q0()).vertices
+        verts = union_q0().vertices
         assert set(verts) == {(0, 0, 0), (0, 0, 1), (1, 0, 1), (1, -1, 1)}
 
     def test_degenerate_segment(self):
@@ -146,8 +146,8 @@ class TestSlice:
         with pytest.raises(DimensionMismatch):
             cube.slice([(3, 0)])
 
-    def test_slice_function_alias(self):
-        assert exact_volume(slice_polytope(box([(0, 1)] * 2), [(0, F(1, 2))])) == 1
+    def test_square_slice_is_a_unit_segment(self):
+        assert exact_volume(box([(0, 1)] * 2).slice([(0, F(1, 2))])) == 1
 
 
 class TestInteriorsDisjoint:
@@ -222,7 +222,7 @@ class TestVolumeInvariants:
             v = exact_volume(p)
             for _ in range(5):
                 u = random_unimodular(rng, p.dimension)
-                assert exact_volume(unimodular_image(p, u)) == v
+                assert exact_volume(p.transform(u)) == v
 
     def test_product_volumes(self):
         rng = random.Random(5)
@@ -313,3 +313,77 @@ class TestDualRoutes:
                  standard_simplex(3), box([(0, 1), (0, 0)])]
         for p in cases:
             assert strictly_feasible(p) == (exact_volume(p) > 0)
+
+
+# ---------------------------------------------------------------------------
+# Property tests: the double description route against the brute-force
+# reference, on random small inputs.  Derandomized and database-free, so the
+# suite stays deterministic.
+# ---------------------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, database=None,
+                             deadline=None)
+
+
+def unit(dim, i, sign=1):
+    return tuple(sign if k == i else 0 for k in range(dim))
+
+
+@st.composite
+def clipped_rows(draw):
+    """Random rows in dim 1..5 inside a box; some box sides may coincide."""
+    dim = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=dim + 1, max_size=dim + 1).map(tuple)
+    rows = draw(st.lists(row, max_size=7 - dim))
+    for i in range(dim):
+        lo = draw(st.integers(-3, 1))
+        hi = lo + draw(st.integers(0, 3))  # hi == lo flattens the box
+        rows.append(unit(dim, i) + (-lo,))
+        rows.append(unit(dim, i, -1) + (hi,))
+    for dup in draw(st.lists(st.sampled_from(rows), max_size=2)):
+        rows.append(tuple(draw(st.integers(1, 2)) * x for x in dup))
+    return dim, rows
+
+
+@st.composite
+def rows_through_a_point(draw):
+    """Random rows, none clipped, all satisfied at one integer point."""
+    dim = draw(st.integers(1, 5))
+    point = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+    rows = []
+    for _ in range(draw(st.integers(0, 7 - dim))):
+        c = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+        slack = draw(st.integers(0, 2))
+        rows.append(tuple(c) + (slack - sum(a * x for a, x in zip(c, point)),))
+    return dim, rows
+
+
+class TestSingleEnumeratorProperties:
+    @PROPERTY_SETTINGS
+    @given(clipped_rows())
+    @example((2, [(1, 0, -1), (-1, 0, 0), (0, 1, 0), (0, -1, 1)]))  # empty
+    @example((3, [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 1),
+                  (0, 0, 1, 0), (0, 0, -1, 1)]))  # flat square in 3-space
+    @example((2, [(1, 1, 0), (2, 2, 0), (-1, 0, 1), (0, -1, 1), (0, 1, 1)]))  # duplicate
+    def test_vertices_match_brute(self, case):
+        dim, rows = case
+        assert HPolytope(dim, rows).vertices == tuple(sorted(_vertices_brute(dim, rows)))
+
+    @PROPERTY_SETTINGS
+    @given(rows_through_a_point())
+    @example((2, []))
+    @example((2, [(1, 0, 0), (-1, 0, 0)]))  # a line through the origin
+    @example((2, [(1, 0, 0), (0, 1, 0), (-1, -1, 1)]))  # bounded triangle
+    def test_unbounded_iff_recession_direction(self, case):
+        dim, rows = case
+        # The recession cone {r : <c, r> >= 0} is nonzero iff its part in
+        # the unit box has a vertex other than the origin.
+        clipped = [row[:dim] + (0,) for row in rows]
+        clipped += [unit(dim, i, s) + (1,) for i in range(dim) for s in (1, -1)]
+        recedes = any(any(v) for v in _vertices_brute(dim, clipped))
+        try:
+            HPolytope(dim, rows)
+            unbounded = False
+        except UnboundedInput:
+            unbounded = True
+        assert unbounded == recedes

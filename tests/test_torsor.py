@@ -12,6 +12,7 @@ from dp4jigsaw import surface as S
 from dp4jigsaw import torsor as T
 from dp4jigsaw.errors import (EquationViolated, NonpositiveBound,
                               NonUnitMiddle, OutOfRange)
+from tests_support import enumerate_valid
 
 mk = S.ProjectivePoint.make
 
@@ -52,7 +53,7 @@ class TestValidate:
 
     def test_exhaustive_small_box_coprimality(self):
         """The equation forces the pairwise conditions; validate never trips."""
-        pts = T.enumerate_valid(8)
+        pts = enumerate_valid(8)
         assert pts  # plenty of solutions in the box
         for pt in pts:
             a = pt.a
@@ -86,7 +87,7 @@ class TestDescent:
         assert T.lifted_height(T.validate((1, 1, 1, 1, 1, -1, 1, 0, -1))) == 1
 
     def test_exhaustive_small_box_descent(self):
-        for pt in T.enumerate_valid(8):
+        for pt in enumerate_valid(8):
             a = pt.a
             image = T.map_to_surface(pt)
             assert S.on_surface(image)

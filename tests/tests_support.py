@@ -1,4 +1,8 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, including the oracles that only tests use."""
+
+import numpy as np
+
+from dp4jigsaw.torsor import validate
 
 
 def random_unimodular(rng, dim, max_entry=3):
@@ -12,3 +16,52 @@ def random_unimodular(rng, dim, max_entry=3):
                 m[i][k] += s * m[j][k]
         if max(abs(x) for row in m for x in row) <= max_entry:
             return m
+
+
+def monte_carlo_volume(p, samples=1_000_000, seed=0):
+    """Float hit-rate estimate of the volume; a sanity oracle, not a proof."""
+    if p.is_empty():
+        return 0.0
+    verts = np.array([[float(x) for x in v] for v in p.vertices])
+    lo = verts.min(axis=0)
+    hi = verts.max(axis=0)
+    widths = hi - lo
+    if np.any(widths == 0):
+        return 0.0
+    rng = np.random.RandomState(seed)
+    pts = rng.uniform(lo, hi, size=(samples, p.dimension))
+    ok = np.ones(samples, dtype=bool)
+    for form in p.inequalities:
+        vals = pts @ np.array([float(c) for c in form.coeffs]) + float(form.const)
+        ok &= vals >= 0
+    return float(ok.mean() * np.prod(widths))
+
+
+def enumerate_valid(coord_bound):
+    """All valid torsor points with every |a_i| <= coord_bound (exhaustive)."""
+    m = coord_bound
+    points = []
+    units = (1, -1)
+    sign_combos = [(a3, a4, a5, a6, a7)
+                   for a3 in units for a4 in units for a5 in units
+                   for a6 in units for a7 in units]
+    for a3, a4, a5, a6, a7 in sign_combos:
+        c = a3 * a4 * a4 * a5 ** 3 * a7
+        for a2 in range(-m, m + 1):
+            for a8 in range(-m, m + 1):
+                rest = -(a2 * a8 + c)
+                # a1 * a9 = rest with both factors bounded
+                for a1 in range(-m, m + 1):
+                    if a1 == 0:
+                        if rest == 0:
+                            for a9 in range(-m, m + 1):
+                                points.append(validate(
+                                    (0, a2, a3, a4, a5, a6, a7, a8, a9)))
+                        continue
+                    if rest % a1 != 0:
+                        continue
+                    a9 = rest // a1
+                    if abs(a9) <= m:
+                        points.append(validate(
+                            (a1, a2, a3, a4, a5, a6, a7, a8, a9)))
+    return points
