@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Counting integral points three ways, plus the mod-p densities.
 
-Direct enumeration solves the surface equations for x1 and x4:
+Solving the surface equations for x1 and x4,
 
     x1 = -x2^2/(x0 + x3),   x4 = x0*x3/x2,
 
-so triples (x0, x2, x3) with unit gcd, x2 | x0*x3 and (x0+x3) | x2^2 are
-the whole story.  The torsor route instead counts integer solutions of
-a1*a9 + a2*a8 + a7 = 0 below the lifted height; the two must agree bound
-by bound, and they do.
+turns points into triples (x0, x2, x3) with unit gcd, x2 | x0*x3 and
+(x0 + x3) | x2^2; the triple loop over them is the oracle at small bounds.
+At an integral point x0 + x3 is even a unit, so every point has one
+representative in the normal form x3 = 1 - x0, and the direct counter
+only runs over pairs (x0, x2) with x2 | x0*(1 - x0).  The torsor route
+instead counts integer solutions of a1*a9 + a2*a8 + a7 = 0 below the
+lifted height; all three must agree bound by bound, and they do.
 """
 
 import time
@@ -20,15 +23,22 @@ print("the four integral points of height 1 (stream format):")
 for pt in S.direct_points(1):
     print("  " + S.format_point_line(pt))
 
-print("\npoint counts, three methods:")
-print("  B     triple  divisor  torsor")
-for b in (1, 10, 100, 200):
-    t = S.direct_count(b, method="triple").count
-    d = S.direct_count(b, method="divisor").count
-    f = T.torsor_count(b, "fast").count
-    print(f"  {b:<5} {t:<7} {d:<8} {f}")
+print("\npoint counts over Z, three routes:")
+print("  B     triple  normal  torsor")
+for b in (1, 10, 100):
+    t = int(S._heights_triple_z(b).sum())
+    d = S.direct_count(b).count
+    f = T.torsor_count(b).count
+    print(f"  {b:<5} {t:<7} {d:<7} {f}")
 
-print("\nper-B agreement of divisor and torsor counts up to 2000:", end=" ")
+print("\npoint counts over Z[i], two routes:")
+print("  B     triple  normal")
+for b in (1, 5, 20):
+    t = int(S._heights_triple_zi(b).sum())
+    d = S.direct_count(b, ring=S.GAUSSIAN).count
+    print(f"  {b:<5} {t:<7} {d}")
+
+print("\nper-B agreement of normal-form and torsor counts up to 2000:", end=" ")
 agree = (S.direct_height_counts(2000) == T.torsor_height_counts(2000)).all()
 print("exact" if agree else "BROKEN")
 
@@ -40,7 +50,7 @@ print(f"  {len(fibers)} points of height <= 30, fiber sizes "
 print("\nthe fast path scales; N(B) for large B:")
 for b in (10 ** 5, 10 ** 6, 10 ** 7):
     t0 = time.perf_counter()
-    n = T.torsor_count(b, "fast").count
+    n = T.torsor_count(b).count
     print(f"  N({b:>8}) = {n:>12}   ({time.perf_counter() - t0:.1f}s)")
 
 print("\npoints modulo p (always p^2 + p, with p + 1 of them on L):")

@@ -32,7 +32,6 @@ class RunConfig:
     field_json: str = None
     output: str = "."
     formats: tuple = ("csv", "json")
-    method: str = None
     timings: bool = False
     primes: list = field(default_factory=list)
     prime_bound: int = 10 ** 6
@@ -74,9 +73,7 @@ def _predictor(config):
 # ---------------------------------------------------------------------------
 
 def _cmd_count(config):
-    results = [surface.direct_count(b, ring=config.ring,
-                                    method=config.method or "divisor")
-               for b in config.bounds]
+    results = [surface.direct_count(b, ring=config.ring) for b in config.bounds]
     rows = reporting.make_rows(results, predictor=_predictor(config)
                                if config.ring == surface.INTEGERS else None,
                                timings=config.timings)
@@ -91,17 +88,15 @@ def _cmd_count(config):
 
 
 def _cmd_torsor_count(config):
-    results = [torsor.torsor_count(b, method=config.method or "fast")
-               for b in config.bounds]
+    results = [torsor.torsor_count(b) for b in config.bounds]
     rows = reporting.make_rows(results, predictor=_predictor(config),
                                timings=config.timings)
     reporting.emit_report(rows, config.formats, config.output)
     for row in rows:
         print(f"B={row.bound}: {row.count} ({row.method})")
     if config.points_file:
-        pts = torsor.enumerate_normalized(config.bounds[-1])
         with open(config.points_file, "w", encoding="utf-8") as fh:
-            torsor.write_tuple_stream(pts, fh)
+            torsor.write_tuple_stream(torsor.enumerate_normalized(config.bounds[-1]), fh)
     return EXIT_OK
 
 
@@ -204,7 +199,7 @@ def _cmd_fit(config):
     hi = float(config.bounds[-1]) if config.bounds else 1e7
     grid = np.unique(np.round(np.logspace(np.log10(lo), np.log10(hi),
                                           config.samples)).astype(np.int64))
-    results = [torsor.torsor_count(int(b), method="fast") for b in grid]
+    results = [torsor.torsor_count(int(b)) for b in grid]
     fit = reporting.fit_log_quadratic([(r.bound, r.count) for r in results])
     rows = reporting.make_rows(results, predictor=_predictor(config),
                                timings=config.timings)
@@ -257,12 +252,10 @@ def _build_parser():
     p = sub.add_parser("count", help="direct point count over Z or Z[i]")
     p.add_argument("--bound", action="append", required=True)
     p.add_argument("--ring", default="Z")
-    p.add_argument("--method", choices=["divisor", "triple"], default="divisor")
     p.add_argument("--points", dest="points_file", help="write the point stream here")
 
     p = sub.add_parser("torsor-count", help="count via the torsor parameterization")
     p.add_argument("--bound", action="append", required=True)
-    p.add_argument("--method", choices=["fast", "naive"], default="fast")
     p.add_argument("--tuples", dest="points_file", help="write normalized tuples here")
 
     p = sub.add_parser("compare", help="direct vs torsor counts for every B <= bound")
@@ -303,7 +296,6 @@ def _config_from_args(args):
     config.timings = args.timings
     if args.command in ("count", "torsor-count"):
         config.bounds = [Fraction(b) for b in args.bound]
-        config.method = args.method
         config.points_file = args.points_file
         if args.command == "count":
             config.ring = surface.parse_ring(args.ring)

@@ -1,32 +1,42 @@
 """Points on the quartic del Pezzo surface x0*x3 = x2*x4, x0*x1 + x1*x3 + x2^2 = 0.
 
 Membership, line detection, integrality and heights over Z, Z[i] and prime
-fields, plus the direct counts: a transparent O(B^3) triple loop (the
-oracle of record for small bounds) and a divisor-driven enumeration that
-reaches B ~ 10^4.
+fields, and the direct counts of integral points off the lines.
 
-The enumeration rests on the solved form of the equations: off the three
-lines one has x2 != 0 and x0 + x3 != 0, so
+On the surface, x2 = 0 cuts out precisely the three lines (checked
+exhaustively over small prime fields in the test suite), so off them
+x2 != 0, s = x0 + x3 != 0, x1 = -x2^2 / s and x4 = x0 * x3 / x2.  Over any
+ring of integers s is then a unit: a prime P dividing s divides x2^2, so
+x2, so x0*x3 and x0 + x3, so x0 and x3, against integrality.  Scaling by
+1/s gives each point one representative in the normal form
 
-    x1 = -x2^2 / (x0 + x3),      x4 = x0 * x3 / x2,
+    x3 = 1 - x0,      x1 = -x2^2,      x4 = x0 * (1 - x0) / x2,
 
-and a point is integral exactly when gcd(x0, x2, x3) is a unit; its height
-is then max_v(|x0|_v, |x2|_v, |x3|_v).  On the surface, x2 = 0 cuts out
-precisely the union of the three lines (checked exhaustively over small
-prime fields in the test suite), which justifies the x2 != 0 restriction.
+that is, one pair (x0, x2) with x2 != 0 and x2 | x0(1 - x0), of height
+max(|x0|, |x2|, |1 - x0|) (norms over Z[i]).  Over Z, x0 = m + 1 and
+x0 = -m share x0(1 - x0) = -m(m + 1), so with x2 = +-d each divisor d of
+m(m + 1) gives 4 points of height max(m + 1, d); m = 0 (x0 in {0, 1})
+admits every d:
+
+    N(B) = 4B + 4 * sum_{m=1}^{B-1} tau_B(m(m + 1)),
+
+tau_B counting divisors up to B (an additive divisor sum; Ingham 1927).
+The triple loops over (x0, x2, x3) assume no normal form and are the
+oracles the tests compare against at small bounds.
 """
 
 import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
 from . import gaussian
 from .errors import (DegenerateCoordinates, DimensionMismatch,
-                     NonpositiveBound, NotOnSurface, NotPrime, OnBoundary)
+                     NonpositiveBound, NotOnSurface, NotPrime, OnBoundary,
+                     OutOfRange)
 from .gaussian import GaussInt
 
 LINE_L = "L"       # x0 = x2 = x3 = 0, the boundary line through both singularities
@@ -132,11 +142,14 @@ def _is_zero(ring, value):
     return not value
 
 
+def _forms(x0, x1, x2, x3, x4):
+    """The two defining forms of the surface at a coordinate tuple."""
+    return x0 * x3 - x2 * x4, x0 * x1 + x1 * x3 + x2 * x2
+
+
 def on_surface(pt):
     """Do both defining equations vanish at the point?"""
-    x0, x1, x2, x3, x4 = pt.coords
-    eq1 = x0 * x3 - x2 * x4
-    eq2 = x0 * x1 + x1 * x3 + x2 * x2
+    eq1, eq2 = _forms(*pt.coords)
     return _is_zero(pt.ring, eq1) and _is_zero(pt.ring, eq2)
 
 
@@ -195,28 +208,41 @@ class CountResult:
     elapsed: float
 
 
-def _int_bound(bound):
+def _int_bound(bound, limit=None):
     b = Fraction(bound)
     if b <= 0:
         raise NonpositiveBound(f"bound must be positive, got {bound}")
+    if limit is not None and int(b) > limit:
+        raise OutOfRange(f"bound must be <= {limit}, got {bound}")
     return int(b)  # heights are positive integers, so floor is exact
 
 
 # ---------------------------------------------------------------------------
-# Direct counting over Z
+# Direct counting in the normal form x0 + x3 = 1
 # ---------------------------------------------------------------------------
 
-def _divisors(n):
-    """Sorted positive divisors of n >= 1."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+#: Largest bound the direct counter accepts.  The divisor sieve of 1..B
+#: has E = sum_{n <= B} d(n) ~ B (ln B + 2 gamma - 1) int32 entries, built
+#: from about five int32 arrays of length E and an int64 argsort: 28 bytes
+#: per entry, E = 1.4e7 and a peak RSS near 370 MB at B = 10^6; the
+#: histogram adds 8 (B + 1) bytes.  Over Z[i], O(B^2) time binds first.
+MAX_DIRECT_BOUND = 10 ** 6
+
+
+def _divisor_sieve(n):
+    """Divisors of 1..n in CSR form: those of k are flat[start[k]:start[k + 1]].
+
+    Each k is listed once per multiple j*k <= n; sorting by the multiple
+    groups the lists.
+    """
+    k = np.arange(1, n + 1, dtype=np.int32)
+    reps = n // k
+    div = np.repeat(k, reps)
+    first = np.repeat(np.cumsum(reps, dtype=np.int32) - reps, reps)
+    mult = div * (np.arange(div.size, dtype=np.int32) - first + 1)
+    start = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(mult, minlength=n + 1), out=start[1:])
+    return div[np.argsort(mult)], start
 
 
 def _heights_triple_z(bound):
@@ -239,91 +265,84 @@ def _heights_triple_z(bound):
     return hist
 
 
-def _heights_divisor_z(bound):
-    """Height histogram via s = x0 + x3 running over divisors of x2^2.
+def _normal_form_z(bound):
+    """Yield (m, d), d the divisors <= bound of m(m + 1) (all of 1..bound at m = 0).
 
-    Points with x0 = 0 force x3 = +-1 (two points of height x2 for every
-    x2 >= 1); for x0 >= 1 the canonical representative leaves the sign of
-    x2 free, so the x2 > 0 count is doubled.
+    m and m + 1 are coprime, so the divisors of m(m + 1) are products of theirs.
     """
-    hist = np.zeros(bound + 1, dtype=np.int64)
-    if bound >= 1:
-        hist[1:] += 2  # x0 = 0 family
-    for x2 in range(1, bound + 1):
-        divs = _divisors(x2 * x2)
-        for s_abs in divs:
-            for s in (s_abs, -s_abs):
-                lo = max(1, s - bound)
-                hi = min(bound, s + bound)
-                if lo > hi:
-                    continue
-                x0 = np.arange(lo, hi + 1, dtype=np.int64)
-                x3 = s - x0
-                mask = (x0 * x3) % x2 == 0
-                if not mask.any():
-                    continue
-                x0 = x0[mask]
-                x3 = x3[mask]
-                mask = np.gcd(np.gcd(x0, x2), x3) == 1
-                if not mask.any():
-                    continue
-                x0 = x0[mask]
-                x3 = x3[mask]
-                h = np.maximum(np.maximum(x0, np.abs(x3)), x2)
-                np.add.at(hist, h, 2)  # x2 of either sign
-    return hist
+    flat, start = _divisor_sieve(bound)
+    yield 0, np.arange(1, bound + 1, dtype=np.int64)
+    for m in range(1, bound):
+        d = np.multiply.outer(flat[start[m]:start[m + 1]],
+                              flat[start[m + 1]:start[m + 2]], dtype=np.int64).ravel()
+        yield m, d[d <= bound]
 
 
-def direct_height_counts(bound, ring=INTEGERS, method="divisor"):
+def _normal_form_zi(bound):
+    """Yield (x0, x3 = 1 - x0, re, im), re + im*i the x2 | x0*x3 of norm <= bound.
+
+    x2 | p exactly when p*conj(x2) is divisible by N(x2) in both parts.
+    """
+    r = isqrt(bound)
+    re, im = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
+    norm = re * re + im * im
+    keep = (norm > 0) & (norm <= bound)
+    re, im, norm = re[keep], im[keep], norm[keep]
+    for a, b in [(0, 0)] + list(zip(re.tolist(), im.tolist())):
+        if (1 - a) ** 2 + b * b > bound:
+            continue
+        x0 = GaussInt(a, b)
+        x3 = gaussian.ONE - x0
+        p = x0 * x3
+        ok = (((p.re * re + p.im * im) % norm == 0)
+              & ((p.im * re - p.re * im) % norm == 0))
+        yield x0, x3, re[ok], im[ok]
+
+
+def direct_height_counts(bound, ring=INTEGERS):
     """Cumulative counts N(b) for all integer b <= bound, as an array."""
-    b = _int_bound(bound)
+    b = _int_bound(bound, MAX_DIRECT_BOUND)
+    hist = np.zeros(b + 1, dtype=np.int64)
     if ring == INTEGERS:
-        hist = _heights_divisor_z(b) if method == "divisor" else _heights_triple_z(b)
+        for m, d in _normal_form_z(b):
+            np.add.at(hist, np.maximum(d, m + 1), 4)
     elif ring == GAUSSIAN:
-        hist = _heights_triple_zi(b)
+        for x0, x3, re, im in _normal_form_zi(b):
+            np.add.at(hist, np.maximum(re * re + im * im,
+                                       max(x0.norm(), x3.norm())), 1)
     else:
         raise ValueError("direct counts run over Z or Z[i]")
     return hist.cumsum()
 
 
-def direct_count(bound, ring=INTEGERS, method="divisor"):
+def direct_count(bound, ring=INTEGERS):
     """Exact count of integral points off the lines with height <= bound."""
     t0 = time.perf_counter()
-    counts = direct_height_counts(bound, ring=ring, method=method)
-    name = "direct-divisor" if method == "divisor" else "direct-triple-loop"
+    counts = direct_height_counts(bound, ring=ring)
     return CountResult(bound=Fraction(bound), count=int(counts[-1]), ring=ring,
-                       method=name, elapsed=time.perf_counter() - t0)
+                       method="direct-divisor", elapsed=time.perf_counter() - t0)
 
 
 def direct_points(bound, ring=INTEGERS):
     """All integral points off the lines with height <= bound, canonical form."""
-    b = _int_bound(bound)
-    points = []
+    b = _int_bound(bound, MAX_DIRECT_BOUND)
     if ring == INTEGERS:
-        for x2 in range(1, b + 1):
-            points.append(ProjectivePoint.make((0, -x2 * x2, x2, 1, 0)))
-            points.append(ProjectivePoint.make((0, x2 * x2, x2, -1, 0)))
-            for s_abs in _divisors(x2 * x2):
-                for s in (s_abs, -s_abs):
-                    x1 = -(x2 * x2) // s
-                    for x0 in range(max(1, s - b), min(b, s + b) + 1):
-                        x3 = s - x0
-                        if (x0 * x3) % x2 != 0:
-                            continue
-                        if gcd(gcd(x0, x2), x3) != 1:
-                            continue
-                        x4 = (x0 * x3) // x2
-                        points.append(ProjectivePoint.make((x0, x1, x2, x3, x4)))
-                        points.append(ProjectivePoint.make((x0, x1, -x2, x3, -x4)))
+        points = [ProjectivePoint.make((x0, -x2 * x2, x2, 1 - x0, x0 * (1 - x0) // x2))
+                  for m, d in _normal_form_z(b) for x0 in (m + 1, -m)
+                  for k in d.tolist() for x2 in (k, -k)]
     elif ring == GAUSSIAN:
-        points = _points_zi(b)
+        points = [ProjectivePoint.make(
+                      (x0, -(x2 * x2), x2, x3, gaussian.exact_div(x0 * x3, x2)),
+                      ring=GAUSSIAN)
+                  for x0, x3, re, im in _normal_form_zi(b)
+                  for x2 in map(GaussInt, re.tolist(), im.tolist())]
     else:
         raise ValueError("direct counts run over Z or Z[i]")
     return sorted(points, key=lambda p: (float(height(p)), str(p)))
 
 
 # ---------------------------------------------------------------------------
-# Direct counting over Z[i]
+# Triple-loop oracle over Z[i]
 # ---------------------------------------------------------------------------
 
 def _triples_zi(bound):
@@ -354,15 +373,6 @@ def _heights_triple_zi(bound):
     return hist
 
 
-def _points_zi(bound):
-    points = []
-    for x0, x2, x3, s, prod in _triples_zi(bound):
-        x1 = -gaussian.exact_div(x2 * x2, s)
-        x4 = gaussian.exact_div(prod, x2)
-        points.append(ProjectivePoint.make((x0, x1, x2, x3, x4), ring=GAUSSIAN))
-    return points
-
-
 # ---------------------------------------------------------------------------
 # Counting modulo p
 # ---------------------------------------------------------------------------
@@ -380,11 +390,10 @@ def count_mod_p(p):
         raise NotPrime(f"{p} is not prime")
     count = 0
     for x in _projective_reps(p):
-        x0, x1, x2, x3, x4 = x
-        if (x0 * x3 - x2 * x4) % p:
+        eq1, eq2 = _forms(*x)
+        if eq1 % p or eq2 % p:
             continue
-        if (x0 * x1 + x1 * x3 + x2 * x2) % p:
-            continue
+        x0, _, x2, x3, _ = x
         if x0 % p == 0 and x2 % p == 0 and x3 % p == 0:
             continue  # on the boundary line L
         count += 1

@@ -23,8 +23,8 @@ each residue class in O(1), in O(sqrt B) memory:
   a2 <= K, and a2 per a8 for a2 > K, where |a8| <= B // (K + 1);
 * modular inverses come from one vectorized extended Euclid per a1.
 
-Every array holds at most about sqrt(B) int64 values.  The naive counter
-scans a8 directly and exists to cross-check it.
+Every array holds at most about sqrt(B) int64 values.  The tests check it
+against a naive scan of a8.
 """
 
 import time
@@ -34,8 +34,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import (CoprimalityBroken, EquationViolated, NonUnitMiddle,
-                     OutOfRange)
+from .errors import CoprimalityBroken, EquationViolated, NonUnitMiddle
 from .surface import INTEGERS, CountResult, ProjectivePoint, _int_bound
 
 #: Largest bound torsor_count accepts.  Its largest int64 intermediate is a
@@ -160,10 +159,10 @@ def _divisor_sum(n):
     return 2 * int((n // np.arange(1, r + 1, dtype=np.int64)).sum()) - r * r
 
 
-def torsor_count(bound, method="fast"):
+def torsor_count(bound):
     """N(B) via the torsor parameterization.
 
-    fast: count pairs (a1, a2) with a1 < a2, a1*a2 <= B; the
+    Count pairs (a1, a2) with a1 < a2, a1*a2 <= B; the
     (a1, a2) <-> (a2, a1) swap symmetry of the solution set halves the
     work and keeps a1 <= K = isqrt(B).
       a1 = 1: sum_{a2=2..B} ((B-1)//a2 + B//a2 + 1) = D(B-1) + D(B) - B,
@@ -175,17 +174,12 @@ def torsor_count(bound, method="fast"):
         (K, min(limit(a8), B // a1)], where limit(a8) is (B-1)//a8 for
         a8 > 0 and B//|a8| for a8 < 0.
     B above MAX_TORSOR_BOUND raises OutOfRange before any work.
-
-    naive: scan a8 over the whole interval per pair and test divisibility.
     """
     t0 = time.perf_counter()
-    b = _int_bound(bound)
-    if b > MAX_TORSOR_BOUND:
-        raise OutOfRange(f"torsor_count supports B <= {MAX_TORSOR_BOUND} "
-                         f"(int64 class counts), got {bound}")
+    b = _int_bound(bound, MAX_TORSOR_BOUND)
     if b < 1:
         total = 0
-    elif method == "fast":
+    else:
         k = isqrt(b)
         pairs = _divisor_sum(b - 1) + _divisor_sum(b)  # a1 = 1, with the pair (1, 1)
         a8 = np.arange(1, b // (k + 1) + 1, dtype=np.int64)
@@ -205,21 +199,11 @@ def torsor_count(bound, method="fast"):
                      + (un - r) // a1 - (k - r) // a1)
             pairs += int(count[ok].sum())
         total = 4 * pairs  # swap symmetry x units / |mu_K|
-    elif method == "naive":
-        total = 0
-        for a1 in range(1, b + 1):
-            for a2 in range(1, b // a1 + 1):
-                lo = -(b // a2)
-                hi = (b - 1) // a2
-                a8 = np.arange(lo, hi + 1, dtype=np.int64)
-                total += 2 * int(((a8 * a2 + 1) % a1 == 0).sum())
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return CountResult(bound=Fraction(bound), count=int(total), ring=INTEGERS,
-                       method=f"torsor-{method}", elapsed=time.perf_counter() - t0)
+                       method="torsor-fast", elapsed=time.perf_counter() - t0)
 
 
-def torsor_height_counts(bound, method="fast"):
+def torsor_height_counts(bound):
     """Cumulative N(b) for all b <= bound, from one sweep over solutions."""
     b = _int_bound(bound)
     hist = np.zeros(b + 1, dtype=np.int64)
@@ -229,13 +213,9 @@ def torsor_height_counts(bound, method="fast"):
                 continue
             lo = -(b // a2)
             hi = (b - 1) // a2
-            if method == "naive":
-                a8 = np.arange(lo, hi + 1, dtype=np.int64)
-                a8 = a8[(a8 * a2 + 1) % a1 == 0]
-            else:
-                r = (-pow(a2, -1, a1)) % a1
-                first = lo + (r - lo) % a1
-                a8 = np.arange(first, hi + 1, a1, dtype=np.int64)
+            r = (-pow(a2, -1, a1)) % a1
+            first = lo + (r - lo) % a1
+            a8 = np.arange(first, hi + 1, a1, dtype=np.int64)
             if a8.size == 0:
                 continue
             y = a2 * a8
@@ -246,9 +226,8 @@ def torsor_height_counts(bound, method="fast"):
 
 
 def enumerate_normalized(bound):
-    """All normalized torsor points with lifted height <= bound."""
+    """Yield every normalized torsor point with lifted height <= bound."""
     b = _int_bound(bound)
-    out = []
     for a1 in range(1, b + 1):
         for a2 in range(1, b // a1 + 1):
             if gcd(a1, a2) != 1:
@@ -263,9 +242,8 @@ def enumerate_normalized(bound):
                 for a8 in range(first, hi + 1, a1):
                     a9 = -(a2 * a8 + a7) // a1
                     for a6 in (1, -1):
-                        out.append(normalize_check(
-                            validate((a1, a2, 1, 1, 1, a6, a7, a8, a9))))
-    return out
+                        yield normalize_check(
+                            validate((a1, a2, 1, 1, 1, a6, a7, a8, a9)))
 
 
 def fibers_over_points(bound):

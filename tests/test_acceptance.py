@@ -120,13 +120,13 @@ def test_criterion_4_degenerate_faces():
 
 def test_criterion_5_count_agreement():
     assert S.direct_count(1).count == 4
-    direct = S.direct_height_counts(2000, method="divisor")
+    direct = S.direct_height_counts(2000)
     lifted = T.torsor_height_counts(2000)
     assert (direct == lifted).all()
-    triple = S.direct_height_counts(200, method="triple")
+    triple = S._heights_triple_z(200).cumsum()
     assert (triple == direct[:201]).all()
     report(f"5: PASS - torsor = direct for every B <= 2000 (N(2000) = "
-           f"{int(direct[-1])}); both direct methods agree to 200; N(1) = 4")
+           f"{int(direct[-1])}); the triple-loop oracle agrees to 200; N(1) = 4")
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def torsor_grid():
     elapsed = {}
     for b in sorted(set(fit_bounds) | set(decades)):
         t0 = time.perf_counter()
-        counts[b] = T.torsor_count(b, "fast").count
+        counts[b] = T.torsor_count(b).count
         elapsed[b] = time.perf_counter() - t0
     return fit_bounds, counts, elapsed
 

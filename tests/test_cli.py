@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dp4jigsaw import jigsaw, reporting
+from dp4jigsaw import jigsaw, reporting, surface
 from dp4jigsaw.cli import main
 from dp4jigsaw.errors import DegenerateDesignMatrix, IoFailure
 
@@ -120,6 +120,13 @@ class TestCli:
 
     def test_invalid_config_exit_code(self, tmp_path):
         assert run_cli(["count", "--bound", "-1"], tmp_path) == 2
+
+    def test_count_above_limit_exits_2_before_any_work(self, tmp_path, monkeypatch):
+        def started(*args):
+            raise AssertionError("counting started above MAX_DIRECT_BOUND")
+        monkeypatch.setattr(surface, "_divisor_sieve", started)
+        assert run_cli(["count", "--bound", "1e9"], tmp_path) == 2
+        assert not (tmp_path / "counts.csv").exists()
 
     def test_deterministic_outputs(self, tmp_path):
         out1 = tmp_path / "run1"

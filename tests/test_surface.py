@@ -7,8 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from dp4jigsaw import surface as S
+from dp4jigsaw import torsor as T
 from dp4jigsaw.errors import (DegenerateCoordinates, NonpositiveBound,
-                              NotOnSurface, NotPrime, OnBoundary)
+                              NotOnSurface, NotPrime, OnBoundary, OutOfRange)
 from dp4jigsaw.gaussian import GaussInt
 
 mk = S.ProjectivePoint.make
@@ -88,9 +89,21 @@ class TestDirectCounts:
         assert all(counts[i] <= counts[i + 1] for i in range(60))
 
     def test_methods_agree_to_60(self):
-        hist_t = S.direct_height_counts(60, method="triple")
-        hist_d = S.direct_height_counts(60, method="divisor")
-        assert (hist_t == hist_d).all()
+        assert (S._heights_triple_z(60).cumsum() == S.direct_height_counts(60)).all()
+
+    def test_pinned_1e5_equals_torsor(self):
+        assert S.direct_count(10 ** 5).count == 22747264 == T.torsor_count(10 ** 5).count
+
+    @pytest.mark.parametrize("ring", [S.INTEGERS, S.GAUSSIAN])
+    def test_bound_above_limit_fails_before_any_work(self, monkeypatch, ring):
+        def started(*args):
+            raise AssertionError("counting started above MAX_DIRECT_BOUND")
+        monkeypatch.setattr(S, "_divisor_sieve", started)
+        monkeypatch.setattr(S, "_normal_form_zi", started)
+        monkeypatch.setattr(S.np, "zeros", started)
+        for call in (S.direct_count, S.direct_points):
+            with pytest.raises(OutOfRange):
+                call(S.MAX_DIRECT_BOUND + 1, ring=ring)
 
     def test_nonpositive_bound(self):
         with pytest.raises(NonpositiveBound):
@@ -130,6 +143,10 @@ class TestGaussianCounts:
         rational = S.direct_height_counts(10)
         assert all(counts[i] <= counts[i + 1] for i in range(10))
         assert (counts >= rational).all()
+
+    def test_normal_form_equals_triple_loop_to_30(self):
+        hist = S._heights_triple_zi(30).cumsum()
+        assert (S.direct_height_counts(30, ring=S.GAUSSIAN) == hist).all()
 
     def test_points_valid(self):
         pts = S.direct_points(5, ring=S.GAUSSIAN)

@@ -1,8 +1,10 @@
 """Torsor validation, descent to the surface, and count agreement."""
 
 import io
+import itertools
 import math
 import random
+import time
 from math import gcd, isqrt
 
 import numpy as np
@@ -12,7 +14,7 @@ from dp4jigsaw import surface as S
 from dp4jigsaw import torsor as T
 from dp4jigsaw.errors import (EquationViolated, NonpositiveBound,
                               NonUnitMiddle, OutOfRange)
-from tests_support import enumerate_valid
+from tests_support import enumerate_valid, naive_torsor_count
 
 mk = S.ProjectivePoint.make
 
@@ -107,7 +109,7 @@ class TestCounts:
 
     def test_fast_equals_naive_to_300(self):
         for b in (1, 2, 3, 7, 20, 55, 137, 300):
-            assert T.torsor_count(b, "fast").count == T.torsor_count(b, "naive").count
+            assert T.torsor_count(b).count == naive_torsor_count(b)
 
     def test_fast_equals_direct_to_300(self):
         lifted = T.torsor_height_counts(300)
@@ -117,15 +119,15 @@ class TestCounts:
     def test_histogram_matches_pointwise_counts(self):
         hist = T.torsor_height_counts(50)
         for b in (1, 10, 37, 50):
-            assert hist[b] == T.torsor_count(b, "fast").count
+            assert hist[b] == T.torsor_count(b).count
 
     def test_histogram_naive_matches_fast(self):
-        assert (T.torsor_height_counts(120, "naive")
-                == T.torsor_height_counts(120, "fast")).all()
+        hist = T.torsor_height_counts(120)
+        assert hist[1:].tolist() == [naive_torsor_count(b) for b in range(1, 121)]
 
-    def test_naive_equals_fast_for_all_b_to_1e4(self):
-        assert (T.torsor_height_counts(10 ** 4, "naive")
-                == T.torsor_height_counts(10 ** 4, "fast")).all()
+    def test_direct_equals_lifted_for_all_b_to_1e4(self):
+        assert (S.direct_height_counts(10 ** 4)
+                == T.torsor_height_counts(10 ** 4)).all()
 
 
 class TestFastCounter:
@@ -172,8 +174,14 @@ class TestFastCounter:
 
 class TestNormalizedPoints:
     def test_enumeration_matches_counts(self):
-        pts = T.enumerate_normalized(40)
-        assert len(pts) == 2 * T.torsor_count(40).count
+        count = sum(1 for _ in T.enumerate_normalized(40))
+        assert count == 2 * T.torsor_count(40).count
+
+    def test_enumeration_streams(self):
+        t0 = time.perf_counter()
+        first = list(itertools.islice(T.enumerate_normalized(10 ** 6), 10))
+        assert len(first) == 10
+        assert time.perf_counter() - t0 < 0.5
 
     def test_normalized_form(self):
         for norm in T.enumerate_normalized(15):

@@ -37,6 +37,18 @@ def monte_carlo_volume(p, samples=1_000_000, seed=0):
     return float(ok.mean() * np.prod(widths))
 
 
+def naive_torsor_count(b):
+    """Oracle for torsor_count: scan a8 over its whole interval per pair (a1, a2)."""
+    total = 0
+    for a1 in range(1, b + 1):
+        for a2 in range(1, b // a1 + 1):
+            lo = -(b // a2)
+            hi = (b - 1) // a2
+            a8 = np.arange(lo, hi + 1, dtype=np.int64)
+            total += 2 * int(((a8 * a2 + 1) % a1 == 0).sum())
+    return total
+
+
 def enumerate_valid(coord_bound):
     """All valid torsor points with every |a_i| <= coord_bound (exhaustive)."""
     m = coord_bound
