@@ -15,15 +15,70 @@ the face,
 plus one two-row block per place selected by the edge at that place.  The
 face polytopes tile a single polytope P (per-place blocks collapse to
 a_{n,1} <= 0, a_{n,2} >= 0), and (2q+3) * vol(P) = 1/(q! (q+2)!).  This
-module computes the per-face volumes, verifies the partition exactly, and
+module certifies the partition, gives every face volume in closed form, and
 exposes the cross-section census behind the mosaic pictures.
+
+The fan.  At one place write (s, t) = (a_{n,1}, a_{n,2}).  The four edge
+cones are consecutive cones of one unimodular fan in the quadrant
+{s <= 0, t >= 0}, with rays
+
+    rho0..rho4 = (0, 1), (-1, 3), (-1, 2), (-1, 1), (-1, 0),
+
+(57) = rho0 rho1, (45) = rho1 rho2, (34) = rho2 rho3, (36) = rho3 rho4.
+edge_fan reads each cone's two rays off EDGE_INEQUALITIES (the ray on the
+boundary line of one row, pointing into the other row's half-plane) and
+certifies five things: every ray lies in the quadrant, each cone has
+det = +1 counterclockwise, consecutive cones share a ray, the first ray is
+(0, 1) and the last is (-1, 0).  The angles of the rays then increase
+strictly from pi/2 to pi, so the cones tile the quadrant with disjoint
+interiors.  Two distinct faces differ at some place, so their polytopes
+have disjoint interiors, and together they cover P, for every q.  The
+quadrant condition is not implied by the other four: the unimodular chain
+(0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0) meets them and winds past the
+quadrant.
+
+The volume.  In ray coordinates x >= 0 (a unimodular change, so volume is
+kept) the three common rows read tau.x <= 1 and -sum s <= a0 <= sum t, an
+a0-interval of length sigma.x, with
+
+    tau = t(rho) = 1, 3, 2, 1, 0,    sigma = (s + t)(rho) = 1, 2, 1, 0, -1.
+
+So vol = int_{x >= 0, tau.x <= 1} max(0, sigma.x) dx.  The integrand is
+homogeneous of degree 1 in N = 2q + 2 variables, so the integral is
+1/(2q+3)! times its Laplace transform int_{x >= 0} max(0, sigma.x)
+e^{-tau.x} dx (Lawrence 1991; Barvinok 1993).  Each rho3 coordinate
+(tau = 1, sigma = 0) integrates to 1.  Integrating out the m36
+coordinates on rho4 (tau = 0, sigma = -1) leaves S^k / k! with
+k = m36 + 1 and S the sigma-weighted sum over the rho0..rho2
+coordinates, and int S^k/k! e^{-tau.x} is the z^k coefficient of
+prod_j (tau_j - z sigma_j)^(-1) over those coordinates.  With the edge
+multiplicities (m57, m45, m34, m36), the rays rho0, rho1, rho2 occur
+e = (m57, m57 + m45, m45 + m34) times, their poles tau/sigma are
+lambda = (1, 3/2, 2), and sigma(rho1) = 2 gives a factor 2^(-e_2):
+
+    vol = 2^(-(m57 + m45)) / (2q+3)! * sum_{j1+j2+j3 = k}
+          prod_i C(e_i + j_i - 1, j_i) lambda_i^(-e_i - j_i),
+
+a factor with e_i = 0 being 1 at j_i = 0 and 0 otherwise.
+
+The degenerate face.  Every term of the sum is nonnegative, and the term
+with j_i = k is positive as soon as e_i > 0.  So a face has volume 0
+exactly when e = (0, 0, 0), that is m57 = m45 = m34 = 0: the all-(36)
+face, the only degenerate face for every q.  There sigma <= 0 on both
+rays rho3, rho4, so the a0-interval has length 0 everywhere.
+
+alpha_sum certifies the fan and sums the closed form over the C(q+4, 3)
+edge multisets with multinomial weights.  jigsaw_check keeps a second
+route for the union volume, exact_volume(union_polytope(q)); the
+triangulated face volumes and the pairwise disjointness checks of
+_FaceCache stay as the oracles the tests compare against.
 """
 
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial, gcd, prod
 
 from .errors import IndexOutOfRange, NegativeRank, OutOfRange, PartitionFailure
 from .geometry import (AffineForm, HPolytope, RationalCone, cone_contains_line,
@@ -44,12 +99,20 @@ EDGE_INEQUALITIES = {
     "36": ((0, 1), (-1, -1)),   # A3, A6
 }
 
+#: The poles tau/sigma of the rays rho0, rho1, rho2 in the face-volume
+#: formula (see the module docstring).
+LAPLACE_POLES = (Fraction(1), Fraction(3, 2), Fraction(2))
+
+#: Largest q that jigsaw_check and the degenerate-face diagnostics run at
+#: without allow_large: they list all 4^(q+1) faces, and triangulate P or
+#: solve one exact LP per edge multiset.  alpha_sum has no cap.
 DEFAULT_RANK_CAP = 3
 
 #: The q = 1 face sometimes quoted as the one with empty interior.  The
 #: inequality systems implemented here make the all-(36) face degenerate
-#: instead; degenerate_face_report carries both so the discrepancy stays
-#: visible instead of being silently resolved.
+#: instead (the only degenerate face for every q, by the closed form);
+#: degenerate_face_report carries both so the discrepancy stays visible
+#: instead of being silently resolved.
 REFERENCE_EMPTY_INTERIOR_FACE_Q1 = ("57", "57")
 
 
@@ -191,12 +254,14 @@ class JigsawReport:
 
 
 class _FaceCache:
-    """Volumes and pairwise-disjointness checks, deduplicated by symmetry.
+    """Triangulated volumes and pairwise-disjointness checks, deduplicated by symmetry.
 
     Permuting the places permutes coordinate blocks, so a face volume only
     depends on the multiset of its edges, and a pair check only on the
-    multiset of per-place edge pairs.  This cuts the 4^(q+1) faces (and the
-    quadratically many pairs) down to a handful of exact computations.
+    multiset of per-place edge pairs.  No production route calls this
+    class: it is the triangulation and pairwise-disjointness reference that
+    the tests compare face_volume and edge_fan against, and bench/layers.py
+    wraps its volume and pair_disjoint methods by name.
     """
 
     def __init__(self):
@@ -224,6 +289,94 @@ class _FaceCache:
         return self.disjoint[pairs]
 
 
+def _ray(row, other):
+    """The primitive ray on the boundary line of row, inside other's half-plane."""
+    cs, ct = row
+    g = gcd(cs, ct) or 1
+    ray = (-ct // g, cs // g)
+    side = other[0] * ray[0] + other[1] * ray[1]
+    if side == 0:
+        raise PartitionFailure(f"edge rows {row} and {other} do not span a cone")
+    return ray if side > 0 else (-ray[0], -ray[1])
+
+
+def edge_fan():
+    """Certify that the edge cones tile the quadrant {s <= 0, t >= 0}.
+
+    Returns the rays rho0..rho4 read off EDGE_INEQUALITIES, or raises
+    PartitionFailure naming the first broken condition.  Why the five
+    conditions prove the tiling is in the module docstring.
+    """
+    rays = []
+    for edge in EDGE_LABELS:
+        r1, r2 = EDGE_INEQUALITIES[edge]
+        u, v = _ray(r1, r2), _ray(r2, r1)
+        det = u[0] * v[1] - u[1] * v[0]
+        if det < 0:
+            u, v, det = v, u, -det
+        if det != 1:
+            raise PartitionFailure(f"edge cone ({edge}) has |det| = {det}, not 1")
+        if any(s > 0 or t < 0 for s, t in (u, v)):
+            raise PartitionFailure(f"edge cone ({edge}) leaves the quadrant s <= 0 <= t")
+        if rays and rays[-1] != u:
+            raise PartitionFailure(
+                f"edge cone ({edge}) starts at {u}, not at the previous ray {rays[-1]}")
+        rays.extend([v] if rays else [u, v])
+    if rays[0] != (0, 1) or rays[-1] != (-1, 0):
+        raise PartitionFailure(f"the edge fan runs from {rays[0]} to {rays[-1]}, "
+                               f"not from (0, 1) to (-1, 0)")
+    return tuple(rays)
+
+
+def face_volume(m57, m45, m34, m36):
+    """Volume of every face polytope with these edge multiplicities.
+
+    The Laplace formula of the module docstring, in exact arithmetic; the
+    rank is q = m57 + m45 + m34 + m36 - 1.
+    """
+    q = m57 + m45 + m34 + m36 - 1
+    _check_rank(q)
+    k = m36 + 1
+    factors = []
+    for e, pole in zip((m57, m57 + m45, m45 + m34), LAPLACE_POLES):
+        if e == 0:
+            factors.append([1] + [0] * k)
+        else:
+            inv = 1 / pole
+            factors.append([comb(e + j - 1, j) * inv ** (e + j) for j in range(k + 1)])
+    f1, f2, f3 = factors
+    total = sum((f1[j1] * f2[j2] * f3[k - j1 - j2]
+                 for j1 in range(k + 1) for j2 in range(k + 1 - j1)), Fraction(0))
+    return total / (2 ** (m57 + m45) * factorial(2 * q + 3))
+
+
+def multiplicities(face):
+    """(m57, m45, m34, m36): how often each edge occurs in the face."""
+    return tuple(face.count(edge) for edge in EDGE_LABELS)
+
+
+def edge_multisets(q):
+    """The multiplicities of all C(q+4, 3) edge multisets of size q + 1."""
+    _check_rank(q)
+    n = q + 1
+    return [(a, b, c, n - a - b - c)
+            for a in range(n + 1) for b in range(n + 1 - a) for c in range(n + 1 - a - b)]
+
+
+def alpha_sum(q):
+    """(2q+3) * vol(P) from the fan certificate and the closed face volumes.
+
+    Each edge multiset stands for the multinomial number of faces that
+    permute it.  Raises PartitionFailure when the fan certificate fails.
+    """
+    _check_rank(q)
+    edge_fan()
+    n = factorial(q + 1)
+    total = sum((n // prod(map(factorial, m)) * face_volume(*m) for m in edge_multisets(q)),
+                Fraction(0))
+    return (2 * q + 3) * total
+
+
 def _require_rank_cap(q, allow_large):
     if q > DEFAULT_RANK_CAP:
         if not allow_large:
@@ -234,47 +387,45 @@ def _require_rank_cap(q, allow_large):
                       f"dimension {2 * q + 3}; this may take a while")
 
 
+def _face_volumes(q):
+    """Closed-form volume of each face, once per edge multiset."""
+    volumes = {m: face_volume(*m) for m in edge_multisets(q)}
+    return {f: volumes[multiplicities(f)] for f in all_faces(q)}
+
+
 def jigsaw_check(q, allow_large=False):
     """Verify the jigsaw partition at unit rank q and return the report.
 
-    Checks, all in exact arithmetic: the face volumes sum to the union
-    volume, distinct faces have disjoint interiors, and the normalized sum
-    (2q+3) * vol(P) equals 1/(q! (q+2)!).  A failure raises
+    Checks, all in exact arithmetic: the edge fan tiles the quadrant (so
+    distinct faces have disjoint interiors and cover P), the closed-form
+    face volumes sum to the union volume triangulated on its own, and the
+    normalized sum (2q+3) * vol(P) equals 1/(q! (q+2)!).  A failure raises
     PartitionFailure; it would mean an implementation bug.
     """
     _check_rank(q)
     _require_rank_cap(q, allow_large)
-    cache = _FaceCache()
-    faces = all_faces(q)
-    per_face = {f: cache.volume(f) for f in faces}
+    edge_fan()
+    per_face = _face_volumes(q)
     union_volume = exact_volume(union_polytope(q))
     total = sum(per_face.values(), Fraction(0))
     alpha = alpha_closed_form(q)
-    alpha_sum = (2 * q + 3) * total
+    alpha_total = (2 * q + 3) * total
 
     if total != union_volume:
         raise PartitionFailure(
             f"face volumes sum to {total}, union volume is {union_volume}")
-    disjoint = True
-    for i, f in enumerate(faces):
-        for g in faces[i + 1:]:
-            if not cache.pair_disjoint(f, g):
-                disjoint = False
-                raise PartitionFailure(
-                    f"faces {face_key(f)} and {face_key(g)} overlap with positive volume")
-    if alpha_sum != alpha:
+    if alpha_total != alpha:
         raise PartitionFailure(
-            f"normalized volume sum {alpha_sum} != closed form {alpha}")
+            f"normalized volume sum {alpha_total} != closed form {alpha}")
 
-    degenerate = tuple(f for f in faces if per_face[f] == 0)
     return JigsawReport(
         q=q,
         per_face=per_face,
         union_volume=union_volume,
-        alpha_sum=alpha_sum,
+        alpha_sum=alpha_total,
         alpha_closed=alpha,
-        degenerate_faces=degenerate,
-        disjointness_verified=disjoint,
+        degenerate_faces=tuple(f for f, v in per_face.items() if v == 0),
+        disjointness_verified=True,
     )
 
 
@@ -282,33 +433,29 @@ def degenerate_faces(q, allow_large=False):
     """Faces with volume-zero polytopes, each with its cone diagnostic."""
     _check_rank(q)
     _require_rank_cap(q, allow_large)
-    cache = _FaceCache()
-    out = []
-    for f in all_faces(q):
-        if cache.volume(f) == 0:
-            out.append((f, cone_contains_line(effective_generators(f))))
-    return out
+    return [(f, cone_contains_line(effective_generators(f)))
+            for f, v in _face_volumes(q).items() if v == 0]
 
 
 def degenerate_face_report(q, allow_large=False):
     """Compare the volume-zero faces against two independent diagnostics.
 
-    The strict-feasibility oracle decides full-dimensionality by exact
-    linear programming; the cone diagnostic tests whether the effective
-    cone contains a line.  For q = 1 the report also records whether the
-    reference face ((57),(57)) is among the degenerate ones - it is not
-    under these inequality systems, and the report states the discrepancy
-    rather than resolving it.
+    The volumes come from the closed form.  The strict-feasibility oracle
+    decides full-dimensionality by exact linear programming; the cone
+    diagnostic tests whether the effective cone contains a line.  For q = 1
+    the report also records whether the reference face ((57),(57)) is among
+    the degenerate ones - it is not under these inequality systems, and the
+    report states the discrepancy rather than resolving it.
     """
     _check_rank(q)
     _require_rank_cap(q, allow_large)
-    cache = _FaceCache()
-    faces = all_faces(q)
+    per_face = _face_volumes(q)
+    faces = list(per_face)
     # Both verdicts depend only on the sorted face, as the volume does.
     keys = dict.fromkeys(tuple(sorted(f)) for f in faces)
-    strict = {k: strictly_feasible(cache.polytope(k)) for k in keys}
+    strict = {k: strictly_feasible(face_polytope(k)) for k in keys}
     line = {k: cone_contains_line(effective_generators(k)).contains_line for k in keys}
-    volume_zero = [f for f in faces if cache.volume(f) == 0]
+    volume_zero = [f for f in faces if per_face[f] == 0]
     strict_zero = [f for f in faces if not strict[tuple(sorted(f))]]
     cone_line = [f for f in faces if line[tuple(sorted(f))]]
     report = {

@@ -106,22 +106,15 @@ class ProjectivePoint:
             g = 0
             for c in ints:
                 g = gcd(g, c)
-            ints = tuple(c // g for c in ints)
-            lead = next(c for c in ints if c)
-            if lead < 0:
-                ints = tuple(-c for c in ints)
-            return ProjectivePoint(ring, ints)
+            return ProjectivePoint.from_primitive(tuple(c // g for c in ints), ring)
         if ring.kind == "gaussian-integers":
             gs = tuple(c if isinstance(c, GaussInt) else GaussInt(int(c), 0)
                        for c in coords)
             if not any(gs):
                 raise DegenerateCoordinates("all coordinates are zero")
             g = gaussian.gcd_many([c for c in gs if c])
-            gs = tuple(gaussian.exact_div(c, g) if c else c for c in gs)
-            lead = next(c for c in gs if c)
-            _, unit = gaussian.canonical_associate(lead)
-            gs = tuple(c * unit for c in gs)
-            return ProjectivePoint(ring, gs)
+            return ProjectivePoint.from_primitive(
+                tuple(gaussian.exact_div(c, g) if c else c for c in gs), ring)
         if ring.kind == "prime-field":
             p = ring.p
             vals = tuple(int(c) % p for c in coords)
@@ -131,6 +124,19 @@ class ProjectivePoint:
             inv = pow(lead, -1, p)
             return ProjectivePoint(ring, tuple(c * inv % p for c in vals))
         raise ValueError(f"unsupported ring {ring}")
+
+    @staticmethod
+    def from_primitive(coords, ring):
+        """The canonical form of a nonzero primitive tuple over Z or Z[i].
+
+        No gcd is taken: the first nonzero coordinate is made positive over
+        Z, and its canonical associate (re > 0, im >= 0) over Z[i].
+        """
+        lead = next(c for c in coords if c)
+        if ring.kind == "rational-integers":
+            return ProjectivePoint(ring, tuple(-c for c in coords) if lead < 0 else coords)
+        _, unit = gaussian.canonical_associate(lead)
+        return ProjectivePoint(ring, tuple(c * unit for c in coords))
 
     def __str__(self):
         return ":".join(str(c) for c in self.coords)
@@ -324,21 +330,26 @@ def direct_count(bound, ring=INTEGERS):
 
 
 def direct_points(bound, ring=INTEGERS):
-    """All integral points off the lines with height <= bound, canonical form."""
+    """All integral points off the lines with height <= bound, canonical form.
+
+    Sorted by height, then by text.  A normal-form tuple is primitive
+    (x0 + x3 = 1), so it only takes its canonical sign or unit, and its
+    height comes with the enumerated pair.
+    """
     b = _int_bound(bound, MAX_DIRECT_BOUND)
     if ring == INTEGERS:
-        points = [ProjectivePoint.make((x0, -x2 * x2, x2, 1 - x0, x0 * (1 - x0) // x2))
-                  for m, d in _normal_form_z(b) for x0 in (m + 1, -m)
-                  for k in d.tolist() for x2 in (k, -k)]
+        keyed = [(max(m + 1, k), ProjectivePoint.from_primitive(
+                     (x0, -x2 * x2, x2, 1 - x0, x0 * (1 - x0) // x2), ring))
+                 for m, d in _normal_form_z(b) for x0 in (m + 1, -m)
+                 for k in d.tolist() for x2 in (k, -k)]
     elif ring == GAUSSIAN:
-        points = [ProjectivePoint.make(
-                      (x0, -(x2 * x2), x2, x3, gaussian.exact_div(x0 * x3, x2)),
-                      ring=GAUSSIAN)
-                  for x0, x3, re, im in _normal_form_zi(b)
-                  for x2 in map(GaussInt, re.tolist(), im.tolist())]
+        keyed = [(max(x0.norm(), x2.norm(), x3.norm()), ProjectivePoint.from_primitive(
+                     (x0, -(x2 * x2), x2, x3, gaussian.exact_div(x0 * x3, x2)), ring))
+                 for x0, x3, re, im in _normal_form_zi(b)
+                 for x2 in map(GaussInt, re.tolist(), im.tolist())]
     else:
         raise ValueError("direct counts run over Z or Z[i]")
-    return sorted(points, key=lambda p: (float(height(p)), str(p)))
+    return [pt for _, pt in sorted(keyed, key=lambda hp: (hp[0], str(hp[1])))]
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ from itertools import permutations
 import pytest
 
 from dp4jigsaw import jigsaw
-from dp4jigsaw.errors import (IndexOutOfRange, NegativeRank, OutOfRange)
+from dp4jigsaw.errors import (IndexOutOfRange, NegativeRank, OutOfRange,
+                              PartitionFailure)
 from dp4jigsaw.geometry import (AffineForm, HPolytope, exact_volume,
                                 interiors_disjoint)
+from tests_support import overlapping_faces
 
 Q0_EXPECTED = {("57",): F(5, 54), ("45",): F(7, 216),
                ("34",): F(1, 24), ("36",): F(0)}
@@ -91,6 +93,84 @@ class TestJigsawCheck:
     def test_rank_cap(self):
         with pytest.raises(OutOfRange):
             jigsaw.jigsaw_check(4)
+
+
+class TestClosedForm:
+    """The closed form and the fan certificate against the brute-force oracles."""
+
+    @pytest.mark.parametrize("q", [0, 1, 2, 3])
+    def test_face_volume_equals_triangulation(self, q):
+        cache = jigsaw._FaceCache()
+        for m in jigsaw.edge_multisets(q):
+            face = tuple(e for e, k in zip(jigsaw.EDGE_LABELS, m) for _ in range(k))
+            assert jigsaw.multiplicities(face) == m
+            assert jigsaw.face_volume(*m) == cache.volume(face)
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_pairwise_loop_confirms_disjointness(self, q):
+        assert overlapping_faces(q) == []
+
+    def test_alpha_sum_to_20(self):
+        for q in range(21):
+            assert jigsaw.alpha_sum(q) == jigsaw.alpha_closed_form(q)
+
+    def test_only_the_all_36_multiset_is_degenerate_to_8(self):
+        for q in range(9):
+            multisets = jigsaw.edge_multisets(q)
+            assert len(multisets) == (q + 4) * (q + 3) * (q + 2) // 6
+            assert [m for m in multisets if jigsaw.face_volume(*m) == 0] == [(0, 0, 0, q + 1)]
+
+    def test_fan_certificate_on_the_table(self):
+        rays = jigsaw.edge_fan()
+        assert rays == ((0, 1), (-1, 3), (-1, 2), (-1, 1), (-1, 0))
+        # the poles of the closed form are tau/sigma = t/(s+t) of rho0..rho2
+        assert tuple(F(t, s + t) for s, t in rays[:3]) == jigsaw.LAPLACE_POLES
+
+    def test_fan_certificate_rejects_two_swapped_edges(self, monkeypatch):
+        table = jigsaw.EDGE_INEQUALITIES
+        rows57, rows45 = table["57"], table["45"]
+        monkeypatch.setitem(table, "57", rows45)
+        monkeypatch.setitem(table, "45", rows57)
+        with pytest.raises(PartitionFailure):
+            jigsaw.edge_fan()
+        with pytest.raises(PartitionFailure):
+            jigsaw.jigsaw_check(0)
+        with pytest.raises(PartitionFailure):
+            jigsaw.alpha_sum(0)
+
+    # Each table below breaks exactly one of the five conditions (or gives
+    # two rows that span no cone); the rest of the real table is kept.
+    @pytest.mark.parametrize("edge,rows,reason", [
+        ("57", ((-1, 0), (-1, 0)), "span"),         # parallel rows
+        ("57", ((-1, 0), (1, 0)), "span"),          # opposite rows
+        ("57", ((-1, 0), (2, 1)), "starts at"),     # rays (0,1), (-1,2): overlaps (45)
+        ("57", ((-4, -1), (3, 1)), "runs from"),    # first ray (-1, 4)
+        ("36", ((1, 2), (-1, -1)), "runs from"),    # last ray (-2, 1)
+    ])
+    def test_fan_certificate_rejects_a_bad_cone(self, monkeypatch, edge, rows, reason):
+        monkeypatch.setitem(jigsaw.EDGE_INEQUALITIES, edge, rows)
+        with pytest.raises(PartitionFailure, match=reason):
+            jigsaw.edge_fan()
+
+    def test_fan_certificate_rejects_a_cone_of_det_2(self, monkeypatch):
+        # Rays (0,1), (-1,3), (-1,1), (-2,1), (-1,0) tile the quadrant, but
+        # the (45) cone has det 2, which the volume formula does not allow.
+        monkeypatch.setattr(jigsaw, "EDGE_INEQUALITIES", {
+            "57": ((-1, 0), (3, 1)), "45": ((-3, -1), (1, 1)),
+            "34": ((-1, -1), (1, 2)), "36": ((-1, -2), (0, 1))})
+        with pytest.raises(PartitionFailure, match="det"):
+            jigsaw.edge_fan()
+
+    def test_fan_certificate_rejects_a_fan_winding_past_the_quadrant(self, monkeypatch):
+        # Rays (0,1), (-1,-1), (0,-1), (1,1), (-1,0): consecutive, each cone
+        # unimodular counterclockwise, first and last rays right, but the
+        # fan turns through 5 pi / 2, so its cones overlap.  Only the
+        # quadrant condition rejects it.
+        monkeypatch.setattr(jigsaw, "EDGE_INEQUALITIES", {
+            "57": ((-1, 0), (-1, 1)), "45": ((1, -1), (-1, 0)),
+            "34": ((1, 0), (1, -1)), "36": ((-1, 1), (0, 1))})
+        with pytest.raises(PartitionFailure, match="quadrant"):
+            jigsaw.edge_fan()
 
 
 class TestEffectiveGenerators:

@@ -4,7 +4,11 @@ Each case first runs the checker unplanted (exit 0), so a control that
 passes can only mean the checker caught the defect.
 """
 
-from dp4jigsaw import constants, surface
+from fractions import Fraction as F
+
+import pytest
+
+from dp4jigsaw import constants, jigsaw, surface
 from dp4jigsaw.cli import main
 
 
@@ -27,10 +31,21 @@ def test_normal_form_divisor_bound_off_by_one(tmp_path, monkeypatch):
 
 def test_surface_equation_coefficient_in_modp(tmp_path, monkeypatch):
     assert run_cli(["modp"], tmp_path) == 0
-    # A sign or a scale on one term is a rescaling of coordinates and keeps
-    # p^2 + p; a zero coefficient of x1*x3 changes the surface.
+    # A zero coefficient of x1*x3 changes the surface, and p^2 + p sees it.
     monkeypatch.setattr(surface, "_forms", lambda x0, x1, x2, x3, x4: (
         x0 * x3 - x2 * x4, x0 * x1 + 0 * x1 * x3 + x2 * x2))
+    assert run_cli(["modp"], tmp_path) == 1
+
+
+@pytest.mark.parametrize("forms", [
+    lambda x0, x1, x2, x3, x4: (x0 * x3 + x2 * x4, x0 * x1 + x1 * x3 + x2 * x2),
+    lambda x0, x1, x2, x3, x4: (x0 * x3 - x2 * x4, x0 * x1 - x1 * x3 + x2 * x2),
+], ids=["plus-x2x4", "minus-x1x3"])
+def test_surface_equation_sign_in_modp(tmp_path, monkeypatch, forms):
+    # A sign flip is a rescaling of coordinates and keeps p^2 + p; only the
+    # check on the points over Z sees it.
+    assert run_cli(["modp"], tmp_path) == 0
+    monkeypatch.setattr(surface, "_forms", forms)
     assert run_cli(["modp"], tmp_path) == 1
 
 
@@ -44,4 +59,23 @@ def test_wrong_zeta_k_2_in_constant(tmp_path, monkeypatch):
         return 1.01 * value, err
 
     monkeypatch.setattr(constants, "dedekind_zeta2", one_percent_high)
+    assert run_cli(args, tmp_path) == 1
+
+
+def test_edge_inequality_row_in_jigsaw_and_alpha(tmp_path, monkeypatch):
+    commands = [["jigsaw", "--q", "1"], ["alpha", "--q", "2"]]
+    for args in commands:
+        assert run_cli(args, tmp_path) == 0
+    # 4s + t >= 0 instead of 3s + t >= 0: the (57) cone is still unimodular
+    # and inside the quadrant, but ends at (-1, 4), not at the (45) cone's
+    # first ray (-1, 3).
+    monkeypatch.setitem(jigsaw.EDGE_INEQUALITIES, "57", ((-1, 0), (4, 1)))
+    for args in commands:
+        assert run_cli(args, tmp_path) == 1
+
+
+def test_laplace_pole_in_alpha(tmp_path, monkeypatch):
+    args = ["alpha", "--q", "2"]
+    assert run_cli(args, tmp_path) == 0
+    monkeypatch.setattr(jigsaw, "LAPLACE_POLES", (F(1), F(5, 3), F(2)))
     assert run_cli(args, tmp_path) == 1

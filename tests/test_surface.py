@@ -122,6 +122,12 @@ class TestDirectCounts:
             assert S.is_integral(pt)
             assert S.height(pt) <= 200
 
+    @pytest.mark.parametrize("ring,bound", [(S.INTEGERS, 60), (S.GAUSSIAN, 10)])
+    def test_points_equal_the_gcd_route(self, ring, bound):
+        pts = S.direct_points(bound, ring=ring)
+        assert [S.ProjectivePoint.make(pt.coords, ring=ring) for pt in pts] == pts
+        assert pts == sorted(pts, key=lambda pt: (S.height(pt), str(pt)))
+
     def test_point_stream_format(self):
         buf = io.StringIO()
         S.write_point_stream(S.direct_points(1), buf)

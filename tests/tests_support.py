@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from dp4jigsaw.jigsaw import _FaceCache, all_faces
 from dp4jigsaw.torsor import validate
 
 
@@ -77,3 +78,11 @@ def enumerate_valid(coord_bound):
                         points.append(validate(
                             (a1, a2, a3, a4, a5, a6, a7, a8, a9)))
     return points
+
+
+def overlapping_faces(q):
+    """Every pair of distinct faces whose interiors meet, by exact pairwise checks."""
+    cache = _FaceCache()
+    faces = all_faces(q)
+    return [(f, g) for i, f in enumerate(faces) for g in faces[i + 1:]
+            if not cache.pair_disjoint(f, g)]
