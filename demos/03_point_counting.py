@@ -20,8 +20,8 @@ from dp4jigsaw import surface as S
 from dp4jigsaw import torsor as T
 
 print("the four integral points of height 1 (stream format):")
-for pt in S.direct_points(1):
-    print("  " + S.format_point_line(pt))
+for h, pt in S.direct_points_with_heights(1):
+    print(f"  {pt},{h}")
 
 print("\npoint counts over Z, three routes:")
 print("  B     triple  normal  torsor")

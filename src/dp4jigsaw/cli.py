@@ -1,15 +1,20 @@
 """Command-line harness: counting experiments, jigsaw checks, reports.
 
-Every subcommand that verifies an identity exits nonzero when the identity
-fails, so CI can treat the exit status as the verdict.  Outputs under
---output use fixed file names (counts.csv, jigsaw.json, slices.json,
-constants.json, fit.json) and are byte-identical across runs for a fixed
-configuration; pass --timings to include wall-clock columns.
+Outputs under --output use fixed file names (counts.csv, jigsaw.json,
+slices.json, constants.json, fit.json) and are byte-identical across runs
+for a fixed configuration; pass --timings to include wall-clock columns.
+
+Exit codes, so that CI can treat the status as the verdict:
+
+    0  every identity the subcommand checks holds;
+    1  an identity or a published value it gates on fails;
+    2  a malformed or out-of-range value (argparse rejects it before any
+       work, or the handler raises a Dp4Error that is not IdentityFailed).
 """
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -21,91 +26,80 @@ EXIT_OK = 0
 EXIT_IDENTITY = 1
 EXIT_CONFIG = 2
 
+FORMATS = ("csv", "json", "svg")
+
 #: modp also evaluates the forms at every Z normal-form point of height up
 #: to this bound.
 MODP_POINT_BOUND = 20
 
 
-@dataclass
-class RunConfig:
-    command: str
-    bounds: list = field(default_factory=list)
-    q: int = 0
-    ring: surface.GroundRing = surface.INTEGERS
-    field_label: str = "Q"
-    field_json: str = None
-    output: str = "."
-    formats: tuple = ("csv", "json")
-    timings: bool = False
-    primes: list = field(default_factory=list)
-    prime_bound: int = 10 ** 6
-    a1_values: list = field(default_factory=list)
-    a0_value: Fraction = None
-    samples: int = 20
-    points_file: str = None
-    allow_large: bool = False
+# ---------------------------------------------------------------------------
+# Argument types: argparse turns a ValueError or ArgumentTypeError into exit 2
+# ---------------------------------------------------------------------------
 
-    def validate(self):
-        if any(b <= 0 for b in self.bounds):
-            raise ConfigInvalid("bounds must be positive")
-        if sorted(self.bounds) != self.bounds:
-            raise ConfigInvalid("bounds must be ascending")
-        bad = set(self.formats) - {"csv", "json", "svg"}
-        if bad:
-            raise ConfigInvalid(f"unknown formats: {sorted(bad)}")
+def _positive(convert):
+    """An argparse type: convert, then require a finite value > 0."""
+    def parse(text):
+        value = convert(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _field(config):
-    if config.field_json:
-        return constants.load_field(config.field_json)
-    return constants.get_field(config.field_label)
+def _formats(text):
+    formats = tuple(text.split(","))
+    bad = set(formats) - set(FORMATS)
+    if bad:
+        raise argparse.ArgumentTypeError(f"unknown formats: {sorted(bad)}")
+    return formats
 
 
-def _predictor(config):
-    inv = _field(config)
-    breakdown = constants.leading_constant(inv)
-
-    def predict(b):
-        import math
-        return breakdown.c * b * math.log(b) ** breakdown.log_exponent
-
-    return predict
+def _ascending(bounds):
+    if sorted(bounds) != list(bounds):
+        raise ConfigInvalid("bounds must be ascending")
+    return bounds
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_count(config):
-    results = [surface.direct_count(b, ring=config.ring) for b in config.bounds]
-    rows = reporting.make_rows(results, predictor=_predictor(config)
-                               if config.ring == surface.INTEGERS else None,
-                               timings=config.timings)
-    reporting.emit_report(rows, config.formats, config.output)
+def _cmd_count(args):
+    bounds = _ascending(args.bound)
+    results = [surface.direct_count(b, ring=args.ring) for b in bounds]
+    predictor = None
+    if args.ring == surface.INTEGERS:
+        predictor = constants.leading_constant(constants.get_field("Q")).predicted_count
+    rows = reporting.make_rows(results, predictor=predictor, timings=args.timings)
+    reporting.emit_report(rows, args.format, args.output)
     for row in rows:
         print(f"B={row.bound}: {row.count} ({row.method})")
-    if config.points_file:
-        pts = surface.direct_points(config.bounds[-1], ring=config.ring)
-        with open(config.points_file, "w", encoding="utf-8") as fh:
-            surface.write_point_stream(pts, fh)
+    if args.points_file:
+        keyed = surface.direct_points_with_heights(bounds[-1], ring=args.ring)
+        with open(args.points_file, "w", encoding="utf-8") as fh:
+            surface.write_point_stream(keyed, fh)
     return EXIT_OK
 
 
-def _cmd_torsor_count(config):
-    results = [torsor.torsor_count(b) for b in config.bounds]
-    rows = reporting.make_rows(results, predictor=_predictor(config),
-                               timings=config.timings)
-    reporting.emit_report(rows, config.formats, config.output)
+def _cmd_torsor_count(args):
+    bounds = _ascending(args.bound)
+    results = [torsor.torsor_count(b) for b in bounds]
+    breakdown = constants.leading_constant(constants.get_field("Q"))
+    rows = reporting.make_rows(results, predictor=breakdown.predicted_count,
+                               timings=args.timings)
+    reporting.emit_report(rows, args.format, args.output)
     for row in rows:
         print(f"B={row.bound}: {row.count} ({row.method})")
-    if config.points_file:
-        with open(config.points_file, "w", encoding="utf-8") as fh:
-            torsor.write_tuple_stream(torsor.enumerate_normalized(config.bounds[-1]), fh)
+    if args.points_file:
+        with open(args.points_file, "w", encoding="utf-8") as fh:
+            torsor.write_tuple_stream(torsor.enumerate_normalized(bounds[-1]), fh)
     return EXIT_OK
 
 
-def _cmd_compare(config):
-    bound = int(config.bounds[-1]) if config.bounds else 2000
+def _cmd_compare(args):
+    bound = int(args.bound)
     direct = surface.direct_height_counts(bound)
     lifted = torsor.torsor_height_counts(bound)
     mismatches = [b for b in range(1, bound + 1) if direct[b] != lifted[b]]
@@ -117,7 +111,7 @@ def _cmd_compare(config):
         rows.append(reporting.CountRow(bound=Fraction(b), count=int(lifted[b]),
                                        predicted=None, ratio=None,
                                        method="torsor-lifted", elapsed=0.0))
-    reporting.emit_report(rows, config.formats, config.output)
+    reporting.emit_report(rows, args.format, args.output)
     if mismatches:
         print(f"MISMATCH at B in {mismatches[:10]} (showing up to 10)")
         return EXIT_IDENTITY
@@ -125,10 +119,9 @@ def _cmd_compare(config):
     return EXIT_OK
 
 
-def _cmd_modp(config):
-    ps = config.primes or [2, 3, 5, 7, 11, 13]
+def _cmd_modp(args):
     status = EXIT_OK
-    for p in ps:
+    for p in args.p or [2, 3, 5, 7, 11, 13]:
         observed = surface.count_mod_p(p)
         expected = p * p + p
         ok = "ok" if observed == expected else "FAIL"
@@ -146,47 +139,54 @@ def _cmd_modp(config):
     return status
 
 
-def _cmd_jigsaw(config):
-    report = jigsaw.jigsaw_check(config.q, allow_large=config.allow_large)
+def _cmd_jigsaw(args):
+    report = jigsaw.jigsaw_check(args.q)
     payload = report.to_json_dict()
-    payload["degenerate_report"] = jigsaw.degenerate_face_report(
-        config.q, allow_large=config.allow_large)
-    if "json" in config.formats:
-        reporting.write_file(config.output, "jigsaw.json", reporting.dump_json(payload))
-    print(f"q={config.q}: {4 ** (config.q + 1)} faces, alpha_sum = "
+    degenerate = payload["degenerate_report"] = jigsaw.degenerate_face_report(args.q)
+    if "json" in args.format:
+        reporting.write_file(args.output, "jigsaw.json", reporting.dump_json(payload))
+    print(f"q={args.q}: {4 ** (args.q + 1)} faces, alpha_sum = "
           f"{report.alpha_sum} = {report.alpha_closed} (closed form), "
           f"union volume {report.union_volume}")
+    if not degenerate["oracles_agree"]:
+        print(f"degenerate faces FAIL: volume zero {degenerate['volume_zero_faces']}, "
+              f"strict feasibility zero {degenerate['strict_feasibility_zero_faces']}")
+        return EXIT_IDENTITY
     return EXIT_OK
 
 
-def _cmd_alpha(config):
-    closed = jigsaw.alpha_closed_form(config.q)
-    total = jigsaw.alpha_sum(config.q)
-    print(f"alpha({config.q}) = {closed}; jigsaw sum = {total}")
+def _cmd_alpha(args):
+    closed = jigsaw.alpha_closed_form(args.q)
+    total = jigsaw.alpha_sum(args.q)
+    print(f"alpha({args.q}) = {closed}; jigsaw sum = {total}")
     return EXIT_OK if total == closed else EXIT_IDENTITY
 
 
-def _cmd_slices(config):
-    a1_values = config.a1_values or [Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)]
+def _cmd_slices(args):
     payload = []
     ok = True
-    for a1 in a1_values:
-        a0 = config.a0_value if config.a0_value is not None else (1 + a1) / 2
+    for a1 in args.a1 or list(jigsaw.PUBLISHED_PIECE_COUNTS):
+        a0 = args.a0 if args.a0 is not None else (1 + a1) / 2
         census = jigsaw.slice_census(a1, a0)
         payload.append(census.to_json_dict())
         ok = ok and census.union_verified
         print(f"a1={a1}, a0={a0}: {census.positive_count} positive pieces, "
               f"area {census.total_area}, union {'ok' if census.union_verified else 'FAIL'}")
-    if "json" in config.formats:
-        reporting.write_file(config.output, "slices.json",
+        published = jigsaw.PUBLISHED_PIECE_COUNTS.get(a1, census.positive_count)
+        if census.positive_count != published:
+            print(f"a1={a1}: FAIL, the published census has {published} positive pieces")
+            ok = False
+    if "json" in args.format:
+        reporting.write_file(args.output, "slices.json",
                              reporting.dump_json({"censuses": payload}))
     return EXIT_OK if ok else EXIT_IDENTITY
 
 
-def _cmd_constant(config):
-    inv = _field(config)
+def _cmd_constant(args):
+    inv = (constants.load_field(args.field_json) if args.field_json
+           else constants.get_field(args.field))
     breakdown = constants.leading_constant(inv)
-    euler = constants.finite_density_product(inv, config.prime_bound)
+    euler = constants.finite_density_product(inv, args.prime_bound)
     payload = breakdown.to_json_dict()
     payload["field"] = inv.to_json_dict()
     payload["euler_product"] = {
@@ -197,8 +197,8 @@ def _cmd_constant(config):
         "limit_low": euler.limit_low,
         "limit_high": euler.limit_high,
     }
-    if "json" in config.formats:
-        reporting.write_file(config.output, "constants.json",
+    if "json" in args.format:
+        reporting.write_file(args.output, "constants.json",
                              reporting.dump_json(payload))
     print(f"{inv.label}: c = {breakdown.c!r} ({breakdown.symbolic['c']}), "
           f"exponent of log B = {breakdown.log_exponent}")
@@ -206,43 +206,23 @@ def _cmd_constant(config):
     return EXIT_OK if consistent else EXIT_IDENTITY
 
 
-def _cmd_fit(config):
-    lo = float(config.bounds[0]) if config.bounds else 1e4
-    hi = float(config.bounds[-1]) if config.bounds else 1e7
+def _cmd_fit(args):
+    lo, hi = _ascending([args.bmin, args.bmax])
     grid = np.unique(np.round(np.logspace(np.log10(lo), np.log10(hi),
-                                          config.samples)).astype(np.int64))
+                                          args.samples)).astype(np.int64))
     results = [torsor.torsor_count(int(b)) for b in grid]
     fit = reporting.fit_log_quadratic([(r.bound, r.count) for r in results])
-    rows = reporting.make_rows(results, predictor=_predictor(config),
-                               timings=config.timings)
-    reporting.emit_report(rows, config.formats, config.output)
-    if "json" in config.formats:
-        reporting.write_file(config.output, "fit.json",
+    breakdown = constants.leading_constant(constants.get_field("Q"))
+    rows = reporting.make_rows(results, predictor=breakdown.predicted_count,
+                               timings=args.timings)
+    reporting.emit_report(rows, args.format, args.output)
+    if "json" in args.format:
+        reporting.write_file(args.output, "fit.json",
                              reporting.dump_json(fit.to_json_dict()))
-    breakdown = constants.leading_constant(_field(config))
     rel = abs(fit.c2 - breakdown.c) / breakdown.c
     print(f"fit over {len(grid)} bounds in [{grid[0]}, {grid[-1]}]: "
           f"c2 = {fit.c2:.6f} vs c = {breakdown.c:.6f} (rel dev {rel:.3f})")
     return EXIT_OK
-
-
-_COMMANDS = {
-    "count": _cmd_count,
-    "torsor-count": _cmd_torsor_count,
-    "compare": _cmd_compare,
-    "modp": _cmd_modp,
-    "jigsaw": _cmd_jigsaw,
-    "alpha": _cmd_alpha,
-    "slices": _cmd_slices,
-    "constant": _cmd_constant,
-    "fit": _cmd_fit,
-}
-
-
-def run(config):
-    """Dispatch a validated RunConfig; returns the process exit status."""
-    config.validate()
-    return _COMMANDS[config.command](config)
 
 
 # ---------------------------------------------------------------------------
@@ -255,98 +235,75 @@ def _build_parser():
         description="Exact jigsaw identities and integral-point counts on a "
                     "singular quartic del Pezzo surface.")
     parser.add_argument("--output", default=".", help="output directory")
-    parser.add_argument("--format", default="csv,json",
+    parser.add_argument("--format", type=_formats, default="csv,json",
                         help="comma-separated: csv,json,svg")
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock columns (breaks byte determinism)")
     sub = parser.add_subparsers(dest="command", required=True)
+    bound = _positive(Fraction)
 
     p = sub.add_parser("count", help="direct point count over Z or Z[i]")
-    p.add_argument("--bound", action="append", required=True)
-    p.add_argument("--ring", default="Z")
+    p.add_argument("--bound", action="append", type=bound, required=True)
+    p.add_argument("--ring", type=surface.parse_ring, default=surface.INTEGERS)
     p.add_argument("--points", dest="points_file", help="write the point stream here")
+    p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("torsor-count", help="count via the torsor parameterization")
-    p.add_argument("--bound", action="append", required=True)
+    p.add_argument("--bound", action="append", type=bound, required=True)
     p.add_argument("--tuples", dest="points_file", help="write normalized tuples here")
+    p.set_defaults(handler=_cmd_torsor_count)
 
     p = sub.add_parser("compare", help="direct vs torsor counts for every B <= bound")
-    p.add_argument("--bound", default="2000")
+    p.add_argument("--bound", type=bound, default=Fraction(2000))
+    p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("modp", help="brute-force point counts modulo p")
-    p.add_argument("--p", action="append", type=int, default=None)
+    p.add_argument("--p", action="append", type=int)
+    p.set_defaults(handler=_cmd_modp)
 
-    p = sub.add_parser("jigsaw", help="verify the jigsaw partition at unit rank q")
+    p = sub.add_parser("jigsaw", help="verify the jigsaw partition at unit rank q "
+                                      f"<= {jigsaw.MAX_JIGSAW_RANK}")
     p.add_argument("--q", type=int, default=1)
-    p.add_argument("--allow-large", action="store_true")
+    p.set_defaults(handler=_cmd_jigsaw)
 
     p = sub.add_parser("alpha", help="closed form vs the fan-certified multiset sum")
     p.add_argument("--q", type=int, default=1)
+    p.set_defaults(handler=_cmd_alpha)
 
     p = sub.add_parser("slices", help="cross-section census at q = 1")
-    p.add_argument("--a1", action="append", default=None)
-    p.add_argument("--a0", default=None)
+    p.add_argument("--a1", action="append", type=Fraction)
+    p.add_argument("--a0", type=Fraction)
+    p.set_defaults(handler=_cmd_slices)
 
     p = sub.add_parser("constant", help="leading constant for a number field")
     p.add_argument("--field", default="Q")
-    p.add_argument("--field-json", default=None)
+    p.add_argument("--field-json")
     p.add_argument("--prime-bound", type=int, default=10 ** 6)
+    p.set_defaults(handler=_cmd_constant)
 
     p = sub.add_parser("fit", help="log-quadratic fit of real torsor counts")
-    p.add_argument("--bmin", default="1e4")
-    p.add_argument("--bmax", default="1e7")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--bmin", type=_positive(float), default=1e4)
+    p.add_argument("--bmax", type=_positive(float), default=1e7)
+    p.add_argument("--samples", type=_positive(int), default=20)
+    p.set_defaults(handler=_cmd_fit)
 
     return parser
 
 
-def _config_from_args(args):
-    config = RunConfig(command=args.command)
-    config.output = args.output
-    config.formats = tuple(args.format.split(","))
-    config.timings = args.timings
-    if args.command in ("count", "torsor-count"):
-        config.bounds = [Fraction(b) for b in args.bound]
-        config.points_file = args.points_file
-        if args.command == "count":
-            config.ring = surface.parse_ring(args.ring)
-    elif args.command == "compare":
-        config.bounds = [Fraction(args.bound)]
-    elif args.command == "modp":
-        config.primes = args.p or []
-    elif args.command == "jigsaw":
-        config.q = args.q
-        config.allow_large = args.allow_large
-    elif args.command == "alpha":
-        config.q = args.q
-    elif args.command == "slices":
-        config.a1_values = [Fraction(a) for a in (args.a1 or [])]
-        config.a0_value = Fraction(args.a0) if args.a0 else None
-    elif args.command == "constant":
-        config.field_label = args.field
-        config.field_json = args.field_json
-        config.prime_bound = args.prime_bound
-    elif args.command == "fit":
-        config.bounds = [Fraction(float(args.bmin)), Fraction(float(args.bmax))]
-        config.samples = args.samples
-    return config
-
-
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    """Run dp4 on argv and return the exit status, argparse's own included."""
     try:
-        config = _config_from_args(args)
-        status = run(config)
-    except ConfigInvalid as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    try:
+        return args.handler(args)
     except IdentityFailed as exc:
         print(f"identity failed: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
     except Dp4Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return status
 
 
 if __name__ == "__main__":

@@ -104,8 +104,12 @@ def get_field(label):
 
 
 def load_field(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return FieldInvariants.from_json_dict(json.load(fh))
+    """FieldInvariants from a JSON file; any unreadable input is InvalidInvariants."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return FieldInvariants.from_json_dict(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InvalidInvariants(f"cannot read field invariants from {path}: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +323,13 @@ class ConstantBreakdown:
             "symbolic": self.symbolic,
         }
 
+    def predicted_count(self, bound):
+        """c * B * (log B)^(2+2q); the main term of the counting asymptotic."""
+        b = float(bound)
+        if b <= 1.0:
+            raise OutOfRange("predicted_count needs B > 1")
+        return self.c * b * math.log(b) ** self.log_exponent
+
 
 def leading_constant(inv):
     """Assemble c = alpha * rho / |Delta| * omega_arch * (1/zeta_K(2))."""
@@ -346,9 +357,5 @@ def leading_constant(inv):
 
 
 def predicted_count(inv, bound):
-    """c * B * (log B)^(2+2q); the main term of the counting asymptotic."""
-    b = float(bound)
-    if b <= 1.0:
-        raise OutOfRange("predicted_count needs B > 1")
-    breakdown = leading_constant(inv)
-    return breakdown.c * b * math.log(b) ** breakdown.log_exponent
+    """ConstantBreakdown.predicted_count for the field inv."""
+    return leading_constant(inv).predicted_count(bound)

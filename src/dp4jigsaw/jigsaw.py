@@ -74,7 +74,6 @@ triangulated face volumes and the pairwise disjointness checks of
 _FaceCache stay as the oracles the tests compare against.
 """
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -103,10 +102,18 @@ EDGE_INEQUALITIES = {
 #: formula (see the module docstring).
 LAPLACE_POLES = (Fraction(1), Fraction(3, 2), Fraction(2))
 
-#: Largest q that jigsaw_check and the degenerate-face diagnostics run at
-#: without allow_large: they list all 4^(q+1) faces, and triangulate P or
-#: solve one exact LP per edge multiset.  alpha_sum has no cap.
-DEFAULT_RANK_CAP = 3
+#: Largest q that jigsaw_check and the degenerate-face diagnostics accept.
+#: They list all 4^(q+1) faces, triangulate P in dimension 2q + 3 and solve
+#: one exact LP per edge multiset.  `dp4 jigsaw` at q = 3, 4, 5, 6, 7 took
+#: 2.9, 7.2, 15.7, 37.1 and 85.8 s on a 2-vCPU Xeon, at 30, 31, 33, 41 and
+#: 71 MB peak RSS, and wrote a jigsaw.json of 9 KB, 42 KB, 190 KB, 862 KB
+#: and 3.9 MB: each step in q costs 2.2-2.5x the time and 4x the faces, and
+#: q = 6 is the last rank that runs in under a minute.  alpha_sum, which
+#: lists edge multisets instead of faces, has no limit.
+MAX_JIGSAW_RANK = 6
+
+#: The published positive-piece counts of the q = 1 census, by a1.
+PUBLISHED_PIECE_COUNTS = {Fraction(1, 5): 7, Fraction(2, 5): 11, Fraction(3, 5): 11}
 
 #: The q = 1 face sometimes quoted as the one with empty interior.  The
 #: inequality systems implemented here make the all-(36) face degenerate
@@ -124,6 +131,15 @@ def _check_edge(edge):
 def _check_rank(q):
     if not isinstance(q, int) or q < 0:
         raise NegativeRank(f"unit rank must be a nonnegative integer, got {q!r}")
+
+
+def _check_listed_rank(q):
+    """_check_rank, and q <= MAX_JIGSAW_RANK for the routes that list every face."""
+    _check_rank(q)
+    if q > MAX_JIGSAW_RANK:
+        raise OutOfRange(f"q = {q} is above MAX_JIGSAW_RANK = {MAX_JIGSAW_RANK}, "
+                         f"the largest rank at which every face is listed; "
+                         f"`dp4 alpha --q {q}` sums the closed form at any q")
 
 
 def face_key(face):
@@ -337,17 +353,22 @@ def face_volume(m57, m45, m34, m36):
     q = m57 + m45 + m34 + m36 - 1
     _check_rank(q)
     k = m36 + 1
+    # With lambda = n/d, the factor lambda^(-e-j) = d^(e+j)/n^(e+j) times
+    # n^(e+k) is the integer d^(e+j) n^(k-j), so the sum runs in integers.
     factors = []
+    scale = 1
     for e, pole in zip((m57, m57 + m45, m45 + m34), LAPLACE_POLES):
+        n, d = pole.numerator, pole.denominator
+        scale *= n ** (e + k)
         if e == 0:
-            factors.append([1] + [0] * k)
+            factors.append([n ** k] + [0] * k)
         else:
-            inv = 1 / pole
-            factors.append([comb(e + j - 1, j) * inv ** (e + j) for j in range(k + 1)])
+            factors.append([comb(e + j - 1, j) * d ** (e + j) * n ** (k - j)
+                            for j in range(k + 1)])
     f1, f2, f3 = factors
-    total = sum((f1[j1] * f2[j2] * f3[k - j1 - j2]
-                 for j1 in range(k + 1) for j2 in range(k + 1 - j1)), Fraction(0))
-    return total / (2 ** (m57 + m45) * factorial(2 * q + 3))
+    total = sum(f1[j1] * f2[j2] * f3[k - j1 - j2]
+                for j1 in range(k + 1) for j2 in range(k + 1 - j1))
+    return Fraction(total, scale * 2 ** (m57 + m45) * factorial(2 * q + 3))
 
 
 def multiplicities(face):
@@ -377,33 +398,23 @@ def alpha_sum(q):
     return (2 * q + 3) * total
 
 
-def _require_rank_cap(q, allow_large):
-    if q > DEFAULT_RANK_CAP:
-        if not allow_large:
-            raise OutOfRange(
-                f"q={q} exceeds the default cap {DEFAULT_RANK_CAP}; "
-                f"pass allow_large=True to proceed")
-        warnings.warn(f"running jigsaw at q={q}: {4 ** (q + 1)} faces in "
-                      f"dimension {2 * q + 3}; this may take a while")
-
-
 def _face_volumes(q):
     """Closed-form volume of each face, once per edge multiset."""
     volumes = {m: face_volume(*m) for m in edge_multisets(q)}
     return {f: volumes[multiplicities(f)] for f in all_faces(q)}
 
 
-def jigsaw_check(q, allow_large=False):
+def jigsaw_check(q):
     """Verify the jigsaw partition at unit rank q and return the report.
 
     Checks, all in exact arithmetic: the edge fan tiles the quadrant (so
     distinct faces have disjoint interiors and cover P), the closed-form
     face volumes sum to the union volume triangulated on its own, and the
     normalized sum (2q+3) * vol(P) equals 1/(q! (q+2)!).  A failure raises
-    PartitionFailure; it would mean an implementation bug.
+    PartitionFailure; it would mean an implementation bug.  Above
+    MAX_JIGSAW_RANK it raises OutOfRange before any polytope is built.
     """
-    _check_rank(q)
-    _require_rank_cap(q, allow_large)
+    _check_listed_rank(q)
     edge_fan()
     per_face = _face_volumes(q)
     union_volume = exact_volume(union_polytope(q))
@@ -429,15 +440,14 @@ def jigsaw_check(q, allow_large=False):
     )
 
 
-def degenerate_faces(q, allow_large=False):
+def degenerate_faces(q):
     """Faces with volume-zero polytopes, each with its cone diagnostic."""
-    _check_rank(q)
-    _require_rank_cap(q, allow_large)
+    _check_listed_rank(q)
     return [(f, cone_contains_line(effective_generators(f)))
             for f, v in _face_volumes(q).items() if v == 0]
 
 
-def degenerate_face_report(q, allow_large=False):
+def degenerate_face_report(q):
     """Compare the volume-zero faces against two independent diagnostics.
 
     The volumes come from the closed form.  The strict-feasibility oracle
@@ -447,8 +457,7 @@ def degenerate_face_report(q, allow_large=False):
     the degenerate ones - it is not under these inequality systems, and the
     report states the discrepancy rather than resolving it.
     """
-    _check_rank(q)
-    _require_rank_cap(q, allow_large)
+    _check_listed_rank(q)
     per_face = _face_volumes(q)
     faces = list(per_face)
     # Both verdicts depend only on the sorted face, as the volume does.

@@ -329,12 +329,12 @@ def direct_count(bound, ring=INTEGERS):
                        method="direct-divisor", elapsed=time.perf_counter() - t0)
 
 
-def direct_points(bound, ring=INTEGERS):
-    """All integral points off the lines with height <= bound, canonical form.
+def direct_points_with_heights(bound, ring=INTEGERS):
+    """(height, point) for every integral point off the lines with height <= bound.
 
-    Sorted by height, then by text.  A normal-form tuple is primitive
-    (x0 + x3 = 1), so it only takes its canonical sign or unit, and its
-    height comes with the enumerated pair.
+    Points are in canonical form, sorted by height, then by text.  A
+    normal-form tuple is primitive (x0 + x3 = 1), so it only takes its
+    canonical sign or unit, and its height comes with the enumerated pair.
     """
     b = _int_bound(bound, MAX_DIRECT_BOUND)
     if ring == INTEGERS:
@@ -349,7 +349,12 @@ def direct_points(bound, ring=INTEGERS):
                  for x2 in map(GaussInt, re.tolist(), im.tolist())]
     else:
         raise ValueError("direct counts run over Z or Z[i]")
-    return [pt for _, pt in sorted(keyed, key=lambda hp: (hp[0], str(hp[1])))]
+    return sorted(keyed, key=lambda hp: (hp[0], str(hp[1])))
+
+
+def direct_points(bound, ring=INTEGERS):
+    """The points of direct_points_with_heights, in the same order."""
+    return [pt for _, pt in direct_points_with_heights(bound, ring)]
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +446,7 @@ def surface_x2_zero_is_lines(p):
 # Point stream
 # ---------------------------------------------------------------------------
 
-def format_point_line(pt):
-    """Stream format: 'x0:x1:x2:x3:x4,H'."""
-    return f"{pt},{height(pt)}"
-
-
-def write_point_stream(points, stream):
-    for pt in points:
-        stream.write(format_point_line(pt) + "\n")
+def write_point_stream(keyed, stream):
+    """Write (height, point) pairs one a line, as 'x0:x1:x2:x3:x4,H'."""
+    for h, pt in keyed:
+        stream.write(f"{pt},{h}\n")

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dp4jigsaw import jigsaw, reporting, surface
+from dp4jigsaw import jigsaw, reporting, surface, torsor
 from dp4jigsaw.cli import main
 from dp4jigsaw.errors import DegenerateDesignMatrix, IoFailure
 
@@ -120,6 +120,38 @@ class TestCli:
 
     def test_invalid_config_exit_code(self, tmp_path):
         assert run_cli(["count", "--bound", "-1"], tmp_path) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["count", "--bound", "abc"],
+        ["count", "--ring", "foo", "--bound", "10"],
+        ["slices", "--a1", "x"],
+        ["fit", "--bmin", "x"],
+        ["constant", "--field-json", "missing.json"],
+        ["count", "--bound", "0"],
+        ["count", "--bound", "10", "--bound", "5"],
+        ["--format", "csv,xml", "count", "--bound", "10"],
+        ["fit", "--bmin", "1e5", "--bmax", "1e4"],
+        ["fit", "--bmin", "0"],
+        ["jigsaw", "--q", "1", "--allow-large"],
+    ], ids=["bound", "ring", "a1", "bmin", "field-json", "zero", "descending", "format",
+            "fit-descending", "fit-zero", "allow-large"])
+    def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, args):
+        def started(*args):
+            raise AssertionError("work started on a rejected value")
+        for module, name in ((surface, "direct_count"), (torsor, "torsor_count"),
+                             (jigsaw, "jigsaw_check")):
+            monkeypatch.setattr(module, name, started)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(args, tmp_path / "out") == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_jigsaw_above_limit_exits_2_before_any_work(self, tmp_path, monkeypatch):
+        def built(*args):
+            raise AssertionError("a polytope was built above MAX_JIGSAW_RANK")
+        monkeypatch.setattr(jigsaw, "union_polytope", built)
+        monkeypatch.setattr(jigsaw, "face_polytope", built)
+        assert run_cli(["jigsaw", "--q", str(jigsaw.MAX_JIGSAW_RANK + 1)], tmp_path) == 2
+        assert not (tmp_path / "jigsaw.json").exists()
 
     def test_count_above_limit_exits_2_before_any_work(self, tmp_path, monkeypatch):
         def started(*args):

@@ -184,6 +184,19 @@ class TestInvariantsIO:
         again = C.load_field(str(path))
         assert again == inv
 
+    @pytest.mark.parametrize("text", [None, "{not json", '{"label": "Q"}', "[1, 2]",
+                                      '{"label": "Q", "r1": "one", "r2": 0, '
+                                      '"abs_disc": 1, "regulator": 1, '
+                                      '"class_number": 1, "mu": 2}'],
+                             ids=["missing", "not-json", "missing-key", "not-object",
+                                  "bad-int"])
+    def test_unreadable_field_file(self, tmp_path, text):
+        path = tmp_path / "field.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(InvalidInvariants):
+            C.load_field(str(path))
+
     def test_invalid_invariants(self):
         with pytest.raises(InvalidInvariants):
             C.FieldInvariants("bad", r1=0, r2=0, abs_disc=1, regulator=1.0,

@@ -11,7 +11,7 @@ from dp4jigsaw.errors import (IndexOutOfRange, NegativeRank, OutOfRange,
                               PartitionFailure)
 from dp4jigsaw.geometry import (AffineForm, HPolytope, exact_volume,
                                 interiors_disjoint)
-from tests_support import overlapping_faces
+from tests_support import face_volume_fractions, overlapping_faces
 
 Q0_EXPECTED = {("57",): F(5, 54), ("45",): F(7, 216),
                ("34",): F(1, 24), ("36",): F(0)}
@@ -90,9 +90,17 @@ class TestJigsawCheck:
         assert payload["alpha_sum"] == "1/2"
         assert list(payload["faces"]) == sorted(payload["faces"])
 
-    def test_rank_cap(self):
-        with pytest.raises(OutOfRange):
-            jigsaw.jigsaw_check(4)
+    def test_rank_cap(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("a polytope was built above MAX_JIGSAW_RANK")
+        monkeypatch.setattr(jigsaw, "union_polytope", built)
+        monkeypatch.setattr(jigsaw, "face_polytope", built)
+        q = jigsaw.MAX_JIGSAW_RANK + 1
+        for call in (jigsaw.jigsaw_check, jigsaw.degenerate_faces,
+                     jigsaw.degenerate_face_report):
+            with pytest.raises(OutOfRange):
+                call(q)
+        assert jigsaw.alpha_sum(q) == jigsaw.alpha_closed_form(q)
 
 
 class TestClosedForm:
@@ -105,6 +113,11 @@ class TestClosedForm:
             face = tuple(e for e, k in zip(jigsaw.EDGE_LABELS, m) for _ in range(k))
             assert jigsaw.multiplicities(face) == m
             assert jigsaw.face_volume(*m) == cache.volume(face)
+
+    def test_integer_sum_equals_the_fraction_sum_to_8(self):
+        for q in range(9):
+            for m in jigsaw.edge_multisets(q):
+                assert jigsaw.face_volume(*m) == face_volume_fractions(*m)
 
     @pytest.mark.parametrize("q", [0, 1, 2])
     def test_pairwise_loop_confirms_disjointness(self, q):

@@ -79,3 +79,19 @@ def test_laplace_pole_in_alpha(tmp_path, monkeypatch):
     assert run_cli(args, tmp_path) == 0
     monkeypatch.setattr(jigsaw, "LAPLACE_POLES", (F(1), F(5, 3), F(2)))
     assert run_cli(args, tmp_path) == 1
+
+
+def test_valid_but_different_fan_in_jigsaw_and_slices(tmp_path, monkeypatch):
+    commands = [["jigsaw", "--q", "1"], ["jigsaw", "--q", "2"], ["slices"]]
+    for args in commands:
+        assert run_cli(args, tmp_path) == 0
+    # A unimodular fan of the quadrant, so the certificate accepts it, with
+    # other rays than the real one: the strict-feasibility oracle no longer
+    # agrees with the closed-form volumes, and the a1 = 2/5 census has 7
+    # positive pieces, not the published 11.
+    monkeypatch.setattr(jigsaw, "EDGE_INEQUALITIES", {
+        "57": ((-1, 0), (2, 1)), "45": ((-2, -1), (1, 1)),
+        "34": ((-1, -1), (1, 2)), "36": ((-1, -2), (0, 1))})
+    assert jigsaw.edge_fan() == ((0, 1), (-1, 2), (-1, 1), (-2, 1), (-1, 0))
+    for args in commands:
+        assert run_cli(args, tmp_path) == 1

@@ -127,10 +127,13 @@ class TestDirectCounts:
         pts = S.direct_points(bound, ring=ring)
         assert [S.ProjectivePoint.make(pt.coords, ring=ring) for pt in pts] == pts
         assert pts == sorted(pts, key=lambda pt: (S.height(pt), str(pt)))
+        buf = io.StringIO()
+        S.write_point_stream(S.direct_points_with_heights(bound, ring=ring), buf)
+        assert buf.getvalue().splitlines() == [f"{pt},{S.height(pt)}" for pt in pts]
 
     def test_point_stream_format(self):
         buf = io.StringIO()
-        S.write_point_stream(S.direct_points(1), buf)
+        S.write_point_stream(S.direct_points_with_heights(1), buf)
         lines = buf.getvalue().strip().splitlines()
         assert len(lines) == 4
         for line in lines:

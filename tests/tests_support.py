@@ -1,7 +1,11 @@
 """Shared helpers for the test suite, including the oracles that only tests use."""
 
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 
+from dp4jigsaw import jigsaw
 from dp4jigsaw.jigsaw import _FaceCache, all_faces
 from dp4jigsaw.torsor import validate
 
@@ -86,3 +90,20 @@ def overlapping_faces(q):
     faces = all_faces(q)
     return [(f, g) for i, f in enumerate(faces) for g in faces[i + 1:]
             if not cache.pair_disjoint(f, g)]
+
+
+def face_volume_fractions(m57, m45, m34, m36):
+    """Oracle for jigsaw.face_volume: the Laplace formula summed in Fractions."""
+    q = m57 + m45 + m34 + m36 - 1
+    k = m36 + 1
+    factors = []
+    for e, pole in zip((m57, m57 + m45, m45 + m34), jigsaw.LAPLACE_POLES):
+        if e == 0:
+            factors.append([1] + [0] * k)
+        else:
+            inv = 1 / pole
+            factors.append([comb(e + j - 1, j) * inv ** (e + j) for j in range(k + 1)])
+    f1, f2, f3 = factors
+    total = sum((f1[j1] * f2[j2] * f3[k - j1 - j2]
+                 for j1 in range(k + 1) for j2 in range(k + 1 - j1)), Fraction(0))
+    return total / (2 ** (m57 + m45) * factorial(2 * q + 3))
