@@ -22,6 +22,6 @@ from .jigsaw import (JigsawReport, alpha_closed_form, degenerate_faces,
 from .surface import (CountResult, GroundRing, ProjectivePoint, count_mod_p,
                       direct_count, height, is_integral, on_lines, on_surface)
 from .torsor import (TorsorPoint, lifted_height, map_to_surface, torsor_count,
-                     validate)
+                     torsor_counts, validate)
 
 __version__ = "0.1.0"

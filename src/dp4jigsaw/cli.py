@@ -3,6 +3,9 @@
 Outputs under --output use fixed file names (counts.csv, jigsaw.json,
 slices.json, constants.json, fit.json) and are byte-identical across runs
 for a fixed configuration; pass --timings to include wall-clock columns.
+torsor-count and fit count all their bounds in one shared sweep, so there
+a row's elapsed is the time from the start of the sweep until that bound's
+count was complete, not the time of that bound alone.
 
 Exit codes, so that CI can treat the status as the verdict:
 
@@ -56,6 +59,13 @@ def _formats(text):
     return formats
 
 
+def _ring(text):
+    try:
+        return surface.parse_ring(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _ascending(bounds):
     if sorted(bounds) != list(bounds):
         raise ConfigInvalid("bounds must be ascending")
@@ -85,7 +95,7 @@ def _cmd_count(args):
 
 def _cmd_torsor_count(args):
     bounds = _ascending(args.bound)
-    results = [torsor.torsor_count(b) for b in bounds]
+    results = torsor.torsor_counts(bounds)
     breakdown = constants.leading_constant(constants.get_field("Q"))
     rows = reporting.make_rows(results, predictor=breakdown.predicted_count,
                                timings=args.timings)
@@ -210,7 +220,7 @@ def _cmd_fit(args):
     lo, hi = _ascending([args.bmin, args.bmax])
     grid = np.unique(np.round(np.logspace(np.log10(lo), np.log10(hi),
                                           args.samples)).astype(np.int64))
-    results = [torsor.torsor_count(int(b)) for b in grid]
+    results = torsor.torsor_counts([int(b) for b in grid])
     fit = reporting.fit_log_quadratic([(r.bound, r.count) for r in results])
     breakdown = constants.leading_constant(constants.get_field("Q"))
     rows = reporting.make_rows(results, predictor=breakdown.predicted_count,
@@ -244,7 +254,7 @@ def _build_parser():
 
     p = sub.add_parser("count", help="direct point count over Z or Z[i]")
     p.add_argument("--bound", action="append", type=bound, required=True)
-    p.add_argument("--ring", type=surface.parse_ring, default=surface.INTEGERS)
+    p.add_argument("--ring", type=_ring, default=surface.INTEGERS)
     p.add_argument("--points", dest="points_file", help="write the point stream here")
     p.set_defaults(handler=_cmd_count)
 

@@ -79,13 +79,18 @@ def prime_field(p):
     return GroundRing("prime-field", p)
 
 
+#: The spellings parse_ring accepts for each ring, in any letter case.
+RING_SPELLINGS = ((INTEGERS, ("Z", "ZZ", "int", "rational-integers")),
+                  (GAUSSIAN, ("Zi", "Z[i]", "gaussian", "gaussian-integers")))
+
+
 def parse_ring(text):
-    text = text.strip().lower()
-    if text in ("z", "zz", "int", "rational-integers"):
-        return INTEGERS
-    if text in ("zi", "z[i]", "gaussian", "gaussian-integers"):
-        return GAUSSIAN
-    raise ValueError(f"unknown ground ring {text!r}")
+    key = text.strip().lower()
+    for ring, spellings in RING_SPELLINGS:
+        if key in (name.lower() for name in spellings):
+            return ring
+    accepted = ", ".join(name for _, spellings in RING_SPELLINGS for name in spellings)
+    raise ValueError(f"unknown ground ring {text!r}; accepted: {accepted}")
 
 
 @dataclass(frozen=True)

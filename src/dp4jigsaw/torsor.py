@@ -20,11 +20,19 @@ each residue class in O(1), in O(sqrt B) memory:
   summatory function D(n) = sum_{k <= n} floor(n/k), itself evaluated in
   O(sqrt n) by the hyperbola identity;
 * for a1 >= 2 the hyperbola split at K = isqrt(B) counts a8 per a2 for
-  a2 <= K, and a2 per a8 for a2 > K, where |a8| <= B // (K + 1);
-* modular inverses come from one vectorized extended Euclid per a1.
+  a2 <= K (_pair_counts_fast), and a2 per a8 for a2 > K, where
+  |a8| <= B // (K + 1) (_a8_side_counts);
+* one sweep over a1 = 2..max K serves a whole list of bounds
+  (torsor_counts): each a1 gets one table of inverses mod a1, and every
+  bound with K >= a1 counts both halves from it;
+* the table mod m is a product, inv[i] = inv[spf(i)] * inv[i / spf(i)],
+  from smallest-prime-factor and cofactor tables of 0..max K (int32, built
+  once per sweep).  Only the primes below m go through an extended Euclid,
+  one vectorized call over every (m, p) pair of a block of consecutive
+  moduli.
 
-Every array holds at most about sqrt(B) int64 values.  The tests check it
-against a naive scan of a8.
+Each bound's arrays hold O(sqrt B) values, and the count is integer
+arithmetic throughout.  The tests check it against a naive scan of a8.
 """
 
 import time
@@ -115,27 +123,107 @@ def lifted_height(point):
 # Counting
 # ---------------------------------------------------------------------------
 
-def _inverse_table(m):
-    """inv[i] = i^-1 mod m where gcd(i, m) = 1, else -1.
+#: Most (modulus, prime) pairs that one batched Euclid call takes on.  Its
+#: dozen int64 work arrays then stay near 1 MB; at 2^15 pairs they added
+#: 5 MB to the peak RSS of N(3e7) and saved no time.
+EUCLID_BLOCK_PAIRS = 1 << 13
 
-    Extended Euclid on every residue at once: (r0, r1) are the remainders
-    of (m, i) and t0 * i = r0 (mod m); a residue leaves the active set when
-    r1 reaches 0, with r0 = gcd(i, m).
+
+def _factor_tables(n):
+    """(spf, cof, primes) for 0..n: i = spf[i] * cof[i] in int32, and the primes.
+
+    spf[i] = i marks the primes (and 0, 1); a composite i has
+    spf[i] <= sqrt(i) and cof[i] <= i / 2.
     """
-    inv = np.full(m, -1, dtype=np.int64)
-    idx = np.arange(m, dtype=np.int64)
-    r0, r1 = np.full(m, m, dtype=np.int64), idx.copy()
-    t0, t1 = np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)
+    spf = np.arange(n + 1, dtype=np.int32)
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == p:
+            multiples = spf[p * p::p]
+            np.minimum(multiples, p, out=multiples)
+    index = np.arange(n + 1, dtype=np.int32)
+    cof = index // np.maximum(spf, 1)
+    primes = np.flatnonzero((spf == index) & (index >= 2))
+    return spf, cof, primes
+
+
+def _euclid_inverses(m, x):
+    """x^-1 mod m pairwise over the arrays (m, x), with 0 < x < m; -1 if none.
+
+    Extended Euclid on every pair at once: (r0, r1) are the remainders of
+    (m, x) and t0 * x = r0 (mod m); a pair leaves the active set when r1
+    reaches 0, with r0 = gcd(x, m).
+    """
+    m = m.astype(np.int64)
+    inv = np.full(m.size, -1, dtype=np.int64)
+    idx = np.arange(m.size)
+    r0, r1 = m, x.astype(np.int64)
+    t0, t1 = np.zeros(m.size, dtype=np.int64), np.ones(m.size, dtype=np.int64)
     while idx.size:
         live = np.flatnonzero(r1)
         if live.size < idx.size:
             unit = (r1 == 0) & (r0 == 1)
-            inv[idx[unit]] = t0[unit] % m
+            inv[idx[unit]] = t0[unit] % m[idx[unit]]
             idx, r0, r1, t0, t1 = idx[live], r0[live], r1[live], t0[live], t1[live]
         q, r = np.divmod(r0, r1)
         r0, r1 = r1, r
         t0, t1 = t1, t0 - q * t1
     return inv
+
+
+def _inverse_table(m, tables=None, prime_inv=None):
+    """inv[i] = i^-1 mod m where gcd(i, m) = 1, else -1.
+
+    Built as a product, inv[i] = inv[spf(i)] * inv[i / spf(i)] mod m, over
+    the ranges [2^j, 2^(j+1)): both factors of a composite i lie below 2^j,
+    and a prime i is its own spf, with cofactor 1.  A non-unit is held as 0
+    while filling, so a product with a non-unit factor stays 0; it becomes
+    -1 at the end.  tables is _factor_tables(n) for some n >= m - 1, and
+    prime_inv the inverses of the primes below m, in order, from
+    _euclid_inverses (-1 for a prime dividing m).  Given m alone, both are
+    built here.
+    """
+    if m == 1:
+        return np.zeros(1, dtype=np.int64)
+    if tables is None:
+        tables = _factor_tables(m - 1)
+        prime_inv = _euclid_inverses(np.full(tables[2].size, m), tables[2])
+    spf, cof, primes = tables
+    inv = np.zeros(m, dtype=np.int64)
+    inv[1] = 1
+    inv[primes[:prime_inv.size]] = np.maximum(prime_inv, 0)
+    lo = 2
+    while lo < m:
+        hi = min(2 * lo, m)
+        inv[lo:hi] = inv[spf[lo:hi]] * inv[cof[lo:hi]] % m
+        lo = hi
+    inv[inv == 0] = -1
+    return inv
+
+
+def _inverse_tables(k):
+    """Yield (m, _inverse_table(m)) for m = 2..k, from one set of tables.
+
+    The inverses of the primes below m come from one _euclid_inverses call
+    per block of consecutive moduli, each block at most EUCLID_BLOCK_PAIRS
+    (m, p) pairs (or one modulus, if that alone has more).
+    """
+    tables = _factor_tables(k)
+    primes = tables[2]
+    below = np.searchsorted(primes, np.arange(k + 2))    # primes < m
+    offset = np.concatenate(([0], np.cumsum(below)))     # pairs of moduli < m
+    m = 2
+    while m <= k:
+        end = int(np.searchsorted(offset, offset[m] + EUCLID_BLOCK_PAIRS, "right")) - 1
+        end = min(max(end, m + 1), k + 1)
+        start = offset[m]
+        mods = np.repeat(np.arange(m, end), below[m:end])
+        pos = np.arange(offset[end] - start) - np.repeat(offset[m:end] - start,
+                                                        below[m:end])
+        inv = _euclid_inverses(mods, primes[pos])
+        for j in range(m, end):
+            yield j, _inverse_table(j, tables,
+                                    inv[offset[j] - start:offset[j + 1] - start])
+        m = end
 
 
 def _pair_counts_fast(a1, a2_arr, bound, inv):
@@ -153,14 +241,46 @@ def _pair_counts_fast(a1, a2_arr, bound, inv):
     return np.where(ok, np.maximum(count, 0), 0)
 
 
+def _a8_side_counts(a1, a8, top_pos, top_neg, k, bound, inv):
+    """Pairs (a2, +-a8) with K < a2 <= B // a1, for one a1 >= 2; an int.
+
+    Each a8 >= 1 counts the a2 in its class -(+-a8)^-1 (mod a1) inside
+    (K, min(top, B // a1)], where top is top_pos[i] = (B-1) // a8 for +a8
+    and top_neg[i] = B // a8 for -a8; an a8 sharing a factor with a1 has
+    no class.  inv is the _inverse_table of a1.
+    """
+    cap = bound // a1
+    r = inv[a8 % a1]
+    ok = r >= 0
+    up = np.minimum(top_pos, cap)
+    un = np.minimum(top_neg, cap)
+    rp = (-r) % a1            # a2 class for +a8
+    count = ((up - rp) // a1 - (k - rp) // a1
+             + (un - r) // a1 - (k - r) // a1)
+    return int(count[ok].sum())
+
+
 def _divisor_sum(n):
     """D(n) = sum_{k=1..n} floor(n/k) = 2 sum_{k <= sqrt n} floor(n/k) - isqrt(n)^2."""
     r = isqrt(n)
     return 2 * int((n // np.arange(1, r + 1, dtype=np.int64)).sum()) - r * r
 
 
-def torsor_count(bound):
-    """N(B) via the torsor parameterization.
+class _Bound:
+    """One bound's share of the sweep: its a8 range and running pair count."""
+
+    def __init__(self, b):
+        self.b = b
+        self.k = isqrt(b)
+        # the row a1 = 1, with the pair (1, 1); 0 < B < 1 has no pairs
+        self.pairs = _divisor_sum(b - 1) + _divisor_sum(b) if b else 0
+        self.a8 = np.arange(1, b // (self.k + 1) + 1, dtype=np.int64)
+        self.top_pos = (b - 1) // self.a8     # a2 limit for +a8
+        self.top_neg = b // self.a8           # a2 limit for -a8
+
+
+def torsor_counts(bounds):
+    """N(B) via the torsor parameterization for every B in bounds, in order.
 
     Count pairs (a1, a2) with a1 < a2, a1*a2 <= B; the
     (a1, a2) <-> (a2, a1) swap symmetry of the solution set halves the
@@ -169,38 +289,43 @@ def torsor_count(bound):
         plus B for the pair (1, 1): its 2B values of a8, halved as it is
         its own swap image.
       a1 >= 2, a2 <= K: count the a8 class per a2 (_pair_counts_fast).
-      a1 >= 2, a2 > K: |a2*a8| <= B forces 1 <= |a8| <= B // (K + 1); each
-        a8 counts its a2 class -a8^-1 (mod a1) inside
-        (K, min(limit(a8), B // a1)], where limit(a8) is (B-1)//a8 for
-        a8 > 0 and B//|a8| for a8 < 0.
-    B above MAX_TORSOR_BOUND raises OutOfRange before any work.
+      a1 >= 2, a2 > K: |a2*a8| <= B forces 1 <= |a8| <= B // (K + 1)
+        (_a8_side_counts).
+    One sweep over a1 = 2..max K serves every bound: each a1 gets one
+    inverse table, and every bound with K >= a1 counts its two halves
+    from it.  A result's elapsed is the time from the start of the call
+    until its bound's count was complete.  Every bound is checked first:
+    one above MAX_TORSOR_BOUND raises OutOfRange before any work.
     """
     t0 = time.perf_counter()
-    b = _int_bound(bound, MAX_TORSOR_BOUND)
-    if b < 1:
-        total = 0
-    else:
-        k = isqrt(b)
-        pairs = _divisor_sum(b - 1) + _divisor_sum(b)  # a1 = 1, with the pair (1, 1)
-        a8 = np.arange(1, b // (k + 1) + 1, dtype=np.int64)
-        top_pos = (b - 1) // a8       # a2 limit for +a8
-        top_neg = b // a8             # a2 limit for -a8
-        for a1 in range(2, k + 1):
-            inv = _inverse_table(a1)
-            a2 = np.arange(a1 + 1, k + 1, dtype=np.int64)
-            pairs += int(_pair_counts_fast(a1, a2, b, inv).sum())
-            cap = b // a1
-            r = inv[a8 % a1]
-            ok = r >= 0
-            up = np.minimum(top_pos, cap)
-            un = np.minimum(top_neg, cap)
-            rp = (-r) % a1            # a2 class for +a8
-            count = ((up - rp) // a1 - (k - rp) // a1
-                     + (un - r) // a1 - (k - r) // a1)
-            pairs += int(count[ok].sum())
-        total = 4 * pairs  # swap symmetry x units / |mu_K|
-    return CountResult(bound=Fraction(bound), count=int(total), ring=INTEGERS,
-                       method="torsor-fast", elapsed=time.perf_counter() - t0)
+    ints = [_int_bound(b, MAX_TORSOR_BOUND) for b in bounds]
+    done = {}  # b -> (pairs, elapsed)
+    live = []
+    for state in map(_Bound, sorted(set(ints))):
+        if state.k < 2:
+            done[state.b] = (state.pairs, time.perf_counter() - t0)
+        else:
+            live.append(state)
+    if live:
+        a2 = np.arange(live[-1].k + 1, dtype=np.int64)
+        for a1, inv in _inverse_tables(live[-1].k):
+            for state in live:
+                state.pairs += int(_pair_counts_fast(a1, a2[a1 + 1:state.k + 1],
+                                                     state.b, inv).sum())
+                state.pairs += _a8_side_counts(a1, state.a8, state.top_pos,
+                                               state.top_neg, state.k, state.b, inv)
+                if state.k == a1:
+                    done[state.b] = (state.pairs, time.perf_counter() - t0)
+            live = [state for state in live if state.k > a1]
+    # 4 = swap symmetry x units / |mu_K|
+    return [CountResult(bound=Fraction(bound), count=4 * done[b][0], ring=INTEGERS,
+                        method="torsor-fast", elapsed=done[b][1])
+            for bound, b in zip(bounds, ints)]
+
+
+def torsor_count(bound):
+    """N(B) via the torsor parameterization: torsor_counts([bound])[0]."""
+    return torsor_counts([bound])[0]
 
 
 def torsor_height_counts(bound):

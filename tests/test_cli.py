@@ -139,11 +139,28 @@ class TestCli:
         def started(*args):
             raise AssertionError("work started on a rejected value")
         for module, name in ((surface, "direct_count"), (torsor, "torsor_count"),
-                             (jigsaw, "jigsaw_check")):
+                             (torsor, "torsor_counts"), (jigsaw, "jigsaw_check")):
             monkeypatch.setattr(module, name, started)
         monkeypatch.chdir(tmp_path)
         assert run_cli(args, tmp_path / "out") == 2
         assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_ring_names_the_accepted_spellings(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["count", "--ring", "foo", "--bound", "10"], out) == 2
+        err = capsys.readouterr().err
+        assert "'foo'" in err and "Z," in err and "Zi," in err
+        assert "parse_ring" not in err
+        assert not out.exists()
+
+    def test_torsor_count_timings_run_from_the_start_of_the_sweep(self, tmp_path):
+        assert main(["--output", str(tmp_path), "--timings", "torsor-count",
+                     "--bound", "100", "--bound", "1e5", "--bound", "1e6"]) == 0
+        rows = reporting.parse_counts_csv((tmp_path / "counts.csv").read_text())
+        assert [r.count for r in rows] == [torsor.torsor_count(b).count
+                                           for b in (100, 10 ** 5, 10 ** 6)]
+        elapsed = [r.elapsed for r in rows]
+        assert 0 < elapsed[0] <= elapsed[1] <= elapsed[2]
 
     def test_jigsaw_above_limit_exits_2_before_any_work(self, tmp_path, monkeypatch):
         def built(*args):

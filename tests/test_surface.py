@@ -15,6 +15,18 @@ from dp4jigsaw.gaussian import GaussInt
 mk = S.ProjectivePoint.make
 
 
+class TestParseRing:
+    def test_every_listed_spelling_in_any_case(self):
+        for ring, spellings in S.RING_SPELLINGS:
+            for name in spellings:
+                assert S.parse_ring(name) is ring
+                assert S.parse_ring(f" {name.upper()} ") is ring
+
+    def test_unknown_ring_lists_the_spellings(self):
+        with pytest.raises(ValueError, match=r"'Q\(i\)'; accepted: Z, ZZ, .*Zi, Z\[i\]"):
+            S.parse_ring("Q(i)")
+
+
 class TestOnSurface:
     def test_singular_point_q1(self):
         assert S.on_surface(mk((0, 1, 0, 0, 0)))

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
@@ -170,6 +171,89 @@ class TestFastCounter:
         monkeypatch.setattr(T, "_inverse_table", started)
         with pytest.raises(OutOfRange):
             T.torsor_count(T.MAX_TORSOR_BOUND + 1)
+
+
+class TestSharedSweep:
+    """torsor_counts: one sweep for many bounds, with product-built inverses."""
+
+    #: The 20 bounds of `dp4 fit` at its defaults, and N(B) at each, as the
+    #: per-bound counter with one extended Euclid per residue gave them.
+    FIT_GRID = [10000, 14384, 20691, 29764, 42813, 61585, 88587, 127427, 183298,
+                263665, 379269, 545559, 784760, 1128838, 1623777, 2335721,
+                3359818, 4832930, 6951928, 10000000]
+    FIT_COUNTS = [1566424, 2401484, 3674212, 5613120, 8557672, 13025672, 19793332,
+                  30035616, 45508648, 68863408, 104074060, 157096284, 236857148,
+                  356728848, 536700064, 806656544, 1211235988, 1817084348,
+                  2723600444, 4078947148]
+
+    @staticmethod
+    def pow_table(m):
+        return [pow(x, -1, m) if gcd(x, m) == 1 else -1 for x in range(m)]
+
+    def test_tables_across_a_block_boundary(self, monkeypatch):
+        blocks = []  # (first modulus, last modulus, pairs) of each Euclid call
+        euclid = T._euclid_inverses
+
+        def record(m, x):
+            blocks.append((int(m.min()), int(m.max()), m.size))
+            return euclid(m, x)
+        monkeypatch.setattr(T, "_euclid_inverses", record)
+        for m, inv in T._inverse_tables(2000):
+            if len(blocks) > 2:  # the third block has started
+                break
+            assert inv.tolist() == self.pow_table(m), m
+        (first, end1, size1), (start2, end2, size2) = blocks[:2]
+        assert first == 3  # no prime lies below 2
+        assert start2 == end1 + 1 and m == end2 + 1
+        assert max(size1, size2) <= T.EUCLID_BLOCK_PAIRS
+
+    def test_tables_with_tiny_blocks(self, monkeypatch):
+        monkeypatch.setattr(T, "EUCLID_BLOCK_PAIRS", 40)  # pi(m) > 40 above 179
+        moduli = []
+        for m, inv in T._inverse_tables(400):
+            assert inv.tolist() == self.pow_table(m), m
+            moduli.append(m)
+        assert moduli == list(range(2, 401))
+
+    def test_random_unsorted_lists_with_duplicates(self):
+        rng = random.Random(4711)
+        for _ in range(4):
+            bounds = [rng.randint(1, 3 * 10 ** 4) for _ in range(12)]
+            bounds += rng.sample(bounds, 4)
+            rng.shuffle(bounds)
+            results = T.torsor_counts(bounds)
+            assert [r.bound for r in results] == bounds
+            counts = [r.count for r in results]
+            assert counts == [full_range_count(b) for b in bounds], bounds
+            assert counts == [T.torsor_count(b).count for b in bounds], bounds
+
+    def test_where_isqrt_changes(self):
+        bounds = [b for n in range(1, 61) for b in (n * n - 1, n * n, n * n + 1) if b]
+        counts = [r.count for r in T.torsor_counts(bounds)]
+        assert counts == [full_range_count(b) for b in bounds]
+        assert counts == [T.torsor_count(b).count for b in bounds]
+
+    def test_fit_grid_equals_the_per_bound_counts(self):
+        grid = np.unique(np.round(np.logspace(4, 7, 20)).astype(np.int64)).tolist()
+        assert grid == self.FIT_GRID
+        results = T.torsor_counts(grid)
+        assert [r.count for r in results] == self.FIT_COUNTS
+        assert [r.elapsed for r in results] == sorted(r.elapsed for r in results)
+
+    def test_fractional_and_empty_inputs(self):
+        assert T.torsor_counts([]) == []
+        assert [r.count for r in T.torsor_counts([Fraction(1, 2), 3, 1])] == [
+            0, full_range_count(3), 4]
+
+    def test_any_bound_above_limit_fails_before_any_work(self, monkeypatch):
+        def started(*args):
+            raise AssertionError("counting started with a bound above MAX_TORSOR_BOUND")
+        for name in ("_divisor_sum", "_factor_tables", "_euclid_inverses",
+                     "_inverse_table", "_inverse_tables", "_pair_counts_fast",
+                     "_a8_side_counts"):
+            monkeypatch.setattr(T, name, started)
+        with pytest.raises(OutOfRange):
+            T.torsor_counts([1e4, T.MAX_TORSOR_BOUND + 1])
 
 
 class TestNormalizedPoints:
