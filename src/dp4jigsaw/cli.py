@@ -3,9 +3,10 @@
 Outputs under --output use fixed file names (counts.csv, jigsaw.json,
 slices.json, constants.json, fit.json) and are byte-identical across runs
 for a fixed configuration; pass --timings to include wall-clock columns.
-torsor-count and fit count all their bounds in one shared sweep, so there
-a row's elapsed is the time from the start of the sweep until that bound's
-count was complete, not the time of that bound alone.
+count, torsor-count and fit count all their bounds in one shared sweep, so
+there a row's elapsed is the time from the start of the sweep until that
+bound's count was complete, not the time of that bound alone; count
+completes every bound at once, at the end of its one histogram.
 
 Exit codes, so that CI can treat the status as the verdict:
 
@@ -78,7 +79,7 @@ def _ascending(bounds):
 
 def _cmd_count(args):
     bounds = _ascending(args.bound)
-    results = [surface.direct_count(b, ring=args.ring) for b in bounds]
+    results = surface.direct_counts(bounds, ring=args.ring)
     predictor = None
     if args.ring == surface.INTEGERS:
         predictor = constants.leading_constant(constants.get_field("Q")).predicted_count

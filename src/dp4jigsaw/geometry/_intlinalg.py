@@ -27,11 +27,16 @@ def primitive(vec):
     return tuple(x // g for x in vec)
 
 
+def _scale_to_int(vec):
+    """(integer vector, m): a rational vector times m, the lcm of its denominators."""
+    fracs = [Fraction(x) for x in vec]
+    mult = lcm(*[f.denominator for f in fracs])
+    return [int(f * mult) for f in fracs], mult
+
+
 def clear_denominators(vec):
     """Scale a rational vector to a primitive integer vector (same direction)."""
-    fracs = [Fraction(x) for x in vec]
-    mult = lcm(*[f.denominator for f in fracs]) if fracs else 1
-    return primitive([int(f * mult) for f in fracs])
+    return primitive(_scale_to_int(vec)[0])
 
 
 def bareiss_det(matrix):
@@ -88,23 +93,13 @@ def int_rank(matrix):
     return rank
 
 
-def frac_rows_to_int(rows):
-    """Scale each rational row to integers (row scaling preserves rank)."""
-    out = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        mult = lcm(*[f.denominator for f in fracs]) if fracs else 1
-        out.append([int(f * mult) for f in fracs])
-    return out
-
-
 def affine_rank(points):
     """Dimension of the affine hull of a list of rational points."""
     if len(points) <= 1:
         return 0
     base = points[0]
     diffs = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    return int_rank(frac_rows_to_int(diffs))
+    return int_rank([_scale_to_int(row)[0] for row in diffs])  # row scaling keeps rank
 
 
 def frac_det(matrix):
@@ -112,9 +107,8 @@ def frac_det(matrix):
     scaled = []
     denom = 1
     for row in matrix:
-        fracs = [Fraction(x) for x in row]
-        mult = lcm(*[f.denominator for f in fracs]) if fracs else 1
-        scaled.append([int(f * mult) for f in fracs])
+        ints, mult = _scale_to_int(row)
+        scaled.append(ints)
         denom *= mult
     return Fraction(bareiss_det(scaled), denom)
 

@@ -2,9 +2,9 @@
 
 Solves  min c.x  s.t.  A x = b, x >= 0  with Bland's anti-cycling rule.
 Returns exact optima, and on infeasibility a Farkas certificate y with
-y.A <= 0 (componentwise over columns) and y.b > 0.  Problem sizes in this
-package are tiny (tens of rows/columns), so a dense Fraction tableau is
-both simple and fast enough.
+y.A <= 0 (componentwise over columns) and y.b > 0.  Only the tests call it,
+as the oracle for strict feasibility and cone pointedness; it keeps its
+name because the benchmark's tracing wraps `solve_lp`.
 """
 
 from fractions import Fraction

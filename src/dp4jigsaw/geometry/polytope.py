@@ -7,7 +7,8 @@ reports emptiness and recession directions, with every vertex certified
 by an active-set rank check.  The brute-force active-set search
 `_vertices_brute` is kept only as the reference the tests compare against.
 Volumes come from a determinant triangulation fanned from a base vertex
-over recursively triangulated facets.
+over recursively triangulated facets.  Full-dimensionality and cone
+pointedness are read off double descriptions too; no linear program runs.
 
 A polytope that is nonempty but not full-dimensional has volume exactly 0;
 that is a meaningful output here, not an error.
@@ -19,7 +20,6 @@ from fractions import Fraction
 from math import factorial
 
 from ..errors import DimensionMismatch, EmptyGeneratorList, UnboundedInput
-from . import _simplex
 from ._dd import dd_cone
 from ._intlinalg import (affine_rank, clear_denominators, frac_det, int_rank,
                          primitive, solve_square)
@@ -258,14 +258,17 @@ def _triangulate_face(indices, face_dim, tight_sets, coords, memo):
     return result
 
 
+def _full_dimensional(dim, vertices):
+    """True iff the vertices affinely span R^dim (so none means False)."""
+    return len(vertices) > dim and affine_rank(list(vertices)) == dim
+
+
 def _volume(dim, forms, vertices):
+    if not _full_dimensional(dim, vertices):
+        return Fraction(0)
     if dim == 0:
-        return Fraction(1) if vertices else Fraction(0)
-    if len(vertices) <= dim:
-        return Fraction(0)
+        return Fraction(1)
     coords = list(vertices)
-    if affine_rank(coords) < dim:
-        return Fraction(0)
     tight_sets = []
     for form in forms:
         tight = frozenset(i for i, v in enumerate(coords) if form.evaluate(v) == 0)
@@ -341,11 +344,7 @@ def interiors_disjoint(p1, p2):
     for low, high in bounds.values():
         if low is not None and high is not None and low >= high:
             return True  # empty (>) or confined to a hyperplane (=)
-    rows = [f.as_row() for f in forms]
-    vertices = _enumerate(dim, rows)
-    if not vertices:
-        return True
-    return affine_rank(list(vertices)) < dim
+    return not _full_dimensional(dim, _enumerate(dim, _rows_of(forms)))
 
 
 @dataclass(frozen=True)
@@ -367,58 +366,40 @@ class ConeLineDiagnostic:
 
 
 def cone_contains_line(cone):
-    """Decide pointedness of a rational cone by exact linear feasibility."""
+    """Decide pointedness of a rational cone by double description.
+
+    Let s be the ray sum of the dual cone D = {u : <g, u> >= 0 for all g}.
+    The cone is pointed iff some u has <g, u> > 0 for every g.  Such a u is
+    interior to D, so D is full-dimensional, no nonzero g vanishes on all
+    its rays, and <g, s> > 0: s decides, and separates.  Otherwise, by
+    Gordan, {lam >= 0, sum(lam) = 1, sum(lam_i g_i) = 0} is a nonempty
+    polytope, and any vertex of it is a line combination.
+    """
     gens = cone.generators
     if not gens:
         raise EmptyGeneratorList("cone has no generators")
     dim = len(gens[0])
+    _, rays = dd_cone(dim, gens)
+    s = [sum(ray[j] for ray in rays) for j in range(dim)]
+    if all(sum(g[j] * s[j] for j in range(dim)) > 0 for g in gens):
+        return ConeLineDiagnostic(None, tuple(clear_denominators(s)))
     m = len(gens)
-    # Feasibility of sum(lam_i g_i) = 0, sum(lam_i) = 1, lam >= 0.
-    a_matrix = [[gens[i][j] for i in range(m)] for j in range(dim)]
-    a_matrix.append([1] * m)
-    b_vector = [0] * dim + [1]
-    ok, cert = _simplex.feasible(a_matrix, b_vector)
-    if ok:
-        lam = clear_denominators(cert[:m])
-        assert all(x >= 0 for x in lam) and any(lam)
-        assert all(sum(lam[i] * gens[i][j] for i in range(m)) == 0 for j in range(dim))
-        return ConeLineDiagnostic(tuple(lam), None)
-    # Farkas (u, t): u.g_i + t <= 0 for all i, t > 0; so -u separates.
-    u = cert[:dim]
-    w = clear_denominators([-x for x in u])
-    assert all(sum(w[j] * g[j] for j in range(dim)) > 0 for g in gens)
-    return ConeLineDiagnostic(None, tuple(w))
+    rows = [AffineForm.ge([1] * m, 1), AffineForm.le([1] * m, 1)]
+    rows += [AffineForm.ge([int(i == k) for i in range(m)], 0) for k in range(m)]
+    for j in range(dim):
+        coord = [g[j] for g in gens]
+        rows += [AffineForm.ge(coord, 0), AffineForm.le(coord, 0)]
+    lam = clear_denominators(HPolytope(m, rows).vertices[0])
+    return ConeLineDiagnostic(tuple(lam), None)
 
 
 def strictly_feasible(p):
     """Exact full-dimensionality oracle: does p have an interior point?
 
-    Maximizes the margin t subject to <c,x> + b >= t per row and t <= 1;
-    the polytope is full-dimensional iff the optimum is positive.
+    A bounded polytope is the hull of its vertices, so it has an interior
+    point iff it is nonempty and its vertices span the ambient space.
     """
-    dim = p.dimension
-    rows = _rows_of(p.inequalities)
-    if not rows:
-        return True
-    m = len(rows)
-    ncols = 2 * dim + 2 + m + 1
-    a_matrix = []
-    b_vector = []
-    for i, row in enumerate(rows):
-        c = list(row[:dim])
-        line = c + [-x for x in c] + [-1, 1] + [0] * (m + 1)
-        line[2 * dim + 2 + i] = -1
-        a_matrix.append(line)
-        b_vector.append(-row[dim])
-    tline = [0] * (2 * dim) + [1, -1] + [0] * m + [1]
-    a_matrix.append(tline)
-    b_vector.append(1)
-    cost = [0] * ncols
-    cost[2 * dim] = -1
-    cost[2 * dim + 1] = 1
-    result = _simplex.solve_lp(cost, a_matrix, b_vector)
-    assert result.status == _simplex.OPTIMAL
-    return -result.objective > 0
+    return _full_dimensional(p.dimension, p.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -451,7 +451,7 @@ def degenerate_face_report(q):
     """Compare the volume-zero faces against two independent diagnostics.
 
     The volumes come from the closed form.  The strict-feasibility oracle
-    decides full-dimensionality by exact linear programming; the cone
+    decides full-dimensionality from the face polytope's vertices; the cone
     diagnostic tests whether the effective cone contains a line.  For q = 1
     the report also records whether the reference face ((57),(57)) is among
     the degenerate ones - it is not under these inequality systems, and the

@@ -326,12 +326,26 @@ def direct_height_counts(bound, ring=INTEGERS):
     return hist.cumsum()
 
 
+def direct_counts(bounds, ring=INTEGERS):
+    """direct_count for every bound, in order, from one histogram at the largest.
+
+    Every elapsed is the time of the whole call.  A bound above
+    MAX_DIRECT_BOUND raises OutOfRange before any work.
+    """
+    t0 = time.perf_counter()
+    ints = [_int_bound(b, MAX_DIRECT_BOUND) for b in bounds]
+    if not ints:
+        return []
+    counts = direct_height_counts(max(bounds, key=Fraction), ring=ring)
+    elapsed = time.perf_counter() - t0
+    return [CountResult(bound=Fraction(bound), count=int(counts[b]), ring=ring,
+                        method="direct-divisor", elapsed=elapsed)
+            for bound, b in zip(bounds, ints)]
+
+
 def direct_count(bound, ring=INTEGERS):
     """Exact count of integral points off the lines with height <= bound."""
-    t0 = time.perf_counter()
-    counts = direct_height_counts(bound, ring=ring)
-    return CountResult(bound=Fraction(bound), count=int(counts[-1]), ring=ring,
-                       method="direct-divisor", elapsed=time.perf_counter() - t0)
+    return direct_counts([bound], ring=ring)[0]
 
 
 def direct_points_with_heights(bound, ring=INTEGERS):

@@ -186,12 +186,9 @@ def torsor_grid():
     fit_bounds = [int(b) for b in np.unique(
         np.round(np.logspace(4, 7, 20)).astype(np.int64))]
     decades = [10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7]
-    counts = {}
-    elapsed = {}
-    for b in sorted(set(fit_bounds) | set(decades)):
-        t0 = time.perf_counter()
-        counts[b] = T.torsor_count(b).count
-        elapsed[b] = time.perf_counter() - t0
+    results = T.torsor_counts(sorted(set(fit_bounds) | set(decades)))
+    counts = {int(r.bound): r.count for r in results}
+    elapsed = {int(r.bound): r.elapsed for r in results}
     return fit_bounds, counts, elapsed
 
 

@@ -9,9 +9,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from dp4jigsaw import jigsaw, reporting, surface, torsor
+from dp4jigsaw import constants, jigsaw, reporting, surface, torsor
 from dp4jigsaw.cli import main
 from dp4jigsaw.errors import DegenerateDesignMatrix, IoFailure
+from dp4jigsaw.geometry import _simplex
 
 
 class TestFit:
@@ -138,7 +139,8 @@ class TestCli:
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, args):
         def started(*args):
             raise AssertionError("work started on a rejected value")
-        for module, name in ((surface, "direct_count"), (torsor, "torsor_count"),
+        for module, name in ((surface, "direct_count"), (surface, "direct_counts"),
+                             (torsor, "torsor_count"),
                              (torsor, "torsor_counts"), (jigsaw, "jigsaw_check")):
             monkeypatch.setattr(module, name, started)
         monkeypatch.chdir(tmp_path)
@@ -162,6 +164,31 @@ class TestCli:
         elapsed = [r.elapsed for r in rows]
         assert 0 < elapsed[0] <= elapsed[1] <= elapsed[2]
 
+    def test_count_builds_one_histogram_for_every_bound(self, tmp_path, monkeypatch):
+        calls = []
+        histogram = surface.direct_height_counts
+
+        def counted(bound, ring=surface.INTEGERS):
+            calls.append(bound)
+            return histogram(bound, ring=ring)
+        monkeypatch.setattr(surface, "direct_height_counts", counted)
+        assert main(["--output", str(tmp_path), "--timings", "count", "--bound", "1/2",
+                     "--bound", "7", "--bound", "60", "--bound", "60"]) == 0
+        assert calls == [60]
+        rows = reporting.parse_counts_csv((tmp_path / "counts.csv").read_text())
+        expected = [int(histogram(60)[b]) for b in (0, 7, 60, 60)]
+        assert [r.count for r in rows] == expected and expected[1] > 0
+        elapsed = {r.elapsed for r in rows}
+        assert len(elapsed) == 1 and elapsed.pop() > 0
+
+    @pytest.mark.parametrize("args", [["jigsaw", "--q", str(q)] for q in range(4)]
+                             + [["slices"]], ids=["q0", "q1", "q2", "q3", "slices"])
+    def test_geometry_commands_run_no_linear_program(self, tmp_path, monkeypatch, args):
+        def solved(*args):
+            raise AssertionError("a production route ran the simplex")
+        monkeypatch.setattr(_simplex, "solve_lp", solved)
+        assert run_cli(args, tmp_path) == 0
+
     def test_jigsaw_above_limit_exits_2_before_any_work(self, tmp_path, monkeypatch):
         def built(*args):
             raise AssertionError("a polytope was built above MAX_JIGSAW_RANK")
@@ -176,6 +203,14 @@ class TestCli:
         monkeypatch.setattr(surface, "_divisor_sieve", started)
         assert run_cli(["count", "--bound", "1e9"], tmp_path) == 2
         assert not (tmp_path / "counts.csv").exists()
+
+    def test_constant_above_prime_limit_exits_2_before_any_work(self, tmp_path, monkeypatch):
+        def started(*args):
+            raise AssertionError("the sieve started above MAX_PRIME_BOUND")
+        monkeypatch.setattr(constants, "primes_up_to", started)
+        assert run_cli(["constant", "--field", "Q", "--prime-bound",
+                        str(constants.MAX_PRIME_BOUND + 1)], tmp_path) == 2
+        assert not (tmp_path / "constants.json").exists()
 
     def test_deterministic_outputs(self, tmp_path):
         out1 = tmp_path / "run1"

@@ -89,6 +89,19 @@ class TestEulerProduct:
         zeta2, err = C.dedekind_zeta2(qi)
         assert abs(res.value - 1 / zeta2) <= res.tail_log_bound + err + 1e-12
 
+    @pytest.mark.parametrize("field", ["Q", "Q(i)"])
+    def test_prime_bound_limit_is_checked_before_the_sieve(self, monkeypatch, field):
+        class Sieved(Exception):
+            pass
+
+        def sieve(n):
+            raise Sieved(n)
+        monkeypatch.setattr(C, "primes_up_to", sieve)
+        with pytest.raises(OutOfRange):
+            C.finite_density_product(C.get_field(field), C.MAX_PRIME_BOUND + 1)
+        with pytest.raises(Sieved):  # the limit itself is accepted
+            C.finite_density_product(C.get_field(field), C.MAX_PRIME_BOUND)
+
     def test_unsupported_field(self):
         cubic = C.FieldInvariants("cubic", r1=3, r2=0, abs_disc=49, regulator=1.0,
                                   class_number=1, mu=2)

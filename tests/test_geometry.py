@@ -22,7 +22,8 @@ from dp4jigsaw.geometry import (AffineForm, HPolytope, RationalCone, box,
                                 standard_simplex, strictly_feasible)
 from dp4jigsaw.geometry.polytope import _vertices_brute, _vertices_dd
 from dp4jigsaw.geometry._simplex import feasible
-from tests_support import monte_carlo_volume, random_unimodular
+from tests_support import (lp_cone_contains_line, lp_strictly_feasible,
+                           monte_carlo_volume, random_unimodular)
 
 
 def union_q0():
@@ -387,3 +388,49 @@ class TestSingleEnumeratorProperties:
         except UnboundedInput:
             unbounded = True
         assert unbounded == recedes
+
+
+@st.composite
+def cone_generators(draw):
+    """Nonzero generators: the coefficient vectors of rows_through_a_point."""
+    dim, rows = draw(rows_through_a_point())
+    gens = [row[:dim] for row in rows if any(row[:dim])]
+    for g in draw(st.lists(st.sampled_from(gens), max_size=2)) if gens else ():
+        gens.append(tuple(-x for x in g))  # an opposite pair is a line
+    if not gens:
+        gens = [unit(dim, 0)]
+    return gens
+
+
+class TestDiagnosticsAgainstLinearPrograms:
+    """The double-description verdicts against the simplex oracles."""
+
+    @PROPERTY_SETTINGS
+    @given(clipped_rows())
+    @example((2, [(1, 0, -1), (-1, 0, 0), (0, 1, 0), (0, -1, 1)]))  # empty
+    @example((3, [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 1),
+                  (0, 0, 1, 0), (0, 0, -1, 1)]))  # flat square in 3-space
+    @example((1, [(1, 1), (-1, -1)]))  # a single point
+    def test_strict_feasibility_matches_margin_lp(self, case):
+        p = HPolytope(*case)
+        assert strictly_feasible(p) == lp_strictly_feasible(p)
+
+    @PROPERTY_SETTINGS
+    @given(cone_generators())
+    @example([(1, 0), (0, 1), (-1, -1)])  # lines through a 2-D fan
+    @example([(1, 1, 0), (-1, 0, 1), (0, 0, 1), (0, -1, -1)])
+    @example([(2, -1, 0), (0, 0, 3)])
+    def test_cone_verdicts_match_feasibility_lp(self, gens):
+        cone = RationalCone.make(gens)
+        diag = cone_contains_line(cone)
+        assert diag.contains_line == lp_cone_contains_line(cone).contains_line
+        gens = cone.generators
+        dim = len(gens[0])
+        if diag.contains_line:
+            lam = diag.line_combination
+            assert diag.separating_functional is None
+            assert len(lam) == len(gens) and all(x >= 0 for x in lam) and any(lam)
+            assert all(sum(x * g[j] for x, g in zip(lam, gens)) == 0 for j in range(dim))
+        else:
+            w = diag.separating_functional
+            assert all(sum(a * b for a, b in zip(w, g)) > 0 for g in gens)

@@ -117,6 +117,23 @@ class TestDirectCounts:
             with pytest.raises(OutOfRange):
                 call(S.MAX_DIRECT_BOUND + 1, ring=ring)
 
+    @pytest.mark.parametrize("ring", [S.INTEGERS, S.GAUSSIAN])
+    def test_shared_histogram_matches_single_counts(self, ring):
+        bounds = [7, F(1, 2), 30, 1, F(61, 2), 7]
+        results = S.direct_counts(bounds, ring=ring)
+        assert [r.bound for r in results] == bounds
+        assert [r.count for r in results] == [S.direct_count(b, ring=ring).count
+                                              for b in bounds]
+        assert len({r.elapsed for r in results}) == 1
+        assert S.direct_counts([], ring=ring) == []
+
+    def test_shared_histogram_checks_every_bound_first(self, monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("counting started above MAX_DIRECT_BOUND")
+        monkeypatch.setattr(S, "direct_height_counts", started)
+        with pytest.raises(OutOfRange):
+            S.direct_counts([10, S.MAX_DIRECT_BOUND + 1, 20])
+
     def test_nonpositive_bound(self):
         with pytest.raises(NonpositiveBound):
             S.direct_count(0)

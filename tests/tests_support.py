@@ -6,6 +6,9 @@ from math import comb, factorial
 import numpy as np
 
 from dp4jigsaw import jigsaw
+from dp4jigsaw.geometry import _simplex
+from dp4jigsaw.geometry._intlinalg import clear_denominators
+from dp4jigsaw.geometry.polytope import ConeLineDiagnostic
 from dp4jigsaw.jigsaw import _FaceCache, all_faces
 from dp4jigsaw.torsor import validate
 
@@ -107,3 +110,56 @@ def face_volume_fractions(m57, m45, m34, m36):
     total = sum((f1[j1] * f2[j2] * f3[k - j1 - j2]
                  for j1 in range(k + 1) for j2 in range(k + 1 - j1)), Fraction(0))
     return total / (2 ** (m57 + m45) * factorial(2 * q + 3))
+
+
+def lp_cone_contains_line(cone):
+    """Oracle for cone_contains_line: pointedness by exact linear feasibility."""
+    gens = cone.generators
+    dim = len(gens[0])
+    m = len(gens)
+    # Feasibility of sum(lam_i g_i) = 0, sum(lam_i) = 1, lam >= 0.
+    a_matrix = [[gens[i][j] for i in range(m)] for j in range(dim)]
+    a_matrix.append([1] * m)
+    b_vector = [0] * dim + [1]
+    ok, cert = _simplex.feasible(a_matrix, b_vector)
+    if ok:
+        lam = clear_denominators(cert[:m])
+        assert all(x >= 0 for x in lam) and any(lam)
+        assert all(sum(lam[i] * gens[i][j] for i in range(m)) == 0 for j in range(dim))
+        return ConeLineDiagnostic(tuple(lam), None)
+    # Farkas (u, t): u.g_i + t <= 0 for all i, t > 0; so -u separates.
+    u = cert[:dim]
+    w = clear_denominators([-x for x in u])
+    assert all(sum(w[j] * g[j] for j in range(dim)) > 0 for g in gens)
+    return ConeLineDiagnostic(None, tuple(w))
+
+
+def lp_strictly_feasible(p):
+    """Oracle for strictly_feasible: the margin LP.
+
+    Maximizes the margin t subject to <c,x> + b >= t per row and t <= 1;
+    the polytope is full-dimensional iff the optimum is positive.
+    """
+    dim = p.dimension
+    rows = [f.as_row() for f in p.inequalities]
+    if not rows:
+        return True
+    m = len(rows)
+    ncols = 2 * dim + 2 + m + 1
+    a_matrix = []
+    b_vector = []
+    for i, row in enumerate(rows):
+        c = list(row[:dim])
+        line = c + [-x for x in c] + [-1, 1] + [0] * (m + 1)
+        line[2 * dim + 2 + i] = -1
+        a_matrix.append(line)
+        b_vector.append(-row[dim])
+    tline = [0] * (2 * dim) + [1, -1] + [0] * m + [1]
+    a_matrix.append(tline)
+    b_vector.append(1)
+    cost = [0] * ncols
+    cost[2 * dim] = -1
+    cost[2 * dim + 1] = 1
+    result = _simplex.solve_lp(cost, a_matrix, b_vector)
+    assert result.status == _simplex.OPTIMAL
+    return -result.objective > 0
