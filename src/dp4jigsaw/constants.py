@@ -225,6 +225,8 @@ def finite_density_product(inv, prime_bound, exact=False):
         raise OutOfRange("prime_bound must be >= 2")
     if prime_bound > MAX_PRIME_BOUND:
         raise OutOfRange(f"prime_bound must be <= {MAX_PRIME_BOUND}, got {prime_bound}")
+    if exact and prime_bound > 10 ** 4:
+        raise OutOfRange("exact partial products only for bounds <= 10^4")
     norms = _prime_norms(inv, prime_bound)
     arr = np.array(norms, dtype=np.float64)
     log_value = math.fsum(np.log1p(-1.0 / arr ** 2).tolist()) if norms else 0.0
@@ -235,8 +237,6 @@ def finite_density_product(inv, prime_bound, exact=False):
         tail = 2.0 / prime_bound + prime_bound ** -1.5
     exact_partial = None
     if exact:
-        if prime_bound > 10 ** 4:
-            raise OutOfRange("exact partial products only for bounds <= 10^4")
         exact_partial = Fraction(1)
         for n in norms:
             exact_partial *= Fraction(n * n - 1, n * n)

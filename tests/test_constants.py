@@ -102,6 +102,13 @@ class TestEulerProduct:
         with pytest.raises(Sieved):  # the limit itself is accepted
             C.finite_density_product(C.get_field(field), C.MAX_PRIME_BOUND)
 
+    def test_exact_limit_is_checked_before_the_sieve(self, monkeypatch):
+        def sieved(*args):
+            raise AssertionError("sieved past the exact-product limit")
+        monkeypatch.setattr(C, "_prime_norms", sieved)
+        with pytest.raises(OutOfRange):
+            C.finite_density_product(C.get_field("Q"), 10 ** 5, exact=True)
+
     def test_unsupported_field(self):
         cubic = C.FieldInvariants("cubic", r1=3, r2=0, abs_disc=49, regulator=1.0,
                                   class_number=1, mu=2)

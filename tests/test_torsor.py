@@ -15,7 +15,9 @@ from dp4jigsaw import surface as S
 from dp4jigsaw import torsor as T
 from dp4jigsaw.errors import (EquationViolated, NonpositiveBound,
                               NonUnitMiddle, OutOfRange)
-from tests_support import enumerate_valid, naive_torsor_count
+from tests_support import (a8_side_counts_elementwise, enumerate_valid,
+                           naive_torsor_count, pair_counts_elementwise,
+                           product_inverse_table)
 
 mk = S.ProjectivePoint.make
 
@@ -173,6 +175,65 @@ class TestFastCounter:
             T.torsor_count(T.MAX_TORSOR_BOUND + 1)
 
 
+class TestResidueArithmetic:
+    """Mirrored inverse tables and per-residue sums against elementwise oracles."""
+
+    def test_mirrored_tables_equal_the_full_product(self):
+        # test_inverse_table_matches_pow checks the same m against pow
+        for m in range(1, 401):
+            assert T._inverse_table(m).tolist() == product_inverse_table(m).tolist(), m
+
+    def test_mirror_edges(self):
+        assert T._inverse_table(2).tolist() == [-1, 1]
+        assert T._inverse_table(3).tolist() == [-1, 1, 2]
+        assert T._inverse_table(4).tolist() == [-1, 1, -1, 3]
+        for m in range(4, 401, 2):  # m / 2 is its own mirror, and no unit
+            assert T._inverse_table(m)[m // 2] == -1, m
+
+    def test_class_sum_matches_a_scan(self):
+        rng = random.Random(8128)
+        for _ in range(300):
+            a1 = rng.randint(2, 60)
+            x, n = rng.randint(0, 500), rng.randint(0, 300)
+            inv = T._inverse_table(a1)
+            residues = T._Residues(a1, inv, max(n, a1))  # at least one period
+            scan = sum((x - c) // a1 + (x + c) // a1
+                       for c, w in zip(residues.classes[1:n + 1].tolist(),
+                                       residues.weights[1:n + 1].tolist()) if w)
+            assert residues.class_sum(x, n) == scan, (a1, x, n)
+            assert residues.units(n) == sum(gcd(a8, a1) == 1 for a8 in range(1, n + 1))
+
+    def test_both_halves_match_the_elementwise_formulas(self):
+        rng = random.Random(31337)
+        cases = []
+        for _ in range(200):
+            b = rng.randint(4, 2 * 10 ** 5)
+            cases.append((rng.randint(2, isqrt(b)), b))
+        for k in (2, 3, 17, 100, 447):
+            cases.append((k, k * k))                  # a1 = K > M = K - 1
+            cases.append((k, k * k + 2 * k))          # a1 = K = M
+        for b in (1000, 12345, 99999, 2 * 10 ** 5):
+            m = b // (isqrt(b) + 1)
+            cases += [(a1, b) for a1 in range(2, isqrt(b) + 1) if m % a1 == 0]
+        seen = set()
+        for a1, b in cases:
+            bound = T._Bound(b)
+            inv = T._inverse_table(a1)
+            residues = T._Residues(a1, inv, bound.k)
+            classes = residues.classes[a1 + 1:bound.k + 1]
+            assert (T._pair_counts_fast(a1, classes, bound, residues)
+                    == pair_counts_elementwise(a1, b, inv)), (a1, b)
+            assert (T._a8_side_counts(a1, bound, residues)
+                    == a8_side_counts_elementwise(a1, b, inv)), (a1, b)
+            if bound.m < a1:
+                seen.add("M < a1")
+            if bound.m % a1 == 0:
+                seen.add("M % a1 = 0")
+            if a1 == bound.k:
+                seen.add("a1 = K")
+        assert seen == {"M < a1", "M % a1 = 0", "a1 = K"}
+
+
 class TestSharedSweep:
     """torsor_counts: one sweep for many bounds, with product-built inverses."""
 
@@ -203,12 +264,12 @@ class TestSharedSweep:
                 break
             assert inv.tolist() == self.pow_table(m), m
         (first, end1, size1), (start2, end2, size2) = blocks[:2]
-        assert first == 3  # no prime lies below 2
+        assert first == 4  # no prime lies at or below m // 2 for m < 4
         assert start2 == end1 + 1 and m == end2 + 1
         assert max(size1, size2) <= T.EUCLID_BLOCK_PAIRS
 
     def test_tables_with_tiny_blocks(self, monkeypatch):
-        monkeypatch.setattr(T, "EUCLID_BLOCK_PAIRS", 40)  # pi(m) > 40 above 179
+        monkeypatch.setattr(T, "EUCLID_BLOCK_PAIRS", 40)  # pi(m // 2) > 40 from m = 358
         moduli = []
         for m, inv in T._inverse_tables(400):
             assert inv.tolist() == self.pow_table(m), m
@@ -239,6 +300,11 @@ class TestSharedSweep:
         results = T.torsor_counts(grid)
         assert [r.count for r in results] == self.FIT_COUNTS
         assert [r.elapsed for r in results] == sorted(r.elapsed for r in results)
+
+    def test_counts_are_python_ints(self):
+        # a numpy integer would fail JSON output and could wrap around
+        for r in T.torsor_counts([3, 10 ** 4, 3 * 10 ** 4]):
+            assert type(r.count) is int
 
     def test_fractional_and_empty_inputs(self):
         assert T.torsor_counts([]) == []

@@ -1,7 +1,7 @@
 """Shared helpers for the test suite, including the oracles that only tests use."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, isqrt
 
 import numpy as np
 
@@ -55,6 +55,64 @@ def naive_torsor_count(b):
             a8 = np.arange(lo, hi + 1, dtype=np.int64)
             total += 2 * int(((a8 * a2 + 1) % a1 == 0).sum())
     return total
+
+
+def product_inverse_table(m):
+    """Oracle for torsor._inverse_table: the spf product over the whole range 0..m-1.
+
+    No mirror: every residue is filled as inv[spf(i)] * inv[i / spf(i)]
+    from the inverses of all primes below m, each by pow.
+    """
+    if m == 1:
+        return np.zeros(1, dtype=np.int64)
+    spf = np.arange(m, dtype=np.int64)
+    for p in range(2, isqrt(m - 1) + 1):
+        if spf[p] == p:
+            spf[p * p::p] = np.minimum(spf[p * p::p], p)
+    cof = np.arange(m, dtype=np.int64) // np.maximum(spf, 1)
+    inv = np.zeros(m, dtype=np.int64)
+    inv[1] = 1
+    for p in range(2, m):
+        if spf[p] == p and gcd(p, m) == 1:
+            inv[p] = pow(p, -1, m)
+    lo = 2
+    while lo < m:
+        hi = min(2 * lo, m)
+        inv[lo:hi] = inv[spf[lo:hi]] * inv[cof[lo:hi]] % m
+        lo = hi
+    inv[inv == 0] = -1
+    return inv
+
+
+def a8_side_counts_elementwise(a1, bound, inv):
+    """Oracle for torsor._a8_side_counts: the count per a8, over every a8 in 1..M.
+
+    Pairs (a2, +-a8) with K < a2 <= B // a1, one a1 >= 2; inv is the
+    inverse table mod a1 (-1 for a non-unit).
+    """
+    k = isqrt(bound)
+    a8 = np.arange(1, bound // (k + 1) + 1, dtype=np.int64)
+    cap = bound // a1
+    r = inv[a8 % a1]
+    ok = r >= 0
+    up = np.minimum((bound - 1) // a8, cap)
+    un = np.minimum(bound // a8, cap)
+    rp = (-r) % a1            # a2 class for +a8
+    count = ((up - rp) // a1 - (k - rp) // a1
+             + (un - r) // a1 - (k - r) // a1)
+    return int(count[ok].sum())
+
+
+def pair_counts_elementwise(a1, bound, inv):
+    """Oracle for torsor._pair_counts_fast: a8 solutions per a2 in (a1, K], summed."""
+    a2 = np.arange(a1 + 1, isqrt(bound) + 1, dtype=np.int64)
+    lo = -(bound // a2)
+    hi = (bound - 1) // a2
+    r = inv[a2 % a1]
+    ok = r >= 0
+    r = np.where(ok, (-r) % a1, 0)
+    count = (hi - r) // a1 + (r - lo) // a1 + 1
+    return int(np.where(ok, np.maximum(count, 0), 0).sum())
 
 
 def enumerate_valid(coord_bound):
