@@ -79,6 +79,8 @@ def _ascending(bounds):
 
 def _cmd_count(args):
     bounds = _ascending(args.bound)
+    if args.points_file:
+        surface.points_bound(bounds[-1], args.ring)  # before any count or file
     results = surface.direct_counts(bounds, ring=args.ring)
     predictor = None
     if args.ring == surface.INTEGERS:

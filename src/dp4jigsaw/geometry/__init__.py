@@ -2,11 +2,12 @@
 
 from .polytope import (AffineForm, ConeLineDiagnostic, HPolytope,
                        RationalCone, box, cone_contains_line, exact_volume,
-                       interiors_disjoint, product_polytope, standard_simplex,
-                       strictly_feasible)
+                       fix_coordinates, interiors_disjoint, product_polytope,
+                       pull_back, standard_simplex, strictly_feasible)
 
 __all__ = [
     "AffineForm", "ConeLineDiagnostic", "HPolytope", "RationalCone", "box",
-    "cone_contains_line", "exact_volume", "interiors_disjoint",
-    "product_polytope", "standard_simplex", "strictly_feasible",
+    "cone_contains_line", "exact_volume", "fix_coordinates",
+    "interiors_disjoint", "product_polytope", "pull_back", "standard_simplex",
+    "strictly_feasible",
 ]

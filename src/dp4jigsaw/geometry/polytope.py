@@ -144,6 +144,22 @@ def _enumerate(dim, rows):
     return tuple(sorted(verts))
 
 
+def fix_coordinates(forms, values):
+    """The rows with x_i = values[i] substituted, over the remaining coordinates."""
+    values = {i: Fraction(v) for i, v in values.items()}
+    return [AffineForm.make([c for i, c in enumerate(f.coeffs) if i not in values],
+                            f.const + sum(f.coeffs[i] * v for i, v in values.items()))
+            for f in forms]
+
+
+def pull_back(forms, matrix):
+    """The rows of {y : M y satisfies forms}: each row c becomes c M."""
+    cols = range(len(matrix[0]))
+    return [AffineForm.make([sum(c * row[j] for c, row in zip(f.coeffs, matrix))
+                             for j in cols], f.const)
+            for f in forms]
+
+
 class HPolytope:
     """Bounded intersection of rational halfspaces.
 
@@ -203,24 +219,12 @@ class HPolytope:
             raise DimensionMismatch("fixed indices must be distinct")
         if any(i < 0 or i >= self.dimension for i in indices):
             raise DimensionMismatch("fixed index outside ambient dimension")
-        values = {i: Fraction(v) for i, v in fixed}
-        keep = [i for i in range(self.dimension) if i not in values]
-        new_rows = []
-        for form in self.inequalities:
-            coeffs = [form.coeffs[i] for i in keep]
-            const = form.const + sum(form.coeffs[i] * values[i] for i in values)
-            new_rows.append(AffineForm.make(coeffs, const))
-        return HPolytope(len(keep), new_rows)
+        rows = fix_coordinates(self.inequalities, dict(fixed))
+        return HPolytope(self.dimension - len(indices), rows)
 
     def transform(self, matrix):
         """Pull back along x = M y: the polytope {y : M y in self}."""
-        ncols = len(matrix[0])
-        new_rows = []
-        for form in self.inequalities:
-            coeffs = [sum(form.coeffs[i] * matrix[i][j] for i in range(self.dimension))
-                      for j in range(ncols)]
-            new_rows.append(AffineForm.make(coeffs, form.const))
-        return HPolytope(ncols, new_rows)
+        return HPolytope(len(matrix[0]), pull_back(self.inequalities, matrix))
 
     def volume(self):
         return _volume(self.dimension, self.inequalities, self._vertices)
@@ -266,29 +270,18 @@ def _full_dimensional(dim, vertices):
 def _volume(dim, forms, vertices):
     if not _full_dimensional(dim, vertices):
         return Fraction(0)
-    if dim == 0:
-        return Fraction(1)
-    coords = list(vertices)
+    coords = list(vertices)  # sorted, so the triangulation is deterministic
     tight_sets = []
     for form in forms:
         tight = frozenset(i for i, v in enumerate(coords) if form.evaluate(v) == 0)
         if tight:
             tight_sets.append(tight)
-    all_indices = frozenset(range(len(coords)))
-    base = 0  # vertices are sorted, so this is deterministic
-    memo = {}
     total = Fraction(0)
-    facets = set()
-    for tight in tight_sets:
-        if tight != all_indices and affine_rank([coords[i] for i in tight]) == dim - 1:
-            facets.add(tight)
-    basept = coords[base]
-    for facet in sorted(facets, key=sorted):
-        if base in facet:
-            continue
-        for simplex in _triangulate_face(facet, dim - 1, tight_sets, coords, memo):
-            matrix = [[coords[i][j] - basept[j] for j in range(dim)] for i in simplex]
-            total += abs(frac_det(matrix))
+    for simplex in _triangulate_face(frozenset(range(len(coords))), dim,
+                                     tight_sets, coords, {}):
+        apex = coords[simplex[-1]]
+        matrix = [[coords[i][j] - apex[j] for j in range(dim)] for i in simplex[:-1]]
+        total += abs(frac_det(matrix))
     return total / factorial(dim)
 
 

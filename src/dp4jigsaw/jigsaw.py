@@ -13,10 +13,13 @@ the face,
     a0 + sum_n a_{n,1} >= 0,   -a0 + sum_n a_{n,2} >= 0,   sum_n a_{n,2} <= 1,
 
 plus one two-row block per place selected by the edge at that place.  The
-face polytopes tile a single polytope P (per-place blocks collapse to
-a_{n,1} <= 0, a_{n,2} >= 0), and (2q+3) * vol(P) = 1/(q! (q+2)!).  This
-module certifies the partition, gives every face volume in closed form, and
-exposes the cross-section census behind the mosaic pictures.
+face polytopes tile a single polytope P, whose block at every place is the
+quadrant a_{n,1} <= 0 <= a_{n,2}, and (2q+3) * vol(P) = 1/(q! (q+2)!).  The
+effective cone of a face is generated by its homogeneous rows (const 0), and
+its census pieces are its rows pulled back and sliced: all of them are built
+from one row table.  This module certifies the partition, gives every face
+volume in closed form, and exposes the cross-section census behind the
+mosaic pictures.
 
 The fan.  At one place write (s, t) = (a_{n,1}, a_{n,2}).  The four edge
 cones are consecutive cones of one unimodular fan in the quadrant
@@ -81,7 +84,8 @@ from math import comb, factorial, gcd, prod
 
 from .errors import IndexOutOfRange, NegativeRank, OutOfRange, PartitionFailure
 from .geometry import (AffineForm, HPolytope, RationalCone, cone_contains_line,
-                       exact_volume, interiors_disjoint, strictly_feasible)
+                       exact_volume, fix_coordinates, interiors_disjoint,
+                       pull_back, strictly_feasible)
 
 #: Edge labels of the Clemens path, in path order A7-A5, A5-A4, A4-A3, A3-A6.
 EDGE_LABELS = ("57", "45", "34", "36")
@@ -160,17 +164,22 @@ def ambient_dimension(q):
 def common_inequalities(q):
     """The three rows shared by every face polytope, in dimension 2q+3."""
     _check_rank(q)
-    dim = ambient_dimension(q)
-    row1 = [0] * dim
-    row2 = [0] * dim
-    row3 = [0] * dim
-    row1[0] = 1
-    row2[0] = -1
-    for n in range(q + 1):
-        row1[1 + 2 * n] = 1
-        row2[2 + 2 * n] = 1
-        row3[2 + 2 * n] = -1
-    return [AffineForm.make(row1, 0), AffineForm.make(row2, 0), AffineForm.make(row3, 1)]
+    s, t = [1, 0] * (q + 1), [0, 1] * (q + 1)
+    return [AffineForm.make([1] + s, 0), AffineForm.make([-1] + t, 0),
+            AffineForm.make([0] + [-x for x in t], 1)]
+
+
+def _place_rows(n, block, q):
+    """A per-place block of rows on (a_{n,1}, a_{n,2}), embedded in dimension 2q+3."""
+    return [AffineForm.make([0] * (1 + 2 * n) + [cs, ct] + [0] * (2 * (q - n)), 0)
+            for cs, ct in block]
+
+
+def _polytope_rows(blocks):
+    """The common rows, then blocks[n] at each place n."""
+    q = len(blocks) - 1
+    return common_inequalities(q) + [form for n, block in enumerate(blocks)
+                                     for form in _place_rows(n, block, q)]
 
 
 def face_inequalities(n, edge, q):
@@ -179,39 +188,29 @@ def face_inequalities(n, edge, q):
     _check_edge(edge)
     if not 0 <= n <= q:
         raise IndexOutOfRange(f"place index {n} not in 0..{q}")
-    dim = ambient_dimension(q)
-    forms = []
-    for cs, ct in EDGE_INEQUALITIES[edge]:
-        row = [0] * dim
-        row[1 + 2 * n] = cs
-        row[2 + 2 * n] = ct
-        forms.append(AffineForm.make(row, 0))
-    return forms
+    return _place_rows(n, EDGE_INEQUALITIES[edge], q)
+
+
+def face_rows(face):
+    """The rows of a face polytope: the common rows, then each place's edge block."""
+    for edge in face:
+        _check_edge(edge)
+    return _polytope_rows([EDGE_INEQUALITIES[edge] for edge in face])
 
 
 def face_polytope(face):
     """The polytope attached to a maximal face (a tuple of edge labels)."""
-    q = len(face) - 1
-    _check_rank(q)
-    forms = common_inequalities(q)
-    for n, edge in enumerate(face):
-        forms.extend(face_inequalities(n, edge, q))
-    return HPolytope(ambient_dimension(q), forms)
+    return HPolytope(ambient_dimension(len(face) - 1), face_rows(face))
+
+
+#: The per-place block of the union P: the quadrant s <= 0 <= t.
+QUADRANT = ((-1, 0), (0, 1))
 
 
 def union_polytope(q):
     """The polytope P tiled by the 4^(q+1) face polytopes."""
     _check_rank(q)
-    dim = ambient_dimension(q)
-    forms = common_inequalities(q)
-    for n in range(q + 1):
-        row_s = [0] * dim
-        row_s[1 + 2 * n] = -1
-        row_t = [0] * dim
-        row_t[2 + 2 * n] = 1
-        forms.append(AffineForm.make(row_s, 0))
-        forms.append(AffineForm.make(row_t, 0))
-    return HPolytope(dim, forms)
+    return HPolytope(ambient_dimension(q), _polytope_rows([QUADRANT] * (q + 1)))
 
 
 def alpha_closed_form(q):
@@ -221,26 +220,13 @@ def alpha_closed_form(q):
 
 
 def effective_generators(face):
-    """Generators of the effective cone attached to a face.
+    """Generators of the effective cone attached to a face: its homogeneous rows.
 
     Coordinates are (a0, e_{0,1}, e_{0,2}, ..., e_{q,1}, e_{q,2}): the two
     classes supported everywhere come first, then per place the classes of
     the edge's two boundary components.
     """
-    q = len(face) - 1
-    _check_rank(q)
-    dim = ambient_dimension(q)
-    a1 = [1] + [1, 0] * (q + 1)
-    a2 = [-1] + [0, 1] * (q + 1)
-    gens = [a1, a2]
-    for n, edge in enumerate(face):
-        _check_edge(edge)
-        for ce1, ce2 in EDGE_INEQUALITIES[edge]:
-            vec = [0] * dim
-            vec[1 + 2 * n] = ce1
-            vec[2 + 2 * n] = ce2
-            gens.append(vec)
-    return RationalCone.make(gens)
+    return RationalCone.make([f.coeffs for f in face_rows(face) if f.const == 0])
 
 
 # ---------------------------------------------------------------------------
@@ -608,28 +594,26 @@ class SliceCensus:
         }
 
 
-def slice_census(a1, a0, q=1):
-    """Cross-section mosaic of the face polytopes at a2 = 1 and given (a0, a1).
+def slice_census(a1, a0):
+    """Cross-section mosaic of the q = 1 face polytopes at a2 = 1 and given (a0, a1).
 
-    After the pyramid change of variables, each face polytope is sliced at
-    the fixed (a0, a1, a2=1); for q = 1 the pieces are polygons in the
-    remaining coordinates (u_{1,1}, u_{1,2}) that tile the rectangle
-    [0, a1] x [0, 1].  Returns per-face areas and vertex counts plus the
-    exact union check.
+    Each face's rows are pulled back by the pyramid change of variables and
+    fixed at (a0, a1, a2=1); the pieces are polygons in the remaining
+    coordinates (u_{1,1}, u_{1,2}) that tile the rectangle [0, a1] x [0, 1].
+    Returns per-face areas and vertex counts plus the exact union check.
     """
-    if q != 1:
-        raise OutOfRange("the cross-section census is defined for q = 1")
     a1 = Fraction(a1)
     a0 = Fraction(a0)
     if not (0 < a1 <= a0 <= 1):
         raise OutOfRange("need 0 < a1 <= a0 <= 1")
+    q = 1
     matrix = census_change_of_variables(q)
+    fixed = {0: a0, 1: a1, 2: Fraction(1)}
     pieces = {}
     positive = []
     total = Fraction(0)
     for face in all_faces(q):
-        transformed = face_polytope(face).transform(matrix)
-        piece = transformed.slice([(0, a0), (1, a1), (2, Fraction(1))])
+        piece = HPolytope(2, fix_coordinates(pull_back(face_rows(face), matrix), fixed))
         area = exact_volume(piece)
         pieces[face] = SlicePiece(area=area, vertex_count=len(piece.vertices),
                                   vertices=piece.vertices)

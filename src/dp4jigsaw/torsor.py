@@ -446,10 +446,9 @@ def torsor_height_counts(bound):
             a8 = np.arange(first, hi + 1, a1, dtype=np.int64)
             if a8.size == 0:
                 continue
+            # The a8 range keeps |y| <= b and |y + 1| <= b, so every h <= b.
             y = a2 * a8
-            h = np.maximum(a1 * a2, np.maximum(np.abs(y), np.abs(y + 1)))
-            counts = np.bincount(h[h <= b], minlength=b + 1)
-            hist += 2 * counts
+            np.add.at(hist, np.maximum(a1 * a2, np.maximum(np.abs(y), np.abs(y + 1))), 2)
     return hist.cumsum()
 
 

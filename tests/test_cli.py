@@ -1,5 +1,6 @@
 """Reporting artifacts and the dp4 command-line interface."""
 
+import hashlib
 import json
 import math
 import os
@@ -204,6 +205,18 @@ class TestCli:
         assert run_cli(["count", "--bound", "1e9"], tmp_path) == 2
         assert not (tmp_path / "counts.csv").exists()
 
+    @pytest.mark.parametrize("ring", ["Z", "Zi"])
+    def test_points_above_limit_exits_2_before_any_work(self, tmp_path, monkeypatch, ring):
+        def started(*args):
+            raise AssertionError("counting started above MAX_POINTS_BOUND")
+        monkeypatch.setattr(surface, "_divisor_sieve", started)
+        monkeypatch.setattr(surface, "_normal_form_zi", started)
+        limit = surface.MAX_POINTS_BOUND[surface.parse_ring(ring)]
+        points = tmp_path / "points.txt"
+        assert run_cli(["count", "--ring", ring, "--bound", str(limit + 1),
+                        "--points", str(points)], tmp_path) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_constant_above_prime_limit_exits_2_before_any_work(self, tmp_path, monkeypatch):
         def started(*args):
             raise AssertionError("the sieve started above MAX_PRIME_BOUND")
@@ -211,6 +224,22 @@ class TestCli:
         assert run_cli(["constant", "--field", "Q", "--prime-bound",
                         str(constants.MAX_PRIME_BOUND + 1)], tmp_path) == 2
         assert not (tmp_path / "constants.json").exists()
+
+    @pytest.mark.parametrize("args,name,digest", [
+        (["jigsaw", "--q", "0"], "jigsaw.json",
+         "b6f4e10d77d50ef77dfb1db3ca38eb840cf07f5cdb64a21ff62bf0f1ec6f75a1"),
+        (["jigsaw", "--q", "1"], "jigsaw.json",
+         "6ddd81d997a5fd6ec9687b78021046831ca6f3db1ebfa615990b0a78d05915d7"),
+        (["jigsaw", "--q", "2"], "jigsaw.json",
+         "12b0d884c04143a71aac3cbc44c1740453a37ed9327027d388c82def057b0b36"),
+        (["jigsaw", "--q", "3"], "jigsaw.json",
+         "a9a7f983cf5b3219fd2f1cead51ab30dcfa6240bcbc971be31c07ea0a03a4aa2"),
+        (["slices"], "slices.json",
+         "7774d79ea54f59b61a561224481a931ccff302a32660dd5c89eddef1ccb73f24"),
+    ], ids=["q0", "q1", "q2", "q3", "slices"])
+    def test_geometry_artifacts_are_pinned(self, tmp_path, args, name, digest):
+        assert run_cli(["--format", "json"] + args, tmp_path) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_deterministic_outputs(self, tmp_path):
         out1 = tmp_path / "run1"

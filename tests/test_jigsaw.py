@@ -7,10 +7,11 @@ from itertools import permutations
 import pytest
 
 from dp4jigsaw import jigsaw
+from dp4jigsaw.cli import main
 from dp4jigsaw.errors import (IndexOutOfRange, NegativeRank, OutOfRange,
                               PartitionFailure)
 from dp4jigsaw.geometry import (AffineForm, HPolytope, exact_volume,
-                                interiors_disjoint)
+                                interiors_disjoint, polytope)
 from tests_support import face_volume_fractions, overlapping_faces
 
 Q0_EXPECTED = {("57",): F(5, 54), ("45",): F(7, 216),
@@ -195,6 +196,16 @@ class TestEffectiveGenerators:
         gens = jigsaw.effective_generators(("36",)).generators
         assert gens == ((1, 1, 0), (-1, 0, 1), (0, 0, 1), (0, -1, -1))
 
+    def test_homogeneous_face_rows(self):
+        # (57) is pinned by test_q0_57.
+        assert jigsaw.effective_generators(("36", "45")).generators == (
+            (1, 1, 0, 1, 0), (-1, 0, 1, 0, 1), (0, 0, 1, 0, 0), (0, -1, -1, 0, 0),
+            (0, 0, 0, -3, -1), (0, 0, 0, 2, 1))
+        assert jigsaw.effective_generators(("34", "57", "36")).generators == (
+            (1, 1, 0, 1, 0, 1, 0), (-1, 0, 1, 0, 1, 0, 1), (0, -2, -1, 0, 0, 0, 0),
+            (0, 1, 1, 0, 0, 0, 0), (0, 0, 0, -1, 0, 0, 0), (0, 0, 0, 3, 1, 0, 0),
+            (0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, -1, -1))
+
     def test_q1_45_34(self):
         gens = jigsaw.effective_generators(("45", "34")).generators
         assert len(gens) == 6
@@ -317,5 +328,21 @@ class TestSliceCensus:
             jigsaw.slice_census(F(1, 2), F(1, 4))
         with pytest.raises(OutOfRange):
             jigsaw.slice_census(F(0), F(1, 2))
-        with pytest.raises(OutOfRange):
-            jigsaw.slice_census(F(1, 5), F(1, 2), q=2)
+
+    def test_census_enumerates_only_its_polygons(self, tmp_path, monkeypatch):
+        # Each piece is built in two dimensions from the face rows; no face
+        # polytope is built and no polytope above dimension 2 is enumerated.
+        dims = []
+        enumerate_ = polytope._enumerate
+
+        def recorded(dim, rows):
+            dims.append(dim)
+            return enumerate_(dim, rows)
+
+        def built(face):
+            raise AssertionError("the census built a face polytope")
+
+        monkeypatch.setattr(polytope, "_enumerate", recorded)
+        monkeypatch.setattr(jigsaw, "face_polytope", built)
+        assert main(["--output", str(tmp_path), "slices"]) == 0
+        assert dims and set(dims) == {2}

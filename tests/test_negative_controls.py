@@ -95,3 +95,21 @@ def test_valid_but_different_fan_in_jigsaw_and_slices(tmp_path, monkeypatch):
     assert jigsaw.edge_fan() == ((0, 1), (-1, 2), (-1, 1), (-2, 1), (-1, 0))
     for args in commands:
         assert run_cli(args, tmp_path) == 1
+
+
+@pytest.mark.parametrize("entry,value", [((1, 3), 0), ((2, 4), 0), ((3, 3), 1)],
+                         ids=["m13", "m24", "m33"])
+def test_census_change_of_variables_entry_in_slices(tmp_path, monkeypatch, entry, value):
+    assert run_cli(["slices"], tmp_path) == 0
+    # One wrong entry of M in x = M y: the pulled-back pieces no longer tile
+    # the rectangle [0, a1] x [0, 1] (each plant fails the union check and
+    # the published piece counts at all three a1).
+    change = jigsaw.census_change_of_variables
+
+    def planted(q):
+        m = change(q)
+        m[entry[0]][entry[1]] = value
+        return m
+
+    monkeypatch.setattr(jigsaw, "census_change_of_variables", planted)
+    assert run_cli(["slices"], tmp_path) == 1
