@@ -13,10 +13,12 @@ to recover (2q + 3) * vol(P) = 1/(q! (q+2)!).
 """
 
 from dp4jigsaw import jigsaw
+from dp4jigsaw.geometry import cone_contains_line
 
 print("edge fan rays rho0..rho4:", jigsaw.edge_fan())
+reports = {}
 for q in (0, 1, 2):
-    report = jigsaw.jigsaw_check(q)
+    report = reports[q] = jigsaw.jigsaw_check(q)
     print(f"\nunit rank q = {q}: {4 ** (q + 1)} faces in dimension {2 * q + 3}")
     if q == 0:
         for face, vol in sorted(report.per_face.items()):
@@ -37,8 +39,9 @@ for q in (5, 10, 20):
 
 print("\nThe degenerate face is the all-(36) tuple; its effective cone")
 print("contains a line, the analytic obstruction to full dimensionality:")
-for face, diag in jigsaw.degenerate_faces(1):
-    gens = jigsaw.effective_generators(face).generators
-    lam = diag.line_combination
+for face in reports[1].degenerate_faces:
+    cone = jigsaw.effective_generators(face)
+    gens = cone.generators
+    lam = cone_contains_line(cone).line_combination
     combo = " + ".join(f"{c}*{g}" for c, g in zip(lam, gens) if c)
     print(f"  {jigsaw.face_key(face)}:  {combo} = 0")

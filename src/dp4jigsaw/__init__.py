@@ -17,8 +17,8 @@ Subpackages and modules:
 
 from .constants import (ConstantBreakdown, FieldInvariants, finite_density_product,
                         leading_constant, omega_arch, predicted_count, rho_K)
-from .jigsaw import (JigsawReport, alpha_closed_form, degenerate_faces,
-                     face_polytope, jigsaw_check, slice_census, union_polytope)
+from .jigsaw import (JigsawReport, alpha_closed_form, face_polytope, jigsaw_check,
+                     slice_census, union_polytope)
 from .surface import (CountResult, GroundRing, ProjectivePoint, count_mod_p,
                       direct_count, height, is_integral, on_lines, on_surface)
 from .torsor import (TorsorPoint, lifted_height, map_to_surface, torsor_count,

@@ -70,11 +70,25 @@ exactly when e = (0, 0, 0), that is m57 = m45 = m34 = 0: the all-(36)
 face, the only degenerate face for every q.  There sigma <= 0 on both
 rays rho3, rho4, so the a0-interval has length 0 everywhere.
 
+The second route to it is duality.  A face's homogeneous rows cut out the
+cone C dual to its effective cone E, and its polytope is C cut by
+sum_n a_{n,2} <= 1, so the polytope has an interior point exactly when C
+does.  If E is pointed, a functional u positive on every generator is
+interior to C, and u / (1 + |sum_n u_{n,2}|) lies strictly inside the
+polytope; if E contains a line, a nonnegative combination of generators
+sums to 0 and no point is positive on all of them (Gordan).
+degenerate_face_report runs one double description per edge multiset and
+checks each witness point against the face rows; no face polytope is
+built.
+
 alpha_sum certifies the fan and sums the closed form over the C(q+4, 3)
 edge multisets with multinomial weights.  jigsaw_check keeps a second
-route for the union volume, exact_volume(union_polytope(q)); the
-triangulated face volumes and the pairwise disjointness checks of
-_FaceCache stay as the oracles the tests compare against.
+route for the union volume, exact_volume(union_polytope(q)).  The pyramid
+P' and its base P'_0 are P's rows pulled back to the census coordinates.
+The triangulated face volumes and the pairwise disjointness checks of
+_FaceCache, the vertex-based strictly_feasible on each face polytope, and
+hand-written inequality lists for P' and P'_0 stay as the oracles the
+tests compare against.
 """
 
 from dataclasses import dataclass
@@ -83,6 +97,8 @@ from itertools import product
 from math import comb, factorial, gcd, prod
 
 from .errors import IndexOutOfRange, NegativeRank, OutOfRange, PartitionFailure
+# strictly_feasible is not called here: it is the tests' oracle for the
+# strict-feasibility column, and bench/layers.py counts its calls by this name.
 from .geometry import (AffineForm, HPolytope, RationalCone, cone_contains_line,
                        exact_volume, fix_coordinates, interiors_disjoint,
                        pull_back, strictly_feasible)
@@ -106,14 +122,15 @@ EDGE_INEQUALITIES = {
 #: formula (see the module docstring).
 LAPLACE_POLES = (Fraction(1), Fraction(3, 2), Fraction(2))
 
-#: Largest q that jigsaw_check and the degenerate-face diagnostics accept.
-#: They list all 4^(q+1) faces, triangulate P in dimension 2q + 3 and solve
-#: one exact LP per edge multiset.  `dp4 jigsaw` at q = 3, 4, 5, 6, 7 took
-#: 2.9, 7.2, 15.7, 37.1 and 85.8 s on a 2-vCPU Xeon, at 30, 31, 33, 41 and
-#: 71 MB peak RSS, and wrote a jigsaw.json of 9 KB, 42 KB, 190 KB, 862 KB
-#: and 3.9 MB: each step in q costs 2.2-2.5x the time and 4x the faces, and
-#: q = 6 is the last rank that runs in under a minute.  alpha_sum, which
-#: lists edge multisets instead of faces, has no limit.
+#: Largest q that jigsaw_check and degenerate_face_report accept.  They
+#: list all 4^(q+1) faces, triangulate P in dimension 2q + 3 and run one
+#: double description per edge multiset.  `dp4 jigsaw` at q = 4, 5, 6, 7
+#: took 0.8, 2.1, 5.7 and 25.2 s on a 2-vCPU Xeon, at 31, 33, 42 and 72 MB
+#: peak RSS, and wrote a jigsaw.json of 42 KB, 190 KB, 862 KB and 3.9 MB:
+#: each step in q costs 2.5-4.4x the time and 4x the faces.  Raising the
+#: cap waits for face volumes read off the edge fan for every fan of the
+#: quadrant (ROADMAP item 1).  alpha_sum, which lists edge multisets
+#: instead of faces, has no limit.
 MAX_JIGSAW_RANK = 6
 
 #: The published positive-piece counts of the q = 1 census, by a1.
@@ -207,10 +224,14 @@ def face_polytope(face):
 QUADRANT = ((-1, 0), (0, 1))
 
 
+def _union_rows(q):
+    _check_rank(q)
+    return _polytope_rows([QUADRANT] * (q + 1))
+
+
 def union_polytope(q):
     """The polytope P tiled by the 4^(q+1) face polytopes."""
-    _check_rank(q)
-    return HPolytope(ambient_dimension(q), _polytope_rows([QUADRANT] * (q + 1)))
+    return HPolytope(ambient_dimension(q), _union_rows(q))
 
 
 def alpha_closed_form(q):
@@ -426,33 +447,43 @@ def jigsaw_check(q):
     )
 
 
-def degenerate_faces(q):
-    """Faces with volume-zero polytopes, each with its cone diagnostic."""
-    _check_listed_rank(q)
-    return [(f, cone_contains_line(effective_generators(f)))
-            for f, v in _face_volumes(q).items() if v == 0]
+def interior_certificate(face):
+    """The face's cone diagnostic, and a point strictly inside its polytope or None.
+
+    One double description of the effective cone decides both (see the
+    module docstring): a separating functional u gives the candidate
+    u / (1 + |sum_n u_{n,2}|), returned only if every face row is positive
+    there; a line combination means there is no interior point.
+    """
+    diagnostic = cone_contains_line(effective_generators(face))
+    u = diagnostic.separating_functional
+    if u is None:
+        return diagnostic, None
+    point = tuple(Fraction(x, 1 + abs(sum(u[2::2]))) for x in u)
+    inside = all(form.evaluate(point) > 0 for form in face_rows(face))
+    return diagnostic, point if inside else None
 
 
 def degenerate_face_report(q):
-    """Compare the volume-zero faces against two independent diagnostics.
+    """Compare the volume-zero faces against the cone diagnostic.
 
-    The volumes come from the closed form.  The strict-feasibility oracle
-    decides full-dimensionality from the face polytope's vertices; the cone
-    diagnostic tests whether the effective cone contains a line.  For q = 1
-    the report also records whether the reference face ((57),(57)) is among
-    the degenerate ones - it is not under these inequality systems, and the
-    report states the discrepancy rather than resolving it.
+    The volumes come from the closed form.  interior_certificate runs once
+    per edge multiset: a face is strictly feasible when its checked witness
+    point exists, and its effective cone contains a line when the line
+    combination does.  For q = 1 the report also records whether the
+    reference face ((57),(57)) is among the degenerate ones - it is not
+    under these inequality systems, and the report states the discrepancy
+    rather than resolving it.
     """
     _check_listed_rank(q)
     per_face = _face_volumes(q)
     faces = list(per_face)
     # Both verdicts depend only on the sorted face, as the volume does.
-    keys = dict.fromkeys(tuple(sorted(f)) for f in faces)
-    strict = {k: strictly_feasible(face_polytope(k)) for k in keys}
-    line = {k: cone_contains_line(effective_generators(k)).contains_line for k in keys}
+    certificates = {k: interior_certificate(k)
+                    for k in dict.fromkeys(tuple(sorted(f)) for f in faces)}
     volume_zero = [f for f in faces if per_face[f] == 0]
-    strict_zero = [f for f in faces if not strict[tuple(sorted(f))]]
-    cone_line = [f for f in faces if line[tuple(sorted(f))]]
+    strict_zero = [f for f in faces if certificates[tuple(sorted(f))][1] is None]
+    cone_line = [f for f in faces if certificates[tuple(sorted(f))][0].contains_line]
     report = {
         "q": q,
         "volume_zero_faces": sorted(face_key(f) for f in volume_zero),
@@ -498,64 +529,20 @@ def census_change_of_variables(q):
     return m
 
 
+def _pyramid_rows(q):
+    return pull_back(_union_rows(q), census_change_of_variables(q))
+
+
 def pyramid_polytope(q):
-    """P' in coordinates (a0, a1, a2, u_{1,1}, ..., u_{q,2}): a pyramid
-    with apex at the origin over the base at a2 = 1."""
-    _check_rank(q)
-    dim = ambient_dimension(q)
-
-    def unit(i):
-        row = [0] * dim
-        row[i] = 1
-        return row
-
-    forms = [
-        AffineForm.ge(unit(1), 0),                      # a1 >= 0
-        AffineForm.make([1, -1] + [0] * (dim - 2), 0),  # a0 - a1 >= 0
-        AffineForm.make([-1, 0, 1] + [0] * (dim - 3), 0),  # a2 - a0 >= 0
-        AffineForm.ge(unit(2), 0),                      # a2 >= 0
-        AffineForm.le(unit(2), 1),                      # a2 <= 1
-    ]
-    sum_u1 = [0] * dim
-    sum_u2 = [0] * dim
-    sum_u1[1] = 1
-    sum_u2[2] = 1
-    for n in range(1, q + 1):
-        sum_u1[1 + 2 * n] = -1
-        sum_u2[2 + 2 * n] = -1
-        forms.append(AffineForm.ge(unit(1 + 2 * n), 0))
-        forms.append(AffineForm.ge(unit(2 + 2 * n), 0))
-    forms.append(AffineForm.make(sum_u1, 0))  # sum u_{n,1} <= a1
-    forms.append(AffineForm.make(sum_u2, 0))  # sum u_{n,2} <= a2
-    return HPolytope(dim, forms)
+    """P' in coordinates (a0, a1, a2, u_{1,1}, ..., u_{q,2}): P pulled back
+    by census_change_of_variables, a pyramid with apex at the origin over
+    the base at a2 = 1."""
+    return HPolytope(ambient_dimension(q), _pyramid_rows(q))
 
 
 def pyramid_base_polytope(q):
     """P'_0, the base of the pyramid at a2 = 1, in dimension 2q + 2."""
-    _check_rank(q)
-    dim = 2 * q + 2
-
-    def unit(i):
-        row = [0] * dim
-        row[i] = 1
-        return row
-
-    forms = [
-        AffineForm.ge(unit(1), 0),                      # a1 >= 0
-        AffineForm.make([1, -1] + [0] * (dim - 2), 0),  # a0 - a1 >= 0
-        AffineForm.le(unit(0), 1),                      # a0 <= 1
-    ]
-    sum_u1 = [0] * dim
-    sum_u2 = [0] * dim
-    sum_u1[1] = 1
-    for n in range(1, q + 1):
-        sum_u1[2 * n] = -1
-        sum_u2[1 + 2 * n] = -1
-        forms.append(AffineForm.ge(unit(2 * n), 0))
-        forms.append(AffineForm.ge(unit(1 + 2 * n), 0))
-    forms.append(AffineForm.make(sum_u1, 0))  # sum u_{n,1} <= a1
-    forms.append(AffineForm.make(sum_u2, 1))  # sum u_{n,2} <= 1
-    return HPolytope(dim, forms)
+    return HPolytope(2 * q + 2, fix_coordinates(_pyramid_rows(q), {2: 1}))
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,17 @@ from dp4jigsaw.cli import main
 from dp4jigsaw.errors import (IndexOutOfRange, NegativeRank, OutOfRange,
                               PartitionFailure)
 from dp4jigsaw.geometry import (AffineForm, HPolytope, exact_volume,
-                                interiors_disjoint, polytope)
-from tests_support import face_volume_fractions, overlapping_faces
+                                interiors_disjoint, polytope, strictly_feasible)
+from tests_support import (face_volume_fractions, hand_pyramid_base_polytope,
+                           hand_pyramid_polytope, overlapping_faces)
 
 Q0_EXPECTED = {("57",): F(5, 54), ("45",): F(7, 216),
                ("34",): F(1, 24), ("36",): F(0)}
+
+
+def multiset_face(m):
+    """The face with edge multiplicities m, its edges in path order."""
+    return tuple(e for e, k in zip(jigsaw.EDGE_LABELS, m) for _ in range(k))
 
 
 class TestFaceInequalities:
@@ -97,8 +103,7 @@ class TestJigsawCheck:
         monkeypatch.setattr(jigsaw, "union_polytope", built)
         monkeypatch.setattr(jigsaw, "face_polytope", built)
         q = jigsaw.MAX_JIGSAW_RANK + 1
-        for call in (jigsaw.jigsaw_check, jigsaw.degenerate_faces,
-                     jigsaw.degenerate_face_report):
+        for call in (jigsaw.jigsaw_check, jigsaw.degenerate_face_report):
             with pytest.raises(OutOfRange):
                 call(q)
         assert jigsaw.alpha_sum(q) == jigsaw.alpha_closed_form(q)
@@ -111,7 +116,7 @@ class TestClosedForm:
     def test_face_volume_equals_triangulation(self, q):
         cache = jigsaw._FaceCache()
         for m in jigsaw.edge_multisets(q):
-            face = tuple(e for e, k in zip(jigsaw.EDGE_LABELS, m) for _ in range(k))
+            face = multiset_face(m)
             assert jigsaw.multiplicities(face) == m
             assert jigsaw.face_volume(*m) == cache.volume(face)
 
@@ -214,14 +219,41 @@ class TestEffectiveGenerators:
 
 
 class TestDegenerateFaces:
-    def test_q0(self):
-        faces = jigsaw.degenerate_faces(0)
-        assert [f for f, _ in faces] == [("36",)]
-        assert faces[0][1].contains_line
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_certificates_match_the_vertex_oracle(self, q):
+        strict = {}
+        for m in jigsaw.edge_multisets(q):
+            face = multiset_face(m)
+            p = jigsaw.face_polytope(face)
+            diagnostic, point = jigsaw.interior_certificate(face)
+            strict[m] = strictly_feasible(p)
+            assert (point is not None) == strict[m]
+            assert diagnostic.contains_line == (point is None)
+            if point is None:
+                gens = jigsaw.effective_generators(face).generators
+                lam = diagnostic.line_combination
+                assert min(lam) >= 0 and any(lam)
+                assert not any(sum(c * g[j] for c, g in zip(lam, gens))
+                               for j in range(len(gens[0])))
+            else:
+                assert p.contains(point, strict=True)
+        expected = sorted(jigsaw.face_key(f) for f in jigsaw.all_faces(q)
+                          if not strict[jigsaw.multiplicities(f)])
+        report = jigsaw.degenerate_face_report(q)
+        assert report["strict_feasibility_zero_faces"] == expected
+        assert report["volume_zero_faces"] == expected
 
-    def test_q1(self):
-        faces = jigsaw.degenerate_faces(1)
-        assert [f for f, _ in faces] == [("36", "36")]
+    def test_jigsaw_command_builds_no_face_polytope(self, tmp_path, monkeypatch):
+        # The report decides strict feasibility from one cone per edge
+        # multiset; the face polytopes and their vertex oracle stay unused.
+        calls = []
+        for name in ("face_polytope", "strictly_feasible"):
+            def counted(*args, _name=name, _fn=getattr(jigsaw, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(jigsaw, name, counted)
+        assert main(["--output", str(tmp_path), "jigsaw", "--q", "2"]) == 0
+        assert calls == []
 
     def test_q1_reference_face_is_not_degenerate_here(self):
         # the (57),(57) system admits the interior point below, so the
@@ -288,7 +320,13 @@ class TestPyramid:
     def test_change_of_variables_preserves_union(self, q):
         m = jigsaw.census_change_of_variables(q)
         transformed = jigsaw.union_polytope(q).transform(m)
-        assert exact_volume(transformed) == exact_volume(jigsaw.pyramid_polytope(q))
+        assert exact_volume(transformed) == exact_volume(hand_pyramid_polytope(q))
+
+    @pytest.mark.parametrize("q", [0, 1, 2, 3])
+    def test_pulled_back_pyramids_equal_the_hand_lists(self, q):
+        assert jigsaw.pyramid_polytope(q).vertices == hand_pyramid_polytope(q).vertices
+        assert (jigsaw.pyramid_base_polytope(q).vertices
+                == hand_pyramid_base_polytope(q).vertices)
 
     def test_pyramid_base_slice_is_rectangle(self):
         p = jigsaw.pyramid_base_polytope(1).slice([(0, F(3, 5)), (1, F(2, 5))])

@@ -4,12 +4,14 @@ Each case first runs the checker unplanted (exit 0), so a control that
 passes can only mean the checker caught the defect.
 """
 
+import json
 from fractions import Fraction as F
 
 import pytest
 
 from dp4jigsaw import constants, jigsaw, surface
 from dp4jigsaw.cli import main
+from dp4jigsaw.geometry import ConeLineDiagnostic
 
 
 def run_cli(args, outdir):
@@ -113,3 +115,25 @@ def test_census_change_of_variables_entry_in_slices(tmp_path, monkeypatch, entry
 
     monkeypatch.setattr(jigsaw, "census_change_of_variables", planted)
     assert run_cli(["slices"], tmp_path) == 1
+
+
+def test_negated_separating_functional_in_jigsaw(tmp_path, monkeypatch):
+    args = ["--format", "json", "jigsaw", "--q", "1"]
+    assert run_cli(args, tmp_path) == 0
+    # A functional negative on every generator: no witness point passes the
+    # face rows, so the strict-feasibility column lists all 16 faces against
+    # the one volume-zero face.
+    diagnose = jigsaw.cone_contains_line
+
+    def negated(cone):
+        diagnostic = diagnose(cone)
+        u = diagnostic.separating_functional
+        if u is None:
+            return diagnostic
+        return ConeLineDiagnostic(None, tuple(-x for x in u))
+
+    monkeypatch.setattr(jigsaw, "cone_contains_line", negated)
+    assert run_cli(args, tmp_path) == 1
+    report = json.loads((tmp_path / "jigsaw.json").read_text())["degenerate_report"]
+    assert len(report["strict_feasibility_zero_faces"]) == 16
+    assert report["volume_zero_faces"] == ["36,36"]

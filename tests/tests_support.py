@@ -6,7 +6,7 @@ from math import comb, factorial, gcd, isqrt
 import numpy as np
 
 from dp4jigsaw import jigsaw
-from dp4jigsaw.geometry import _simplex
+from dp4jigsaw.geometry import AffineForm, HPolytope, _simplex
 from dp4jigsaw.geometry._intlinalg import clear_denominators
 from dp4jigsaw.geometry.polytope import ConeLineDiagnostic
 from dp4jigsaw.jigsaw import _FaceCache, all_faces
@@ -221,3 +221,60 @@ def lp_strictly_feasible(p):
     result = _simplex.solve_lp(cost, a_matrix, b_vector)
     assert result.status == _simplex.OPTIMAL
     return -result.objective > 0
+
+
+def hand_pyramid_polytope(q):
+    """Oracle for jigsaw.pyramid_polytope: P' from its own inequality list."""
+    dim = jigsaw.ambient_dimension(q)
+
+    def unit(i):
+        row = [0] * dim
+        row[i] = 1
+        return row
+
+    forms = [
+        AffineForm.ge(unit(1), 0),                      # a1 >= 0
+        AffineForm.make([1, -1] + [0] * (dim - 2), 0),  # a0 - a1 >= 0
+        AffineForm.make([-1, 0, 1] + [0] * (dim - 3), 0),  # a2 - a0 >= 0
+        AffineForm.ge(unit(2), 0),                      # a2 >= 0
+        AffineForm.le(unit(2), 1),                      # a2 <= 1
+    ]
+    sum_u1 = [0] * dim
+    sum_u2 = [0] * dim
+    sum_u1[1] = 1
+    sum_u2[2] = 1
+    for n in range(1, q + 1):
+        sum_u1[1 + 2 * n] = -1
+        sum_u2[2 + 2 * n] = -1
+        forms.append(AffineForm.ge(unit(1 + 2 * n), 0))
+        forms.append(AffineForm.ge(unit(2 + 2 * n), 0))
+    forms.append(AffineForm.make(sum_u1, 0))  # sum u_{n,1} <= a1
+    forms.append(AffineForm.make(sum_u2, 0))  # sum u_{n,2} <= a2
+    return HPolytope(dim, forms)
+
+
+def hand_pyramid_base_polytope(q):
+    """Oracle for jigsaw.pyramid_base_polytope: P'_0 from its own inequality list."""
+    dim = 2 * q + 2
+
+    def unit(i):
+        row = [0] * dim
+        row[i] = 1
+        return row
+
+    forms = [
+        AffineForm.ge(unit(1), 0),                      # a1 >= 0
+        AffineForm.make([1, -1] + [0] * (dim - 2), 0),  # a0 - a1 >= 0
+        AffineForm.le(unit(0), 1),                      # a0 <= 1
+    ]
+    sum_u1 = [0] * dim
+    sum_u2 = [0] * dim
+    sum_u1[1] = 1
+    for n in range(1, q + 1):
+        sum_u1[2 * n] = -1
+        sum_u2[1 + 2 * n] = -1
+        forms.append(AffineForm.ge(unit(2 * n), 0))
+        forms.append(AffineForm.ge(unit(1 + 2 * n), 0))
+    forms.append(AffineForm.make(sum_u1, 0))  # sum u_{n,1} <= a1
+    forms.append(AffineForm.make(sum_u2, 1))  # sum u_{n,2} <= 1
+    return HPolytope(dim, forms)
