@@ -2,7 +2,8 @@
 
 Everything in the geometry layer funnels through these helpers: content
 normalization of integer vectors, fraction-free (Bareiss) determinants and
-ranks, and small dense solves over Fraction.  No floating point anywhere.
+ranks, and small dense solves over Fraction.  Integer input stays in int:
+scaling an all-int vector builds no Fraction.  No floating point anywhere.
 """
 
 from fractions import Fraction
@@ -29,6 +30,8 @@ def primitive(vec):
 
 def _scale_to_int(vec):
     """(integer vector, m): a rational vector times m, the lcm of its denominators."""
+    if all(type(x) is int for x in vec):
+        return list(vec), 1
     fracs = [Fraction(x) for x in vec]
     mult = lcm(*[f.denominator for f in fracs])
     return [int(f * mult) for f in fracs], mult

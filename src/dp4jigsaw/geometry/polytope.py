@@ -4,11 +4,12 @@ All polytopes are closed and bounded; inequalities are normalized to
 primitive integer rows <c, x> + b >= 0.  Vertices come from one route:
 incremental double description of the homogenization cone, which also
 reports emptiness and recession directions, with every vertex certified
-by an active-set rank check.  The brute-force active-set search
+by an integer rank check on its ray.  The brute-force active-set search
 `_vertices_brute` is kept only as the reference the tests compare against.
 Volumes come from a determinant triangulation fanned from a base vertex
-over recursively triangulated facets.  Full-dimensionality and cone
-pointedness are read off double descriptions too; no linear program runs.
+over recursively triangulated facets, on the vertices scaled to integers.
+Full-dimensionality and cone pointedness are read off double descriptions
+too; no linear program runs.
 
 A polytope that is nonempty but not full-dimensional has volume exactly 0;
 that is a meaningful output here, not an error.
@@ -17,12 +18,12 @@ that is a meaningful output here, not an error.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from ..errors import DimensionMismatch, EmptyGeneratorList, UnboundedInput
 from ._dd import dd_cone
 from ._intlinalg import (affine_rank, clear_denominators, frac_det, int_rank,
-                         primitive, solve_square)
+                         solve_square)
 
 
 @dataclass(frozen=True)
@@ -108,25 +109,18 @@ def _vertices_dd(dim, rows):
     t_row = tuple([0] * dim + [1])
     hom_rows = [t_row] + [tuple(row) for row in rows]
     lineality, rays = dd_cone(dim + 1, hom_rows)
-    vertices = set()
-    recession = bool(lineality)
-    for ray in rays:
-        t = ray[dim]
-        if t > 0:
-            vertices.add(tuple(Fraction(ray[j], t) for j in range(dim)))
-        else:
-            recession = True
-    if not vertices:
+    recession = bool(lineality) or any(ray[dim] <= 0 for ray in rays)
+    # Primitive rays with t > 0 are the candidates, one per vertex x / t.
+    candidates = {ray for ray in rays if ray[dim] > 0}
+    if not candidates:
         return set(), False
     # Certify extremeness: a vertex must have d active rows of full rank.
-    coeff = [row[:dim] for row in rows]
-    const = [row[dim] for row in rows]
+    # Row (c, b) is active at x / t iff <c, x> + b t == 0, all in integers.
     certified = set()
-    for v in vertices:
-        active = [coeff[i] for i in range(len(rows))
-                  if sum(c * x for c, x in zip(coeff[i], v)) + const[i] == 0]
-        if active and int_rank([clear_denominators(r) for r in active]) == dim:
-            certified.add(v)
+    for ray in candidates:
+        active = [row[:dim] for row in rows if sum(a * z for a, z in zip(row, ray)) == 0]
+        if active and int_rank(active) == dim:
+            certified.add(tuple(Fraction(x, ray[dim]) for x in ray[:dim]))
     return certified, recession
 
 
@@ -212,20 +206,6 @@ class HPolytope:
             return all(f.evaluate(point) > 0 for f in self.inequalities)
         return all(f.evaluate(point) >= 0 for f in self.inequalities)
 
-    def slice(self, fixed):
-        """Substitute fixed coordinate values; polytope in the remaining coords."""
-        indices = [i for i, _ in fixed]
-        if len(set(indices)) != len(indices):
-            raise DimensionMismatch("fixed indices must be distinct")
-        if any(i < 0 or i >= self.dimension for i in indices):
-            raise DimensionMismatch("fixed index outside ambient dimension")
-        rows = fix_coordinates(self.inequalities, dict(fixed))
-        return HPolytope(self.dimension - len(indices), rows)
-
-    def transform(self, matrix):
-        """Pull back along x = M y: the polytope {y : M y in self}."""
-        return HPolytope(len(matrix[0]), pull_back(self.inequalities, matrix))
-
     def volume(self):
         return _volume(self.dimension, self.inequalities, self._vertices)
 
@@ -267,13 +247,23 @@ def _full_dimensional(dim, vertices):
     return len(vertices) > dim and affine_rank(list(vertices)) == dim
 
 
+def _lattice(vertices):
+    """(D, integer points D v): the vertices scaled by D, the lcm of their denominators."""
+    scale = lcm(*[x.denominator for v in vertices for x in v])
+    return scale, [tuple(x.numerator * (scale // x.denominator) for x in v)
+                   for v in vertices]
+
+
 def _volume(dim, forms, vertices):
-    if not _full_dimensional(dim, vertices):
+    """Triangulate D P, whose faces and ranks are P's, and divide by D^dim dim!."""
+    scale, coords = _lattice(vertices)  # sorted, so the triangulation is deterministic
+    if not _full_dimensional(dim, coords):
         return Fraction(0)
-    coords = list(vertices)  # sorted, so the triangulation is deterministic
     tight_sets = []
     for form in forms:
-        tight = frozenset(i for i, v in enumerate(coords) if form.evaluate(v) == 0)
+        const = form.const * scale
+        tight = frozenset(i for i, v in enumerate(coords)
+                          if sum(c * x for c, x in zip(form.coeffs, v)) + const == 0)
         if tight:
             tight_sets.append(tight)
     total = Fraction(0)
@@ -282,7 +272,7 @@ def _volume(dim, forms, vertices):
         apex = coords[simplex[-1]]
         matrix = [[coords[i][j] - apex[j] for j in range(dim)] for i in simplex[:-1]]
         total += abs(frac_det(matrix))
-    return total / factorial(dim)
+    return total / (scale ** dim * factorial(dim))
 
 
 # ---------------------------------------------------------------------------

@@ -125,9 +125,9 @@ LAPLACE_POLES = (Fraction(1), Fraction(3, 2), Fraction(2))
 #: Largest q that jigsaw_check and degenerate_face_report accept.  They
 #: list all 4^(q+1) faces, triangulate P in dimension 2q + 3 and run one
 #: double description per edge multiset.  `dp4 jigsaw` at q = 4, 5, 6, 7
-#: took 0.8, 2.1, 5.7 and 25.2 s on a 2-vCPU Xeon, at 31, 33, 42 and 72 MB
+#: took 0.6, 0.9, 2.0 and 6.5 s on a 2-vCPU Xeon, at 31, 33, 40 and 72 MB
 #: peak RSS, and wrote a jigsaw.json of 42 KB, 190 KB, 862 KB and 3.9 MB:
-#: each step in q costs 2.5-4.4x the time and 4x the faces.  Raising the
+#: each step in q costs 1.5-3.3x the time and 4x the faces.  Raising the
 #: cap waits for face volumes read off the edge fan for every fan of the
 #: quadrant (ROADMAP item 1).  alpha_sum, which lists edge multisets
 #: instead of faces, has no limit.

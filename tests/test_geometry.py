@@ -20,10 +20,12 @@ from dp4jigsaw.geometry import (AffineForm, HPolytope, RationalCone, box,
                                 cone_contains_line, exact_volume,
                                 interiors_disjoint, product_polytope,
                                 standard_simplex, strictly_feasible)
-from dp4jigsaw.geometry.polytope import _vertices_brute, _vertices_dd
+from dp4jigsaw import jigsaw
+from dp4jigsaw.geometry.polytope import _lattice, _vertices_brute, _vertices_dd
 from dp4jigsaw.geometry._simplex import feasible
-from tests_support import (lp_cone_contains_line, lp_strictly_feasible,
-                           monte_carlo_volume, random_unimodular)
+from tests_support import (fraction_volume, lp_cone_contains_line,
+                           lp_strictly_feasible, monte_carlo_volume,
+                           random_unimodular, slice_polytope, transform_polytope)
 
 
 def union_q0():
@@ -132,23 +134,23 @@ class TestFaceVolumeOracle:
 
 class TestSlice:
     def test_cube_slice(self):
-        p = box([(0, 1), (0, 1), (0, 1)]).slice([(2, F(1, 2))])
+        p = slice_polytope(box([(0, 1), (0, 1), (0, 1)]), [(2, F(1, 2))])
         assert exact_volume(p) == 1
         assert set(p.vertices) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_empty_slice(self):
-        p = box([(0, 1), (0, 1), (0, 1)]).slice([(2, F(3, 2))])
+        p = slice_polytope(box([(0, 1), (0, 1), (0, 1)]), [(2, F(3, 2))])
         assert p.is_empty() and exact_volume(p) == 0
 
     def test_slice_validation(self):
         cube = box([(0, 1)] * 3)
         with pytest.raises(DimensionMismatch):
-            cube.slice([(0, 0), (0, 1)])
+            slice_polytope(cube, [(0, 0), (0, 1)])
         with pytest.raises(DimensionMismatch):
-            cube.slice([(3, 0)])
+            slice_polytope(cube, [(3, 0)])
 
     def test_square_slice_is_a_unit_segment(self):
-        assert exact_volume(box([(0, 1)] * 2).slice([(0, F(1, 2))])) == 1
+        assert exact_volume(slice_polytope(box([(0, 1)] * 2), [(0, F(1, 2))])) == 1
 
 
 class TestInteriorsDisjoint:
@@ -223,7 +225,7 @@ class TestVolumeInvariants:
             v = exact_volume(p)
             for _ in range(5):
                 u = random_unimodular(rng, p.dimension)
-                assert exact_volume(p.transform(u)) == v
+                assert exact_volume(transform_polytope(p, u)) == v
 
     def test_product_volumes(self):
         rng = random.Random(5)
@@ -434,3 +436,33 @@ class TestDiagnosticsAgainstLinearPrograms:
         else:
             w = diag.separating_functional
             assert all(sum(a * b for a, b in zip(w, g)) > 0 for g in gens)
+
+
+class TestLatticeVolumeAgainstFractions:
+    """The volume on the integer lattice D P against the same triangulation in Fractions."""
+
+    @PROPERTY_SETTINGS
+    @given(clipped_rows())
+    @example((2, [(1, 0, -1), (-1, 0, 0), (0, 1, 0), (0, -1, 1)]))  # empty
+    @example((3, [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 1),
+                  (0, 0, 1, 0), (0, 0, -1, 1)]))  # flat square in 3-space
+    @example((2, [(2, 3, -1), (-1, 0, 1), (0, -1, 1), (0, 1, 0), (1, 0, 0)]))  # (1/2, 0), (0, 1/3)
+    def test_clipped_rows(self, case):
+        p = HPolytope(*case)
+        assert p.volume() == fraction_volume(p.dimension, p.inequalities, p.vertices)
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("build", [jigsaw.union_polytope, jigsaw.pyramid_polytope,
+                                       jigsaw.pyramid_base_polytope],
+                             ids=["union", "pyramid", "pyramid_base"])
+    def test_jigsaw_polytopes(self, build, q):
+        p = build(q)
+        assert p.volume() == fraction_volume(p.dimension, p.inequalities, p.vertices)
+
+    def test_scale_is_the_lcm_of_the_denominators(self):
+        # Denominators 2, 3 and 6: the lattice scale is 6, not their product 36.
+        p = box([(0, F(1, 2)), (0, F(1, 3)), (0, F(1, 6))])
+        scale, points = _lattice(p.vertices)
+        assert scale == 6
+        assert max(points) == (3, 2, 1)
+        assert p.volume() == fraction_volume(3, p.inequalities, p.vertices) == F(1, 36)

@@ -13,7 +13,8 @@ from dp4jigsaw.errors import (IndexOutOfRange, NegativeRank, OutOfRange,
 from dp4jigsaw.geometry import (AffineForm, HPolytope, exact_volume,
                                 interiors_disjoint, polytope, strictly_feasible)
 from tests_support import (face_volume_fractions, hand_pyramid_base_polytope,
-                           hand_pyramid_polytope, overlapping_faces)
+                           hand_pyramid_polytope, overlapping_faces,
+                           slice_polytope, transform_polytope)
 
 Q0_EXPECTED = {("57",): F(5, 54), ("45",): F(7, 216),
                ("34",): F(1, 24), ("36",): F(0)}
@@ -319,7 +320,7 @@ class TestPyramid:
     @pytest.mark.parametrize("q", [0, 1, 2])
     def test_change_of_variables_preserves_union(self, q):
         m = jigsaw.census_change_of_variables(q)
-        transformed = jigsaw.union_polytope(q).transform(m)
+        transformed = transform_polytope(jigsaw.union_polytope(q), m)
         assert exact_volume(transformed) == exact_volume(hand_pyramid_polytope(q))
 
     @pytest.mark.parametrize("q", [0, 1, 2, 3])
@@ -329,7 +330,7 @@ class TestPyramid:
                 == hand_pyramid_base_polytope(q).vertices)
 
     def test_pyramid_base_slice_is_rectangle(self):
-        p = jigsaw.pyramid_base_polytope(1).slice([(0, F(3, 5)), (1, F(2, 5))])
+        p = slice_polytope(jigsaw.pyramid_base_polytope(1), [(0, F(3, 5)), (1, F(2, 5))])
         assert exact_volume(p) == F(2, 5)
         assert set(p.vertices) == {(0, 0), (0, 1), (F(2, 5), 0), (F(2, 5), 1)}
 
@@ -384,3 +385,33 @@ class TestSliceCensus:
         monkeypatch.setattr(jigsaw, "face_polytope", built)
         assert main(["--output", str(tmp_path), "slices"]) == 0
         assert dims and set(dims) == {2}
+
+
+def test_volumes_triangulate_integer_coordinates(tmp_path, monkeypatch):
+    # _volume scales the vertices to integers once; every rank and
+    # determinant it asks for is then over int, with no Fraction entry.
+    inside = []
+    seen = []
+
+    def watched(name, fn):
+        def wrapper(arg):
+            if inside:
+                seen.append((name, all(type(x) is int for row in arg for x in row)))
+            return fn(arg)
+        return wrapper
+
+    def volume(*args, _fn=polytope._volume):
+        inside.append(True)
+        try:
+            return _fn(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(polytope, "_volume", volume)
+    for name in ("frac_det", "affine_rank"):
+        monkeypatch.setattr(polytope, name, watched(name, getattr(polytope, name)))
+    assert main(["--output", str(tmp_path), "jigsaw", "--q", "2"]) == 0
+    assert main(["--output", str(tmp_path), "slices"]) == 0
+    assert jigsaw.pyramid_polytope(2).volume() == jigsaw.alpha_closed_form(2) / 7
+    assert {name for name, _ in seen} == {"frac_det", "affine_rank"}
+    assert all(ok for _, ok in seen)

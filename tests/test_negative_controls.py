@@ -11,7 +11,7 @@ import pytest
 
 from dp4jigsaw import constants, jigsaw, surface
 from dp4jigsaw.cli import main
-from dp4jigsaw.geometry import ConeLineDiagnostic
+from dp4jigsaw.geometry import ConeLineDiagnostic, polytope
 
 
 def run_cli(args, outdir):
@@ -137,3 +137,36 @@ def test_negated_separating_functional_in_jigsaw(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "jigsaw.json").read_text())["degenerate_report"]
     assert len(report["strict_feasibility_zero_faces"]) == 16
     assert report["volume_zero_faces"] == ["36,36"]
+
+
+def _negated_scale(vertices, _lattice=polytope._lattice):
+    scale, points = _lattice(vertices)
+    return -scale, [tuple(-x for x in v) for v in points]
+
+
+def _scale_one_factor_short(vertices, _lattice=polytope._lattice):
+    scale, points = _lattice(vertices)
+    return scale, [tuple(2 * x for x in v) for v in points]
+
+
+@pytest.mark.parametrize("lattice", [_negated_scale, _scale_one_factor_short],
+                         ids=["negated-scale", "scale-one-factor-short"])
+def test_wrong_lattice_scale_in_volume(tmp_path, monkeypatch, lattice):
+    args = ["jigsaw", "--q", "1"]
+    assert run_cli(args, tmp_path) == 0
+    pyramid = jigsaw.pyramid_polytope(1)
+    base = jigsaw.pyramid_base_polytope(1)
+    assert pyramid.volume() == base.volume() / 5 == jigsaw.alpha_closed_form(1) / 5
+    monkeypatch.setattr(polytope, "_lattice", lattice)
+    assert run_cli(args, tmp_path) == 1
+    if lattice is _negated_scale:
+        # The tight sets and simplices stay right; the divisor D^dim turns
+        # negative in the odd dimension of P and P' but not of P'_0.
+        assert pyramid.volume() != base.volume() / 5
+    else:
+        # Points on the lattice 2D against a divisor D: the tight sets of
+        # the rows with a constant go wrong and both triangulations come out
+        # empty, so the pyramid identity reads 0 = 0 / 5 and only the
+        # closed form for P'_0 sees the plant.
+        assert pyramid.volume() == base.volume() == 0
+        assert base.volume() != jigsaw.alpha_closed_form(1)

@@ -6,9 +6,12 @@ from math import comb, factorial, gcd, isqrt
 import numpy as np
 
 from dp4jigsaw import jigsaw
-from dp4jigsaw.geometry import AffineForm, HPolytope, _simplex
-from dp4jigsaw.geometry._intlinalg import clear_denominators
-from dp4jigsaw.geometry.polytope import ConeLineDiagnostic
+from dp4jigsaw.errors import DimensionMismatch
+from dp4jigsaw.geometry import (AffineForm, HPolytope, _simplex,
+                                fix_coordinates, pull_back)
+from dp4jigsaw.geometry._intlinalg import clear_denominators, frac_det
+from dp4jigsaw.geometry.polytope import (ConeLineDiagnostic, _full_dimensional,
+                                         _triangulate_face)
 from dp4jigsaw.jigsaw import _FaceCache, all_faces
 from dp4jigsaw.torsor import validate
 
@@ -24,6 +27,41 @@ def random_unimodular(rng, dim, max_entry=3):
                 m[i][k] += s * m[j][k]
         if max(abs(x) for row in m for x in row) <= max_entry:
             return m
+
+
+def slice_polytope(p, fixed):
+    """Substitute fixed coordinate values; polytope in the remaining coords."""
+    indices = [i for i, _ in fixed]
+    if len(set(indices)) != len(indices):
+        raise DimensionMismatch("fixed indices must be distinct")
+    if any(i < 0 or i >= p.dimension for i in indices):
+        raise DimensionMismatch("fixed index outside ambient dimension")
+    rows = fix_coordinates(p.inequalities, dict(fixed))
+    return HPolytope(p.dimension - len(indices), rows)
+
+
+def transform_polytope(p, matrix):
+    """Pull back along x = M y: the polytope {y : M y in p}."""
+    return HPolytope(len(matrix[0]), pull_back(p.inequalities, matrix))
+
+
+def fraction_volume(dim, forms, vertices):
+    """Oracle for polytope._volume: the same triangulation on Fraction vertices."""
+    if not _full_dimensional(dim, vertices):
+        return Fraction(0)
+    coords = list(vertices)  # sorted, so the triangulation is deterministic
+    tight_sets = []
+    for form in forms:
+        tight = frozenset(i for i, v in enumerate(coords) if form.evaluate(v) == 0)
+        if tight:
+            tight_sets.append(tight)
+    total = Fraction(0)
+    for simplex in _triangulate_face(frozenset(range(len(coords))), dim,
+                                     tight_sets, coords, {}):
+        apex = coords[simplex[-1]]
+        matrix = [[coords[i][j] - apex[j] for j in range(dim)] for i in simplex[:-1]]
+        total += abs(frac_det(matrix))
+    return total / factorial(dim)
 
 
 def monte_carlo_volume(p, samples=1_000_000, seed=0):
