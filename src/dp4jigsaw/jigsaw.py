@@ -17,9 +17,9 @@ face polytopes tile a single polytope P, whose block at every place is the
 quadrant a_{n,1} <= 0 <= a_{n,2}, and (2q+3) * vol(P) = 1/(q! (q+2)!).  The
 effective cone of a face is generated by its homogeneous rows (const 0), and
 its census pieces are its rows pulled back and sliced: all of them are built
-from one row table.  This module certifies the partition, gives every face
-volume in closed form, and exposes the cross-section census behind the
-mosaic pictures.
+from one row table.  This module certifies the partition, reads every
+face volume off the edge fan, and exposes the cross-section census behind
+the mosaic pictures.
 
 The fan.  At one place write (s, t) = (a_{n,1}, a_{n,2}).  The four edge
 cones are consecutive cones of one unimodular fan in the quadrant
@@ -40,35 +40,31 @@ quadrant condition is not implied by the other four: the unimodular chain
 (0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0) meets them and winds past the
 quadrant.
 
-The volume.  In ray coordinates x >= 0 (a unimodular change, so volume is
-kept) the three common rows read tau.x <= 1 and -sum s <= a0 <= sum t, an
-a0-interval of length sigma.x, with
+The volume.  A face with edge multiplicities (m_0..m_3) =
+(m57, m45, m34, m36) puts c_j = m_{j-1} + m_j coordinates on ray rho_j,
+with m_{-1} = m_4 = 0.  In ray coordinates x >= 0 (a unimodular change,
+so volume is kept) the common rows read tau.x <= 1 and
+-sum s <= a0 <= sum t, an a0-interval of length sigma.x, with
+tau = t(rho) and sigma = (s + t)(rho).  So
+vol = int_{x >= 0, tau.x <= 1} max(0, sigma.x) dx, and as the integrand
+is homogeneous of degree 1 in 2q + 2 variables, vol is its Laplace
+transform int_{x >= 0} max(0, sigma.x) e^{-tau.x} dx over (2q+3)!
+(Lawrence 1991; Barvinok 1993).  Integrating out the coordinates on the
+one ray with t = 0, (-1, 0), leaves max(0, S)^k / k!, with k = 1 + their
+number and S the sigma-weighted sum of the rest.  If sigma >= 0 on every
+ray with t > 0, then S >= 0, and expanding S^k / k! gives, with no
+residues,
 
-    tau = t(rho) = 1, 3, 2, 1, 0,    sigma = (s + t)(rho) = 1, 2, 1, 0, -1.
+    vol = [z^k] prod_{t_j > 0} (t_j - z sigma_j)^(-c_j) / (2q+3)!.
 
-So vol = int_{x >= 0, tau.x <= 1} max(0, sigma.x) dx.  The integrand is
-homogeneous of degree 1 in N = 2q + 2 variables, so the integral is
-1/(2q+3)! times its Laplace transform int_{x >= 0} max(0, sigma.x)
-e^{-tau.x} dx (Lawrence 1991; Barvinok 1993).  Each rho3 coordinate
-(tau = 1, sigma = 0) integrates to 1.  Integrating out the m36
-coordinates on rho4 (tau = 0, sigma = -1) leaves S^k / k! with
-k = m36 + 1 and S the sigma-weighted sum over the rho0..rho2
-coordinates, and int S^k/k! e^{-tau.x} is the z^k coefficient of
-prod_j (tau_j - z sigma_j)^(-1) over those coordinates.  With the edge
-multiplicities (m57, m45, m34, m36), the rays rho0, rho1, rho2 occur
-e = (m57, m57 + m45, m45 + m34) times, their poles tau/sigma are
-lambda = (1, 3/2, 2), and sigma(rho1) = 2 gives a factor 2^(-e_2):
+face_volume reads this off edge_fan and refuses a ray t > 0 > s + t,
+where S changes sign.  On the table's fan sigma = 1, 2, 1, 0, -1.
 
-    vol = 2^(-(m57 + m45)) / (2q+3)! * sum_{j1+j2+j3 = k}
-          prod_i C(e_i + j_i - 1, j_i) lambda_i^(-e_i - j_i),
-
-a factor with e_i = 0 being 1 at j_i = 0 and 0 otherwise.
-
-The degenerate face.  Every term of the sum is nonnegative, and the term
-with j_i = k is positive as soon as e_i > 0.  So a face has volume 0
-exactly when e = (0, 0, 0), that is m57 = m45 = m34 = 0: the all-(36)
-face, the only degenerate face for every q.  There sigma <= 0 on both
-rays rho3, rho4, so the a0-interval has length 0 everywhere.
+The degenerate face.  Every term of the expansion is nonnegative, and
+the one taking all of z^k from a ray with sigma > 0 and c > 0 is
+positive.  So a face has volume 0 exactly when every coordinate lies on
+a ray with sigma <= 0, where the a0-interval has length 0.  On the
+table's fan those are rho3, rho4: the all-(36) face, for every q.
 
 The second route to it is duality.  A face's homogeneous rows cut out the
 cone C dual to its effective cone E, and its polytope is C cut by
@@ -81,20 +77,21 @@ degenerate_face_report runs one double description per edge multiset and
 checks each witness point against the face rows; no face polytope is
 built.
 
-alpha_sum certifies the fan and sums the closed form over the C(q+4, 3)
-edge multisets with multinomial weights.  jigsaw_check keeps a second
-route for the union volume, exact_volume(union_polytope(q)).  The pyramid
-P' and its base P'_0 are P's rows pulled back to the census coordinates.
-The triangulated face volumes and the pairwise disjointness checks of
-_FaceCache, the vertex-based strictly_feasible on each face polytope, and
-hand-written inequality lists for P' and P'_0 stay as the oracles the
-tests compare against.
+alpha_sum sums face_volume over the C(q+4, 3) edge multisets with
+multinomial weights.  jigsaw_check keeps a second route for the union
+volume, exact_volume(union_polytope(q)).  The pyramid P' and its base
+P'_0 are P's rows pulled back to the census coordinates.  The
+triangulated face volumes and the pairwise disjointness checks of
+_FaceCache, the vertex-based strictly_feasible on each face polytope,
+and hand-written inequality lists for P' and P'_0 stay as the oracles
+the tests compare against.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial, gcd, prod
+from itertools import accumulate, product
+from math import factorial, gcd, prod
+from operator import mul
 
 from .errors import IndexOutOfRange, NegativeRank, OutOfRange, PartitionFailure
 # strictly_feasible is not called here: it is the tests' oracle for the
@@ -118,18 +115,14 @@ EDGE_INEQUALITIES = {
     "36": ((0, 1), (-1, -1)),   # A3, A6
 }
 
-#: The poles tau/sigma of the rays rho0, rho1, rho2 in the face-volume
-#: formula (see the module docstring).
-LAPLACE_POLES = (Fraction(1), Fraction(3, 2), Fraction(2))
-
 #: Largest q that jigsaw_check and degenerate_face_report accept.  They
 #: list all 4^(q+1) faces, triangulate P in dimension 2q + 3 and run one
 #: double description per edge multiset.  `dp4 jigsaw` at q = 4, 5, 6, 7
 #: took 0.6, 0.9, 2.0 and 6.5 s on a 2-vCPU Xeon, at 31, 33, 40 and 72 MB
 #: peak RSS, and wrote a jigsaw.json of 42 KB, 190 KB, 862 KB and 3.9 MB:
 #: each step in q costs 1.5-3.3x the time and 4x the faces.  Raising the
-#: cap waits for face volumes read off the edge fan for every fan of the
-#: quadrant (ROADMAP item 1).  alpha_sum, which lists edge multisets
+#: cap waits only for a listing of polynomial size, one row per edge
+#: multiset (ROADMAP item 1).  alpha_sum, which lists edge multisets
 #: instead of faces, has no limit.
 MAX_JIGSAW_RANK = 6
 
@@ -138,7 +131,7 @@ PUBLISHED_PIECE_COUNTS = {Fraction(1, 5): 7, Fraction(2, 5): 11, Fraction(3, 5):
 
 #: The q = 1 face sometimes quoted as the one with empty interior.  The
 #: inequality systems implemented here make the all-(36) face degenerate
-#: instead (the only degenerate face for every q, by the closed form);
+#: instead (the only degenerate face for every q, by face_volume);
 #: degenerate_face_report carries both so the discrepancy stays visible
 #: instead of being silently resolved.
 REFERENCE_EMPTY_INTERIOR_FACE_Q1 = ("57", "57")
@@ -160,7 +153,7 @@ def _check_listed_rank(q):
     if q > MAX_JIGSAW_RANK:
         raise OutOfRange(f"q = {q} is above MAX_JIGSAW_RANK = {MAX_JIGSAW_RANK}, "
                          f"the largest rank at which every face is listed; "
-                         f"`dp4 alpha --q {q}` sums the closed form at any q")
+                         f"`dp4 alpha --q {q}` sums the face volumes at any q")
 
 
 def face_key(face):
@@ -354,28 +347,35 @@ def edge_fan():
 def face_volume(m57, m45, m34, m36):
     """Volume of every face polytope with these edge multiplicities.
 
-    The Laplace formula of the module docstring, in exact arithmetic; the
-    rank is q = m57 + m45 + m34 + m36 - 1.
+    The z^k coefficient of the module docstring, read off edge_fan() in
+    integers, at rank q = m57 + m45 + m34 + m36 - 1.  Raises
+    PartitionFailure when the fan fails edge_fan or has t > 0 > s + t.
     """
     q = m57 + m45 + m34 + m36 - 1
     _check_rank(q)
-    k = m36 + 1
-    # With lambda = n/d, the factor lambda^(-e-j) = d^(e+j)/n^(e+j) times
-    # n^(e+k) is the integer d^(e+j) n^(k-j), so the sum runs in integers.
-    factors = []
-    scale = 1
-    for e, pole in zip((m57, m57 + m45, m45 + m34), LAPLACE_POLES):
-        n, d = pole.numerator, pole.denominator
-        scale *= n ** (e + k)
-        if e == 0:
-            factors.append([n ** k] + [0] * k)
-        else:
-            factors.append([comb(e + j - 1, j) * d ** (e + j) * n ** (k - j)
-                            for j in range(k + 1)])
-    f1, f2, f3 = factors
-    total = sum(f1[j1] * f2[j2] * f3[k - j1 - j2]
-                for j1 in range(k + 1) for j2 in range(k + 1 - j1))
-    return Fraction(total, scale * 2 ** (m57 + m45) * factorial(2 * q + 3))
+    rays = edge_fan()
+    slots = [a + b for a, b in zip((0, m57, m45, m34, m36), (m57, m45, m34, m36, 0))]
+    k = 1 + sum(c for (_, t), c in zip(rays, slots) if t == 0)
+    # (t - z(s+t))^(-c) is t^(-c) times a factor that is 1 if s + t = 0 and
+    # otherwise, times t^k, has the integer coefficients C(c+i-1, i)
+    # (s+t)^i t^(k-i), each the last times (c+i)(s+t)/((i+1)t).
+    scale, factors = 1, []
+    for (s, t), c in zip(rays, slots):
+        if t > 0 > s + t:
+            raise PartitionFailure(f"ray {(s, t)} has t > 0 > s + t: the a0-interval "
+                                   f"length changes sign, so [z^k] is not the volume")
+        if t > 0 and c:
+            scale *= t ** c
+            if s + t:
+                scale *= t ** k
+                factors.append(list(accumulate(
+                    range(k), lambda a, i: a * (c + i) * (s + t) // ((i + 1) * t),
+                    initial=t ** k)))
+    poly = [1]
+    for f in factors[:-1]:
+        poly = [sum(map(mul, poly, f[i::-1])) for i in range(k + 1)]
+    total = sum(map(mul, poly, reversed(factors[-1]))) if factors else 0
+    return Fraction(total, scale * factorial(2 * q + 3))
 
 
 def multiplicities(face):
@@ -392,13 +392,12 @@ def edge_multisets(q):
 
 
 def alpha_sum(q):
-    """(2q+3) * vol(P) from the fan certificate and the closed face volumes.
+    """(2q+3) * vol(P) from the face volumes read off the edge fan.
 
     Each edge multiset stands for the multinomial number of faces that
-    permute it.  Raises PartitionFailure when the fan certificate fails.
+    permute it.  Raises PartitionFailure when face_volume refuses the fan.
     """
     _check_rank(q)
-    edge_fan()
     n = factorial(q + 1)
     total = sum((n // prod(map(factorial, m)) * face_volume(*m) for m in edge_multisets(q)),
                 Fraction(0))
@@ -406,7 +405,7 @@ def alpha_sum(q):
 
 
 def _face_volumes(q):
-    """Closed-form volume of each face, once per edge multiset."""
+    """face_volume of each face, once per edge multiset."""
     volumes = {m: face_volume(*m) for m in edge_multisets(q)}
     return {f: volumes[multiplicities(f)] for f in all_faces(q)}
 
@@ -415,14 +414,13 @@ def jigsaw_check(q):
     """Verify the jigsaw partition at unit rank q and return the report.
 
     Checks, all in exact arithmetic: the edge fan tiles the quadrant (so
-    distinct faces have disjoint interiors and cover P), the closed-form
-    face volumes sum to the union volume triangulated on its own, and the
+    distinct faces have disjoint interiors and cover P), the face volumes
+    read off it sum to the union volume triangulated on its own, and the
     normalized sum (2q+3) * vol(P) equals 1/(q! (q+2)!).  A failure raises
     PartitionFailure; it would mean an implementation bug.  Above
     MAX_JIGSAW_RANK it raises OutOfRange before any polytope is built.
     """
     _check_listed_rank(q)
-    edge_fan()
     per_face = _face_volumes(q)
     union_volume = exact_volume(union_polytope(q))
     total = sum(per_face.values(), Fraction(0))
@@ -459,15 +457,16 @@ def interior_certificate(face):
     u = diagnostic.separating_functional
     if u is None:
         return diagnostic, None
-    point = tuple(Fraction(x, 1 + abs(sum(u[2::2]))) for x in u)
-    inside = all(form.evaluate(point) > 0 for form in face_rows(face))
-    return diagnostic, point if inside else None
+    # <c, u/d> + b > 0 is <c, u> + b d > 0, since d > 0.
+    d = 1 + abs(sum(u[2::2]))
+    inside = all(sum(map(mul, f.coeffs, u)) + f.const * d > 0 for f in face_rows(face))
+    return diagnostic, tuple(Fraction(x, d) for x in u) if inside else None
 
 
 def degenerate_face_report(q):
     """Compare the volume-zero faces against the cone diagnostic.
 
-    The volumes come from the closed form.  interior_certificate runs once
+    The volumes come from face_volume.  interior_certificate runs once
     per edge multiset: a face is strictly feasible when its checked witness
     point exists, and its effective cone contains a line when the line
     combination does.  For q = 1 the report also records whether the

@@ -1,6 +1,7 @@
 """Face polytopes, the jigsaw partition, pyramids, and the slice census."""
 
 import random
+import re
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -23,6 +24,37 @@ Q0_EXPECTED = {("57",): F(5, 54), ("45",): F(7, 216),
 def multiset_face(m):
     """The face with edge multiplicities m, its edges in path order."""
     return tuple(e for e, k in zip(jigsaw.EDGE_LABELS, m) for _ in range(k))
+
+
+def stern_brocot_fans(insertions):
+    """Every unimodular fan from (0, 1) to (-1, 0) with insertions + 1 cones.
+
+    Each insertion puts the sum of two consecutive rays between them.
+    """
+    fans = {((0, 1), (-1, 0))}
+    for _ in range(insertions):
+        fans = {fan[:i] + (tuple(a + b for a, b in zip(fan[i - 1], fan[i])),) + fan[i:]
+                for fan in fans for i in range(1, len(fan))}
+    return sorted(fans)
+
+
+def fan_table(rays):
+    """EDGE_INEQUALITIES whose cones are those between consecutive rays.
+
+    For the cone (u, v), det(u, v) = 1: the row vanishing on u is positive
+    on v, and the row vanishing on v is positive on u.
+    """
+    return {edge: ((-u[1], u[0]), (v[1], -v[0]))
+            for edge, u, v in zip(jigsaw.EDGE_LABELS, rays, rays[1:])}
+
+
+FOUR_CONE_FANS = stern_brocot_fans(3)
+SIGMA_NONNEGATIVE = [f for f in FOUR_CONE_FANS if all(s + t >= 0 for s, t in f if t > 0)]
+SIGMA_NEGATIVE = [f for f in FOUR_CONE_FANS if f not in SIGMA_NONNEGATIVE]
+
+
+def fan_id(rays):
+    return "/".join(f"{s},{t}" for s, t in rays[1:-1])
 
 
 class TestFaceInequalities:
@@ -143,8 +175,6 @@ class TestClosedForm:
     def test_fan_certificate_on_the_table(self):
         rays = jigsaw.edge_fan()
         assert rays == ((0, 1), (-1, 3), (-1, 2), (-1, 1), (-1, 0))
-        # the poles of the closed form are tau/sigma = t/(s+t) of rho0..rho2
-        assert tuple(F(t, s + t) for s, t in rays[:3]) == jigsaw.LAPLACE_POLES
 
     def test_fan_certificate_rejects_two_swapped_edges(self, monkeypatch):
         table = jigsaw.EDGE_INEQUALITIES
@@ -191,6 +221,44 @@ class TestClosedForm:
             "34": ((1, 0), (1, -1)), "36": ((-1, 1), (0, 1))})
         with pytest.raises(PartitionFailure, match="quadrant"):
             jigsaw.edge_fan()
+
+
+class TestEveryFourConeFan:
+    """face_volume under each of the five unimodular four-cone fans of the quadrant."""
+
+    def test_five_fans_two_with_sigma_nonnegative(self):
+        assert len(FOUR_CONE_FANS) == 5
+        assert len(SIGMA_NONNEGATIVE) == 2
+        assert jigsaw.edge_fan() in SIGMA_NONNEGATIVE
+        for rays in FOUR_CONE_FANS:
+            assert all(u[0] * v[1] - u[1] * v[0] == 1 for u, v in zip(rays, rays[1:]))
+
+    @pytest.mark.parametrize("rays", SIGMA_NONNEGATIVE, ids=fan_id)
+    def test_volumes_equal_triangulation_to_q2(self, monkeypatch, rays):
+        monkeypatch.setattr(jigsaw, "EDGE_INEQUALITIES", fan_table(rays))
+        assert jigsaw.edge_fan() == rays
+        cache = jigsaw._FaceCache()
+        for q in range(3):
+            assert jigsaw.alpha_sum(q) == jigsaw.alpha_closed_form(q)
+            for m in jigsaw.edge_multisets(q):
+                face = multiset_face(m)
+                volume = jigsaw.face_volume(*m)
+                assert volume == cache.volume(face)
+                # Zero exactly when every ray the face uses has s + t <= 0.
+                used = {ray for edge in face
+                        for ray in rays[jigsaw.EDGE_LABELS.index(edge):][:2]}
+                flat = all(s + t <= 0 for s, t in used)
+                assert (volume == 0) == flat
+                assert (jigsaw.interior_certificate(face)[1] is None) == flat
+
+    @pytest.mark.parametrize("rays", SIGMA_NEGATIVE, ids=fan_id)
+    def test_a_ray_with_negative_sigma_is_refused(self, monkeypatch, rays):
+        monkeypatch.setattr(jigsaw, "EDGE_INEQUALITIES", fan_table(rays))
+        assert jigsaw.edge_fan() == rays
+        ray = next((s, t) for s, t in rays if t > 0 > s + t)
+        for m in jigsaw.edge_multisets(1):
+            with pytest.raises(PartitionFailure, match=re.escape(str(ray))):
+                jigsaw.face_volume(*m)
 
 
 class TestEffectiveGenerators:
@@ -253,6 +321,17 @@ class TestDegenerateFaces:
                 calls.append(_name)
                 return _fn(*args)
             monkeypatch.setattr(jigsaw, name, counted)
+        assert main(["--output", str(tmp_path), "jigsaw", "--q", "2"]) == 0
+        assert calls == []
+
+    def test_jigsaw_command_evaluates_no_affine_form(self, tmp_path, monkeypatch):
+        # interior_certificate tests the face rows at its witness in integers.
+        calls = []
+
+        def counted(form, point, _evaluate=AffineForm.evaluate):
+            calls.append(form)
+            return _evaluate(form, point)
+        monkeypatch.setattr(AffineForm, "evaluate", counted)
         assert main(["--output", str(tmp_path), "jigsaw", "--q", "2"]) == 0
         assert calls == []
 

@@ -5,7 +5,6 @@ passes can only mean the checker caught the defect.
 """
 
 import json
-from fractions import Fraction as F
 
 import pytest
 
@@ -76,21 +75,25 @@ def test_edge_inequality_row_in_jigsaw_and_alpha(tmp_path, monkeypatch):
         assert run_cli(args, tmp_path) == 1
 
 
-def test_laplace_pole_in_alpha(tmp_path, monkeypatch):
+def test_edge_fan_ray_in_alpha(tmp_path, monkeypatch):
     args = ["alpha", "--q", "2"]
     assert run_cli(args, tmp_path) == 0
-    monkeypatch.setattr(jigsaw, "LAPLACE_POLES", (F(1), F(5, 3), F(2)))
+    # (-2, 5) in place of (-1, 3): the pole t/(s+t) of the second ray moves
+    # from 3/2 to 5/3, so every face volume with a coordinate on it changes.
+    monkeypatch.setattr(jigsaw, "edge_fan",
+                        lambda: ((0, 1), (-2, 5), (-1, 2), (-1, 1), (-1, 0)))
     assert run_cli(args, tmp_path) == 1
 
 
 def test_valid_but_different_fan_in_jigsaw_and_slices(tmp_path, monkeypatch):
-    commands = [["jigsaw", "--q", "1"], ["jigsaw", "--q", "2"], ["slices"]]
+    commands = [["jigsaw", "--q", "1"], ["jigsaw", "--q", "2"], ["slices"],
+                ["alpha", "--q", "3"]]
     for args in commands:
         assert run_cli(args, tmp_path) == 0
     # A unimodular fan of the quadrant, so the certificate accepts it, with
-    # other rays than the real one: the strict-feasibility oracle no longer
-    # agrees with the closed-form volumes, and the a1 = 2/5 census has 7
-    # positive pieces, not the published 11.
+    # other rays than the real one: face_volume refuses its ray (-2, 1),
+    # where t > 0 > s + t, and the a1 = 2/5 census has 7 positive pieces,
+    # not the published 11.
     monkeypatch.setattr(jigsaw, "EDGE_INEQUALITIES", {
         "57": ((-1, 0), (2, 1)), "45": ((-2, -1), (1, 1)),
         "34": ((-1, -1), (1, 2)), "36": ((-1, -2), (0, 1))})

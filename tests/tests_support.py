@@ -191,12 +191,21 @@ def overlapping_faces(q):
             if not cache.pair_disjoint(f, g)]
 
 
+#: The poles tau/sigma of the rays (0, 1), (-1, 3), (-1, 2) of the real fan.
+REAL_FAN_POLES = (Fraction(1), Fraction(3, 2), Fraction(2))
+
+
 def face_volume_fractions(m57, m45, m34, m36):
-    """Oracle for jigsaw.face_volume: the Laplace formula summed in Fractions."""
+    """Oracle for jigsaw.face_volume on the real fan, summed in Fractions.
+
+    The poles and the numbers of coordinates e on the rays with sigma > 0
+    are written out here rather than read off jigsaw.edge_fan(); sigma = 2
+    on (-1, 3) gives the factor 2^(-e_2).
+    """
     q = m57 + m45 + m34 + m36 - 1
     k = m36 + 1
     factors = []
-    for e, pole in zip((m57, m57 + m45, m45 + m34), jigsaw.LAPLACE_POLES):
+    for e, pole in zip((m57, m57 + m45, m45 + m34), REAL_FAN_POLES):
         if e == 0:
             factors.append([1] + [0] * k)
         else:
