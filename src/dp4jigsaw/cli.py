@@ -3,10 +3,10 @@
 Outputs under --output use fixed file names (counts.csv, jigsaw.json,
 slices.json, constants.json, fit.json) and are byte-identical across runs
 for a fixed configuration; pass --timings to include wall-clock columns.
-count, torsor-count and fit count all their bounds in one shared sweep, so
-there a row's elapsed is the time from the start of the sweep until that
-bound's count was complete, not the time of that bound alone; count
-completes every bound at once, at the end of its one histogram.
+count, torsor-count and fit count all their bounds in one shared sweep that
+completes every bound at once (torsor-count and fit split the moduli a1,
+not the bounds, across forked workers), so there every row's elapsed is the
+time of the whole sweep, not the time of that bound alone.
 
 Exit codes, so that CI can treat the status as the verdict:
 
@@ -79,9 +79,10 @@ def _ascending(bounds):
 
 def _cmd_count(args):
     bounds = _ascending(args.bound)
-    if args.points_file:
-        surface.points_bound(bounds[-1], args.ring)  # before any count or file
-    results = surface.direct_counts(bounds, ring=args.ring)
+    keyed = None
+    if args.points_file:  # the counts are read off the listed points' heights
+        keyed = surface.direct_points_with_heights(bounds[-1], ring=args.ring)
+    results = surface.direct_counts(bounds, ring=args.ring, keyed=keyed)
     predictor = None
     if args.ring == surface.INTEGERS:
         predictor = constants.leading_constant(constants.get_field("Q")).predicted_count
@@ -90,7 +91,6 @@ def _cmd_count(args):
     for row in rows:
         print(f"B={row.bound}: {row.count} ({row.method})")
     if args.points_file:
-        keyed = surface.direct_points_with_heights(bounds[-1], ring=args.ring)
         with open(args.points_file, "w", encoding="utf-8") as fh:
             surface.write_point_stream(keyed, fh)
     return EXIT_OK
@@ -155,7 +155,8 @@ def _cmd_modp(args):
 def _cmd_jigsaw(args):
     report = jigsaw.jigsaw_check(args.q)
     payload = report.to_json_dict()
-    degenerate = payload["degenerate_report"] = jigsaw.degenerate_face_report(args.q)
+    degenerate = payload["degenerate_report"] = jigsaw.degenerate_face_report(
+        args.q, report.per_face)
     if "json" in args.format:
         reporting.write_file(args.output, "jigsaw.json", reporting.dump_json(payload))
     print(f"q={args.q}: {4 ** (args.q + 1)} faces, alpha_sum = "

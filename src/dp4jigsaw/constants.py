@@ -59,6 +59,8 @@ class FieldInvariants:
             raise InvalidInvariants("regulator must be positive")
         if self.quad_disc is not None and self.degree != 2:
             raise InvalidInvariants("quad_disc only makes sense for quadratic fields")
+        if self.quad_disc == 0:
+            raise InvalidInvariants("quad_disc must be a nonzero discriminant")
 
     @property
     def q(self):
@@ -185,10 +187,19 @@ def _prime_norms(inv, bound):
     if inv.degree == 1:
         return [int(p) for p in primes_up_to(bound)]
     if inv.degree == 2 and inv.quad_disc is not None:
+        # chi_d(p) = (d/p) splits p in two ideals of norm p (1), ramifies it
+        # (0) or leaves it inert, of norm p^2 (-1).  On odd n, n -> (d/n)
+        # has period |d| for d = 0, 1 mod 4 (on every n) and 4|d| otherwise,
+        # where 2 is alone in its class; so one table over a period holds
+        # the symbol, read at the first prime of each class.
+        d = inv.quad_disc
+        period = abs(d) if d % 4 in (0, 1) else 4 * abs(d)
+        table = {}
         norms = []
-        for p in primes_up_to(bound):
-            p = int(p)
-            chi = kronecker_symbol(inv.quad_disc, p)
+        for p in map(int, primes_up_to(bound)):
+            chi = table.get(p % period)
+            if chi is None:
+                chi = table[p % period] = kronecker_symbol(d, p)
             if chi == 1:
                 norms.extend([p, p])
             elif chi == 0:

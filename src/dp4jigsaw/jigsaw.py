@@ -344,16 +344,19 @@ def edge_fan():
     return tuple(rays)
 
 
-def face_volume(m57, m45, m34, m36):
+def face_volume(m57, m45, m34, m36, rays=None):
     """Volume of every face polytope with these edge multiplicities.
 
-    The z^k coefficient of the module docstring, read off edge_fan() in
-    integers, at rank q = m57 + m45 + m34 + m36 - 1.  Raises
-    PartitionFailure when the fan fails edge_fan or has t > 0 > s + t.
+    The z^k coefficient of the module docstring, read off the rays of
+    edge_fan() in integers, at rank q = m57 + m45 + m34 + m36 - 1.  A caller
+    that sums many faces certifies the fan once and passes its rays.
+    Raises PartitionFailure when the fan fails edge_fan or has
+    t > 0 > s + t.
     """
     q = m57 + m45 + m34 + m36 - 1
     _check_rank(q)
-    rays = edge_fan()
+    if rays is None:
+        rays = edge_fan()
     slots = [a + b for a, b in zip((0, m57, m45, m34, m36), (m57, m45, m34, m36, 0))]
     k = 1 + sum(c for (_, t), c in zip(rays, slots) if t == 0)
     # (t - z(s+t))^(-c) is t^(-c) times a factor that is 1 if s + t = 0 and
@@ -399,14 +402,16 @@ def alpha_sum(q):
     """
     _check_rank(q)
     n = factorial(q + 1)
-    total = sum((n // prod(map(factorial, m)) * face_volume(*m) for m in edge_multisets(q)),
-                Fraction(0))
+    rays = edge_fan()
+    total = sum((n // prod(map(factorial, m)) * face_volume(*m, rays=rays)
+                 for m in edge_multisets(q)), Fraction(0))
     return (2 * q + 3) * total
 
 
 def _face_volumes(q):
-    """face_volume of each face, once per edge multiset."""
-    volumes = {m: face_volume(*m) for m in edge_multisets(q)}
+    """face_volume of each face, once per edge multiset, on one certified fan."""
+    rays = edge_fan()
+    volumes = {m: face_volume(*m, rays=rays) for m in edge_multisets(q)}
     return {f: volumes[multiplicities(f)] for f in all_faces(q)}
 
 
@@ -463,10 +468,11 @@ def interior_certificate(face):
     return diagnostic, tuple(Fraction(x, d) for x in u) if inside else None
 
 
-def degenerate_face_report(q):
+def degenerate_face_report(q, per_face=None):
     """Compare the volume-zero faces against the cone diagnostic.
 
-    The volumes come from face_volume.  interior_certificate runs once
+    The volumes are per_face, the face -> volume map of jigsaw_check's
+    report, or else come from face_volume.  interior_certificate runs once
     per edge multiset: a face is strictly feasible when its checked witness
     point exists, and its effective cone contains a line when the line
     combination does.  For q = 1 the report also records whether the
@@ -475,7 +481,8 @@ def degenerate_face_report(q):
     rather than resolving it.
     """
     _check_listed_rank(q)
-    per_face = _face_volumes(q)
+    if per_face is None:
+        per_face = _face_volumes(q)
     faces = list(per_face)
     # Both verdicts depend only on the sorted face, as the volume does.
     certificates = {k: interior_certificate(k)

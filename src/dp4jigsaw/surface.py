@@ -339,17 +339,23 @@ def direct_height_counts(bound, ring=INTEGERS):
     return hist.cumsum()
 
 
-def direct_counts(bounds, ring=INTEGERS):
+def direct_counts(bounds, ring=INTEGERS, keyed=None):
     """direct_count for every bound, in order, from one histogram at the largest.
 
-    Every elapsed is the time of the whole call.  A bound above
-    MAX_DIRECT_BOUND raises OutOfRange before any work.
+    keyed, if given, is direct_points_with_heights at the largest bound.  It
+    lists exactly the points counted, so the histogram is that of its
+    heights, and nothing is enumerated again; elapsed then leaves the
+    listing out.  Every elapsed is the time of the whole call.  A bound
+    above MAX_DIRECT_BOUND raises OutOfRange before any work.
     """
     t0 = time.perf_counter()
     ints = [_int_bound(b, MAX_DIRECT_BOUND) for b in bounds]
     if not ints:
         return []
-    counts = direct_height_counts(max(bounds, key=Fraction), ring=ring)
+    if keyed is None:
+        counts = direct_height_counts(max(bounds, key=Fraction), ring=ring)
+    else:
+        counts = np.bincount([h for h, _ in keyed], minlength=max(ints) + 1).cumsum()
     elapsed = time.perf_counter() - t0
     return [CountResult(bound=Fraction(bound), count=int(counts[b]), ring=ring,
                         method="direct-divisor", elapsed=elapsed)

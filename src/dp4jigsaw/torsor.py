@@ -20,31 +20,47 @@ each residue class in O(1), in O(sqrt B) memory:
   summatory function D(n) = sum_{k <= n} floor(n/k), itself evaluated in
   O(sqrt n) by the hyperbola identity;
 * for a1 >= 2 the hyperbola split at K = isqrt(B) counts a8 per a2 for
-  a2 <= K (_pair_counts_fast), and a2 per a8 for a2 > K, where
-  |a8| <= M = B // (K + 1) (_a8_side_counts);
+  a2 <= K, and a2 per a8 for a2 > K, where |a8| <= M = B // (K + 1);
+* both halves are one elementwise kernel (_pair_counts_fast).  Each a8
+  counts the a2 in its class inside (K, min(top, cap)], cap = B // a1, and
+  both tops reach cap exactly for a8 <= t = min((B-1) // cap, M).  With
+  B = a1*cap + r0, 0 <= r0 < a1 <= K <= cap, (B-1) // cap is a1 when
+  r0 > 0 and a1 - 1 when r0 = 0, and M = B // (K + 1) is K - 1 or K, so
+  t is a1 - 1 or a1.  a8 = a1 is no unit mod a1, so the a8 terms over
+  (t, M] are the a2 terms over (a1, K] (the same quotients, the same
+  classes), less the term at K when M = K - 1; and the a8 up to t are one
+  whole period of the classes, a closed form (_Residues.period_sum);
 * one sweep over a1 = 2..max K serves a whole list of bounds
   (torsor_counts).  Each a1 gets one periodic array of the classes
   -x^-1 mod a1 over 0..max K, with 0/1 unit weights (_Residues), and every
-  bound with K >= a1 counts both halves from plain slices of it, with dot
-  products against the weights;
+  bound with K >= a1 counts from plain slices of it, with one dot product
+  against the weights;
 * each bound holds the quotients B // n and (B - 1) // n for n <= K once:
   they are the a8 range of a2 = n and the a2 limits of a8 = n;
-* on the a8 side, the terms at K, and the terms of the a8 whose a2 range
-  is cut at B // a1, depend on a8 mod a1 alone: they are summed per
-  residue, a whole period in closed form (_Residues.class_sum);
+* the terms at K of the a8 side depend on a8 mod a1 alone: they are
+  summed per residue (_Residues.class_sum);
 * the inverse table mod m is built for the residues up to m // 2 and
   mirrored, inv[m - x] = m - inv[x].  Only the primes up to m // 2 go
   through an extended Euclid, one vectorized call over every (m, p) pair
   of a block of consecutive moduli; the composites are products of
   earlier entries, one vectorized step per level of a balanced
-  factorization (_factor_tables, built once per sweep).
+  factorization (_factor_tables);
+* the moduli a1 are independent: blocks of SHARE_BLOCK consecutive moduli
+  are dealt round-robin to forked workers, at most one per CPU the process
+  may run on, and each worker returns one exact partial count per bound
+  (_sweep).  Small sweeps, and hosts without fork, run the same share in
+  the calling process.
 
 Each bound's arrays hold O(sqrt B) values, and the count is integer
-arithmetic throughout.  The tests check it against a naive scan of a8
-and against the elementwise form of each half.
+arithmetic throughout.  The tests check it against a naive scan of a8,
+the kernel against the sum of the elementwise forms of the two halves,
+and the forked sweep against the in-process one.
 """
 
+import os
+import threading
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -238,18 +254,21 @@ def _inverse_table(m, tables=None, prime_inv=None):
     return inv
 
 
-def _inverse_tables(k):
-    """Yield (m, _inverse_table(m)) for m = 2..k, from one set of tables.
+def _inverse_tables(k, lo=2, tables=None):
+    """Yield (m, _inverse_table(m)) for m = lo..k, from one set of tables.
 
-    The inverses of the primes up to m // 2 come from one _euclid_inverses
-    call per block of consecutive moduli, each block at most
-    EUCLID_BLOCK_PAIRS (m, p) pairs (or one modulus, if that alone has more).
+    tables is _factor_tables(n) for some n >= k // 2, built here if not
+    given.  The inverses of the primes up to m // 2 come from one
+    _euclid_inverses call per block of consecutive moduli, each block at
+    most EUCLID_BLOCK_PAIRS (m, p) pairs (or one modulus, if that alone has
+    more).
     """
-    tables = _factor_tables(k // 2)
+    if tables is None:
+        tables = _factor_tables(k // 2)
     primes = tables[1]
     below = np.searchsorted(primes, np.arange(k + 2) // 2, "right")  # primes <= m // 2
     offset = np.concatenate(([0], np.cumsum(below)))     # pairs of moduli < m
-    m = 2
+    m = lo
     while m <= k:
         end = int(np.searchsorted(offset, offset[m] + EUCLID_BLOCK_PAIRS, "right")) - 1
         end = min(max(end, m + 1), k + 1)
@@ -295,19 +314,26 @@ class _Residues:
         q, r = divmod(n, self.a1)
         return q * self.phi + int(self.cum[r])
 
-    def class_sum(self, x, n):
-        """Sum over the units a8 in 1..n of (x - c)//a1 + (x + c)//a1, c its class.
+    def period_sum(self, x):
+        """Sum over the units a8 of one period of (x - c)//a1 + (x + c)//a1, c its class.
 
         With x = q*a1 + s, a unit class c in [1, a1) gives
         2q - [c > s] + [c >= a1 - s].  Over one period c runs through all
         the units, which the map u -> a1 - u permutes, so a period sums to
-        (2q - 1)*phi + 2*cum[s].  The part period, residues 1..n % a1, is
-        counted directly, or as a period less its complement, whichever is
-        shorter.  Python ints throughout.
+        (2q - 1)*phi + 2*cum[s].
+        """
+        q, s = divmod(x, self.a1)
+        return (2 * q - 1) * self.phi + 2 * int(self.cum[s])
+
+    def class_sum(self, x, n):
+        """The sum of period_sum(x) over the units a8 in 1..n instead of one period.
+
+        The whole periods come from period_sum.  The part period, residues
+        1..n % a1, is counted directly, or as a period less its
+        complement, whichever is shorter.  Python ints throughout.
         """
         a1 = self.a1
         q, s = divmod(x, a1)
-        period = (2 * q - 1) * self.phi + 2 * int(self.cum[s])
         periods, r = divmod(n, a1)
         if 2 * r <= a1:
             lo, hi, sign = 1, r + 1, 1
@@ -317,43 +343,32 @@ class _Residues:
         c = self.classes[lo:hi]
         part = (2 * q * int(self.cum[hi - 1] - self.cum[lo - 1])
                 - int(np.count_nonzero(c > s)) + int(np.count_nonzero(c >= a1 - s)))
-        return periods * period + sign * part
+        return periods * self.period_sum(x) + sign * part
 
 
 def _pair_counts_fast(a1, classes, bound, residues):
-    """Solutions a8 of a2*a8 = -1 (mod a1) with a2*a8 in [-B, B-1], a1 < a2 <= K.
+    """Pairs (a2, a8) with a1 < a2, both halves, for one a1 >= 2 and one _Bound; an int.
 
-    Summed over a2 for one a1 >= 2 and one _Bound; an int.  classes is
-    residues.classes[a1 + 1:K + 1], the a8 class c of each a2, and the
-    count is floor((hi - c)/a1) - ceil((lo - c)/a1) + 1 with
-    hi = (B-1) // a2 and lo = -(B // a2); a2 with gcd(a1, a2) > 1 has
-    weight 0.  classes is passed, not sliced here, so that its length is
-    the kernel's element count (bench/layers.py reads it).
+    The kernel is, per x in (a1, K] with class c = classes[x - a1 - 1],
+    f(x) = ((B-1)//x - c)//a1 + (B//x + c)//a1, weighted 0 where
+    gcd(a1, x) > 1.  For a2 = x <= K it counts the a8 of a2*a8 = -1
+    (mod a1) with a2*a8 in [-B, B-1], less one.  For a8 = x <= M it counts
+    the a2 of the classes of +-a8 up to (B-1)//a8 and B//a8; the a2 up to K
+    are taken off with class_sum(K, M), and the a8 up to t, whose a2 range
+    is cut at B // a1 instead, are one period_sum (module docstring).  So
+    the dot product serves the pair side once and the a8 side once, less
+    f(K) when M = K - 1.  classes is residues.classes[a1 + 1:K + 1], passed,
+    not sliced here, so that its length is the kernel's element count
+    (bench/layers.py reads it).
     """
-    k = bound.k
+    k, m = bound.k, bound.m
     count = (bound.under[a1:k] - classes) // a1 + (bound.over[a1:k] + classes) // a1
-    return (int(np.dot(count, residues.weights[a1 + 1:k + 1]))
-            + residues.units(k) - residues.units(a1))
-
-
-def _a8_side_counts(a1, bound, residues):
-    """Pairs (a2, +-a8) with K < a2 <= B // a1, for one a1 >= 2; an int.
-
-    Each unit a8 in 1..M, M = B // (K + 1), counts the a2 in its class
-    (c for +a8, a1 - c for -a8) inside (K, min(top, cap)], where
-    cap = B // a1 and top is (B-1) // a8 for +a8 and B // a8 for -a8.  That
-    is (min(top+, cap) - c)//a1 + (min(top-, cap) + c)//a1 less the same
-    with K for both tops.  Both tops reach cap exactly for a8 <= (B-1) // cap,
-    where the count depends on a8 mod a1 alone, as does the K term for
-    every a8: residues.class_sum takes those.  Above it neither min binds.
-    """
-    b, m = bound.b, bound.m
-    cap = b // a1
-    t = min((b - 1) // cap, m)
-    c = residues.classes[t + 1:m + 1]
-    count = (bound.under[t:m] - c) // a1 + (bound.over[t:m] + c) // a1
-    return (int(np.dot(count, residues.weights[t + 1:m + 1]))
-            + residues.class_sum(cap, t) - residues.class_sum(bound.k, m))
+    weights = residues.weights[a1 + 1:k + 1]
+    dot = 2 * int(np.dot(count, weights))
+    if m < k and count.size:
+        dot -= int(count[-1] * weights[-1])
+    return (dot + residues.units(k) - residues.units(a1)
+            + residues.period_sum(bound.b // a1) - residues.class_sum(k, m))
 
 
 def _divisor_sum(n):
@@ -363,7 +378,7 @@ def _divisor_sum(n):
 
 
 class _Bound:
-    """One bound's share of the sweep: its quotients and running pair count.
+    """One bound's share of the sweep: its quotients and its a1 = 1 row.
 
     over[i] = B // (i + 1) and under[i] = (B - 1) // (i + 1) for i < K serve
     both halves: as -lo and hi of the a8 range of a2 = i + 1 <= K, and as
@@ -381,6 +396,110 @@ class _Bound:
         self.under = (b - 1) // n
 
 
+#: Consecutive moduli a1 per block dealt to a sweep worker.  Dealt
+#: round-robin, the workers' shares differ by about one block's work; 32 to
+#: 256 timed the same at N(3e7) and on the fit grid on a 2-vCPU host.
+SHARE_BLOCK = 128
+
+#: Smallest largest K = isqrt(B) of a sweep that is split across forked
+#: workers; smaller sweeps run in the calling process.  On a 2-vCPU host
+#: one bound took 31 ms in process and 38 ms forked at K = 400, and 51 ms
+#: and 43 ms at K = 500.
+FORK_MIN_MODULI = 500
+
+
+def _share_pairs(states, blocks):
+    """The pairs with a1 in the (lo, hi) ranges of blocks, one int per state.
+
+    states are _Bound objects ascending in K, and blocks ascend up to
+    hi <= states[-1].k.  The share builds its own factor tables and Euclid
+    blocks.
+    """
+    n = states[-1].k
+    ks = [state.k for state in states]
+    tables = _factor_tables(blocks[-1][1] // 2)
+    totals = [0] * len(states)
+    for lo, hi in blocks:
+        for a1, inv in _inverse_tables(hi, lo, tables):
+            residues = _Residues(a1, inv, n)
+            for i in range(bisect_left(ks, a1), len(states)):
+                state = states[i]
+                totals[i] += _pair_counts_fast(
+                    a1, residues.classes[a1 + 1:state.k + 1], state, residues)
+    return totals
+
+
+def _run_share(conn, states, blocks):
+    """A worker's body: send (True, its share) or (False, the error) to conn."""
+    try:
+        result = (True, _share_pairs(states, blocks))
+    except Exception as exc:  # the parent re-raises it
+        result = (False, exc)
+    conn.send(result)
+    conn.close()
+
+
+def _forked(states, shares):
+    """_share_pairs(states, blocks) for each blocks in shares, one forked worker each.
+
+    Returns the results in order.  A worker's error is raised here, and no
+    worker outlives the call: on any error the others are terminated, and
+    every one is joined.
+    """
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    workers, pipes = [], []
+    try:
+        for blocks in shares:
+            recv, send = ctx.Pipe(duplex=False)
+            pipes.append(recv)
+            worker = ctx.Process(target=_run_share, args=(send, states, blocks),
+                                 daemon=True)
+            worker.start()
+            workers.append(worker)
+            send.close()
+        results = []
+        for recv in pipes:
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                raise ChildProcessError("a torsor sweep worker exited without "
+                                        "a result") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        for worker in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker in workers:
+            worker.join()
+        for recv in pipes:
+            recv.close()
+
+
+def _sweep(states):
+    """The pairs with a1 = 2..max K for each of states (ascending in K >= 2).
+
+    Blocks of SHARE_BLOCK consecutive moduli are dealt round-robin to one
+    forked worker per CPU the process may run on, at most one per block,
+    and the exact partial counts are added here.  Below FORK_MIN_MODULI,
+    with one CPU, without fork, or in a process that runs threads (which a
+    fork does not copy), one share takes every block in this process.
+    """
+    n = states[-1].k
+    blocks = [(lo, min(lo + SHARE_BLOCK - 1, n)) for lo in range(2, n + 1, SHARE_BLOCK)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(blocks))
+    if (n < FORK_MIN_MODULI or workers < 2 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return _share_pairs(states, blocks)
+    shares = _forked(states, [blocks[w::workers] for w in range(workers)])
+    return [sum(column) for column in zip(*shares)]
+
+
 def torsor_counts(bounds):
     """N(B) via the torsor parameterization for every B in bounds, in order.
 
@@ -390,39 +509,29 @@ def torsor_counts(bounds):
       a1 = 1: sum_{a2=2..B} ((B-1)//a2 + B//a2 + 1) = D(B-1) + D(B) - B,
         plus B for the pair (1, 1): its 2B values of a8, halved as it is
         its own swap image.
-      a1 >= 2, a2 <= K: count the a8 class per a2 (_pair_counts_fast).
-      a1 >= 2, a2 > K: |a2*a8| <= B forces 1 <= |a8| <= B // (K + 1)
-        (_a8_side_counts).
+      a1 >= 2: count the a8 class per a2 <= K and, since a2 > K forces
+        1 <= |a8| <= B // (K + 1), the a2 class per a8, both in one
+        kernel (_pair_counts_fast).
     One sweep over a1 = 2..max K serves every bound: each a1 gets one
     inverse table and one periodic class array, and every bound with
-    K >= a1 counts its two halves from it.  A result's elapsed is the time
-    from the start of the call until its bound's count was complete.
-    Every bound is checked first: one above MAX_TORSOR_BOUND raises
-    OutOfRange before any work.
+    K >= a1 counts from it.  The moduli are split across forked workers
+    (_sweep), so every bound's count completes at the end of the sweep,
+    and every result's elapsed is the time of the whole call.  Every bound
+    is checked first: one above MAX_TORSOR_BOUND raises OutOfRange before
+    any work.
     """
     t0 = time.perf_counter()
     ints = [_int_bound(b, MAX_TORSOR_BOUND) for b in bounds]
-    done = {}  # b -> (pairs, elapsed)
-    live = []
-    for state in map(_Bound, sorted(set(ints))):
-        if state.k < 2:
-            done[state.b] = (state.pairs, time.perf_counter() - t0)
-        else:
-            live.append(state)
+    states = list(map(_Bound, sorted(set(ints))))
+    pairs = {state.b: state.pairs for state in states}
+    live = [state for state in states if state.k >= 2]
     if live:
-        n = live[-1].k
-        for a1, inv in _inverse_tables(n):
-            residues = _Residues(a1, inv, n)
-            for state in live:
-                state.pairs += _pair_counts_fast(
-                    a1, residues.classes[a1 + 1:state.k + 1], state, residues)
-                state.pairs += _a8_side_counts(a1, state, residues)
-                if state.k == a1:
-                    done[state.b] = (state.pairs, time.perf_counter() - t0)
-            live = [state for state in live if state.k > a1]
+        for state, share in zip(live, _sweep(live)):
+            pairs[state.b] += share
+    elapsed = time.perf_counter() - t0
     # 4 = swap symmetry x units / |mu_K|
-    return [CountResult(bound=Fraction(bound), count=4 * done[b][0], ring=INTEGERS,
-                        method="torsor-fast", elapsed=done[b][1])
+    return [CountResult(bound=Fraction(bound), count=4 * pairs[b], ring=INTEGERS,
+                        method="torsor-fast", elapsed=elapsed)
             for bound, b in zip(bounds, ints)]
 
 

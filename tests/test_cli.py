@@ -182,6 +182,31 @@ class TestCli:
         elapsed = {r.elapsed for r in rows}
         assert len(elapsed) == 1 and elapsed.pop() > 0
 
+    @pytest.mark.parametrize("ring", ["Z", "Zi"])
+    def test_count_points_builds_one_sieve(self, tmp_path, monkeypatch, ring):
+        calls = []
+        sieve = surface._divisor_sieve
+
+        def counted(n):
+            calls.append(n)
+            return sieve(n)
+        monkeypatch.setattr(surface, "_divisor_sieve", counted)
+        bound = "2000" if ring == "Z" else "200"
+        plain, listed = tmp_path / "plain", tmp_path / "listed"
+        for out in (plain, listed):
+            out.mkdir()
+        argv = ["count", "--ring", ring, "--bound", "3", "--bound", bound]
+        assert main(["--output", str(plain), *argv]) == 0
+        calls.clear()
+        assert main(["--output", str(listed), *argv, "--points",
+                     str(tmp_path / "points.txt")]) == 0
+        assert calls == ([2000] if ring == "Z" else [])
+        # the counts read off the listed heights are the histogram's
+        assert (listed / "counts.csv").read_bytes() == (plain / "counts.csv").read_bytes()
+        lines = (tmp_path / "points.txt").read_text().splitlines()
+        assert len(lines) == reporting.parse_counts_csv(
+            (plain / "counts.csv").read_text())[-1].count
+
     @pytest.mark.parametrize("args", [["jigsaw", "--q", str(q)] for q in range(4)]
                              + [["slices"]], ids=["q0", "q1", "q2", "q3", "slices"])
     def test_geometry_commands_run_no_linear_program(self, tmp_path, monkeypatch, args):

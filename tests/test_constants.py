@@ -116,6 +116,52 @@ class TestEulerProduct:
             C.finite_density_product(cubic, 100)
 
 
+class TestPrimeNorms:
+    """_prime_norms reads chi_d off one period; the oracle calls it per prime."""
+
+    @staticmethod
+    def per_prime(inv, bound):
+        norms = []
+        for p in C.primes_up_to(bound).tolist():
+            chi = C.kronecker_symbol(inv.quad_disc, p)
+            if chi == 1:
+                norms.extend([p, p])
+            elif chi == 0:
+                norms.append(p)
+            elif p * p <= bound:
+                norms.append(p * p)
+        return norms
+
+    @pytest.mark.parametrize("label", ["Q(i)", "Q(sqrt-3)", "Q(sqrt2)"])
+    def test_builtin_fields(self, label):
+        inv = C.get_field(label)
+        norms = C._prime_norms(inv, 2 * 10 ** 5)
+        assert norms == self.per_prime(inv, 2 * 10 ** 5)
+        assert all(type(n) is int for n in norms)
+
+    def test_field_json(self, tmp_path):
+        # Q(sqrt-7), and Z[sqrt-1] written by its non-fundamental d = -1:
+        # for d = 3 mod 4 the period is 4|d| and 2 is alone in its class
+        for label, d in (("Q(sqrt-7)", -7), ("Z[sqrt-1]", -1)):
+            path = tmp_path / "field.json"
+            path.write_text(json.dumps({"label": label, "r1": 0, "r2": 1,
+                                        "abs_disc": 7, "regulator": 1.0,
+                                        "class_number": 1, "mu": 2, "quad_disc": d}))
+            inv = C.load_field(str(path))
+            assert C._prime_norms(inv, 10 ** 4) == self.per_prime(inv, 10 ** 4)
+
+    def test_every_small_discriminant(self):
+        for d in [d for d in range(-60, 61) if d] + [4 * 10 ** 6 + 12, -(10 ** 9 + 7)]:
+            inv = C.FieldInvariants("quadratic", r1=2, r2=0, abs_disc=abs(d),
+                                    regulator=1.0, class_number=1, mu=2, quad_disc=d)
+            assert C._prime_norms(inv, 2000) == self.per_prime(inv, 2000), d
+
+    def test_zero_discriminant_is_invalid(self):
+        with pytest.raises(InvalidInvariants):
+            C.FieldInvariants("bad", r1=2, r2=0, abs_disc=1, regulator=1.0,
+                              class_number=1, mu=2, quad_disc=0)
+
+
 class TestZeta:
     def test_l2_chi_minus_4_is_catalan(self):
         value, tail = C.dirichlet_l2(-4)

@@ -335,6 +335,29 @@ class TestDegenerateFaces:
         assert main(["--output", str(tmp_path), "jigsaw", "--q", "2"]) == 0
         assert calls == []
 
+    def test_jigsaw_command_computes_each_face_volume_once(self, tmp_path, monkeypatch):
+        # the degenerate-face report reads the volumes of jigsaw_check's report
+        calls = []
+        volume = jigsaw.face_volume
+
+        def counted(*m, **kw):
+            calls.append(m)
+            return volume(*m, **kw)
+        monkeypatch.setattr(jigsaw, "face_volume", counted)
+        assert main(["--output", str(tmp_path), "jigsaw", "--q", "2"]) == 0
+        assert sorted(calls) == sorted(jigsaw.edge_multisets(2)) and len(calls) == 20
+
+    def test_alpha_command_certifies_the_fan_once(self, tmp_path, monkeypatch):
+        calls = []
+        fan = jigsaw.edge_fan
+
+        def counted():
+            calls.append(1)
+            return fan()
+        monkeypatch.setattr(jigsaw, "edge_fan", counted)
+        assert main(["--output", str(tmp_path), "alpha", "--q", "40"]) == 0
+        assert len(calls) == 1
+
     def test_q1_reference_face_is_not_degenerate_here(self):
         # the (57),(57) system admits the interior point below, so the
         # report must mark the discrepancy rather than the reference face

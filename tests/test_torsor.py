@@ -3,7 +3,10 @@
 import io
 import itertools
 import math
+import multiprocessing
+import os
 import random
+import threading
 import time
 from fractions import Fraction
 from math import gcd, isqrt
@@ -203,6 +206,14 @@ class TestResidueArithmetic:
             assert residues.class_sum(x, n) == scan, (a1, x, n)
             assert residues.units(n) == sum(gcd(a8, a1) == 1 for a8 in range(1, n + 1))
 
+    def test_period_sum_is_a_whole_period_of_class_sum(self):
+        # the a8 up to t = a1 - 1 or a1 are one period: a1 is no unit
+        for a1 in range(2, 60):
+            residues = T._Residues(a1, T._inverse_table(a1), a1)
+            for x in (0, 1, a1 - 1, a1, 3 * a1 + 2, 10 ** 6 + a1 // 2):
+                assert residues.period_sum(x) == residues.class_sum(x, a1 - 1), (a1, x)
+                assert residues.period_sum(x) == residues.class_sum(x, a1), (a1, x)
+
     def test_both_halves_match_the_elementwise_formulas(self):
         rng = random.Random(31337)
         cases = []
@@ -222,9 +233,8 @@ class TestResidueArithmetic:
             residues = T._Residues(a1, inv, bound.k)
             classes = residues.classes[a1 + 1:bound.k + 1]
             assert (T._pair_counts_fast(a1, classes, bound, residues)
-                    == pair_counts_elementwise(a1, b, inv)), (a1, b)
-            assert (T._a8_side_counts(a1, bound, residues)
-                    == a8_side_counts_elementwise(a1, b, inv)), (a1, b)
+                    == pair_counts_elementwise(a1, b, inv)
+                    + a8_side_counts_elementwise(a1, b, inv)), (a1, b)
             if bound.m < a1:
                 seen.add("M < a1")
             if bound.m % a1 == 0:
@@ -299,7 +309,7 @@ class TestSharedSweep:
         assert grid == self.FIT_GRID
         results = T.torsor_counts(grid)
         assert [r.count for r in results] == self.FIT_COUNTS
-        assert [r.elapsed for r in results] == sorted(r.elapsed for r in results)
+        assert len({r.elapsed for r in results}) == 1  # the time of the whole sweep
 
     def test_counts_are_python_ints(self):
         # a numpy integer would fail JSON output and could wrap around
@@ -316,10 +326,113 @@ class TestSharedSweep:
             raise AssertionError("counting started with a bound above MAX_TORSOR_BOUND")
         for name in ("_divisor_sum", "_factor_tables", "_euclid_inverses",
                      "_inverse_table", "_inverse_tables", "_pair_counts_fast",
-                     "_a8_side_counts"):
+                     "_share_pairs", "_forked", "_sweep"):
             monkeypatch.setattr(T, name, started)
         with pytest.raises(OutOfRange):
             T.torsor_counts([1e4, T.MAX_TORSOR_BOUND + 1])
+
+
+class TestForkedSweep:
+    """_sweep: the moduli dealt to forked workers give the in-process counts."""
+
+    @pytest.fixture
+    def shares(self, monkeypatch):
+        """Fork every sweep with K >= 2 into blocks of 4 moduli; record the shares.
+
+        On a host with one CPU the affinity is widened to two, so that the
+        forked route still runs.
+        """
+        monkeypatch.setattr(T, "FORK_MIN_MODULI", 2)
+        monkeypatch.setattr(T, "SHARE_BLOCK", 4)
+        if len(os.sched_getaffinity(0)) < 2:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        recorded = []
+        forked = T._forked
+
+        def record(states, shares):
+            recorded.append(shares)
+            return forked(states, shares)
+        monkeypatch.setattr(T, "_forked", record)
+        return recorded
+
+    @staticmethod
+    def in_process(bounds):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "FORK_MIN_MODULI", 10 ** 9)
+            return [r.count for r in T.torsor_counts(bounds)]
+
+    def test_fit_grid(self, shares, monkeypatch):
+        monkeypatch.setattr(T, "SHARE_BLOCK", 128)
+        grid = TestSharedSweep.FIT_GRID
+        assert [r.count for r in T.torsor_counts(grid)] == TestSharedSweep.FIT_COUNTS
+        assert self.in_process(grid) == TestSharedSweep.FIT_COUNTS
+        assert len(shares) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_random_unsorted_lists_with_duplicates(self, shares):
+        rng = random.Random(1729)
+        for _ in range(3):
+            bounds = [rng.randint(1, 3 * 10 ** 4) for _ in range(10)]
+            bounds += rng.sample(bounds, 4)
+            rng.shuffle(bounds)
+            assert [r.count for r in T.torsor_counts(bounds)] == self.in_process(bounds)
+        assert len(shares) == 3
+        assert multiprocessing.active_children() == []
+
+    def test_where_isqrt_changes(self, shares):
+        bounds = [b for n in range(1, 61) for b in (n * n - 1, n * n, n * n + 1) if b]
+        counts = [r.count for r in T.torsor_counts(bounds)]
+        assert counts == self.in_process(bounds)
+        assert counts == [full_range_count(b) for b in bounds]
+        # every modulus 2..60 in exactly one block, the blocks dealt round-robin
+        (dealt,) = shares
+        blocks = sorted(block for share in dealt for block in share)
+        assert blocks == [(lo, min(lo + 3, 60)) for lo in range(2, 61, 4)]
+        assert all(share == blocks[w::len(dealt)] for w, share in enumerate(dealt))
+
+    def test_no_more_workers_than_cpus(self, shares, monkeypatch):
+        for cpus, bound, workers in ((64, 15 ** 2, 4), (3, 40 ** 2, 3), (1, 40 ** 2, 0)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            shares.clear()
+            assert T.torsor_count(bound).count == full_range_count(bound)
+            assert [len(dealt) for dealt in shares] == ([workers] if workers else [])
+        assert multiprocessing.active_children() == []
+
+    def test_a_process_with_threads_does_not_fork(self, shares):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert T.torsor_count(40 ** 2).count == full_range_count(40 ** 2)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and shares == []
+
+    def test_a_worker_error_reaches_the_caller(self, shares, monkeypatch):
+        kernel = T._pair_counts_fast
+
+        def planted(a1, *args):
+            if a1 == 29:
+                raise ArithmeticError("planted in the worker of a1 = 29")
+            return kernel(a1, *args)
+        monkeypatch.setattr(T, "_pair_counts_fast", planted)
+        with pytest.raises(ArithmeticError, match="a1 = 29"):
+            T.torsor_count(50 ** 2)
+        assert len(shares) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_fails_the_sweep(self, shares, monkeypatch):
+        kernel = T._pair_counts_fast
+
+        def dies(a1, *args):
+            if a1 == 29:
+                os._exit(3)
+            return kernel(a1, *args)
+        monkeypatch.setattr(T, "_pair_counts_fast", dies)
+        with pytest.raises(ChildProcessError):
+            T.torsor_count(50 ** 2)
+        assert multiprocessing.active_children() == []
 
 
 class TestNormalizedPoints:

@@ -123,7 +123,7 @@ def product_inverse_table(m):
 
 
 def a8_side_counts_elementwise(a1, bound, inv):
-    """Oracle for torsor._a8_side_counts: the count per a8, over every a8 in 1..M.
+    """Oracle for the a8 side of torsor._pair_counts_fast: the count per a8, over 1..M.
 
     Pairs (a2, +-a8) with K < a2 <= B // a1, one a1 >= 2; inv is the
     inverse table mod a1 (-1 for a non-unit).
@@ -142,7 +142,7 @@ def a8_side_counts_elementwise(a1, bound, inv):
 
 
 def pair_counts_elementwise(a1, bound, inv):
-    """Oracle for torsor._pair_counts_fast: a8 solutions per a2 in (a1, K], summed."""
+    """Oracle for the a2 <= K side of torsor._pair_counts_fast: a8 solutions per a2 in (a1, K]."""
     a2 = np.arange(a1 + 1, isqrt(bound) + 1, dtype=np.int64)
     lo = -(bound // a2)
     hi = (bound - 1) // a2
