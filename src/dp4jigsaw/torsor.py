@@ -45,15 +45,30 @@ each residue class in O(1), in O(sqrt B) memory:
   of a block of consecutive moduli; the composites are products of
   earlier entries, one vectorized step per level of a balanced
   factorization (_factor_tables);
-* the moduli a1 are independent: blocks of SHARE_BLOCK consecutive moduli
-  are dealt round-robin to forked workers, at most one per CPU the process
-  may run on, and each worker returns one exact partial count per bound
-  (_sweep).  Small sweeps, and hosts without fork, run the same share in
-  the calling process.
+* the sweep is split at S = max K // 2.  A modulus a1 > S reads classes
+  only at x = a1 + y with 1 <= y <= K - a1 <= S, and there the class comes
+  off the table mod y, which the row of a1 = y builds anyway: with
+  u = a1^-1 mod y, c = -x^-1 mod a1 = (a1*u - 1) / y, exact since
+  a1*u = 1 (mod y), and in [1, a1) since y < a1 and u < y (u = 1 at y = 1).
+  x is a unit mod a1 exactly when u exists.  So each y <= S runs its row
+  a1 = y and one column over a1 in (S, K - y] (_column_pairs).  As
+  K < 2*a1 there, x = a1 + y's term of class_sum(K, M) is
+  g = 2 - [c > K - a1] + [c >= 2*a1 - K], and the column sums
+  w*(2f - [x <= M]*g + 1), the 2f being f at x = K when M = K - 1.  The a8
+  up to a1 in class_sum(K, M) are one period, so each a1 > S adds
+  period_sum(B // a1) - period_sum(K), with phi(a1) and the unit counts by
+  inclusion-exclusion over the prime divisors of a1 (_tail_pairs).  Only the
+  inverse tables up to S are built, a quarter of the entries;
+* the moduli y <= S are independent: blocks of SHARE_BLOCK consecutive
+  moduli are dealt round-robin to forked workers, at most one per CPU the
+  process may run on, and each worker returns one exact partial count per
+  bound (_sweep).  Small sweeps, and hosts without fork, run the same share
+  in the calling process.
 
 Each bound's arrays hold O(sqrt B) values, and the count is integer
 arithmetic throughout.  The tests check it against a naive scan of a8,
 the kernel against the sum of the elementwise forms of the two halves,
+the columns and closed forms above S against the kernel's rows there,
 and the forked sweep against the in-process one.
 """
 
@@ -75,8 +90,12 @@ from .surface import INTEGERS, CountResult, ProjectivePoint, _int_bound
 #: floor(n/k) in D(n)), at most the a1 = 1 row sum_{a2 <= B} (2B/a2 + 1),
 #: about B * (2 ln B + 1); at B = 10^17 that is 7.9e18 < 2^63 - 1 = 9.2e18.
 #: The per-residue sums, and their multiples by the number of whole periods
-#: of a8, are Python ints; an inverse-table product is below K^2 <= B.  The
-#: O(B) running time is the practical limit far below it.
+#: of a8, are Python ints; an inverse-table product is below K^2 <= B.
+#: Above S = K // 2, a column product a1*u is below K*S <= B/2, and
+#: B // a1^2 <= B // S^2 <= 16, so f < 2B/S^2 <= 32, a column term
+#: 2f + 1 - g is below 64, and each a1 > S adds less than 32K in
+#: _tail_pairs, under 16B in all.  The O(B) running time is the practical
+#: limit far below it.
 MAX_TORSOR_BOUND = 10 ** 17
 
 
@@ -396,36 +415,136 @@ class _Bound:
         self.under = (b - 1) // n
 
 
-#: Consecutive moduli a1 per block dealt to a sweep worker.  Dealt
+def _column(y, inv, s, n):
+    """(a1, classes, weights) of the column y: a1 = S+1..n-y, S = s, x = a1 + y.
+
+    classes[i] = -x^-1 mod a1 = (a1*u - 1) / y with u = a1^-1 mod y read off
+    inv, the inverse table mod y (inv = [1] at y = 1), and weights[i] is 1
+    where u exists, 0 elsewhere (a meaningless class).  y <= s < a1.
+    """
+    a1 = np.arange(s + 1, n - y + 1, dtype=np.int64)
+    start = (s + 1) % y
+    u = _periodic(np.concatenate((inv[start:], inv[:start])), a1.size - 1)  # inv[a1 % y]
+    return a1, (a1 * u - 1) // y, (u > 0).astype(np.int64)
+
+
+def _column_pairs(y, a1, classes, weights, bound):
+    """The _pair_counts_fast terms at x = a1 + y of every a1 in (S, K - y], for one _Bound.
+
+    a1, classes and weights are _column(y, ...), cut here at a1 <= K - y.
+    As K < 2*a1, x's term of class_sum(K, M) is
+    g = 2 - [c > K - a1] + [c >= 2*a1 - K], and each a1 gets
+    w*(2f - g + 1), with f the kernel form, or w*(f + 1) at x = K when
+    M = K - 1; an int.
+    """
+    k = bound.k
+    size = k - y - (int(a1[0]) - 1) if a1.size else 0
+    if size <= 0:
+        return 0
+    a1, c, w = a1[:size], classes[:size], weights[:size]
+    f = (bound.under[k - size:] - c) // a1 + (bound.over[k - size:] + c) // a1
+    rest = k - a1
+    g = 2 - (c > rest) + (c >= a1 - rest)
+    dot = int(np.dot(2 * f - g + 1, w))
+    if bound.m < k:
+        dot -= int(w[-1] * (f[-1] - g[-1]))
+    return dot
+
+
+def _squarefree_divisors(a):
+    """(owner, d, mu): each squarefree divisor d of each a[owner], mu = Moebius(d).
+
+    Sorted by owner.  Trial division by the primes up to sqrt(max a) leaves
+    each a[i] at most one prime factor above them, and each prime factor p
+    of a[i] doubles its rows: d -> d*p with mu negated.
+    """
+    owner = np.arange(a.size)
+    d = np.ones(a.size, dtype=np.int64)
+    mu = np.ones(a.size, dtype=np.int64)
+    rest = a.copy()
+    for p in _factor_tables(isqrt(int(a.max())))[1].tolist() + [None]:
+        # p = None: the prime factor left in rest, if any
+        hit = rest > 1 if p is None else rest % p == 0
+        rows = hit[owner]
+        factor = rest[owner[rows]] if p is None else p
+        owner = np.concatenate((owner, owner[rows]))
+        d = np.concatenate((d, d[rows] * factor))
+        mu = np.concatenate((mu, -mu[rows]))
+        while p is not None and hit.any():
+            rest[hit] //= p
+            hit = rest % p == 0
+    order = np.argsort(owner, kind="stable")
+    return owner[order], d[order], mu[order]
+
+
+#: Moduli a1 > S per block of _tail_pairs, which holds about 2^omega(a1)
+#: divisor rows per modulus.  At N(1e9) the tail's traced peak was 7.3 MB
+#: with all of (S, K] in one block, 3.1 MB at 4096 moduli a block and
+#: 1.05 MB at 1024; at N(3e7) it took 12 ms, against 10 ms at 4096.
+TAIL_BLOCK = 1 << 10
+
+
+def _tail_pairs(states):
+    """The pairs of the column y = 1 and the closed forms of a1 in (S, K], one int per state.
+
+    Each a1 > S adds period_sum(B // a1) - period_sum(K)
+    = 2(q - 1)*phi(a1) + 2*units(r) - 2*units(K - a1), with q, r =
+    divmod(B // a1, a1) and units(j) the units mod a1 in 1..j: sums of
+    mu(d)*(j // d) over the squarefree divisors d of a1, taken per block of
+    TAIL_BLOCK moduli.  At y = 1, u = 1.
+    """
+    n = states[-1].k
+    s = n // 2
+    column = _column(1, np.ones(1, dtype=np.int64), s, n)
+    totals = [_column_pairs(1, *column, state) for state in states]
+    for lo in range(s + 1, n + 1, TAIL_BLOCK):
+        a1 = np.arange(lo, min(lo + TAIL_BLOCK, n + 1), dtype=np.int64)
+        owner, d, mu = _squarefree_divisors(a1)
+        starts = np.searchsorted(owner, np.arange(a1.size))
+        phi = np.add.reduceat(mu * (a1[owner] // d), starts)
+        for i, state in enumerate(states):
+            size = min(max(state.k - lo + 1, 0), a1.size)     # a1 = lo..K
+            rows = owner.size if size == a1.size else int(starts[size])
+            top, o, dd = a1[:size], owner[:rows], d[:rows]
+            q, r = np.divmod(state.b // top, top)
+            units = np.add.reduceat(mu[:rows] * (r[o] // dd - (state.k - top)[o] // dd),
+                                    starts[:size])    # units(r) - units(K - a1)
+            totals[i] += 2 * int(np.dot(q - 1, phi[:size]) + units.sum())
+    return totals
+
+
+#: Consecutive moduli y per block dealt to a sweep worker.  Dealt
 #: round-robin, the workers' shares differ by about one block's work; 32 to
 #: 256 timed the same at N(3e7) and on the fit grid on a 2-vCPU host.
 SHARE_BLOCK = 128
 
 #: Smallest largest K = isqrt(B) of a sweep that is split across forked
-#: workers; smaller sweeps run in the calling process.  On a 2-vCPU host
-#: one bound took 31 ms in process and 38 ms forked at K = 400, and 51 ms
-#: and 43 ms at K = 500.
+#: workers; smaller sweeps run in the calling process.  On a 2-vCPU host,
+#: medians of 31 runs of one bound B = K^2: 28 ms in process and 36 ms
+#: forked at K = 400, 37 ms both at K = 500, and 64 ms and 56 ms at K = 800.
 FORK_MIN_MODULI = 500
 
 
 def _share_pairs(states, blocks):
-    """The pairs with a1 in the (lo, hi) ranges of blocks, one int per state.
+    """The pairs of the rows a1 = y and the columns y in the (lo, hi) ranges of blocks.
 
-    states are _Bound objects ascending in K, and blocks ascend up to
-    hi <= states[-1].k.  The share builds its own factor tables and Euclid
-    blocks.
+    One int per state.  states are _Bound objects ascending in K, and
+    blocks ascend up to hi <= S = states[-1].k // 2.  The share builds its
+    own factor tables and Euclid blocks.
     """
     n = states[-1].k
     ks = [state.k for state in states]
     tables = _factor_tables(blocks[-1][1] // 2)
     totals = [0] * len(states)
     for lo, hi in blocks:
-        for a1, inv in _inverse_tables(hi, lo, tables):
-            residues = _Residues(a1, inv, n)
-            for i in range(bisect_left(ks, a1), len(states)):
+        for y, inv in _inverse_tables(hi, lo, tables):
+            residues = _Residues(y, inv, n)
+            column = _column(y, inv, n // 2, n)
+            for i in range(bisect_left(ks, y), len(states)):
                 state = states[i]
-                totals[i] += _pair_counts_fast(
-                    a1, residues.classes[a1 + 1:state.k + 1], state, residues)
+                totals[i] += (_pair_counts_fast(y, residues.classes[y + 1:state.k + 1],
+                                                state, residues)
+                              + _column_pairs(y, *column, state))
     return totals
 
 
@@ -483,21 +602,28 @@ def _forked(states, shares):
 def _sweep(states):
     """The pairs with a1 = 2..max K for each of states (ascending in K >= 2).
 
-    Blocks of SHARE_BLOCK consecutive moduli are dealt round-robin to one
-    forked worker per CPU the process may run on, at most one per block,
-    and the exact partial counts are added here.  Below FORK_MIN_MODULI,
-    with one CPU, without fork, or in a process that runs threads (which a
-    fork does not copy), one share takes every block in this process.
+    The moduli y = 2..S, S = max K // 2, each with its row a1 = y and its
+    column, go in blocks of SHARE_BLOCK consecutive moduli, dealt
+    round-robin to one forked worker per CPU the process may run on, at
+    most one per block; the column y = 1 and the a1 > S closed forms
+    (_tail_pairs) run here, and the exact partial counts are added here.
+    Below FORK_MIN_MODULI, with one CPU, without fork, or in a process that
+    runs threads (which a fork does not copy), one share takes every block
+    in this process.
     """
     n = states[-1].k
-    blocks = [(lo, min(lo + SHARE_BLOCK - 1, n)) for lo in range(2, n + 1, SHARE_BLOCK)]
+    s = n // 2
+    blocks = [(lo, min(lo + SHARE_BLOCK - 1, s)) for lo in range(2, s + 1, SHARE_BLOCK)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(blocks))
-    if (n < FORK_MIN_MODULI or workers < 2 or not hasattr(os, "fork")
+    if not blocks:
+        shares = []
+    elif (n < FORK_MIN_MODULI or workers < 2 or not hasattr(os, "fork")
             or threading.active_count() > 1):
-        return _share_pairs(states, blocks)
-    shares = _forked(states, [blocks[w::workers] for w in range(workers)])
-    return [sum(column) for column in zip(*shares)]
+        shares = [_share_pairs(states, blocks)]
+    else:
+        shares = _forked(states, [blocks[w::workers] for w in range(workers)])
+    return [sum(column) for column in zip(_tail_pairs(states), *shares)]
 
 
 def torsor_counts(bounds):
@@ -512,9 +638,11 @@ def torsor_counts(bounds):
       a1 >= 2: count the a8 class per a2 <= K and, since a2 > K forces
         1 <= |a8| <= B // (K + 1), the a2 class per a8, both in one
         kernel (_pair_counts_fast).
-    One sweep over a1 = 2..max K serves every bound: each a1 gets one
-    inverse table and one periodic class array, and every bound with
-    K >= a1 counts from it.  The moduli are split across forked workers
+    One sweep over a1 = 2..max K serves every bound: each a1 up to
+    S = max K // 2 gets one inverse table and one periodic class array, and
+    every bound with K >= a1 counts from it; each a1 > S reads its classes
+    off the tables mod y = x - a1 <= S (_column_pairs) and adds a closed
+    form (_tail_pairs).  The moduli are split across forked workers
     (_sweep), so every bound's count completes at the end of the sweep,
     and every result's elapsed is the time of the whole call.  Every bound
     is checked first: one above MAX_TORSOR_BOUND raises OutOfRange before

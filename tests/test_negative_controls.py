@@ -1,16 +1,19 @@
-"""Negative controls: plant one defect, and the checker that should see it exits 1.
+"""Negative controls: plant one defect, and the checker that should see it fails.
 
-Each case first runs the checker unplanted (exit 0), so a control that
-passes can only mean the checker caught the defect.
+Each case first runs the checker unplanted (exit 0, or agreement with its
+oracle), so a control that passes can only mean the checker caught the
+defect.
 """
 
+import copy
 import json
 
 import pytest
 
-from dp4jigsaw import constants, jigsaw, surface
+from dp4jigsaw import constants, jigsaw, surface, torsor
 from dp4jigsaw.cli import main
 from dp4jigsaw.geometry import ConeLineDiagnostic, polytope
+from tests_support import full_range_count
 
 
 def run_cli(args, outdir):
@@ -173,3 +176,31 @@ def test_wrong_lattice_scale_in_volume(tmp_path, monkeypatch, lattice):
         # closed form for P'_0 sees the plant.
         assert pyramid.volume() == base.volume() == 0
         assert base.volume() != jigsaw.alpha_closed_form(1)
+
+
+def _column_class_plus_one(y, inv, s, n, _column=torsor._column):
+    a1, classes, weights = _column(y, inv, s, n)
+    return a1, classes + 1, weights
+
+
+def _column_without_m_below_k(y, a1, classes, weights, bound,
+                              _column_pairs=torsor._column_pairs):
+    full = copy.copy(bound)
+    full.m = full.k          # x = K counted as if M = K
+    return _column_pairs(y, a1, classes, weights, full)
+
+
+@pytest.mark.parametrize("name,planted", [
+    ("_column", _column_class_plus_one),
+    ("_column_pairs", _column_without_m_below_k),
+], ids=["class-plus-one", "no-m-below-k-correction"])
+def test_wrong_torsor_column_against_the_oracle(monkeypatch, name, planted):
+    # B = K^2 has M = K - 1 < K, and there f(K) - g(K) = -[c = y] at a1 = K - y:
+    # the correction counts only where y^2 = -1 (mod a1) for some y <= S = K // 2,
+    # as (y, a1) = (2, 5), (3, 5), (12, 29) and (6, 37) at these K
+    bounds = [7 ** 2, 8 ** 2, 41 ** 2, 43 ** 2]
+    oracle = [full_range_count(b) for b in bounds]
+    assert [torsor.torsor_count(b).count for b in bounds] == oracle
+    monkeypatch.setattr(torsor, name, planted)
+    counts = [torsor.torsor_count(b).count for b in bounds]
+    assert all(c != o for c, o in zip(counts, oracle)), counts

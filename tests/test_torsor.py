@@ -19,31 +19,10 @@ from dp4jigsaw import torsor as T
 from dp4jigsaw.errors import (EquationViolated, NonpositiveBound,
                               NonUnitMiddle, OutOfRange)
 from tests_support import (a8_side_counts_elementwise, enumerate_valid,
-                           naive_torsor_count, pair_counts_elementwise,
-                           product_inverse_table)
+                           full_range_count, naive_torsor_count,
+                           pair_counts_elementwise, product_inverse_table)
 
 mk = S.ProjectivePoint.make
-
-
-def full_range_count(b):
-    """Oracle: the per-a1 loop over the whole a2 range (a1, B // a1].
-
-    O(B) memory at a1 = 1 and a Python pow table per a1; independent of the
-    closed form, the hyperbola split and the vectorized inverses.
-    """
-    total = 4 * b  # the pair (1, 1)
-    for a1 in range(1, isqrt(b) + 1):
-        a2 = np.arange(a1 + 1, b // a1 + 1, dtype=np.int64)
-        inv = np.array([pow(i, -1, a1) if gcd(i, a1) == 1 else -1
-                        for i in range(a1)], dtype=np.int64)
-        r = inv[a2 % a1]
-        ok = r >= 0
-        r = np.where(ok, (-r) % a1, 0)
-        lo = -(b // a2)
-        hi = (b - 1) // a2
-        count = (hi - r) // a1 + (r - lo) // a1 + 1
-        total += 4 * int(np.where(ok, np.maximum(count, 0), 0).sum())
-    return total
 
 
 class TestValidate:
@@ -152,8 +131,9 @@ class TestFastCounter:
             assert T.torsor_count(b).count == full_range_count(b), b
 
     def test_oracle_where_isqrt_changes(self):
-        for n in range(1, 61):
-            for b in (n * n - 1, n * n, n * n + 1):
+        # B = K^2 + K - 1 has M = K - 1 and B = K^2 + K has M = K, for odd and even K
+        for n in list(range(1, 61)) + [99, 100]:
+            for b in (n * n - 1, n * n, n * n + 1, n * n + n - 1, n * n + n, n * n + 2 * n):
                 if b >= 1:
                     assert T.torsor_count(b).count == full_range_count(b), b
 
@@ -168,6 +148,13 @@ class TestFastCounter:
     def test_max_bound_fits_int64(self):
         b = T.MAX_TORSOR_BOUND
         assert b * (2 * math.log(b) + 1) < 2 ** 63 - 1
+        # above S = K // 2: column products, column terms and the tail sums
+        k = isqrt(b)
+        s = k // 2
+        assert k * s <= b // 2
+        assert 16 * b < 2 ** 63 - 1
+        for k in list(range(2, 2000)) + [isqrt(b)]:  # B <= K^2 + 2K <= 16 S^2
+            assert k * k + 2 * k <= 16 * (k // 2) ** 2, k
 
     def test_bound_above_limit_fails_before_any_work(self, monkeypatch):
         def started(*args):
@@ -242,6 +229,100 @@ class TestResidueArithmetic:
             if a1 == bound.k:
                 seen.add("a1 = K")
         assert seen == {"M < a1", "M % a1 = 0", "a1 = K"}
+
+
+class TestColumns:
+    """Above S = max K // 2: classes off the tables mod y, and closed forms per a1."""
+
+    @staticmethod
+    def table(y):
+        return T._inverse_table(y) if y > 1 else np.ones(1, dtype=np.int64)
+
+    def test_column_classes_equal_pow(self):
+        for k in range(2, 81):
+            s = k // 2
+            for y in range(1, s + 1):
+                a1, classes, weights = T._column(y, self.table(y), s, k + y)
+                assert a1.tolist() == list(range(s + 1, k + 1))
+                for a, c, w in zip(a1.tolist(), classes.tolist(), weights.tolist()):
+                    assert w == (gcd(a + y, a) == 1), (k, y, a)
+                    if w:
+                        u = pow(a, -1, y) if y > 1 else 1
+                        assert (a * u - 1) % y == 0
+                        assert c == (a * u - 1) // y == -pow(a + y, -1, a) % a, (k, y, a)
+
+    def test_squarefree_divisors(self):
+        a = np.array(list(range(2, 400)) + [9699690, 2 ** 20, 999983, 2 * 999983,
+                                            3 ** 4 * 7 ** 2 * 101], dtype=np.int64)
+        owner, d, mu = T._squarefree_divisors(a)
+        assert (np.diff(owner) >= 0).all()
+        for i, n in enumerate(a.tolist()):
+            primes, rest, p = [], n, 2
+            while p * p <= rest:
+                if rest % p == 0:
+                    primes.append(p)
+                    while rest % p == 0:
+                        rest //= p
+                p += 1
+            primes += [rest] if rest > 1 else []
+            expected = sorted((math.prod(c), (-1) ** len(c))
+                              for r in range(len(primes) + 1)
+                              for c in itertools.combinations(primes, r))
+            rows = owner == i
+            assert sorted(zip(d[rows].tolist(), mu[rows].tolist())) == expected, n
+            if n < 400:
+                phi = sum(gcd(x, n) == 1 for x in range(1, n + 1))
+                assert int(np.dot(mu[rows], n // d[rows])) == phi, n
+
+    @pytest.mark.parametrize("tail_block", [T.TAIL_BLOCK, 7])
+    def test_columns_and_tail_equal_the_rows_above_s(self, monkeypatch, tail_block):
+        monkeypatch.setattr(T, "TAIL_BLOCK", tail_block)
+        for bounds in ([10 ** 4], [99999], [12345, 29999, 30000, 3 * 10 ** 4 + 173],
+                       [5000, 100 ** 2, 101 ** 2 - 1, 101 ** 2 + 101]):
+            states = [T._Bound(b) for b in bounds]
+            n = states[-1].k
+            s = n // 2
+            columns = [T._column(y, self.table(y), s, n) for y in range(1, s + 1)]
+            tails = T._tail_pairs(states)
+            for state, tail in zip(states, tails):
+                k = state.k
+                rows = 0
+                for a1 in range(s + 1, k + 1):
+                    residues = T._Residues(a1, T._inverse_table(a1), k)
+                    rows += T._pair_counts_fast(a1, residues.classes[a1 + 1:k + 1],
+                                                state, residues)
+                split = tail + sum(T._column_pairs(y, *columns[y - 1], state)
+                                   for y in range(2, s + 1))
+                assert split == rows, (bounds, state.b)
+
+    def test_sweeps_with_s_equal_to_one(self, monkeypatch):
+        # K = 2, 3: no row and no block; only the column y = 1 and the tail run
+        ys = []
+        column_pairs = T._column_pairs
+
+        def record(y, *args):
+            ys.append(y)
+            return column_pairs(y, *args)
+        monkeypatch.setattr(T, "_column_pairs", record)
+        for b in range(4, 16):
+            assert T.torsor_count(b).count == full_range_count(b), b
+        assert set(ys) == {1}
+        assert T.torsor_count(16).count == full_range_count(16)  # K = 4, S = 2
+        assert set(ys) == {1, 2}
+
+    def test_inverse_tables_only_up_to_s(self, monkeypatch):
+        moduli = []
+        inverse = T._inverse_table
+
+        def record(m, *args):
+            moduli.append(m)
+            return inverse(m, *args)
+        monkeypatch.setattr(T, "_inverse_table", record)
+        monkeypatch.setattr(T, "FORK_MIN_MODULI", 10 ** 9)  # record in this process
+        assert T.torsor_count(3 * 10 ** 7).count == 13756575832
+        # S = 5477 // 2 = 2738, against 5476 calls and 15001502 entries up to K
+        assert sorted(moduli) == list(range(2, 2739))
+        assert len(moduli) == 2737 and sum(moduli) == 3749690
 
 
 class TestSharedSweep:
@@ -326,7 +407,8 @@ class TestSharedSweep:
             raise AssertionError("counting started with a bound above MAX_TORSOR_BOUND")
         for name in ("_divisor_sum", "_factor_tables", "_euclid_inverses",
                      "_inverse_table", "_inverse_tables", "_pair_counts_fast",
-                     "_share_pairs", "_forked", "_sweep"):
+                     "_column", "_column_pairs", "_squarefree_divisors",
+                     "_tail_pairs", "_share_pairs", "_forked", "_sweep"):
             monkeypatch.setattr(T, name, started)
         with pytest.raises(OutOfRange):
             T.torsor_counts([1e4, T.MAX_TORSOR_BOUND + 1])
@@ -384,14 +466,14 @@ class TestForkedSweep:
         counts = [r.count for r in T.torsor_counts(bounds)]
         assert counts == self.in_process(bounds)
         assert counts == [full_range_count(b) for b in bounds]
-        # every modulus 2..60 in exactly one block, the blocks dealt round-robin
+        # every modulus 2..S = 30 in exactly one block, the blocks dealt round-robin
         (dealt,) = shares
         blocks = sorted(block for share in dealt for block in share)
-        assert blocks == [(lo, min(lo + 3, 60)) for lo in range(2, 61, 4)]
+        assert blocks == [(lo, min(lo + 3, 30)) for lo in range(2, 31, 4)]
         assert all(share == blocks[w::len(dealt)] for w, share in enumerate(dealt))
 
     def test_no_more_workers_than_cpus(self, shares, monkeypatch):
-        for cpus, bound, workers in ((64, 15 ** 2, 4), (3, 40 ** 2, 3), (1, 40 ** 2, 0)):
+        for cpus, bound, workers in ((64, 30 ** 2, 4), (3, 40 ** 2, 3), (1, 40 ** 2, 0)):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             shares.clear()
             assert T.torsor_count(bound).count == full_range_count(bound)
@@ -418,7 +500,7 @@ class TestForkedSweep:
             return kernel(a1, *args)
         monkeypatch.setattr(T, "_pair_counts_fast", planted)
         with pytest.raises(ArithmeticError, match="a1 = 29"):
-            T.torsor_count(50 ** 2)
+            T.torsor_count(60 ** 2)  # a row up to S = 30
         assert len(shares) == 1
         assert multiprocessing.active_children() == []
 
@@ -431,7 +513,7 @@ class TestForkedSweep:
             return kernel(a1, *args)
         monkeypatch.setattr(T, "_pair_counts_fast", dies)
         with pytest.raises(ChildProcessError):
-            T.torsor_count(50 ** 2)
+            T.torsor_count(60 ** 2)
         assert multiprocessing.active_children() == []
 
 

@@ -4,7 +4,8 @@ bench/layers.py counts the torsor kernel by wrapping _pair_counts_fast
 (calls, and len of its second positional argument) and the inverse tables
 by wrapping _inverse_table (calls, and its first positional argument).  A
 kernel that is renamed, called by keyword, or no longer called once per
-(a1, bound) changes these counts.  The wrappers patch the module, so the
+(a1, bound) with a1 <= S = max K // 2 changes these counts; the moduli
+above S go through the columns and closed forms, which build no table.  The wrappers patch the module, so the
 sweep runs in a child process.
 """
 
@@ -43,14 +44,15 @@ def test_torsor_counters_match_their_closed_forms():
     assert proc.returncode == 0, proc.stderr[-2000:]
     counters = json.loads(proc.stdout.splitlines()[-1])
     ks = [isqrt(b) for b in BOUNDS]
+    s = max(ks) // 2
     expected = {
-        # one kernel call per (a1, bound), a1 = 2..K, over the a2 in (a1, K]
-        "torsor.kernel_calls": sum(k - 1 for k in ks),
-        "torsor.kernel_elements": sum(k - a1 for k in ks for a1 in range(2, k + 1)),
-        # one inverse table per modulus m = 2..max K, of m entries
-        "torsor.inverse_calls": max(ks) - 1,
-        "torsor.inverse_entries": sum(range(2, max(ks) + 1)),
+        # one kernel call per (a1, bound), a1 = 2..min(K, S), over the a2 in (a1, K]
+        "torsor.kernel_calls": sum(min(k, s) - 1 for k in ks),
+        "torsor.kernel_elements": sum(k - a1 for k in ks for a1 in range(2, min(k, s) + 1)),
+        # one inverse table per modulus m = 2..S, of m entries
+        "torsor.inverse_calls": s - 1,
+        "torsor.inverse_entries": sum(range(2, s + 1)),
     }
-    assert expected == {"torsor.kernel_calls": 414, "torsor.kernel_elements": 54306,
-                        "torsor.inverse_calls": 315, "torsor.inverse_entries": 50085}
+    assert expected == {"torsor.kernel_calls": 256, "torsor.kernel_elements": 41903,
+                        "torsor.inverse_calls": 157, "torsor.inverse_entries": 12560}
     assert counters == expected

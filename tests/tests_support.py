@@ -95,6 +95,27 @@ def naive_torsor_count(b):
     return total
 
 
+def full_range_count(b):
+    """Oracle: the per-a1 loop over the whole a2 range (a1, B // a1].
+
+    O(B) memory at a1 = 1 and a Python pow table per a1; independent of the
+    closed form, the hyperbola split and the vectorized inverses.
+    """
+    total = 4 * b  # the pair (1, 1)
+    for a1 in range(1, isqrt(b) + 1):
+        a2 = np.arange(a1 + 1, b // a1 + 1, dtype=np.int64)
+        inv = np.array([pow(i, -1, a1) if gcd(i, a1) == 1 else -1
+                        for i in range(a1)], dtype=np.int64)
+        r = inv[a2 % a1]
+        ok = r >= 0
+        r = np.where(ok, (-r) % a1, 0)
+        lo = -(b // a2)
+        hi = (b - 1) // a2
+        count = (hi - r) // a1 + (r - lo) // a1 + 1
+        total += 4 * int(np.where(ok, np.maximum(count, 0), 0).sum())
+    return total
+
+
 def product_inverse_table(m):
     """Oracle for torsor._inverse_table: the spf product over the whole range 0..m-1.
 
