@@ -16,7 +16,7 @@ Subpackages and modules:
 """
 
 from .constants import (ConstantBreakdown, FieldInvariants, finite_density_product,
-                        leading_constant, omega_arch, predicted_count, rho_K)
+                        leading_constant, omega_arch, rho_K)
 from .jigsaw import (JigsawReport, alpha_closed_form, face_polytope, jigsaw_check,
                      slice_census, union_polytope)
 from .surface import (CountResult, GroundRing, ProjectivePoint, count_mod_p,

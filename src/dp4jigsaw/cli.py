@@ -177,6 +177,7 @@ def _cmd_alpha(args):
 
 
 def _cmd_slices(args):
+    jigsaw.edge_fan()  # the census pieces' rows are derived from the fan's rays
     payload = []
     ok = True
     for a1 in args.a1 or list(jigsaw.PUBLISHED_PIECE_COUNTS):

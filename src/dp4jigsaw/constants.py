@@ -220,10 +220,9 @@ class EulerProductResult:
     tail_log_bound: float   # 0 <= -log(limit/value) <= this
     limit_low: float
     limit_high: float
-    exact_partial: Fraction = None
 
 
-def finite_density_product(inv, prime_bound, exact=False):
+def finite_density_product(inv, prime_bound):
     """prod_{Np <= bound} (1 - 1/Np^2) with a rigorous tail estimate.
 
     The limit over all primes is 1/zeta_K(2); the reported bracket
@@ -236,8 +235,6 @@ def finite_density_product(inv, prime_bound, exact=False):
         raise OutOfRange("prime_bound must be >= 2")
     if prime_bound > MAX_PRIME_BOUND:
         raise OutOfRange(f"prime_bound must be <= {MAX_PRIME_BOUND}, got {prime_bound}")
-    if exact and prime_bound > 10 ** 4:
-        raise OutOfRange("exact partial products only for bounds <= 10^4")
     norms = _prime_norms(inv, prime_bound)
     arr = np.array(norms, dtype=np.float64)
     log_value = math.fsum(np.log1p(-1.0 / arr ** 2).tolist()) if norms else 0.0
@@ -246,18 +243,11 @@ def finite_density_product(inv, prime_bound, exact=False):
         tail = 1.0 / prime_bound
     else:
         tail = 2.0 / prime_bound + prime_bound ** -1.5
-    exact_partial = None
-    if exact:
-        exact_partial = Fraction(1)
-        for n in norms:
-            exact_partial *= Fraction(n * n - 1, n * n)
-        value = float(exact_partial)
     return EulerProductResult(
         value=value, prime_bound=prime_bound, factor_count=len(norms),
         tail_log_bound=tail,
         limit_low=value * math.exp(-tail) * (1 - FLOAT_ASSEMBLY_RELERR),
         limit_high=value * (1 + FLOAT_ASSEMBLY_RELERR),
-        exact_partial=exact_partial,
     )
 
 
@@ -373,8 +363,3 @@ def leading_constant(inv):
         finite_product=finite, c=c, log_exponent=2 + 2 * q,
         b_exponent=2 * q + 3, rel_error=rel, symbolic=symbolic,
     )
-
-
-def predicted_count(inv, bound):
-    """ConstantBreakdown.predicted_count for the field inv."""
-    return leading_constant(inv).predicted_count(bound)

@@ -16,33 +16,35 @@ plus one two-row block per place selected by the edge at that place.  The
 face polytopes tile a single polytope P, whose block at every place is the
 quadrant a_{n,1} <= 0 <= a_{n,2}, and (2q+3) * vol(P) = 1/(q! (q+2)!).  The
 effective cone of a face is generated by its homogeneous rows (const 0), and
-its census pieces are its rows pulled back and sliced: all of them are built
-from one row table.  This module certifies the partition, reads every
+its census pieces are its rows pulled back and sliced: every row comes
+from the rays of one fan.  This module certifies the partition, reads every
 face volume off the edge fan, and exposes the cross-section census behind
 the mosaic pictures.
 
-The fan.  At one place write (s, t) = (a_{n,1}, a_{n,2}).  The four edge
-cones are consecutive cones of one unimodular fan in the quadrant
-{s <= 0, t >= 0}, with rays
+The fan.  At one place write (s, t) = (a_{n,1}, a_{n,2}).  The edge cones
+are consecutive cones of one unimodular fan in the quadrant
+{s <= 0, t >= 0}, and the fan's rays FAN_RAYS are the only fan data:
 
     rho0..rho4 = (0, 1), (-1, 3), (-1, 2), (-1, 1), (-1, 0),
 
-(57) = rho0 rho1, (45) = rho1 rho2, (34) = rho2 rho3, (36) = rho3 rho4.
-edge_fan reads each cone's two rays off EDGE_INEQUALITIES (the ray on the
-boundary line of one row, pointing into the other row's half-plane) and
-certifies five things: every ray lies in the quadrant, each cone has
-det = +1 counterclockwise, consecutive cones share a ray, the first ray is
-(0, 1) and the last is (-1, 0).  The angles of the rays then increase
-strictly from pi/2 to pi, so the cones tile the quadrant with disjoint
-interiors.  Two distinct faces differ at some place, so their polytopes
-have disjoint interiors, and together they cover P, for every q.  The
-quadrant condition is not implied by the other four: the unimodular chain
-(0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0) meets them and winds past the
-quadrant.
+the cone of EDGE_LABELS[j] is rho_j rho_{j+1}, so (57) = rho0 rho1,
+(45) = rho1 rho2, (34) = rho2 rho3, (36) = rho3 rho4.  The two rows of an
+edge with rays u, v are derived: (-u_t, u_s), which vanishes on u, then
+(v_t, -v_s), which vanishes on v.  Each takes the value det(u, v) on the
+other ray, so the pair cuts out the cone exactly when det(u, v) > 0.
+edge_fan certifies three things: each cone has det = +1, every ray lies
+in the quadrant, and the rays run from (0, 1) to (-1, 0).  Consecutive
+rays of the quadrant with det > 0 turn counterclockwise, so the angles of
+the rays increase strictly from pi/2 to pi and the cones tile the
+quadrant with disjoint interiors.  Two distinct faces differ at some
+place, so their polytopes have disjoint interiors, and together they
+cover P, for every q.  The quadrant condition is not implied by the other
+two: the unimodular chain (0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0) meets
+them and winds past the quadrant.
 
-The volume.  A face with edge multiplicities (m_0..m_3) =
-(m57, m45, m34, m36) puts c_j = m_{j-1} + m_j coordinates on ray rho_j,
-with m_{-1} = m_4 = 0.  In ray coordinates x >= 0 (a unimodular change,
+The volume.  A face with edge multiplicities m_0..m_{r-1}, one per cone
+of an r-cone fan, puts c_j = m_{j-1} + m_j coordinates on ray rho_j, with
+m_{-1} = m_r = 0.  In ray coordinates x >= 0 (a unimodular change,
 so volume is kept) the common rows read tau.x <= 1 and
 -sum s <= a0 <= sum t, an a0-interval of length sigma.x, with
 tau = t(rho) and sigma = (s + t)(rho).  So
@@ -77,9 +79,10 @@ degenerate_face_report runs one double description per edge multiset and
 checks each witness point against the face rows; no face polytope is
 built.
 
-alpha_sum sums face_volume over the C(q+4, 3) edge multisets with
-multinomial weights.  jigsaw_check keeps a second route for the union
-volume, exact_volume(union_polytope(q)).  The pyramid P' and its base
+alpha_sum sums face_volume over the C(q+r, r-1) edge multisets of an
+r-cone fan, C(q+4, 3) for the paper's, with multinomial weights.
+jigsaw_check keeps a second route for the union volume,
+exact_volume(union_polytope(q)).  The pyramid P' and its base
 P'_0 are P's rows pulled back to the census coordinates.  The
 triangulated face volumes and the pairwise disjointness checks of
 _FaceCache, the vertex-based strictly_feasible on each face polytope,
@@ -89,8 +92,8 @@ the tests compare against.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
-from math import factorial, gcd, prod
+from itertools import accumulate, combinations_with_replacement, product
+from math import factorial, prod
 from operator import mul
 
 from .errors import IndexOutOfRange, NegativeRank, OutOfRange, PartitionFailure
@@ -101,19 +104,11 @@ from .geometry import (AffineForm, HPolytope, RationalCone, cone_contains_line,
                        pull_back, strictly_feasible)
 
 #: Edge labels of the Clemens path, in path order A7-A5, A5-A4, A4-A3, A3-A6.
+#: The cone of EDGE_LABELS[j] is spanned by FAN_RAYS[j] and FAN_RAYS[j + 1].
 EDGE_LABELS = ("57", "45", "34", "36")
 
-#: Per-place inequality block for each edge: two rows on (a_{n,1}, a_{n,2}).
-#: The same pairs are the classes of the two boundary components spanning
-#: each edge, in the (e_{n,1}, e_{n,2}) coordinates of the place: the
-#: per-place effective-cone generators.  Evaluating them on a dual vector
-#: reproduces the inequality block, which is why one table serves both.
-EDGE_INEQUALITIES = {
-    "57": ((-1, 0), (3, 1)),    # A5, A7
-    "45": ((-3, -1), (2, 1)),   # A4, A5
-    "34": ((-2, -1), (1, 1)),   # A3, A4
-    "36": ((0, 1), (-1, -1)),   # A3, A6
-}
+#: The rays rho0..rho4 of the edge fan, in (s, t) = (a_{n,1}, a_{n,2}).
+FAN_RAYS = ((0, 1), (-1, 3), (-1, 2), (-1, 1), (-1, 0))
 
 #: Largest q that jigsaw_check and degenerate_face_report accept.  They
 #: list all 4^(q+1) faces, triangulate P in dimension 2q + 3 and run one
@@ -135,11 +130,6 @@ PUBLISHED_PIECE_COUNTS = {Fraction(1, 5): 7, Fraction(2, 5): 11, Fraction(3, 5):
 #: degenerate_face_report carries both so the discrepancy stays visible
 #: instead of being silently resolved.
 REFERENCE_EMPTY_INTERIOR_FACE_Q1 = ("57", "57")
-
-
-def _check_edge(edge):
-    if edge not in EDGE_INEQUALITIES:
-        raise IndexOutOfRange(f"unknown Clemens edge label {edge!r}")
 
 
 def _check_rank(q):
@@ -192,20 +182,25 @@ def _polytope_rows(blocks):
                                      for form in _place_rows(n, block, q)]
 
 
-def face_inequalities(n, edge, q):
-    """The two rows of the edge block at place n, embedded in dimension 2q+3."""
-    _check_rank(q)
-    _check_edge(edge)
-    if not 0 <= n <= q:
-        raise IndexOutOfRange(f"place index {n} not in 0..{q}")
-    return _place_rows(n, EDGE_INEQUALITIES[edge], q)
+def _edge_block(edge):
+    """The two rows of an edge on (s, t), derived from the rays u, v of its cone.
+
+    (-u_t, u_s) vanishes on u and (v_t, -v_s) on v.  The same pairs are the
+    classes of the two boundary components spanning the edge, in the
+    (e_{n,1}, e_{n,2}) coordinates of the place: the per-place
+    effective-cone generators.  Evaluating them on a dual vector reproduces
+    the inequality block, which is why one pair serves both.
+    """
+    if edge not in EDGE_LABELS:
+        raise IndexOutOfRange(f"unknown Clemens edge label {edge!r}")
+    j = EDGE_LABELS.index(edge)
+    (us, ut), (vs, vt) = FAN_RAYS[j:j + 2]
+    return (-ut, us), (vt, -vs)
 
 
 def face_rows(face):
     """The rows of a face polytope: the common rows, then each place's edge block."""
-    for edge in face:
-        _check_edge(edge)
-    return _polytope_rows([EDGE_INEQUALITIES[edge] for edge in face])
+    return _polytope_rows([_edge_block(edge) for edge in face])
 
 
 def face_polytope(face):
@@ -305,60 +300,43 @@ class _FaceCache:
         return self.disjoint[pairs]
 
 
-def _ray(row, other):
-    """The primitive ray on the boundary line of row, inside other's half-plane."""
-    cs, ct = row
-    g = gcd(cs, ct) or 1
-    ray = (-ct // g, cs // g)
-    side = other[0] * ray[0] + other[1] * ray[1]
-    if side == 0:
-        raise PartitionFailure(f"edge rows {row} and {other} do not span a cone")
-    return ray if side > 0 else (-ray[0], -ray[1])
-
-
 def edge_fan():
     """Certify that the edge cones tile the quadrant {s <= 0, t >= 0}.
 
-    Returns the rays rho0..rho4 read off EDGE_INEQUALITIES, or raises
-    PartitionFailure naming the first broken condition.  Why the five
-    conditions prove the tiling is in the module docstring.
+    Returns FAN_RAYS, or raises PartitionFailure naming the first broken
+    condition.  Why the three conditions prove the tiling is in the module
+    docstring.
     """
-    rays = []
-    for edge in EDGE_LABELS:
-        r1, r2 = EDGE_INEQUALITIES[edge]
-        u, v = _ray(r1, r2), _ray(r2, r1)
+    rays = FAN_RAYS
+    if len(rays) != len(EDGE_LABELS) + 1:
+        raise PartitionFailure(f"{len(rays)} fan rays for {len(EDGE_LABELS)} edge cones")
+    for edge, u, v in zip(EDGE_LABELS, rays, rays[1:]):
         det = u[0] * v[1] - u[1] * v[0]
-        if det < 0:
-            u, v, det = v, u, -det
         if det != 1:
-            raise PartitionFailure(f"edge cone ({edge}) has |det| = {det}, not 1")
+            raise PartitionFailure(f"edge cone ({edge}) has det = {det}, not +1")
         if any(s > 0 or t < 0 for s, t in (u, v)):
             raise PartitionFailure(f"edge cone ({edge}) leaves the quadrant s <= 0 <= t")
-        if rays and rays[-1] != u:
-            raise PartitionFailure(
-                f"edge cone ({edge}) starts at {u}, not at the previous ray {rays[-1]}")
-        rays.extend([v] if rays else [u, v])
     if rays[0] != (0, 1) or rays[-1] != (-1, 0):
         raise PartitionFailure(f"the edge fan runs from {rays[0]} to {rays[-1]}, "
                                f"not from (0, 1) to (-1, 0)")
-    return tuple(rays)
+    return rays
 
 
-def face_volume(m57, m45, m34, m36, rays=None):
-    """Volume of every face polytope with these edge multiplicities.
+def face_volume(m, rays=None):
+    """Volume of every face polytope with edge multiplicities m.
 
-    The z^k coefficient of the module docstring, read off the rays of
-    edge_fan() in integers, at rank q = m57 + m45 + m34 + m36 - 1.  A caller
-    that sums many faces certifies the fan once and passes its rays.
-    Raises PartitionFailure when the fan fails edge_fan or has
-    t > 0 > s + t.
+    m has one entry per edge cone.  The z^k coefficient of the module
+    docstring, read off the rays of edge_fan() in integers, at rank
+    q = sum(m) - 1.  A caller that sums many faces certifies the fan once
+    and passes its rays.  Raises PartitionFailure when the fan fails
+    edge_fan or has t > 0 > s + t.
     """
-    q = m57 + m45 + m34 + m36 - 1
+    q = sum(m) - 1
     _check_rank(q)
     if rays is None:
         rays = edge_fan()
-    slots = [a + b for a, b in zip((0, m57, m45, m34, m36), (m57, m45, m34, m36, 0))]
-    k = 1 + sum(c for (_, t), c in zip(rays, slots) if t == 0)
+    slots = [a + b for a, b in zip((0, *m), (*m, 0))]
+    k = 1 + sum(c for (_, t), c in zip(rays, slots, strict=True) if t == 0)
     # (t - z(s+t))^(-c) is t^(-c) times a factor that is 1 if s + t = 0 and
     # otherwise, times t^k, has the integer coefficients C(c+i-1, i)
     # (s+t)^i t^(k-i), each the last times (c+i)(s+t)/((i+1)t).
@@ -382,16 +360,15 @@ def face_volume(m57, m45, m34, m36, rays=None):
 
 
 def multiplicities(face):
-    """(m57, m45, m34, m36): how often each edge occurs in the face."""
+    """How often each edge of EDGE_LABELS occurs in the face."""
     return tuple(face.count(edge) for edge in EDGE_LABELS)
 
 
 def edge_multisets(q):
-    """The multiplicities of all C(q+4, 3) edge multisets of size q + 1."""
+    """The multiplicities of every multiset of q + 1 edges: C(q+r, r-1) of them."""
     _check_rank(q)
-    n = q + 1
-    return [(a, b, c, n - a - b - c)
-            for a in range(n + 1) for b in range(n + 1 - a) for c in range(n + 1 - a - b)]
+    return [multiplicities(face)
+            for face in combinations_with_replacement(EDGE_LABELS, q + 1)]
 
 
 def alpha_sum(q):
@@ -403,7 +380,7 @@ def alpha_sum(q):
     _check_rank(q)
     n = factorial(q + 1)
     rays = edge_fan()
-    total = sum((n // prod(map(factorial, m)) * face_volume(*m, rays=rays)
+    total = sum((n // prod(map(factorial, m)) * face_volume(m, rays=rays)
                  for m in edge_multisets(q)), Fraction(0))
     return (2 * q + 3) * total
 
@@ -411,7 +388,7 @@ def alpha_sum(q):
 def _face_volumes(q):
     """face_volume of each face, once per edge multiset, on one certified fan."""
     rays = edge_fan()
-    volumes = {m: face_volume(*m, rays=rays) for m in edge_multisets(q)}
+    volumes = {m: face_volume(m, rays=rays) for m in edge_multisets(q)}
     return {f: volumes[multiplicities(f)] for f in all_faces(q)}
 
 

@@ -75,13 +75,13 @@ class TestEulerProduct:
             prev = res.value
 
     def test_exact_partial_bound_2(self):
-        assert C.finite_density_product(C.get_field("Q"), 2, exact=True) \
-            .exact_partial == F(3, 4)
-        assert C.finite_density_product(C.get_field("Q(i)"), 2, exact=True) \
-            .exact_partial == F(3, 4)
+        def partial(label):
+            norms = C._prime_norms(C.get_field(label), 2)
+            return math.prod(F(n * n - 1, n * n) for n in norms)
+        assert partial("Q") == F(3, 4)
+        assert partial("Q(i)") == F(3, 4)
         # 2 is inert in Q(sqrt-3): no ideal of norm <= 2
-        assert C.finite_density_product(C.get_field("Q(sqrt-3)"), 2, exact=True) \
-            .exact_partial == F(1)
+        assert partial("Q(sqrt-3)") == F(1)
 
     def test_qi_product_approaches_zeta_inverse(self):
         qi = C.get_field("Q(i)")
@@ -101,13 +101,6 @@ class TestEulerProduct:
             C.finite_density_product(C.get_field(field), C.MAX_PRIME_BOUND + 1)
         with pytest.raises(Sieved):  # the limit itself is accepted
             C.finite_density_product(C.get_field(field), C.MAX_PRIME_BOUND)
-
-    def test_exact_limit_is_checked_before_the_sieve(self, monkeypatch):
-        def sieved(*args):
-            raise AssertionError("sieved past the exact-product limit")
-        monkeypatch.setattr(C, "_prime_norms", sieved)
-        with pytest.raises(OutOfRange):
-            C.finite_density_product(C.get_field("Q"), 10 ** 5, exact=True)
 
     def test_unsupported_field(self):
         cubic = C.FieldInvariants("cubic", r1=3, r2=0, abs_disc=49, regulator=1.0,
@@ -227,19 +220,19 @@ class TestLeadingConstant:
 class TestPredictedCount:
     def test_at_e(self):
         q = C.get_field("Q")
-        assert C.predicted_count(q, math.e) == \
+        assert C.leading_constant(q).predicted_count(math.e) == \
             pytest.approx(C.leading_constant(q).c * math.e, rel=1e-12)
 
     def test_at_1e6(self):
-        assert C.predicted_count(C.get_field("Q"), 1e6) == \
+        assert C.leading_constant(C.get_field("Q")).predicted_count(1e6) == \
             pytest.approx(2.321e8, rel=2e-3)
 
     def test_near_one_tends_to_zero(self):
-        assert C.predicted_count(C.get_field("Q"), 1.0 + 1e-9) < 1e-8
+        assert C.leading_constant(C.get_field("Q")).predicted_count(1.0 + 1e-9) < 1e-8
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            C.predicted_count(C.get_field("Q"), 1.0)
+            C.leading_constant(C.get_field("Q")).predicted_count(1.0)
 
 
 class TestInvariantsIO:

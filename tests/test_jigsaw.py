@@ -38,46 +38,39 @@ def stern_brocot_fans(insertions):
     return sorted(fans)
 
 
-def fan_table(rays):
-    """EDGE_INEQUALITIES whose cones are those between consecutive rays.
-
-    For the cone (u, v), det(u, v) = 1: the row vanishing on u is positive
-    on v, and the row vanishing on v is positive on u.
-    """
-    return {edge: ((-u[1], u[0]), (v[1], -v[0]))
-            for edge, u, v in zip(jigsaw.EDGE_LABELS, rays, rays[1:])}
+#: Every unimodular fan of the quadrant with 1..6 cones: 1, 1, 2, 5, 14, 42.
+ALL_FANS = [fan for cones in range(1, 7) for fan in stern_brocot_fans(cones - 1)]
 
 
-FOUR_CONE_FANS = stern_brocot_fans(3)
-SIGMA_NONNEGATIVE = [f for f in FOUR_CONE_FANS if all(s + t >= 0 for s, t in f if t > 0)]
-SIGMA_NEGATIVE = [f for f in FOUR_CONE_FANS if f not in SIGMA_NONNEGATIVE]
+def sigma_nonnegative(rays):
+    """Whether face_volume reads the fan: s + t >= 0 on every ray with t > 0."""
+    return all(s + t >= 0 for s, t in rays if t > 0)
 
 
 def fan_id(rays):
-    return "/".join(f"{s},{t}" for s, t in rays[1:-1])
+    return "/".join(f"{s},{t}" for s, t in rays[1:-1]) or "one-cone"
+
+
+def place_rows(face, n):
+    """The two rows of the face's block at place n, as (coeffs, const) pairs."""
+    return [(f.coeffs, f.const) for f in jigsaw.face_rows(face)[3 + 2 * n:5 + 2 * n]]
 
 
 class TestFaceInequalities:
     def test_edge_57_place_0(self):
-        forms = jigsaw.face_inequalities(0, "57", 0)
-        assert [(f.coeffs, f.const) for f in forms] == \
-            [((0, -1, 0), 0), ((0, 3, 1), 0)]
+        assert place_rows(("57",), 0) == [((0, -1, 0), 0), ((0, 3, 1), 0)]
 
     def test_edge_36_place_1_q1(self):
-        forms = jigsaw.face_inequalities(1, "36", 1)
-        assert [(f.coeffs, f.const) for f in forms] == \
-            [((0, 0, 0, 0, 1), 0), ((0, 0, 0, -1, -1), 0)]
+        assert place_rows(("57", "36"), 1) == \
+            [((0, 0, 0, -1, -1), 0), ((0, 0, 0, 0, 1), 0)]
 
     def test_edge_34_place_0_q2(self):
-        forms = jigsaw.face_inequalities(0, "34", 2)
-        assert [(f.coeffs, f.const) for f in forms] == \
+        assert place_rows(("34", "57", "57"), 0) == \
             [((0, -2, -1, 0, 0, 0, 0), 0), ((0, 1, 1, 0, 0, 0, 0), 0)]
 
-    def test_place_out_of_range(self):
+    def test_unknown_edge_label(self):
         with pytest.raises(IndexOutOfRange):
-            jigsaw.face_inequalities(2, "57", 1)
-        with pytest.raises(IndexOutOfRange):
-            jigsaw.face_inequalities(0, "99", 1)
+            jigsaw.face_rows(("57", "99"))
 
 
 class TestFacePolytopes:
@@ -151,12 +144,16 @@ class TestClosedForm:
         for m in jigsaw.edge_multisets(q):
             face = multiset_face(m)
             assert jigsaw.multiplicities(face) == m
-            assert jigsaw.face_volume(*m) == cache.volume(face)
+            assert jigsaw.face_volume(m) == cache.volume(face)
+
+    def test_face_volume_needs_one_multiplicity_per_cone(self):
+        with pytest.raises(ValueError):
+            jigsaw.face_volume((1, 0, 0))
 
     def test_integer_sum_equals_the_fraction_sum_to_8(self):
         for q in range(9):
             for m in jigsaw.edge_multisets(q):
-                assert jigsaw.face_volume(*m) == face_volume_fractions(*m)
+                assert jigsaw.face_volume(m) == face_volume_fractions(*m)
 
     @pytest.mark.parametrize("q", [0, 1, 2])
     def test_pairwise_loop_confirms_disjointness(self, q):
@@ -170,79 +167,88 @@ class TestClosedForm:
         for q in range(9):
             multisets = jigsaw.edge_multisets(q)
             assert len(multisets) == (q + 4) * (q + 3) * (q + 2) // 6
-            assert [m for m in multisets if jigsaw.face_volume(*m) == 0] == [(0, 0, 0, q + 1)]
+            assert [m for m in multisets if jigsaw.face_volume(m) == 0] == [(0, 0, 0, q + 1)]
 
     def test_fan_certificate_on_the_table(self):
         rays = jigsaw.edge_fan()
         assert rays == ((0, 1), (-1, 3), (-1, 2), (-1, 1), (-1, 0))
 
-    def test_fan_certificate_rejects_two_swapped_edges(self, monkeypatch):
-        table = jigsaw.EDGE_INEQUALITIES
-        rows57, rows45 = table["57"], table["45"]
-        monkeypatch.setitem(table, "57", rows45)
-        monkeypatch.setitem(table, "45", rows57)
-        with pytest.raises(PartitionFailure):
+    def test_fan_certificate_rejects_two_swapped_rays(self, tmp_path, monkeypatch):
+        # rho1 and rho2 swapped: the (45) cone turns clockwise, det -1, and
+        # its derived rows would cut out nothing.
+        monkeypatch.setattr(jigsaw, "FAN_RAYS",
+                            ((0, 1), (-1, 2), (-1, 3), (-1, 1), (-1, 0)))
+        with pytest.raises(PartitionFailure, match=re.escape("(45) has det = -1")):
             jigsaw.edge_fan()
         with pytest.raises(PartitionFailure):
             jigsaw.jigsaw_check(0)
         with pytest.raises(PartitionFailure):
             jigsaw.alpha_sum(0)
+        assert main(["--output", str(tmp_path), "slices"]) == 1
 
-    # Each table below breaks exactly one of the five conditions (or gives
-    # two rows that span no cone); the rest of the real table is kept.
-    @pytest.mark.parametrize("edge,rows,reason", [
-        ("57", ((-1, 0), (-1, 0)), "span"),         # parallel rows
-        ("57", ((-1, 0), (1, 0)), "span"),          # opposite rows
-        ("57", ((-1, 0), (2, 1)), "starts at"),     # rays (0,1), (-1,2): overlaps (45)
-        ("57", ((-4, -1), (3, 1)), "runs from"),    # first ray (-1, 4)
-        ("36", ((1, 2), (-1, -1)), "runs from"),    # last ray (-2, 1)
-    ])
-    def test_fan_certificate_rejects_a_bad_cone(self, monkeypatch, edge, rows, reason):
-        monkeypatch.setitem(jigsaw.EDGE_INEQUALITIES, edge, rows)
+    # Each fan below keeps every cone unimodular and in the quadrant but
+    # breaks the last condition, or has one ray too few.
+    @pytest.mark.parametrize("rays,reason", [
+        (((-1, 4), (-1, 3), (-1, 2), (-1, 1), (-1, 0)), "runs from"),
+        (((0, 1), (-1, 3), (-1, 2), (-1, 1), (-2, 1)), "runs from"),
+        (((0, 1), (-1, 2), (-1, 1), (-1, 0)), "4 fan rays for 4 edge cones"),
+    ], ids=["first-ray", "last-ray", "ray-count"])
+    def test_fan_certificate_rejects_wrong_end_rays(self, monkeypatch, rays, reason):
+        monkeypatch.setattr(jigsaw, "FAN_RAYS", rays)
         with pytest.raises(PartitionFailure, match=reason):
             jigsaw.edge_fan()
 
     def test_fan_certificate_rejects_a_cone_of_det_2(self, monkeypatch):
         # Rays (0,1), (-1,3), (-1,1), (-2,1), (-1,0) tile the quadrant, but
         # the (45) cone has det 2, which the volume formula does not allow.
-        monkeypatch.setattr(jigsaw, "EDGE_INEQUALITIES", {
-            "57": ((-1, 0), (3, 1)), "45": ((-3, -1), (1, 1)),
-            "34": ((-1, -1), (1, 2)), "36": ((-1, -2), (0, 1))})
-        with pytest.raises(PartitionFailure, match="det"):
+        monkeypatch.setattr(jigsaw, "FAN_RAYS",
+                            ((0, 1), (-1, 3), (-1, 1), (-2, 1), (-1, 0)))
+        with pytest.raises(PartitionFailure, match=re.escape("(45) has det = 2")):
             jigsaw.edge_fan()
 
     def test_fan_certificate_rejects_a_fan_winding_past_the_quadrant(self, monkeypatch):
-        # Rays (0,1), (-1,-1), (0,-1), (1,1), (-1,0): consecutive, each cone
-        # unimodular counterclockwise, first and last rays right, but the
-        # fan turns through 5 pi / 2, so its cones overlap.  Only the
-        # quadrant condition rejects it.
-        monkeypatch.setattr(jigsaw, "EDGE_INEQUALITIES", {
-            "57": ((-1, 0), (-1, 1)), "45": ((1, -1), (-1, 0)),
-            "34": ((1, 0), (1, -1)), "36": ((-1, 1), (0, 1))})
+        # Rays (0,1), (-1,-1), (0,-1), (1,1), (-1,0): each cone unimodular
+        # counterclockwise, first and last rays right, but the fan turns
+        # through 5 pi / 2, so its cones overlap.  Only the quadrant
+        # condition rejects it.
+        monkeypatch.setattr(jigsaw, "FAN_RAYS",
+                            ((0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0)))
         with pytest.raises(PartitionFailure, match="quadrant"):
             jigsaw.edge_fan()
 
 
-class TestEveryFourConeFan:
-    """face_volume under each of the five unimodular four-cone fans of the quadrant."""
+class TestEveryFan:
+    """face_volume on each unimodular fan of the quadrant with 1..6 cones."""
 
-    def test_five_fans_two_with_sigma_nonnegative(self):
-        assert len(FOUR_CONE_FANS) == 5
-        assert len(SIGMA_NONNEGATIVE) == 2
-        assert jigsaw.edge_fan() in SIGMA_NONNEGATIVE
-        for rays in FOUR_CONE_FANS:
+    def test_fan_counts(self):
+        by_cones = [[f for f in ALL_FANS if len(f) == cones + 1] for cones in range(1, 7)]
+        assert [len(fans) for fans in by_cones] == [1, 1, 2, 5, 14, 42]
+        accepted = [sum(map(sigma_nonnegative, fans)) for fans in by_cones]
+        assert accepted == [1, 1, 1, 2, 5, 14]
+        assert [len(fans) - n for fans, n in zip(by_cones, accepted)] == [0, 0, 1, 3, 9, 28]
+        assert jigsaw.FAN_RAYS in ALL_FANS and sigma_nonnegative(jigsaw.FAN_RAYS)
+        for rays in ALL_FANS:
             assert all(u[0] * v[1] - u[1] * v[0] == 1 for u, v in zip(rays, rays[1:]))
 
-    @pytest.mark.parametrize("rays", SIGMA_NONNEGATIVE, ids=fan_id)
-    def test_volumes_equal_triangulation_to_q2(self, monkeypatch, rays):
-        monkeypatch.setattr(jigsaw, "EDGE_INEQUALITIES", fan_table(rays))
+    @pytest.mark.parametrize("rays", ALL_FANS, ids=fan_id)
+    def test_face_volume_on_the_fan(self, monkeypatch, rays):
+        monkeypatch.setattr(jigsaw, "FAN_RAYS", rays)
+        labels = tuple(f"e{j}" for j in range(len(rays) - 1))
+        monkeypatch.setattr(jigsaw, "EDGE_LABELS", labels)
         assert jigsaw.edge_fan() == rays
-        cache = jigsaw._FaceCache()
-        for q in range(3):
+        if not sigma_nonnegative(rays):
+            ray = next((s, t) for s, t in rays if t > 0 > s + t)
+            for m in jigsaw.edge_multisets(1):
+                with pytest.raises(PartitionFailure, match=re.escape(str(ray))):
+                    jigsaw.face_volume(m)
+            return
+        for q in range(4):
             assert jigsaw.alpha_sum(q) == jigsaw.alpha_closed_form(q)
+        cache = jigsaw._FaceCache()
+        for q in range(2):
             for m in jigsaw.edge_multisets(q):
                 face = multiset_face(m)
-                volume = jigsaw.face_volume(*m)
+                volume = jigsaw.face_volume(m)
                 assert volume == cache.volume(face)
                 # Zero exactly when every ray the face uses has s + t <= 0.
                 used = {ray for edge in face
@@ -250,15 +256,6 @@ class TestEveryFourConeFan:
                 flat = all(s + t <= 0 for s, t in used)
                 assert (volume == 0) == flat
                 assert (jigsaw.interior_certificate(face)[1] is None) == flat
-
-    @pytest.mark.parametrize("rays", SIGMA_NEGATIVE, ids=fan_id)
-    def test_a_ray_with_negative_sigma_is_refused(self, monkeypatch, rays):
-        monkeypatch.setattr(jigsaw, "EDGE_INEQUALITIES", fan_table(rays))
-        assert jigsaw.edge_fan() == rays
-        ray = next((s, t) for s, t in rays if t > 0 > s + t)
-        for m in jigsaw.edge_multisets(1):
-            with pytest.raises(PartitionFailure, match=re.escape(str(ray))):
-                jigsaw.face_volume(*m)
 
 
 class TestEffectiveGenerators:
@@ -268,17 +265,17 @@ class TestEffectiveGenerators:
 
     def test_q0_36(self):
         gens = jigsaw.effective_generators(("36",)).generators
-        assert gens == ((1, 1, 0), (-1, 0, 1), (0, 0, 1), (0, -1, -1))
+        assert gens == ((1, 1, 0), (-1, 0, 1), (0, -1, -1), (0, 0, 1))
 
     def test_homogeneous_face_rows(self):
         # (57) is pinned by test_q0_57.
         assert jigsaw.effective_generators(("36", "45")).generators == (
-            (1, 1, 0, 1, 0), (-1, 0, 1, 0, 1), (0, 0, 1, 0, 0), (0, -1, -1, 0, 0),
+            (1, 1, 0, 1, 0), (-1, 0, 1, 0, 1), (0, -1, -1, 0, 0), (0, 0, 1, 0, 0),
             (0, 0, 0, -3, -1), (0, 0, 0, 2, 1))
         assert jigsaw.effective_generators(("34", "57", "36")).generators == (
             (1, 1, 0, 1, 0, 1, 0), (-1, 0, 1, 0, 1, 0, 1), (0, -2, -1, 0, 0, 0, 0),
             (0, 1, 1, 0, 0, 0, 0), (0, 0, 0, -1, 0, 0, 0), (0, 0, 0, 3, 1, 0, 0),
-            (0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, -1, -1))
+            (0, 0, 0, 0, 0, -1, -1), (0, 0, 0, 0, 0, 0, 1))
 
     def test_q1_45_34(self):
         gens = jigsaw.effective_generators(("45", "34")).generators
@@ -340,9 +337,9 @@ class TestDegenerateFaces:
         calls = []
         volume = jigsaw.face_volume
 
-        def counted(*m, **kw):
+        def counted(m, **kw):
             calls.append(m)
-            return volume(*m, **kw)
+            return volume(m, **kw)
         monkeypatch.setattr(jigsaw, "face_volume", counted)
         assert main(["--output", str(tmp_path), "jigsaw", "--q", "2"]) == 0
         assert sorted(calls) == sorted(jigsaw.edge_multisets(2)) and len(calls) == 20
@@ -396,10 +393,8 @@ class TestSymmetryAndUnions:
         other = ["45"] * q  # fixed edges at the remaining places
         for e1, e2 in adjacent:
             dim = 2 * q + 3
-            forms = jigsaw.common_inequalities(q)
-            for n, e in enumerate(other):
-                forms.extend(jigsaw.face_inequalities(1 + n, e, q))
-            union_forms = list(forms)
+            rows = jigsaw.face_rows((e1,) + tuple(other))
+            union_forms = rows[:3] + rows[5:]  # every row but the place-0 block
             for cs, ct in merged_rows[(e1, e2)]:
                 row = [0] * dim
                 row[1] = cs

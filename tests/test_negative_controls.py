@@ -67,13 +67,13 @@ def test_wrong_zeta_k_2_in_constant(tmp_path, monkeypatch):
 
 
 def test_edge_inequality_row_in_jigsaw_and_alpha(tmp_path, monkeypatch):
-    commands = [["jigsaw", "--q", "1"], ["alpha", "--q", "2"]]
+    commands = [["jigsaw", "--q", "1"], ["alpha", "--q", "2"], ["slices"]]
     for args in commands:
         assert run_cli(args, tmp_path) == 0
-    # 4s + t >= 0 instead of 3s + t >= 0: the (57) cone is still unimodular
-    # and inside the quadrant, but ends at (-1, 4), not at the (45) cone's
-    # first ray (-1, 3).
-    monkeypatch.setitem(jigsaw.EDGE_INEQUALITIES, "57", ((-1, 0), (4, 1)))
+    # Ray (-1, 4) for (-1, 3) derives the (57) row 4s + t >= 0 instead of
+    # 3s + t >= 0: the (57) cone is still unimodular and inside the
+    # quadrant, but the (45) cone from (-1, 4) to (-1, 2) has det 2.
+    monkeypatch.setattr(jigsaw, "FAN_RAYS", ((0, 1), (-1, 4), (-1, 2), (-1, 1), (-1, 0)))
     for args in commands:
         assert run_cli(args, tmp_path) == 1
 
@@ -97,10 +97,9 @@ def test_valid_but_different_fan_in_jigsaw_and_slices(tmp_path, monkeypatch):
     # other rays than the real one: face_volume refuses its ray (-2, 1),
     # where t > 0 > s + t, and the a1 = 2/5 census has 7 positive pieces,
     # not the published 11.
-    monkeypatch.setattr(jigsaw, "EDGE_INEQUALITIES", {
-        "57": ((-1, 0), (2, 1)), "45": ((-2, -1), (1, 1)),
-        "34": ((-1, -1), (1, 2)), "36": ((-1, -2), (0, 1))})
-    assert jigsaw.edge_fan() == ((0, 1), (-1, 2), (-1, 1), (-2, 1), (-1, 0))
+    rays = ((0, 1), (-1, 2), (-1, 1), (-2, 1), (-1, 0))
+    monkeypatch.setattr(jigsaw, "FAN_RAYS", rays)
+    assert jigsaw.edge_fan() == rays
     for args in commands:
         assert run_cli(args, tmp_path) == 1
 
