@@ -8,8 +8,8 @@ Subpackages and modules:
 * ``picard`` - degrees of the nine Cox generators in two bases.
 * ``jigsaw`` - face polytopes of the Clemens complex, the partition
   identities, cross-section censuses.
-* ``surface`` - points on the surface over Z, Z[i] and prime fields,
-  heights, direct counts, mod-p counts.
+* ``surface`` - points on the surface over Z and Z[i], heights, direct
+  counts, mod-p counts from one census of residue tuples.
 * ``torsor`` - the torsor parameterization over Q and the fast counter.
 * ``constants`` - number-field invariants and the predicted constant.
 * ``reporting`` / ``cli`` - artifacts and the ``dp4`` command.

@@ -19,6 +19,7 @@ Exit codes, so that CI can treat the status as the verdict:
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -204,14 +205,7 @@ def _cmd_constant(args):
     euler = constants.finite_density_product(inv, args.prime_bound)
     payload = breakdown.to_json_dict()
     payload["field"] = inv.to_json_dict()
-    payload["euler_product"] = {
-        "prime_bound": euler.prime_bound,
-        "value": euler.value,
-        "factor_count": euler.factor_count,
-        "tail_log_bound": euler.tail_log_bound,
-        "limit_low": euler.limit_low,
-        "limit_high": euler.limit_high,
-    }
+    payload["euler_product"] = asdict(euler)
     if "json" in args.format:
         reporting.write_file(args.output, "constants.json",
                              reporting.dump_json(payload))

@@ -17,7 +17,7 @@ otherwise.  All floating evaluation carries explicit error bounds.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -319,18 +319,7 @@ class ConstantBreakdown:
     symbolic: dict
 
     def to_json_dict(self):
-        return {
-            "label": self.label,
-            "alpha": str(self.alpha),
-            "rho": self.rho,
-            "arch_product": self.arch_product,
-            "finite_product": self.finite_product,
-            "c": self.c,
-            "log_exponent": self.log_exponent,
-            "b_exponent": self.b_exponent,
-            "rel_error": self.rel_error,
-            "symbolic": self.symbolic,
-        }
+        return {**asdict(self), "alpha": str(self.alpha)}
 
     def predicted_count(self, bound):
         """c * B * (log B)^(2+2q); the main term of the counting asymptotic."""

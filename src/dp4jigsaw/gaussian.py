@@ -53,7 +53,6 @@ class GaussInt:
 
 ZERO = GaussInt(0, 0)
 ONE = GaussInt(1, 0)
-I = GaussInt(0, 1)
 UNITS = (GaussInt(1, 0), GaussInt(0, 1), GaussInt(-1, 0), GaussInt(0, -1))
 
 

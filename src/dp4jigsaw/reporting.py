@@ -8,7 +8,7 @@ requested.
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -108,8 +108,7 @@ class FitResult:
     sample_count: int
 
     def to_json_dict(self):
-        return {"c2": self.c2, "c1": self.c1, "c0": self.c0,
-                "residual": self.residual, "sample_count": self.sample_count}
+        return asdict(self)
 
 
 def fit_log_quadratic(samples):

@@ -1,10 +1,11 @@
 """Points on the quartic del Pezzo surface x0*x3 = x2*x4, x0*x1 + x1*x3 + x2^2 = 0.
 
-Membership, line detection, integrality and heights over Z, Z[i] and prime
-fields, and the direct counts of integral points off the lines.
+Membership, line detection, integrality and heights over Z and Z[i], the
+direct counts of integral points off the lines, and one census of the
+residue tuples mod p on the surface.
 
 On the surface, x2 = 0 cuts out precisely the three lines (checked
-exhaustively over small prime fields in the test suite), so off them
+exhaustively mod every prime p <= 13 in the test suite), so off them
 x2 != 0, s = x0 + x3 != 0, x1 = -x2^2 / s and x4 = x0 * x3 / x2.  Over any
 ring of integers s is then a unit: a prime P dividing s divides x2^2, so
 x2, so x0*x3 and x0 + x3, so x0 and x3, against integrality.  Scaling by
@@ -26,6 +27,7 @@ oracles the tests compare against at small bounds.
 """
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,11 +49,9 @@ LINE_LPP = "L''"   # x0 = x1 = x2 = 0
 @dataclass(frozen=True)
 class GroundRing:
     kind: str
-    p: int = None
 
     def __str__(self):
-        return {"rational-integers": "Z",
-                "gaussian-integers": "Z[i]"}.get(self.kind, f"F_{self.p}")
+        return {"rational-integers": "Z", "gaussian-integers": "Z[i]"}[self.kind]
 
 
 INTEGERS = GroundRing("rational-integers")
@@ -71,12 +71,6 @@ def is_prime(n):
             return False
         f += 2
     return True
-
-
-def prime_field(p):
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    return GroundRing("prime-field", p)
 
 
 #: The spellings parse_ring accepts for each ring, in any letter case.
@@ -120,15 +114,7 @@ class ProjectivePoint:
             g = gaussian.gcd_many([c for c in gs if c])
             return ProjectivePoint.from_primitive(
                 tuple(gaussian.exact_div(c, g) if c else c for c in gs), ring)
-        if ring.kind == "prime-field":
-            p = ring.p
-            vals = tuple(int(c) % p for c in coords)
-            if not any(vals):
-                raise DegenerateCoordinates("all coordinates are zero")
-            lead = next(c for c in vals if c)
-            inv = pow(lead, -1, p)
-            return ProjectivePoint(ring, tuple(c * inv % p for c in vals))
-        raise ValueError(f"unsupported ring {ring}")
+        raise ValueError(f"unsupported ring {ring.kind!r}")
 
     @staticmethod
     def from_primitive(coords, ring):
@@ -147,29 +133,17 @@ class ProjectivePoint:
         return ":".join(str(c) for c in self.coords)
 
 
-def _is_zero(ring, value):
-    if ring.kind == "prime-field":
-        return value % ring.p == 0
-    return not value
-
-
 def _forms(x0, x1, x2, x3, x4):
     """The two defining forms of the surface at a coordinate tuple."""
     return x0 * x3 - x2 * x4, x0 * x1 + x1 * x3 + x2 * x2
 
 
-def on_surface(pt):
-    """Do both defining equations vanish at the point?"""
-    eq1, eq2 = _forms(*pt.coords)
-    return _is_zero(pt.ring, eq1) and _is_zero(pt.ring, eq2)
+def _lines(x0, x1, x2, x3, x4, zero=operator.not_):
+    """The subset of the three lines whose equations hold at a coordinate tuple.
 
-
-def on_lines(pt):
-    """The subset of the three lines containing the point."""
-    if not on_surface(pt):
-        raise NotOnSurface(f"{pt} does not satisfy the surface equations")
-    x0, x1, x2, x3, _ = pt.coords
-    zero = lambda v: _is_zero(pt.ring, v)
+    zero tells a vanishing coordinate: over Z and Z[i] it is 0; mod p it is
+    divisible by p.
+    """
     out = set()
     if zero(x0) and zero(x2) and zero(x3):
         out.add(LINE_L)
@@ -180,10 +154,20 @@ def on_lines(pt):
     return out
 
 
+def on_surface(pt):
+    """Do both defining equations vanish at the point?"""
+    return not any(_forms(*pt.coords))
+
+
+def on_lines(pt):
+    """The subset of the three lines containing the point."""
+    if not on_surface(pt):
+        raise NotOnSurface(f"{pt} does not satisfy the surface equations")
+    return _lines(*pt.coords)
+
+
 def is_integral(pt):
     """Is the coordinate ideal of (x0, x2, x3) the unit ideal?"""
-    if pt.ring.kind == "prime-field":
-        raise TypeError("integrality is defined over number rings only")
     if not on_surface(pt):
         raise NotOnSurface(f"{pt} does not satisfy the surface equations")
     if LINE_L in on_lines(pt):
@@ -197,17 +181,12 @@ def is_integral(pt):
 def height(pt):
     """Log anticanonical height: product over places of max(|x0|, |x2|, |x3|)."""
     x0, _, x2, x3, _ = pt.coords
+    if not (x0 or x2 or x3):
+        raise DegenerateCoordinates("height undefined: x0 = x2 = x3 = 0")
     if pt.ring.kind == "rational-integers":
-        if not (x0 or x2 or x3):
-            raise DegenerateCoordinates("height undefined: x0 = x2 = x3 = 0")
-        g = gcd(gcd(x0, x2), x3)
-        return Fraction(max(abs(x0), abs(x2), abs(x3)), g)
-    if pt.ring.kind == "gaussian-integers":
-        if not (x0 or x2 or x3):
-            raise DegenerateCoordinates("height undefined: x0 = x2 = x3 = 0")
-        g = gaussian.gcd_many([x0, x2, x3])
-        return Fraction(max(x0.norm(), x2.norm(), x3.norm()), g.norm())
-    raise TypeError("height is defined over number rings only")
+        return Fraction(max(abs(x0), abs(x2), abs(x3)), gcd(gcd(x0, x2), x3))
+    g = gaussian.gcd_many([x0, x2, x3])
+    return Fraction(max(x0.norm(), x2.norm(), x3.norm()), g.norm())
 
 
 @dataclass(frozen=True)
@@ -432,53 +411,37 @@ def _heights_triple_zi(bound):
 # Counting modulo p
 # ---------------------------------------------------------------------------
 
-def _projective_reps(p):
-    """Canonical representatives of P^4(F_p): leading coordinate 1."""
+def _surface_mod_p(p):
+    """(x, lines) for every x in P^4(F_p) on the surface, lines = _lines mod p.
+
+    x runs over the canonical representatives, leading coordinate 1, as
+    residue tuples.  NotPrime unless p is prime.
+    """
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    zero = lambda v: v % p == 0
     for lead in range(5):
         for tail in itertools.product(range(p), repeat=4 - lead):
-            yield (0,) * lead + (1,) + tail
+            x = (0,) * lead + (1,) + tail
+            eq1, eq2 = _forms(*x)
+            if eq1 % p or eq2 % p:
+                continue
+            yield x, _lines(*x, zero=zero)
 
 
 def count_mod_p(p):
     """|{x in P^4(F_p) : both equations hold, x not on L}|; equals p^2 + p."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    count = 0
-    for x in _projective_reps(p):
-        eq1, eq2 = _forms(*x)
-        if eq1 % p or eq2 % p:
-            continue
-        x0, _, x2, x3, _ = x
-        if x0 % p == 0 and x2 % p == 0 and x3 % p == 0:
-            continue  # on the boundary line L
-        count += 1
-    return count
+    return sum(LINE_L not in lines for _, lines in _surface_mod_p(p))
 
 
 def line_count_mod_p(p):
-    """|L(F_p)| = p + 1: points with x0 = x2 = x3 = 0."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    count = 0
-    for x in _projective_reps(p):
-        if x[0] % p == 0 and x[2] % p == 0 and x[3] % p == 0:
-            count += 1
-    return count
+    """|L(F_p)| = p + 1: points with x0 = x2 = x3 = 0, all on the surface."""
+    return sum(LINE_L in lines for _, lines in _surface_mod_p(p))
 
 
 def surface_x2_zero_is_lines(p):
     """Exhaustive check that S intersected with {x2 = 0} is the three lines."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    for x in _projective_reps(p):
-        pt = ProjectivePoint.make(x, ring=prime_field(p))
-        if not on_surface(pt):
-            continue
-        if pt.coords[2] % p == 0 and not on_lines(pt):
-            return False
-        if pt.coords[2] % p != 0 and on_lines(pt):
-            return False
-    return True
+    return all((x[2] == 0) == bool(lines) for x, lines in _surface_mod_p(p))
 
 
 # ---------------------------------------------------------------------------

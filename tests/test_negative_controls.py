@@ -6,7 +6,9 @@ defect.
 """
 
 import copy
+import inspect
 import json
+import os
 
 import pytest
 
@@ -203,3 +205,66 @@ def test_wrong_torsor_column_against_the_oracle(monkeypatch, name, planted):
     monkeypatch.setattr(torsor, name, planted)
     counts = [torsor.torsor_count(b).count for b in bounds]
     assert all(c != o for c, o in zip(counts, oracle)), counts
+
+
+def _kernel_without_f_k_correction(monkeypatch, _kernel=torsor._pair_counts_fast):
+    def planted(a1, classes, bound, residues):
+        full = copy.copy(bound)
+        full.m = full.k          # f(K) counted twice where M = K - 1
+        return _kernel(a1, classes, full, residues)
+    monkeypatch.setattr(torsor, "_pair_counts_fast", planted)
+
+
+def _a1_one_row_off_by_one(monkeypatch):
+    class Planted(torsor._Bound):
+        def __init__(self, b):
+            super().__init__(b)
+            self.pairs = 2 * torsor._divisor_sum(b)     # D(b) + D(b), not D(b - 1) + D(b)
+    monkeypatch.setattr(torsor, "_Bound", Planted)
+
+
+def _tail_q_for_q_minus_one(monkeypatch):
+    # _tail_pairs recompiled from its source with q - 1 read as q
+    source = inspect.getsource(torsor._tail_pairs)
+    assert source.count("np.dot(q - 1,") == 1
+    namespace = {}
+    exec(source.replace("np.dot(q - 1,", "np.dot(q,"), vars(torsor), namespace)
+    monkeypatch.setattr(torsor, "_tail_pairs", namespace["_tail_pairs"])
+
+
+def _deal_drops_a_block(monkeypatch, _forked=torsor._forked):
+    monkeypatch.setattr(torsor, "_forked", lambda states, shares: _forked(
+        states, [shares[0][:-1]] + shares[1:]))
+
+
+@pytest.mark.parametrize("plant", [
+    _kernel_without_f_k_correction, _a1_one_row_off_by_one,
+    _tail_q_for_q_minus_one, _deal_drops_a_block,
+], ids=["kernel-no-f-k-correction", "a1-one-off-by-one", "tail-q-for-q-minus-one",
+        "deal-drops-a-block"])
+def test_wrong_torsor_sweep_part_against_the_oracle(monkeypatch, plant):
+    # The sweep forked into blocks of 4 moduli (as TestForkedSweep does), so
+    # that the deal of blocks runs; on one CPU the affinity is widened to two.
+    monkeypatch.setattr(torsor, "FORK_MIN_MODULI", 2)
+    monkeypatch.setattr(torsor, "SHARE_BLOCK", 4)
+    if len(os.sched_getaffinity(0)) < 2:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # B = K^2 has M = K - 1 for the kernel's f(K) correction; only 99999
+    # (K = 316) reaches the moduli of the first worker's last block
+    bounds = [7 ** 2, 8 ** 2, 41 ** 2, 43 ** 2, 10 ** 4, 12345, 99999]
+    oracle = [full_range_count(b) for b in bounds]
+    assert [r.count for r in torsor.torsor_counts(bounds)] == oracle
+    plant(monkeypatch)
+    counts = [r.count for r in torsor.torsor_counts(bounds)]
+    assert counts != oracle, counts
+
+
+def test_line_dropped_from_the_x2_zero_check(monkeypatch):
+    primes = [2, 3, 5, 7, 11, 13]
+    assert all(surface.surface_x2_zero_is_lines(p) for p in primes)
+    # (0:0:0:1:t) lies on L'' alone, so without L'' it is a surface point
+    # with x2 = 0 on no line
+    lines = surface._lines
+    monkeypatch.setattr(surface, "_lines",
+                        lambda *x, zero: lines(*x, zero=zero) - {surface.LINE_LPP})
+    assert not any(surface.surface_x2_zero_is_lines(p) for p in primes)

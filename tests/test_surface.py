@@ -214,7 +214,8 @@ class TestModP:
         assert S.surface_x2_zero_is_lines(p)
 
     def test_not_prime(self):
-        with pytest.raises(NotPrime):
-            S.count_mod_p(6)
-        with pytest.raises(NotPrime):
-            S.prime_field(1)
+        # all three read one census, which checks p first
+        for census in (S.count_mod_p, S.line_count_mod_p, S.surface_x2_zero_is_lines):
+            for n in (1, 6):
+                with pytest.raises(NotPrime):
+                    census(n)
