@@ -27,7 +27,6 @@ oracles the tests compare against at small bounds.
 """
 
 import itertools
-import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,18 +137,14 @@ def _forms(x0, x1, x2, x3, x4):
     return x0 * x3 - x2 * x4, x0 * x1 + x1 * x3 + x2 * x2
 
 
-def _lines(x0, x1, x2, x3, x4, zero=operator.not_):
-    """The subset of the three lines whose equations hold at a coordinate tuple.
-
-    zero tells a vanishing coordinate: over Z and Z[i] it is 0; mod p it is
-    divisible by p.
-    """
+def _lines(x0, x1, x2, x3, x4):
+    """The subset of the three lines whose equations hold at a coordinate tuple."""
     out = set()
-    if zero(x0) and zero(x2) and zero(x3):
+    if not (x0 or x2 or x3):
         out.add(LINE_L)
-    if zero(x1) and zero(x2) and zero(x3):
+    if not (x1 or x2 or x3):
         out.add(LINE_LP)
-    if zero(x0) and zero(x1) and zero(x2):
+    if not (x0 or x1 or x2):
         out.add(LINE_LPP)
     return out
 
@@ -412,21 +407,21 @@ def _heights_triple_zi(bound):
 # ---------------------------------------------------------------------------
 
 def _surface_mod_p(p):
-    """(x, lines) for every x in P^4(F_p) on the surface, lines = _lines mod p.
+    """(x, _lines(*x)) for every x in P^4(F_p) on the surface.
 
     x runs over the canonical representatives, leading coordinate 1, as
-    residue tuples.  NotPrime unless p is prime.
+    tuples of residues in [0, p), so a coordinate vanishes mod p exactly
+    when it is 0.  NotPrime unless p is prime.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    zero = lambda v: v % p == 0
     for lead in range(5):
         for tail in itertools.product(range(p), repeat=4 - lead):
             x = (0,) * lead + (1,) + tail
             eq1, eq2 = _forms(*x)
             if eq1 % p or eq2 % p:
                 continue
-            yield x, _lines(*x, zero=zero)
+            yield x, _lines(*x)
 
 
 def count_mod_p(p):

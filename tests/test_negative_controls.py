@@ -265,6 +265,5 @@ def test_line_dropped_from_the_x2_zero_check(monkeypatch):
     # (0:0:0:1:t) lies on L'' alone, so without L'' it is a surface point
     # with x2 = 0 on no line
     lines = surface._lines
-    monkeypatch.setattr(surface, "_lines",
-                        lambda *x, zero: lines(*x, zero=zero) - {surface.LINE_LPP})
+    monkeypatch.setattr(surface, "_lines", lambda *x: lines(*x) - {surface.LINE_LPP})
     assert not any(surface.surface_x2_zero_is_lines(p) for p in primes)
