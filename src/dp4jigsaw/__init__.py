@@ -13,15 +13,10 @@ Subpackages and modules:
 * ``torsor`` - the torsor parameterization over Q and the fast counter.
 * ``constants`` - number-field invariants and the predicted constant.
 * ``reporting`` / ``cli`` - artifacts and the ``dp4`` command.
-"""
 
-from .constants import (ConstantBreakdown, FieldInvariants, finite_density_product,
-                        leading_constant, omega_arch, rho_K)
-from .jigsaw import (JigsawReport, alpha_closed_form, face_polytope, jigsaw_check,
-                     slice_census, union_polytope)
-from .surface import (CountResult, GroundRing, ProjectivePoint, count_mod_p,
-                      direct_count, height, is_integral, on_lines, on_surface)
-from .torsor import (TorsorPoint, lifted_height, map_to_surface, torsor_count,
-                     torsor_counts, validate)
+Import the submodules themselves: the package re-exports nothing, so that
+``dp4 jigsaw``, ``alpha`` and ``slices`` start without numpy and the
+numpy-backed ``constants``, ``surface`` and ``torsor``.
+"""
 
 __version__ = "0.1.0"

@@ -8,6 +8,10 @@ completes every bound at once (torsor-count and fit split the moduli a1,
 not the bounds, across forked workers), so there every row's elapsed is the
 time of the whole sweep, not the time of that bound alone.
 
+Only the subcommands that count import numpy and the numpy-backed modules
+(constants, surface, torsor), in their own handlers; jigsaw, alpha and
+slices start and finish without them.
+
 Exit codes, so that CI can treat the status as the verdict:
 
     0  every identity the subcommand checks holds;
@@ -22,9 +26,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-import numpy as np
-
-from . import constants, jigsaw, reporting, surface, torsor
+from . import jigsaw, reporting
 from .errors import ConfigInvalid, Dp4Error, IdentityFailed
 
 EXIT_OK = 0
@@ -62,6 +64,7 @@ def _formats(text):
 
 
 def _ring(text):
+    from . import surface
     try:
         return surface.parse_ring(text)
     except ValueError as exc:
@@ -79,6 +82,7 @@ def _ascending(bounds):
 # ---------------------------------------------------------------------------
 
 def _cmd_count(args):
+    from . import constants, surface
     bounds = _ascending(args.bound)
     keyed = None
     if args.points_file:  # the counts are read off the listed points' heights
@@ -98,6 +102,7 @@ def _cmd_count(args):
 
 
 def _cmd_torsor_count(args):
+    from . import constants, torsor
     bounds = _ascending(args.bound)
     results = torsor.torsor_counts(bounds)
     breakdown = constants.leading_constant(constants.get_field("Q"))
@@ -113,6 +118,7 @@ def _cmd_torsor_count(args):
 
 
 def _cmd_compare(args):
+    from . import surface, torsor
     bound = int(args.bound)
     direct = surface.direct_height_counts(bound)
     lifted = torsor.torsor_height_counts(bound)
@@ -134,6 +140,7 @@ def _cmd_compare(args):
 
 
 def _cmd_modp(args):
+    from . import surface
     status = EXIT_OK
     for p in args.p or [2, 3, 5, 7, 11, 13]:
         observed = surface.count_mod_p(p)
@@ -199,6 +206,7 @@ def _cmd_slices(args):
 
 
 def _cmd_constant(args):
+    from . import constants
     inv = (constants.load_field(args.field_json) if args.field_json
            else constants.get_field(args.field))
     breakdown = constants.leading_constant(inv)
@@ -216,6 +224,9 @@ def _cmd_constant(args):
 
 
 def _cmd_fit(args):
+    import numpy as np
+
+    from . import constants, torsor
     lo, hi = _ascending([args.bmin, args.bmax])
     grid = np.unique(np.round(np.logspace(np.log10(lo), np.log10(hi),
                                           args.samples)).astype(np.int64))
@@ -253,7 +264,7 @@ def _build_parser():
 
     p = sub.add_parser("count", help="direct point count over Z or Z[i]")
     p.add_argument("--bound", action="append", type=bound, required=True)
-    p.add_argument("--ring", type=_ring, default=surface.INTEGERS)
+    p.add_argument("--ring", type=_ring, default="Z")  # argparse runs _ring on it
     p.add_argument("--points", dest="points_file", help="write the point stream here")
     p.set_defaults(handler=_cmd_count)
 

@@ -15,6 +15,7 @@ classification of split/inert/ramified primes), and must be supplied
 otherwise.  All floating evaluation carries explicit error bounds.
 """
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -81,14 +82,7 @@ class FieldInvariants:
         )
 
     def to_json_dict(self):
-        out = {"label": self.label, "r1": self.r1, "r2": self.r2,
-               "abs_disc": self.abs_disc, "regulator": self.regulator,
-               "class_number": self.class_number, "mu": self.mu}
-        if self.zeta2 is not None:
-            out["zeta2"] = self.zeta2
-        if self.quad_disc is not None:
-            out["quad_disc"] = self.quad_disc
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 BUILTIN_FIELDS = {
@@ -185,31 +179,24 @@ def primes_up_to(n):
 def _prime_norms(inv, bound):
     """Norms (with multiplicity) of prime ideals of norm <= bound."""
     if inv.degree == 1:
-        return [int(p) for p in primes_up_to(bound)]
-    if inv.degree == 2 and inv.quad_disc is not None:
-        # chi_d(p) = (d/p) splits p in two ideals of norm p (1), ramifies it
-        # (0) or leaves it inert, of norm p^2 (-1).  On odd n, n -> (d/n)
-        # has period |d| for d = 0, 1 mod 4 (on every n) and 4|d| otherwise,
-        # where 2 is alone in its class; so one table over a period holds
-        # the symbol, read at the first prime of each class.
-        d = inv.quad_disc
-        period = abs(d) if d % 4 in (0, 1) else 4 * abs(d)
-        table = {}
-        norms = []
-        for p in map(int, primes_up_to(bound)):
-            chi = table.get(p % period)
-            if chi is None:
-                chi = table[p % period] = kronecker_symbol(d, p)
-            if chi == 1:
-                norms.extend([p, p])
-            elif chi == 0:
-                norms.append(p)
-            elif p * p <= bound:
-                norms.append(p * p)
-        return norms
-    raise UnsupportedField(
-        f"prime classification needs Q or a quadratic field with quad_disc; "
-        f"got {inv.label}")
+        return primes_up_to(bound).tolist()
+    if inv.degree != 2 or inv.quad_disc is None:
+        raise UnsupportedField(
+            f"prime classification needs Q or a quadratic field with quad_disc; "
+            f"got {inv.label}")
+    # chi_d(p) = (d/p) splits p in two ideals of norm p (1), ramifies it (0)
+    # or leaves it inert, of norm p^2 (-1).  On odd n, n -> (d/n) has period
+    # |d| for d = 0, 1 mod 4 (on every n) and 4|d| otherwise, where 2 is
+    # alone in its class; so the symbol is taken once per class of primes
+    # mod the period, at its first prime.
+    d = inv.quad_disc
+    period = abs(d) if d % 4 in (0, 1) else 4 * abs(d)
+    primes = primes_up_to(bound)
+    _, first, cls = np.unique(primes % period, return_index=True, return_inverse=True)
+    chi = np.array([kronecker_symbol(d, p) for p in primes[first].tolist()],
+                   dtype=np.int8)[cls]
+    norms = np.where(chi == -1, primes * primes, primes)
+    return np.repeat(norms, np.where(chi == 1, 2, norms <= bound)).tolist()
 
 
 @dataclass(frozen=True)
@@ -236,8 +223,8 @@ def finite_density_product(inv, prime_bound):
     if prime_bound > MAX_PRIME_BOUND:
         raise OutOfRange(f"prime_bound must be <= {MAX_PRIME_BOUND}, got {prime_bound}")
     norms = _prime_norms(inv, prime_bound)
-    arr = np.array(norms, dtype=np.float64)
-    log_value = math.fsum(np.log1p(-1.0 / arr ** 2).tolist()) if norms else 0.0
+    # fsum reads the array one float at a time: no list of a float per ideal
+    log_value = math.fsum(np.log1p(-1.0 / np.array(norms, dtype=np.float64) ** 2))
     value = math.exp(log_value)
     if inv.degree == 1:
         tail = 1.0 / prime_bound
@@ -262,12 +249,14 @@ def dirichlet_l2(d, terms=10 ** 6):
     chi_period = np.array([kronecker_symbol(d, n) for n in range(period)],
                           dtype=np.float64)
 
-    def summands():
+    def blocks():
         for start in range(1, terms + 1, L2_BLOCK):
             n = np.arange(start, min(start + L2_BLOCK, terms + 1), dtype=np.int64)
-            yield from (chi_period[n % period] / n.astype(np.float64) ** 2).tolist()
+            chi = chi_period[n % period]
+            live = chi != 0   # exact zeros cannot move the correctly rounded fsum
+            yield (chi[live] / n[live].astype(np.float64) ** 2).tolist()
 
-    value = math.fsum(summands())
+    value = math.fsum(itertools.chain.from_iterable(blocks()))
     partial_max = float(np.max(np.abs(np.cumsum(chi_period))))
     tail = 2.0 * max(partial_max, 1.0) / terms ** 2
     return value, tail

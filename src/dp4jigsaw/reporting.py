@@ -11,8 +11,6 @@ import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DegenerateDesignMatrix, IoFailure
 
 CSV_HEADER = "B,count,predicted,ratio,method,elapsed_s"
@@ -117,6 +115,8 @@ def fit_log_quadratic(samples):
     Exact quadratic-in-log data is reproduced with (numerically) zero
     residual.  Requires at least four samples at distinct bounds B > 1.
     """
+    import numpy as np  # the only numpy user here; dp4 jigsaw never loads it
+
     if len(samples) < 4:
         raise DegenerateDesignMatrix("need at least 4 samples")
     bounds = [float(b) for b, _ in samples]

@@ -15,6 +15,8 @@ from dp4jigsaw.cli import main
 from dp4jigsaw.errors import DegenerateDesignMatrix, IoFailure
 from dp4jigsaw.geometry import _simplex
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 class TestFit:
     def test_exact_model_recovery(self):
@@ -294,3 +296,29 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "3,12,12,ok" in proc.stdout
+
+
+STARTUP_CHILD = """
+import json
+import sys
+from dp4jigsaw.cli import main
+seen = []
+for argv in (["jigsaw", "--q", "1"], ["alpha", "--q", "2"], ["slices"], ["--help"],
+             ["count", "--bound", "10"]):
+    status = main(["--output", sys.argv[1], *argv])
+    seen.append([argv[0], status, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_geometry_commands_start_without_numpy(tmp_path):
+    """jigsaw, alpha, slices and --help never load numpy; count does."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_CHILD, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        ["jigsaw", 0, False], ["alpha", 0, False], ["slices", 0, False],
+        ["--help", 0, False], ["count", 0, True]]

@@ -19,8 +19,9 @@ from dp4jigsaw import torsor as T
 from dp4jigsaw.errors import (EquationViolated, NonpositiveBound,
                               NonUnitMiddle, OutOfRange)
 from tests_support import (a8_side_counts_elementwise, enumerate_valid,
-                           full_range_count, naive_torsor_count,
-                           pair_counts_elementwise, product_inverse_table)
+                           full_range_count, lifted_height_counts_loop,
+                           naive_torsor_count, pair_counts_elementwise,
+                           product_inverse_table)
 
 mk = S.ProjectivePoint.make
 
@@ -113,6 +114,17 @@ class TestCounts:
     def test_direct_equals_lifted_for_all_b_to_1e4(self):
         assert (S.direct_height_counts(10 ** 4)
                 == T.torsor_height_counts(10 ** 4)).all()
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 10, 57, 300, 2000])
+    def test_histogram_equals_the_per_pair_loop(self, b):
+        assert T.torsor_height_counts(b).tolist() == lifted_height_counts_loop(b).tolist()
+
+    @pytest.mark.parametrize("b", [1, 2, 10, 57, 300])
+    def test_histogram_in_tiny_blocks(self, monkeypatch, b):
+        # blocks of max(3, b // 16) items split the pairs of one a1, and the a8
+        # of one pair, across blocks
+        monkeypatch.setattr(T, "HEIGHT_BLOCK", 3)
+        assert T.torsor_height_counts(b).tolist() == lifted_height_counts_loop(b).tolist()
 
 
 class TestFastCounter:

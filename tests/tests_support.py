@@ -95,6 +95,27 @@ def naive_torsor_count(b):
     return total
 
 
+def lifted_height_counts_loop(b):
+    """Oracle for torsor.torsor_height_counts: one arange of a8 and one
+    np.add.at per coprime pair (a1, a2), in plain Python loops."""
+    hist = np.zeros(b + 1, dtype=np.int64)
+    for a1 in range(1, b + 1):
+        for a2 in range(1, b // a1 + 1):
+            if gcd(a1, a2) != 1:
+                continue
+            lo = -(b // a2)
+            hi = (b - 1) // a2
+            r = (-pow(a2, -1, a1)) % a1
+            first = lo + (r - lo) % a1
+            a8 = np.arange(first, hi + 1, a1, dtype=np.int64)
+            if a8.size == 0:
+                continue
+            # The a8 range keeps |y| <= b and |y + 1| <= b, so every h <= b.
+            y = a2 * a8
+            np.add.at(hist, np.maximum(a1 * a2, np.maximum(np.abs(y), np.abs(y + 1))), 2)
+    return hist.cumsum()
+
+
 def full_range_count(b):
     """Oracle: the per-a1 loop over the whole a2 range (a1, B // a1].
 
