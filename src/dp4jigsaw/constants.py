@@ -38,6 +38,11 @@ L2_BLOCK = 1 << 16
 #: less), so N = 5e7 peaks near 30 MB + 6.1 * 5e7 bytes = 335 MB.
 MAX_PRIME_BOUND = 5 * 10 ** 7
 
+#: Largest period |d| whose character table L(2, chi_d) builds, one Python
+#: Kronecker symbol per residue.  On a 2-vCPU host: 0.26 s and a 35 MB peak
+#: RSS at |d| = 1e5 + 3, 2.0 s and 54 MB at 1e6 + 3, 8.2 s and 123 MB at 4e6 + 37.
+MAX_L2_PERIOD = 10 ** 6
+
 
 @dataclass(frozen=True)
 class FieldInvariants:
@@ -244,8 +249,12 @@ def dirichlet_l2(d, terms=10 ** 6):
     Direct summation of the periodic character, streamed in blocks of
     L2_BLOCK terms into one math.fsum (exactly rounded, so the blocking
     cannot change the value); Abel summation bounds the tail by 2 * max|partial sums| / terms^2.
+    A period above MAX_L2_PERIOD raises OutOfRange before the table is built.
     """
     period = abs(d)
+    if period > MAX_L2_PERIOD:
+        raise OutOfRange(f"L(2, chi_d) needs |d| <= {MAX_L2_PERIOD}, got d = {d}; "
+                         "supply zeta2 for this field")
     chi_period = np.array([kronecker_symbol(d, n) for n in range(period)],
                           dtype=np.float64)
 

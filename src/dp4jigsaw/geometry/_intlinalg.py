@@ -135,8 +135,3 @@ def solve_square(matrix, rhs):
                 for j in range(col, n + 1):
                     a[i][j] -= f * a[col][j]
     return tuple(a[i][n] / a[i][i] for i in range(n))
-
-
-def mat_vec(matrix, vec):
-    return tuple(sum(matrix[i][j] * vec[j] for j in range(len(vec)))
-                 for i in range(len(matrix)))

@@ -383,40 +383,3 @@ def strictly_feasible(p):
     point iff it is nonempty and its vertices span the ambient space.
     """
     return _full_dimensional(p.dimension, p.vertices)
-
-
-# ---------------------------------------------------------------------------
-# Constructions used by tests and demos
-# ---------------------------------------------------------------------------
-
-def product_polytope(p1, p2):
-    """The Cartesian product, with block-embedded inequality rows."""
-    d1, d2 = p1.dimension, p2.dimension
-    rows = []
-    for form in p1.inequalities:
-        rows.append(AffineForm(form.coeffs + (0,) * d2, form.const))
-    for form in p2.inequalities:
-        rows.append(AffineForm((0,) * d1 + form.coeffs, form.const))
-    return HPolytope(d1 + d2, rows)
-
-
-def box(bounds):
-    """Axis-aligned box from [(lo, hi), ...]."""
-    dim = len(bounds)
-    rows = []
-    for i, (lo, hi) in enumerate(bounds):
-        e = [0] * dim
-        e[i] = 1
-        rows.append(AffineForm.ge(e, lo))
-        rows.append(AffineForm.le(e, hi))
-    return HPolytope(dim, rows)
-
-
-def standard_simplex(dim, scale=1):
-    rows = []
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = 1
-        rows.append(AffineForm.ge(e, 0))
-    rows.append(AffineForm.le([1] * dim, scale))
-    return HPolytope(dim, rows)

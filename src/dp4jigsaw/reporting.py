@@ -55,21 +55,6 @@ def emit_counts_csv(rows):
     return "\n".join(lines) + "\n"
 
 
-def parse_counts_csv(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise IoFailure("missing counts header")
-    rows = []
-    for ln in lines[1:]:
-        b, count, predicted, ratio, method, elapsed = ln.split(",")
-        rows.append(CountRow(
-            bound=Fraction(b), count=int(count),
-            predicted=float(predicted) if predicted else None,
-            ratio=float(ratio) if ratio else None,
-            method=method, elapsed=float(elapsed)))
-    return rows
-
-
 def rows_to_json_dict(rows):
     return {
         "counts": [

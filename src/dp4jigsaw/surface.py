@@ -1,8 +1,8 @@
 """Points on the quartic del Pezzo surface x0*x3 = x2*x4, x0*x1 + x1*x3 + x2^2 = 0.
 
-Membership, line detection, integrality and heights over Z and Z[i], the
-direct counts of integral points off the lines, and one census of the
-residue tuples mod p on the surface.
+Membership over Z and Z[i], the direct counts and listings of integral
+points off the lines, and one census of the residue tuples mod p on the
+surface.
 
 On the surface, x2 = 0 cuts out precisely the three lines (checked
 exhaustively mod every prime p <= 13 in the test suite), so off them
@@ -22,22 +22,21 @@ admits every d:
     N(B) = 4B + 4 * sum_{m=1}^{B-1} tau_B(m(m + 1)),
 
 tau_B counting divisors up to B (an additive divisor sum; Ingham 1927).
-The triple loops over (x0, x2, x3) assume no normal form and are the
-oracles the tests compare against at small bounds.
+The tests check both rings against triple loops over (x0, x2, x3) that
+assume no normal form, and the points against gcd-normalized heights; those
+oracles, with the Gaussian gcd they need, live beside the tests.
 """
 
 import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
 from . import gaussian
-from .errors import (DegenerateCoordinates, DimensionMismatch,
-                     NonpositiveBound, NotOnSurface, NotPrime, OnBoundary,
-                     OutOfRange)
+from .errors import NonpositiveBound, NotPrime, OutOfRange
 from .gaussian import GaussInt
 
 LINE_L = "L"       # x0 = x2 = x3 = 0, the boundary line through both singularities
@@ -48,9 +47,6 @@ LINE_LPP = "L''"   # x0 = x1 = x2 = 0
 @dataclass(frozen=True)
 class GroundRing:
     kind: str
-
-    def __str__(self):
-        return {"rational-integers": "Z", "gaussian-integers": "Z[i]"}[self.kind]
 
 
 INTEGERS = GroundRing("rational-integers")
@@ -94,28 +90,6 @@ class ProjectivePoint:
     coords: tuple
 
     @staticmethod
-    def make(coords, ring=INTEGERS):
-        if len(coords) != 5:
-            raise DimensionMismatch("projective points here have 5 coordinates")
-        if ring.kind == "rational-integers":
-            ints = tuple(int(c) for c in coords)
-            if not any(ints):
-                raise DegenerateCoordinates("all coordinates are zero")
-            g = 0
-            for c in ints:
-                g = gcd(g, c)
-            return ProjectivePoint.from_primitive(tuple(c // g for c in ints), ring)
-        if ring.kind == "gaussian-integers":
-            gs = tuple(c if isinstance(c, GaussInt) else GaussInt(int(c), 0)
-                       for c in coords)
-            if not any(gs):
-                raise DegenerateCoordinates("all coordinates are zero")
-            g = gaussian.gcd_many([c for c in gs if c])
-            return ProjectivePoint.from_primitive(
-                tuple(gaussian.exact_div(c, g) if c else c for c in gs), ring)
-        raise ValueError(f"unsupported ring {ring.kind!r}")
-
-    @staticmethod
     def from_primitive(coords, ring):
         """The canonical form of a nonzero primitive tuple over Z or Z[i].
 
@@ -154,41 +128,10 @@ def on_surface(pt):
     return not any(_forms(*pt.coords))
 
 
-def on_lines(pt):
-    """The subset of the three lines containing the point."""
-    if not on_surface(pt):
-        raise NotOnSurface(f"{pt} does not satisfy the surface equations")
-    return _lines(*pt.coords)
-
-
-def is_integral(pt):
-    """Is the coordinate ideal of (x0, x2, x3) the unit ideal?"""
-    if not on_surface(pt):
-        raise NotOnSurface(f"{pt} does not satisfy the surface equations")
-    if LINE_L in on_lines(pt):
-        raise OnBoundary(f"{pt} lies on the boundary line")
-    x0, _, x2, x3, _ = pt.coords
-    if pt.ring.kind == "rational-integers":
-        return gcd(gcd(x0, x2), x3) == 1
-    return gaussian.gcd_many([x0, x2, x3]).is_unit()
-
-
-def height(pt):
-    """Log anticanonical height: product over places of max(|x0|, |x2|, |x3|)."""
-    x0, _, x2, x3, _ = pt.coords
-    if not (x0 or x2 or x3):
-        raise DegenerateCoordinates("height undefined: x0 = x2 = x3 = 0")
-    if pt.ring.kind == "rational-integers":
-        return Fraction(max(abs(x0), abs(x2), abs(x3)), gcd(gcd(x0, x2), x3))
-    g = gaussian.gcd_many([x0, x2, x3])
-    return Fraction(max(x0.norm(), x2.norm(), x3.norm()), g.norm())
-
-
 @dataclass(frozen=True)
 class CountResult:
     bound: Fraction
     count: int
-    ring: GroundRing
     method: str
     elapsed: float
 
@@ -222,11 +165,6 @@ MAX_DIRECT_BOUND = 10 ** 6
 MAX_POINTS_BOUND = {INTEGERS: 10 ** 4, GAUSSIAN: 3 * 10 ** 3}
 
 
-def points_bound(bound, ring=INTEGERS):
-    """The integer bound of a point listing; OutOfRange above MAX_POINTS_BOUND."""
-    return _int_bound(bound, MAX_POINTS_BOUND.get(ring))
-
-
 def _divisor_sieve(n):
     """Divisors of 1..n in CSR form: those of k are flat[start[k]:start[k + 1]].
 
@@ -241,26 +179,6 @@ def _divisor_sieve(n):
     start = np.zeros(n + 2, dtype=np.int64)
     np.cumsum(np.bincount(mult, minlength=n + 1), out=start[1:])
     return div[np.argsort(mult)], start
-
-
-def _heights_triple_z(bound):
-    """Height histogram of integral points off the lines, by brute triple loop."""
-    hist = np.zeros(bound + 1, dtype=np.int64)
-    for x0 in range(0, bound + 1):
-        x2_range = range(1, bound + 1) if x0 == 0 else \
-            [x for x in range(-bound, bound + 1) if x]
-        for x2 in x2_range:
-            sq = x2 * x2
-            for x3 in range(-bound, bound + 1):
-                s = x0 + x3
-                if s == 0 or sq % s != 0:
-                    continue
-                if (x0 * x3) % x2 != 0:
-                    continue
-                if gcd(gcd(x0, x2), x3) != 1:
-                    continue
-                hist[max(x0, abs(x2), abs(x3))] += 1
-    return hist
 
 
 def _normal_form_z(bound):
@@ -331,14 +249,9 @@ def direct_counts(bounds, ring=INTEGERS, keyed=None):
     else:
         counts = np.bincount([h for h, _ in keyed], minlength=max(ints) + 1).cumsum()
     elapsed = time.perf_counter() - t0
-    return [CountResult(bound=Fraction(bound), count=int(counts[b]), ring=ring,
+    return [CountResult(bound=Fraction(bound), count=int(counts[b]),
                         method="direct-divisor", elapsed=elapsed)
             for bound, b in zip(bounds, ints)]
-
-
-def direct_count(bound, ring=INTEGERS):
-    """Exact count of integral points off the lines with height <= bound."""
-    return direct_counts([bound], ring=ring)[0]
 
 
 def direct_points_with_heights(bound, ring=INTEGERS):
@@ -349,7 +262,7 @@ def direct_points_with_heights(bound, ring=INTEGERS):
     canonical sign or unit, and its height comes with the enumerated pair.
     A bound above MAX_POINTS_BOUND raises OutOfRange before any work.
     """
-    b = points_bound(bound, ring)
+    b = _int_bound(bound, MAX_POINTS_BOUND.get(ring))
     if ring == INTEGERS:
         keyed = [(max(m + 1, k), ProjectivePoint.from_primitive(
                      (x0, -x2 * x2, x2, 1 - x0, x0 * (1 - x0) // x2), ring))
@@ -368,38 +281,6 @@ def direct_points_with_heights(bound, ring=INTEGERS):
 def direct_points(bound, ring=INTEGERS):
     """The points of direct_points_with_heights, in the same order."""
     return [pt for _, pt in direct_points_with_heights(bound, ring)]
-
-
-# ---------------------------------------------------------------------------
-# Triple-loop oracle over Z[i]
-# ---------------------------------------------------------------------------
-
-def _triples_zi(bound):
-    """Canonical triples (x0, x2, x3) of integral off-line points, N-height <= bound."""
-    shell = gaussian.elements_of_norm_up_to(bound)
-    canon = [z for z in shell if z.re > 0 and z.im >= 0]
-    zero = gaussian.ZERO
-    for x0 in [zero] + canon:
-        x2_range = canon if not x0 else shell
-        for x2 in x2_range:
-            sq = x2 * x2
-            for x3 in shell + [zero]:
-                s = x0 + x3
-                if not s or not gaussian.divides(s, sq):
-                    continue
-                prod = x0 * x3
-                if not gaussian.divides(x2, prod):
-                    continue
-                if not gaussian.gcd_many([x0, x2, x3]).is_unit():
-                    continue
-                yield x0, x2, x3, s, prod
-
-
-def _heights_triple_zi(bound):
-    hist = np.zeros(bound + 1, dtype=np.int64)
-    for x0, x2, x3, _, _ in _triples_zi(bound):
-        hist[max(x0.norm(), x2.norm(), x3.norm())] += 1
-    return hist
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +308,6 @@ def _surface_mod_p(p):
 def count_mod_p(p):
     """|{x in P^4(F_p) : both equations hold, x not on L}|; equals p^2 + p."""
     return sum(LINE_L not in lines for _, lines in _surface_mod_p(p))
-
-
-def line_count_mod_p(p):
-    """|L(F_p)| = p + 1: points with x0 = x2 = x3 = 0, all on the surface."""
-    return sum(LINE_L in lines for _, lines in _surface_mod_p(p))
-
-
-def surface_x2_zero_is_lines(p):
-    """Exhaustive check that S intersected with {x2 = 0} is the three lines."""
-    return all((x[2] == 0) == bool(lines) for x, lines in _surface_mod_p(p))
 
 
 # ---------------------------------------------------------------------------

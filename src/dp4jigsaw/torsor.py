@@ -83,7 +83,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .errors import CoprimalityBroken, EquationViolated, NonUnitMiddle
-from .surface import INTEGERS, CountResult, ProjectivePoint, _int_bound
+from .surface import MAX_DIRECT_BOUND, CountResult, _int_bound
 
 #: Largest bound torsor_count accepts.  Its largest int64 intermediate is a
 #: dot product of class counts for one a1 and one bound (or a sum of
@@ -109,13 +109,6 @@ class TorsorPoint:
         return ",".join(str(x) for x in self.a)
 
 
-@dataclass(frozen=True)
-class NormalizedTorsorPoint:
-    """A torsor point with a1, a2 >= 1 and a3 = a4 = a5 = 1."""
-
-    point: TorsorPoint
-
-
 def validate(values):
     """Check the torsor equation and unit conditions; return a TorsorPoint.
 
@@ -138,31 +131,6 @@ def validate(values):
     if gcd(a1, a2) != 1 or gcd(a1, a8) != 1 or gcd(a2, a9) != 1:
         raise CoprimalityBroken(f"pairwise coprimality fails for {a}")
     return TorsorPoint(a)
-
-
-def normalize_check(point):
-    """Wrap a TorsorPoint that is already in normalized form."""
-    a = point.a
-    if not (a[0] >= 1 and a[1] >= 1 and a[2] == a[3] == a[4] == 1):
-        raise EquationViolated(f"{a} is not in normalized form")
-    return NormalizedTorsorPoint(point)
-
-
-def map_to_surface(point):
-    """Descent to the surface; the image is primitive and canonical."""
-    a1, a2, a3, a4, a5, a6, a7, a8, a9 = point.a
-    x0 = a2 * a3 * a4 * a5 * a6 * a7 * a8
-    x1 = a1 ** 2 * a2 ** 2 * a3 ** 2 * a4 * a6 ** 3
-    x2 = a1 * a2 * a3 ** 2 * a4 ** 2 * a5 ** 2 * a6 ** 2 * a7
-    x3 = a1 * a3 * a4 * a5 * a6 * a7 * a9
-    x4 = a7 * a8 * a9
-    return ProjectivePoint.make((x0, x1, x2, x3, x4), ring=INTEGERS)
-
-
-def lifted_height(point):
-    """max(|a2*a8|, |a1*a2*a3*a4*a5*a6|, |a1*a9|); equals the surface height."""
-    a1, a2, a3, a4, a5, a6, a7, a8, a9 = point.a
-    return Fraction(max(abs(a2 * a8), abs(a1 * a2 * a3 * a4 * a5 * a6), abs(a1 * a9)))
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +626,7 @@ def torsor_counts(bounds):
             pairs[state.b] += share
     elapsed = time.perf_counter() - t0
     # 4 = swap symmetry x units / |mu_K|
-    return [CountResult(bound=Fraction(bound), count=4 * pairs[b], ring=INTEGERS,
+    return [CountResult(bound=Fraction(bound), count=4 * pairs[b],
                         method="torsor-fast", elapsed=elapsed)
             for bound, b in zip(bounds, ints)]
 
@@ -701,9 +669,11 @@ def torsor_height_counts(bound):
     -(b // a2) <= a8 <= (b - 1) // a2, where |y| <= b and |y + 1| <= b for
     y = a2*a8; every height max(a1*a2, |y|, |y + 1|) is therefore <= b.  The
     pairs, and then their values of a8, are taken max(HEIGHT_BLOCK, b // 16)
-    at a time, so the memory stays O(b + HEIGHT_BLOCK).
+    at a time, so the memory stays O(b + HEIGHT_BLOCK).  A bound above
+    MAX_DIRECT_BOUND, the range of its only caller dp4 compare, raises
+    OutOfRange before any array is built.
     """
-    b = _int_bound(bound)
+    b = _int_bound(bound, MAX_DIRECT_BOUND)
     block = max(HEIGHT_BLOCK, b // 16)
     hist = np.zeros(b + 1, dtype=np.int64)
     for i, rank in _flat_blocks(b // np.arange(1, b + 1), block):
@@ -723,7 +693,7 @@ def torsor_height_counts(bound):
 
 
 def enumerate_normalized(bound):
-    """Yield every normalized torsor point with lifted height <= bound."""
+    """Yield every torsor point with a1, a2 >= 1, a3 = a4 = a5 = 1 and height <= bound."""
     b = _int_bound(bound)
     for a1 in range(1, b + 1):
         for a2 in range(1, b // a1 + 1):
@@ -739,19 +709,9 @@ def enumerate_normalized(bound):
                 for a8 in range(first, hi + 1, a1):
                     a9 = -(a2 * a8 + a7) // a1
                     for a6 in (1, -1):
-                        yield normalize_check(
-                            validate((a1, a2, 1, 1, 1, a6, a7, a8, a9)))
-
-
-def fibers_over_points(bound):
-    """Group normalized torsor points of height <= bound by surface image."""
-    fibers = {}
-    for norm in enumerate_normalized(bound):
-        image = map_to_surface(norm.point)
-        fibers.setdefault(image, []).append(norm)
-    return fibers
+                        yield validate((a1, a2, 1, 1, 1, a6, a7, a8, a9))
 
 
 def write_tuple_stream(points, stream):
-    for norm in points:
-        stream.write(str(norm.point) + "\n")
+    for point in points:
+        stream.write(f"{point}\n")

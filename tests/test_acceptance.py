@@ -13,13 +13,17 @@ import numpy as np
 import pytest
 
 from dp4jigsaw import constants as C
-from dp4jigsaw import jigsaw, picard, reporting
+from dp4jigsaw import jigsaw, reporting
 from dp4jigsaw import surface as S
 from dp4jigsaw import torsor as T
-from dp4jigsaw.geometry import (box, exact_volume, product_polytope,
-                                standard_simplex)
-from tests_support import (enumerate_valid, monte_carlo_volume, random_unimodular,
-                           transform_polytope)
+from dp4jigsaw.geometry import exact_volume
+from tests_support import (LOG_ANTICANONICAL_L, DivisorClass, box, direct_count,
+                           enumerate_valid, fibers_over_points, generator_degree, height,
+                           heights_triple_z, is_integral, lifted_height,
+                           line_count_mod_p, make_point, map_to_surface,
+                           monte_carlo_volume, on_lines, product_polytope,
+                           random_unimodular, standard_simplex,
+                           torsor_monomial_degrees, transform_polytope)
 
 
 def report(line):
@@ -116,11 +120,11 @@ def test_criterion_4_degenerate_faces():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_count_agreement():
-    assert S.direct_count(1).count == 4
+    assert direct_count(1).count == 4
     direct = S.direct_height_counts(2000)
     lifted = T.torsor_height_counts(2000)
     assert (direct == lifted).all()
-    triple = S._heights_triple_z(200).cumsum()
+    triple = heights_triple_z(200).cumsum()
     assert (triple == direct[:201]).all()
     report(f"5: PASS - torsor = direct for every B <= 2000 (N(2000) = "
            f"{int(direct[-1])}); the triple-loop oracle agrees to 200; N(1) = 4")
@@ -134,14 +138,14 @@ def test_criterion_6_descent():
     points = enumerate_valid(20)
     assert points
     for pt in points:
-        image = T.map_to_surface(pt)
+        image = map_to_surface(pt)
         assert S.on_surface(image)
-        assert T.lifted_height(pt) == S.height(image)
+        assert lifted_height(pt) == height(image)
         if pt.a[0] != 0 and pt.a[1] != 0:
-            assert S.on_lines(image) == set()
-            assert S.is_integral(image)
-    fibers = T.fibers_over_points(50)
-    assert len(fibers) == S.direct_count(50).count
+            assert on_lines(image) == set()
+            assert is_integral(image)
+    fibers = fibers_over_points(50)
+    assert len(fibers) == direct_count(50).count
     assert {len(v) for v in fibers.values()} == {2}
     report(f"6: PASS - {len(points)} valid tuples with |a_i| <= 20 descend to "
            "integral off-line points with matching heights; all fibers over "
@@ -155,7 +159,7 @@ def test_criterion_6_descent():
 def test_criterion_7_local_densities():
     for p in (2, 3, 5, 7, 11, 13):
         assert S.count_mod_p(p) == p * p + p
-        assert S.line_count_mod_p(p) == p + 1
+        assert line_count_mod_p(p) == p + 1
     report("7: PASS - point counts mod p equal p^2 + p and |L(F_p)| = p + 1 "
            "for p in {2, 3, 5, 7, 11, 13}")
 
@@ -228,23 +232,23 @@ def test_criterion_10_property_suites():
     # base-change round trips
     rng = random.Random(4242)
     for i in range(1, 10):
-        d = picard.generator_degree(i)
-        assert picard.DivisorClass.from_A(d.coords_A).coords_l == d.coords_l
+        d = generator_degree(i)
+        assert DivisorClass.from_A(d.coords_A).coords_l == d.coords_l
     for _ in range(1000):
         vec = tuple(rng.randint(-40, 40) for _ in range(6))
-        assert picard.DivisorClass.from_l(vec).coords_A == \
-            picard.DivisorClass.from_A(picard.DivisorClass.from_l(vec).coords_A).coords_A
+        assert DivisorClass.from_l(vec).coords_A == \
+            DivisorClass.from_A(DivisorClass.from_l(vec).coords_A).coords_A
 
     # the three torsor monomials share the log anticanonical degree
-    m1, m2, m3 = picard.torsor_monomial_degrees()
-    assert m1.coords_l == m2.coords_l == m3.coords_l == picard.LOG_ANTICANONICAL_L
+    m1, m2, m3 = torsor_monomial_degrees()
+    assert m1.coords_l == m2.coords_l == m3.coords_l == LOG_ANTICANONICAL_L
 
     # height scaling invariance
     base = (2, -2, 4, 6, 3)
-    h = S.height(S.ProjectivePoint.make(base))
+    h = height(make_point(base))
     for _ in range(25):
         k = rng.choice([x for x in range(-9, 10) if x])
-        assert S.height(S.ProjectivePoint.make(tuple(k * c for c in base))) == h
+        assert height(make_point(tuple(k * c for c in base))) == h
 
     # permutation symmetry of face volumes at q = 1
     for face in jigsaw.all_faces(1):

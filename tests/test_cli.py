@@ -18,6 +18,17 @@ from dp4jigsaw.geometry import _simplex
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def parse_counts_csv(text):
+    """The CountRows of a counts.csv: the inverse of reporting.emit_counts_csv."""
+    header, *lines = text.splitlines()
+    assert header == reporting.CSV_HEADER
+
+    def opt(x):
+        return float(x) if x else None
+    return [reporting.CountRow(F(b), int(n), opt(p), opt(r), m, float(e))
+            for b, n, p, r, m, e in (line.split(",") for line in lines)]
+
+
 class TestFit:
     def test_exact_model_recovery(self):
         samples = []
@@ -55,7 +66,7 @@ class TestCsv:
         text = reporting.emit_counts_csv(rows)
         assert text.splitlines()[0] == "B,count,predicted,ratio,method,elapsed_s"
         assert text.splitlines()[1].startswith("1,4,,,direct-divisor")
-        assert reporting.parse_counts_csv(text) == rows
+        assert parse_counts_csv(text) == rows
 
     def test_empty_report_refused(self):
         with pytest.raises(IoFailure):
@@ -85,7 +96,7 @@ class TestCli:
 
     def test_count_command_and_csv(self, tmp_path):
         assert run_cli(["count", "--bound", "1", "--bound", "50"], tmp_path) == 0
-        rows = reporting.parse_counts_csv((tmp_path / "counts.csv").read_text())
+        rows = parse_counts_csv((tmp_path / "counts.csv").read_text())
         assert rows[0].bound == 1 and rows[0].count == 4
         assert rows[1].bound == 50 and rows[1].count == 2128
 
@@ -142,8 +153,7 @@ class TestCli:
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, args):
         def started(*args):
             raise AssertionError("work started on a rejected value")
-        for module, name in ((surface, "direct_count"), (surface, "direct_counts"),
-                             (torsor, "torsor_count"),
+        for module, name in ((surface, "direct_counts"), (torsor, "torsor_count"),
                              (torsor, "torsor_counts"), (jigsaw, "jigsaw_check")):
             monkeypatch.setattr(module, name, started)
         monkeypatch.chdir(tmp_path)
@@ -161,7 +171,7 @@ class TestCli:
     def test_torsor_count_timings_run_from_the_start_of_the_sweep(self, tmp_path):
         assert main(["--output", str(tmp_path), "--timings", "torsor-count",
                      "--bound", "100", "--bound", "1e5", "--bound", "1e6"]) == 0
-        rows = reporting.parse_counts_csv((tmp_path / "counts.csv").read_text())
+        rows = parse_counts_csv((tmp_path / "counts.csv").read_text())
         assert [r.count for r in rows] == [torsor.torsor_count(b).count
                                            for b in (100, 10 ** 5, 10 ** 6)]
         elapsed = [r.elapsed for r in rows]
@@ -178,7 +188,7 @@ class TestCli:
         assert main(["--output", str(tmp_path), "--timings", "count", "--bound", "1/2",
                      "--bound", "7", "--bound", "60", "--bound", "60"]) == 0
         assert calls == [60]
-        rows = reporting.parse_counts_csv((tmp_path / "counts.csv").read_text())
+        rows = parse_counts_csv((tmp_path / "counts.csv").read_text())
         expected = [int(histogram(60)[b]) for b in (0, 7, 60, 60)]
         assert [r.count for r in rows] == expected and expected[1] > 0
         elapsed = {r.elapsed for r in rows}
@@ -206,7 +216,7 @@ class TestCli:
         # the counts read off the listed heights are the histogram's
         assert (listed / "counts.csv").read_bytes() == (plain / "counts.csv").read_bytes()
         lines = (tmp_path / "points.txt").read_text().splitlines()
-        assert len(lines) == reporting.parse_counts_csv(
+        assert len(lines) == parse_counts_csv(
             (plain / "counts.csv").read_text())[-1].count
 
     @pytest.mark.parametrize("args", [["jigsaw", "--q", str(q)] for q in range(4)]
@@ -252,6 +262,18 @@ class TestCli:
                         str(constants.MAX_PRIME_BOUND + 1)], tmp_path) == 2
         assert not (tmp_path / "constants.json").exists()
 
+    def test_constant_above_period_limit_exits_2_before_any_work(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # the chi table of d = -(1e9 + 7) would take about 40 min; no symbol may be evaluated
+        monkeypatch.setattr(constants, "kronecker_symbol", None)
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"label": "Q(sqrt-p)", "r1": 0, "r2": 1, "mu": 2,
+                                     "abs_disc": 10 ** 9 + 7, "quad_disc": -(10 ** 9 + 7),
+                                     "regulator": 1.0, "class_number": 1}))
+        assert run_cli(["constant", "--field-json", str(field)], tmp_path) == 2
+        assert "supply zeta2" in capsys.readouterr().err
+        assert not (tmp_path / "constants.json").exists()
+
     @pytest.mark.parametrize("args,name,digest", [
         (["jigsaw", "--q", "0"], "jigsaw.json",
          "b6f4e10d77d50ef77dfb1db3ca38eb840cf07f5cdb64a21ff62bf0f1ec6f75a1"),
@@ -279,7 +301,7 @@ class TestCli:
 
     def test_compare_labels_its_two_counters(self, tmp_path):
         assert run_cli(["compare", "--bound", "20"], tmp_path) == 0
-        rows = reporting.parse_counts_csv((tmp_path / "counts.csv").read_text())
+        rows = parse_counts_csv((tmp_path / "counts.csv").read_text())
         assert [r.method for r in rows] == ["direct-divisor", "torsor-lifted"] * 20
         assert [r.bound for r in rows[::2]] == list(range(1, 21))
         assert all(a.count == b.count for a, b in zip(rows[::2], rows[1::2]))

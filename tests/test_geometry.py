@@ -16,16 +16,16 @@ from hypothesis import strategies as st
 
 from dp4jigsaw.errors import (DimensionMismatch, EmptyGeneratorList,
                               UnboundedInput)
-from dp4jigsaw.geometry import (AffineForm, HPolytope, RationalCone, box,
+from dp4jigsaw.geometry import (AffineForm, HPolytope, RationalCone,
                                 cone_contains_line, exact_volume,
-                                interiors_disjoint, product_polytope,
-                                standard_simplex, strictly_feasible)
+                                interiors_disjoint, strictly_feasible)
 from dp4jigsaw import jigsaw
 from dp4jigsaw.geometry.polytope import _lattice, _vertices_brute, _vertices_dd
 from dp4jigsaw.geometry._simplex import feasible
-from tests_support import (fraction_volume, lp_cone_contains_line,
+from tests_support import (box, fraction_volume, lp_cone_contains_line,
                            lp_strictly_feasible, monte_carlo_volume,
-                           random_unimodular, slice_polytope, transform_polytope)
+                           product_polytope, random_unimodular, slice_polytope,
+                           standard_simplex, transform_polytope)
 
 
 def union_q0():

@@ -15,7 +15,7 @@ import pytest
 from dp4jigsaw import constants, jigsaw, surface, torsor
 from dp4jigsaw.cli import main
 from dp4jigsaw.geometry import ConeLineDiagnostic, polytope
-from tests_support import full_range_count
+from tests_support import full_range_count, surface_x2_zero_is_lines
 
 
 def run_cli(args, outdir):
@@ -261,9 +261,9 @@ def test_wrong_torsor_sweep_part_against_the_oracle(monkeypatch, plant):
 
 def test_line_dropped_from_the_x2_zero_check(monkeypatch):
     primes = [2, 3, 5, 7, 11, 13]
-    assert all(surface.surface_x2_zero_is_lines(p) for p in primes)
+    assert all(surface_x2_zero_is_lines(p) for p in primes)
     # (0:0:0:1:t) lies on L'' alone, so without L'' it is a surface point
     # with x2 = 0 on no line
     lines = surface._lines
     monkeypatch.setattr(surface, "_lines", lambda *x: lines(*x) - {surface.LINE_LPP})
-    assert not any(surface.surface_x2_zero_is_lines(p) for p in primes)
+    assert not any(surface_x2_zero_is_lines(p) for p in primes)

@@ -11,8 +11,9 @@ from dp4jigsaw import torsor as T
 from dp4jigsaw.errors import (DegenerateCoordinates, NonpositiveBound,
                               NotOnSurface, NotPrime, OnBoundary, OutOfRange)
 from dp4jigsaw.gaussian import GaussInt
-
-mk = S.ProjectivePoint.make
+from tests_support import (direct_count, height, heights_triple_z,
+                           heights_triple_zi, is_integral, line_count_mod_p,
+                           make_point as mk, on_lines, surface_x2_zero_is_lines)
 
 
 class TestParseRing:
@@ -42,69 +43,69 @@ class TestOnLines:
     def test_q2_lies_on_all_three_lines(self):
         # Q2 = (0:0:0:0:1) has x0 = x1 = x2 = x3 = 0, so every line
         # condition holds; both extra lines pass through Q2.
-        assert S.on_lines(mk((0, 0, 0, 0, 1))) == {S.LINE_L, S.LINE_LP, S.LINE_LPP}
+        assert on_lines(mk((0, 0, 0, 0, 1))) == {S.LINE_L, S.LINE_LP, S.LINE_LPP}
 
     def test_point_off_lines(self):
-        assert S.on_lines(mk((0, -1, 1, 1, 0))) == set()
+        assert on_lines(mk((0, -1, 1, 1, 0))) == set()
 
     def test_point_on_lprime(self):
-        assert S.on_lines(mk((1, 0, 0, 0, 0))) == {S.LINE_LP}
+        assert on_lines(mk((1, 0, 0, 0, 0))) == {S.LINE_LP}
 
     def test_not_on_surface_raises(self):
         with pytest.raises(NotOnSurface):
-            S.on_lines(mk((1, 1, 1, 1, 1)))
+            on_lines(mk((1, 1, 1, 1, 1)))
 
 
 class TestIntegrality:
     def test_integral(self):
-        assert S.is_integral(mk((0, -1, 1, 1, 0)))
+        assert is_integral(mk((0, -1, 1, 1, 0)))
 
     def test_not_integral(self):
-        assert not S.is_integral(mk((2, -2, 4, 6, 3)))
+        assert not is_integral(mk((2, -2, 4, 6, 3)))
 
     def test_integral_negative_coords(self):
-        assert S.is_integral(mk((-2, 1, 1, 1, -2)))
+        assert is_integral(mk((-2, 1, 1, 1, -2)))
 
     def test_boundary_raises(self):
         with pytest.raises(OnBoundary):
-            S.is_integral(mk((0, 1, 0, 0, 0)))
+            is_integral(mk((0, 1, 0, 0, 0)))
 
 
 class TestHeight:
     def test_examples(self):
-        assert S.height(mk((0, -1, 1, 1, 0))) == 1
-        assert S.height(mk((2, -2, 4, 6, 3))) == 3
-        assert S.height(mk((0, -2, 2, 2, 0))) == 1
+        assert height(mk((0, -1, 1, 1, 0))) == 1
+        assert height(mk((2, -2, 4, 6, 3))) == 3
+        assert height(mk((0, -2, 2, 2, 0))) == 1
 
     def test_scaling_invariance(self):
         rng = random.Random(77)
         base = (2, -2, 4, 6, 3)
-        h = S.height(mk(base))
+        h = height(mk(base))
         for _ in range(20):
             k = rng.choice([x for x in range(-7, 8) if x])
-            assert S.height(mk(tuple(k * c for c in base))) == h
+            assert height(mk(tuple(k * c for c in base))) == h
 
     def test_degenerate(self):
         with pytest.raises(DegenerateCoordinates):
-            S.height(mk((0, 1, 0, 0, 0)))
+            height(mk((0, 1, 0, 0, 0)))
 
 
 class TestDirectCounts:
     def test_count_at_one(self):
-        assert S.direct_count(1).count == 4
+        assert direct_count(1).count == 4
 
     def test_count_below_one(self):
-        assert S.direct_count(F(1, 2)).count == 0
+        assert direct_count(F(1, 2)).count == 0
 
     def test_monotone(self):
         counts = S.direct_height_counts(60)
         assert all(counts[i] <= counts[i + 1] for i in range(60))
 
     def test_methods_agree_to_60(self):
-        assert (S._heights_triple_z(60).cumsum() == S.direct_height_counts(60)).all()
+        assert (heights_triple_z(60).cumsum() == S.direct_height_counts(60)).all()
 
     def test_pinned_1e5_equals_torsor(self):
-        assert S.direct_count(10 ** 5).count == 22747264 == T.torsor_count(10 ** 5).count
+        assert direct_count(10 ** 5).count == 22747264 == T.torsor_count(10 ** 5).count
 
     @pytest.mark.parametrize("ring", [S.INTEGERS, S.GAUSSIAN])
     def test_bound_above_limit_fails_before_any_work(self, monkeypatch, ring):
@@ -113,7 +114,7 @@ class TestDirectCounts:
         monkeypatch.setattr(S, "_divisor_sieve", started)
         monkeypatch.setattr(S, "_normal_form_zi", started)
         monkeypatch.setattr(S.np, "zeros", started)
-        for call in (S.direct_count, S.direct_points):
+        for call in (direct_count, S.direct_points):
             with pytest.raises(OutOfRange):
                 call(S.MAX_DIRECT_BOUND + 1, ring=ring)
 
@@ -122,7 +123,7 @@ class TestDirectCounts:
         bounds = [7, F(1, 2), 30, 1, F(61, 2), 7]
         results = S.direct_counts(bounds, ring=ring)
         assert [r.bound for r in results] == bounds
-        assert [r.count for r in results] == [S.direct_count(b, ring=ring).count
+        assert [r.count for r in results] == [direct_count(b, ring=ring).count
                                               for b in bounds]
         assert len({r.elapsed for r in results}) == 1
         assert S.direct_counts([], ring=ring) == []
@@ -136,29 +137,29 @@ class TestDirectCounts:
 
     def test_nonpositive_bound(self):
         with pytest.raises(NonpositiveBound):
-            S.direct_count(0)
+            direct_count(0)
         with pytest.raises(NonpositiveBound):
-            S.direct_count(-3)
+            direct_count(-3)
 
     def test_enumerated_points_valid(self):
         # more than 10^4 points at this bound
         pts = S.direct_points(200)
-        assert len(pts) == S.direct_count(200).count > 10 ** 4
+        assert len(pts) == direct_count(200).count > 10 ** 4
         assert len(set(pts)) == len(pts)
         for pt in pts:
             assert S.on_surface(pt)
-            assert S.on_lines(pt) == set()
-            assert S.is_integral(pt)
-            assert S.height(pt) <= 200
+            assert on_lines(pt) == set()
+            assert is_integral(pt)
+            assert height(pt) <= 200
 
     @pytest.mark.parametrize("ring,bound", [(S.INTEGERS, 60), (S.GAUSSIAN, 10)])
     def test_points_equal_the_gcd_route(self, ring, bound):
         pts = S.direct_points(bound, ring=ring)
-        assert [S.ProjectivePoint.make(pt.coords, ring=ring) for pt in pts] == pts
-        assert pts == sorted(pts, key=lambda pt: (S.height(pt), str(pt)))
+        assert [mk(pt.coords, ring=ring) for pt in pts] == pts
+        assert pts == sorted(pts, key=lambda pt: (height(pt), str(pt)))
         buf = io.StringIO()
         S.write_point_stream(S.direct_points_with_heights(bound, ring=ring), buf)
-        assert buf.getvalue().splitlines() == [f"{pt},{S.height(pt)}" for pt in pts]
+        assert buf.getvalue().splitlines() == [f"{pt},{height(pt)}" for pt in pts]
 
     def test_point_stream_format(self):
         buf = io.StringIO()
@@ -174,7 +175,7 @@ class TestDirectCounts:
 class TestGaussianCounts:
     def test_count_at_one(self):
         # the four rational points times extra unit images
-        assert S.direct_count(1, ring=S.GAUSSIAN).count == 8
+        assert direct_count(1, ring=S.GAUSSIAN).count == 8
 
     def test_monotone_and_contains_rational_points(self):
         counts = S.direct_height_counts(10, ring=S.GAUSSIAN)
@@ -183,17 +184,17 @@ class TestGaussianCounts:
         assert (counts >= rational).all()
 
     def test_normal_form_equals_triple_loop_to_30(self):
-        hist = S._heights_triple_zi(30).cumsum()
+        hist = heights_triple_zi(30).cumsum()
         assert (S.direct_height_counts(30, ring=S.GAUSSIAN) == hist).all()
 
     def test_points_valid(self):
         pts = S.direct_points(5, ring=S.GAUSSIAN)
-        assert len(pts) == S.direct_count(5, ring=S.GAUSSIAN).count
+        assert len(pts) == direct_count(5, ring=S.GAUSSIAN).count
         for pt in pts:
             assert S.on_surface(pt)
-            assert S.on_lines(pt) == set()
-            assert S.is_integral(pt)
-            assert S.height(pt) <= 5
+            assert on_lines(pt) == set()
+            assert is_integral(pt)
+            assert height(pt) <= 5
 
     def test_unit_scaling_gives_same_point(self):
         a = mk((GaussInt(0, 1), GaussInt(1, 1), GaussInt(2, 0),
@@ -207,15 +208,15 @@ class TestModP:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_counts(self, p):
         assert S.count_mod_p(p) == p * p + p
-        assert S.line_count_mod_p(p) == p + 1
+        assert line_count_mod_p(p) == p + 1
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_x2_zero_cuts_out_the_lines(self, p):
-        assert S.surface_x2_zero_is_lines(p)
+        assert surface_x2_zero_is_lines(p)
 
     def test_not_prime(self):
         # all three read one census, which checks p first
-        for census in (S.count_mod_p, S.line_count_mod_p, S.surface_x2_zero_is_lines):
+        for census in (S.count_mod_p, line_count_mod_p, surface_x2_zero_is_lines):
             for n in (1, 6):
                 with pytest.raises(NotPrime):
                     census(n)

@@ -18,12 +18,12 @@ from dp4jigsaw import surface as S
 from dp4jigsaw import torsor as T
 from dp4jigsaw.errors import (EquationViolated, NonpositiveBound,
                               NonUnitMiddle, OutOfRange)
-from tests_support import (a8_side_counts_elementwise, enumerate_valid,
-                           full_range_count, lifted_height_counts_loop,
-                           naive_torsor_count, pair_counts_elementwise,
-                           product_inverse_table)
-
-mk = S.ProjectivePoint.make
+from tests_support import (a8_side_counts_elementwise, direct_count,
+                           enumerate_valid, fibers_over_points, full_range_count,
+                           height, is_integral, lifted_height,
+                           lifted_height_counts_loop, make_point as mk,
+                           map_to_surface, naive_torsor_count, on_lines,
+                           pair_counts_elementwise, product_inverse_table)
 
 
 class TestValidate:
@@ -53,36 +53,36 @@ class TestValidate:
 
 class TestDescent:
     def test_map_example_1(self):
-        pt = T.map_to_surface(T.validate((1, 1, 1, 1, 1, 1, 1, 0, -1)))
+        pt = map_to_surface(T.validate((1, 1, 1, 1, 1, 1, 1, 0, -1)))
         assert pt == mk((0, 1, 1, -1, 0))
 
     def test_map_example_2(self):
-        pt = T.map_to_surface(T.validate((1, 1, 1, 1, 1, 1, 1, -2, 1)))
+        pt = map_to_surface(T.validate((1, 1, 1, 1, 1, 1, 1, -2, 1)))
         assert pt == mk((-2, 1, 1, 1, -2))
-        assert S.is_integral(pt) and S.height(pt) == 2
+        assert is_integral(pt) and height(pt) == 2
 
     def test_map_example_3(self):
         # substitution gives x1 = a1^2 a2^2 a3^2 a4 a6^3 = 4 here
         t = T.validate((1, 2, 1, 1, 1, 1, 1, -1, 1))
-        pt = T.map_to_surface(t)
+        pt = map_to_surface(t)
         assert pt == mk((-2, 4, 2, 1, -1))
         assert S.on_surface(pt)
-        assert T.lifted_height(t) == S.height(pt) == 2
+        assert lifted_height(t) == height(pt) == 2
 
     def test_lifted_heights(self):
-        assert T.lifted_height(T.validate((1, 1, 1, 1, 1, 1, 1, 0, -1))) == 1
-        assert T.lifted_height(T.validate((1, 1, 1, 1, 1, 1, 1, -2, 1))) == 2
-        assert T.lifted_height(T.validate((1, 1, 1, 1, 1, -1, 1, 0, -1))) == 1
+        assert lifted_height(T.validate((1, 1, 1, 1, 1, 1, 1, 0, -1))) == 1
+        assert lifted_height(T.validate((1, 1, 1, 1, 1, 1, 1, -2, 1))) == 2
+        assert lifted_height(T.validate((1, 1, 1, 1, 1, -1, 1, 0, -1))) == 1
 
     def test_exhaustive_small_box_descent(self):
         for pt in enumerate_valid(8):
             a = pt.a
-            image = T.map_to_surface(pt)
+            image = map_to_surface(pt)
             assert S.on_surface(image)
-            assert T.lifted_height(pt) == S.height(image)
+            assert lifted_height(pt) == height(image)
             if a[0] != 0 and a[1] != 0:
-                assert S.on_lines(image) == set()
-                assert S.is_integral(image)
+                assert on_lines(image) == set()
+                assert is_integral(image)
 
 
 class TestCounts:
@@ -114,6 +114,13 @@ class TestCounts:
     def test_direct_equals_lifted_for_all_b_to_1e4(self):
         assert (S.direct_height_counts(10 ** 4)
                 == T.torsor_height_counts(10 ** 4)).all()
+
+    def test_histogram_above_limit_fails_before_any_work(self, monkeypatch):
+        def started(*args):
+            raise AssertionError("the histogram started above MAX_DIRECT_BOUND")
+        monkeypatch.setattr(T, "_flat_blocks", started)
+        with pytest.raises(OutOfRange):
+            T.torsor_height_counts(S.MAX_DIRECT_BOUND + 1)
 
     @pytest.mark.parametrize("b", [1, 2, 3, 10, 57, 300, 2000])
     def test_histogram_equals_the_per_pair_loop(self, b):
@@ -541,19 +548,19 @@ class TestNormalizedPoints:
         assert time.perf_counter() - t0 < 0.5
 
     def test_normalized_form(self):
-        for norm in T.enumerate_normalized(15):
-            a = norm.point.a
+        for pt in T.enumerate_normalized(15):
+            a = pt.a
             assert a[0] >= 1 and a[1] >= 1
             assert a[2] == a[3] == a[4] == 1
             assert a[5] in (1, -1) and a[6] in (1, -1)
 
     def test_fiber_sizes_are_exactly_two(self):
-        fibers = T.fibers_over_points(30)
-        assert len(fibers) == S.direct_count(30).count
+        fibers = fibers_over_points(30)
+        assert len(fibers) == direct_count(30).count
         assert {len(v) for v in fibers.values()} == {2}
 
     def test_fibers_cover_direct_points(self):
-        fibers = T.fibers_over_points(25)
+        fibers = fibers_over_points(25)
         assert set(fibers) == set(S.direct_points(25))
 
     def test_tuple_stream(self):

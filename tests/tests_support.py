@@ -1,19 +1,30 @@
-"""Shared helpers for the test suite, including the oracles that only tests use."""
+"""Shared helpers of the test suite, and every second route that `dp4` does not run.
 
+Here, or in the one test module that reads it, lives each oracle: points and
+heights by gcd and triple loops over Z and Z[i], the torsor descent, simple
+polytopes, the Picard lattice, and brute-force routes for the kernels.
+tests/test_src_is_production.py keeps them out of `src/`.
+"""
+
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt
 
 import numpy as np
 
 from dp4jigsaw import jigsaw
-from dp4jigsaw.errors import DimensionMismatch
+from dp4jigsaw import surface as S
+from dp4jigsaw.errors import (DegenerateCoordinates, DimensionMismatch,
+                              IndexOutOfRange, NotOnSurface, OnBoundary)
+from dp4jigsaw.gaussian import GaussInt, exact_div
 from dp4jigsaw.geometry import (AffineForm, HPolytope, _simplex,
                                 fix_coordinates, pull_back)
-from dp4jigsaw.geometry._intlinalg import clear_denominators, frac_det
+from dp4jigsaw.geometry._intlinalg import (clear_denominators, frac_det,
+                                           solve_square)
 from dp4jigsaw.geometry.polytope import (ConeLineDiagnostic, _full_dimensional,
                                          _triangulate_face)
 from dp4jigsaw.jigsaw import _FaceCache, all_faces
-from dp4jigsaw.torsor import validate
+from dp4jigsaw.torsor import enumerate_normalized, validate
 
 
 def random_unimodular(rng, dim, max_entry=3):
@@ -27,6 +38,27 @@ def random_unimodular(rng, dim, max_entry=3):
                 m[i][k] += s * m[j][k]
         if max(abs(x) for row in m for x in row) <= max_entry:
             return m
+
+
+def box(bounds):
+    """Axis-aligned box from [(lo, hi), ...]."""
+    dim = len(bounds)
+    unit = [[int(i == k) for i in range(dim)] for k in range(dim)]
+    return HPolytope(dim, [form for e, (lo, hi) in zip(unit, bounds)
+                           for form in (AffineForm.ge(e, lo), AffineForm.le(e, hi))])
+
+
+def standard_simplex(dim, scale=1):
+    rows = [AffineForm.ge([int(i == k) for i in range(dim)], 0) for k in range(dim)]
+    return HPolytope(dim, rows + [AffineForm.le([1] * dim, scale)])
+
+
+def product_polytope(p1, p2):
+    """The Cartesian product, with block-embedded inequality rows."""
+    d1, d2 = p1.dimension, p2.dimension
+    rows = [AffineForm(form.coeffs + (0,) * d2, form.const) for form in p1.inequalities]
+    rows += [AffineForm((0,) * d1 + form.coeffs, form.const) for form in p2.inequalities]
+    return HPolytope(d1 + d2, rows)
 
 
 def slice_polytope(p, fixed):
@@ -367,3 +399,212 @@ def hand_pyramid_base_polytope(q):
     forms.append(AffineForm.make(sum_u1, 0))  # sum u_{n,1} <= a1
     forms.append(AffineForm.make(sum_u2, 1))  # sum u_{n,2} <= 1
     return HPolytope(dim, forms)
+
+
+# ---------------------------------------------------------------------------
+# Points on the surface by gcd, and the triple loops that assume no normal form
+# ---------------------------------------------------------------------------
+
+def gaussian_divides(w, z):
+    """Does the nonzero Gaussian integer w divide z?"""
+    num = z * w.conj()
+    return num.re % w.norm() == 0 and num.im % w.norm() == 0
+
+
+def gaussian_gcd(values):
+    """A gcd of Gaussian integers (unique up to units), by Euclid with nearest quotients."""
+    g = GaussInt(0, 0)
+    for w in values:
+        while w:  # g = q*w + r with N(r) <= N(w)/2
+            num, n = g * w.conj(), w.norm()
+            q = GaussInt((2 * num.re + n) // (2 * n), (2 * num.im + n) // (2 * n))
+            g, w = w, g - q * w
+    return g
+
+
+def make_point(coords, ring=S.INTEGERS):
+    """The ProjectivePoint of any nonzero 5-tuple: divided by its gcd, then canonical."""
+    if len(coords) != 5:
+        raise DimensionMismatch("projective points here have 5 coordinates")
+    if not any(coords):
+        raise DegenerateCoordinates("all coordinates are zero")
+    if ring == S.INTEGERS:
+        g = gcd(*coords)
+        return S.ProjectivePoint.from_primitive(tuple(int(c) // g for c in coords), ring)
+    coords = [c if isinstance(c, GaussInt) else GaussInt(int(c), 0) for c in coords]
+    g = gaussian_gcd(coords)
+    return S.ProjectivePoint.from_primitive(tuple(exact_div(c, g) for c in coords), ring)
+
+
+def direct_count(bound, ring=S.INTEGERS):
+    """surface.direct_counts at one bound."""
+    return S.direct_counts([bound], ring=ring)[0]
+
+
+def on_lines(pt):
+    """The subset of the three lines containing the point."""
+    if not S.on_surface(pt):
+        raise NotOnSurface(f"{pt} does not satisfy the surface equations")
+    return S._lines(*pt.coords)
+
+
+def _size_and_gcd(pt):
+    """(max |x|, |gcd|) over x0, x2, x3 on Z; with norms in place of |.| on Z[i]."""
+    x = pt.coords[0], pt.coords[2], pt.coords[3]
+    if pt.ring == S.INTEGERS:
+        return max(map(abs, x)), gcd(*x)
+    return max(c.norm() for c in x), gaussian_gcd(x).norm()
+
+
+def is_integral(pt):
+    """Is the coordinate ideal of (x0, x2, x3) the unit ideal?"""
+    if S.LINE_L in on_lines(pt):
+        raise OnBoundary(f"{pt} lies on the boundary line")
+    return _size_and_gcd(pt)[1] == 1
+
+
+def height(pt):
+    """Log anticanonical height: product over places of max(|x0|, |x2|, |x3|)."""
+    size, g = _size_and_gcd(pt)
+    if not g:
+        raise DegenerateCoordinates("height undefined: x0 = x2 = x3 = 0")
+    return Fraction(size, g)
+
+
+def heights_triple_z(bound):
+    """Oracle for surface.direct_height_counts over Z: the height histogram of
+    integral points off the lines, by a triple loop over (x0, x2, x3)."""
+    hist = np.zeros(bound + 1, dtype=np.int64)
+    for x0 in range(0, bound + 1):
+        for x2 in range(1 if x0 == 0 else -bound, bound + 1):
+            for x3 in range(-bound, bound + 1):
+                s = x0 + x3
+                if (x2 and s and (x2 * x2) % s == 0 and (x0 * x3) % x2 == 0
+                        and gcd(x0, x2, x3) == 1):
+                    hist[max(x0, abs(x2), abs(x3))] += 1
+    return hist
+
+
+def heights_triple_zi(bound):
+    """The same oracle over Z[i], on canonical triples of N-height <= bound."""
+    r = isqrt(bound)
+    shell = [GaussInt(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)
+             if 0 < a * a + b * b <= bound]
+    canon = [z for z in shell if z.re > 0 and z.im >= 0]
+    zero = GaussInt(0, 0)
+    hist = np.zeros(bound + 1, dtype=np.int64)
+    for x0 in [zero] + canon:
+        for x2 in (shell if x0 else canon):
+            for x3 in shell + [zero]:
+                s = x0 + x3
+                if (s and gaussian_divides(s, x2 * x2) and gaussian_divides(x2, x0 * x3)
+                        and gaussian_gcd([x0, x2, x3]).norm() == 1):
+                    hist[max(x0.norm(), x2.norm(), x3.norm())] += 1
+    return hist
+
+
+def line_count_mod_p(p):
+    """|L(F_p)| = p + 1: points with x0 = x2 = x3 = 0, all on the surface."""
+    return sum(S.LINE_L in lines for _, lines in S._surface_mod_p(p))
+
+
+def surface_x2_zero_is_lines(p):
+    """Exhaustive check that S intersected with {x2 = 0} is the three lines."""
+    return all((x[2] == 0) == bool(lines) for x, lines in S._surface_mod_p(p))
+
+
+# ---------------------------------------------------------------------------
+# Descent from the torsor to the surface
+# ---------------------------------------------------------------------------
+
+def map_to_surface(point):
+    """Descent to the surface; the image is primitive and canonical."""
+    a1, a2, a3, a4, a5, a6, a7, a8, a9 = point.a
+    x0 = a2 * a3 * a4 * a5 * a6 * a7 * a8
+    x1 = a1 ** 2 * a2 ** 2 * a3 ** 2 * a4 * a6 ** 3
+    x2 = a1 * a2 * a3 ** 2 * a4 ** 2 * a5 ** 2 * a6 ** 2 * a7
+    x3 = a1 * a3 * a4 * a5 * a6 * a7 * a9
+    x4 = a7 * a8 * a9
+    return make_point((x0, x1, x2, x3, x4))
+
+
+def lifted_height(point):
+    """max(|a2*a8|, |a1*a2*a3*a4*a5*a6|, |a1*a9|); equals the surface height."""
+    a1, a2, a3, a4, a5, a6, a7, a8, a9 = point.a
+    return Fraction(max(abs(a2 * a8), abs(a1 * a2 * a3 * a4 * a5 * a6), abs(a1 * a9)))
+
+
+def fibers_over_points(bound):
+    """Group the normalized torsor points of height <= bound by surface image."""
+    fibers = {}
+    for point in enumerate_normalized(bound):
+        fibers.setdefault(map_to_surface(point), []).append(point)
+    return fibers
+
+
+# ---------------------------------------------------------------------------
+# Picard lattice of the resolved surface, a sequence of five blow-ups of the
+# plane: Z^6 with basis (l0, ..., l5), l0 the pullback of a line class and
+# l1..l5 the exceptional classes; the boundary components A3..A8 form a
+# second basis.
+# ---------------------------------------------------------------------------
+
+#: deg(a_i) in the basis (l0, .., l5), for i = 1..9.
+L_DEGREES = {
+    1: (0, 0, 0, 0, 0, 1),      # l5
+    2: (0, 0, 0, 0, 1, 0),      # l4
+    3: (0, 1, -1, 0, 0, 0),     # l1 - l2
+    4: (0, 0, 1, -1, 0, 0),     # l2 - l3
+    5: (0, 0, 0, 1, 0, 0),      # l3
+    6: (1, -1, 0, 0, -1, -1),   # l0 - l1 - l4 - l5
+    7: (1, -1, -1, -1, 0, 0),   # l0 - l1 - l2 - l3
+    8: (1, 0, 0, 0, -1, 0),     # l0 - l4
+    9: (1, 0, 0, 0, 0, -1),     # l0 - l5
+}
+
+#: log anticanonical class -K - D = l0.
+LOG_ANTICANONICAL_L = (1, 0, 0, 0, 0, 0)
+
+#: Column j holds the l-coordinates of the boundary basis class [A_{j+3}].
+_A_TO_L = [[L_DEGREES[i][r] for i in (3, 4, 5, 6, 7, 8)] for r in range(6)]
+
+
+@dataclass(frozen=True)
+class DivisorClass:
+    """A Picard class in both coordinate systems, kept consistent."""
+
+    coords_l: tuple
+    coords_A: tuple
+
+    @staticmethod
+    def from_l(coords_l):
+        coords_l = tuple(int(x) for x in coords_l)
+        sol = solve_square(_A_TO_L, coords_l)
+        assert sol is not None, "boundary classes must form a basis"
+        assert all(x.denominator == 1 for x in sol), "base change must stay integral"
+        return DivisorClass(coords_l, tuple(int(x) for x in sol))
+
+    @staticmethod
+    def from_A(coords_A):
+        coords_A = tuple(int(x) for x in coords_A)
+        return DivisorClass(tuple(sum(m * x for m, x in zip(row, coords_A))
+                                  for row in _A_TO_L), coords_A)
+
+    def __add__(self, other):
+        return DivisorClass.from_l(tuple(a + b for a, b in zip(self.coords_l, other.coords_l)))
+
+    def __rmul__(self, k):
+        return DivisorClass.from_l(tuple(k * a for a in self.coords_l))
+
+
+def generator_degree(i):
+    """Degree of the Cox generator a_i, i = 1..9, in both bases."""
+    if not 1 <= i <= 9:
+        raise IndexOutOfRange(f"generator index {i} not in 1..9")
+    return DivisorClass.from_l(L_DEGREES[i])
+
+
+def torsor_monomial_degrees():
+    """Degrees of the torsor-equation monomials a1*a9, a2*a8, a3*a4^2*a5^3*a7 (all l0)."""
+    d = {i: generator_degree(i) for i in range(1, 10)}
+    return d[1] + d[9], d[2] + d[8], d[3] + 2 * d[4] + 3 * d[5] + d[7]
