@@ -290,6 +290,42 @@ class TestCli:
         assert run_cli(["--format", "json"] + args, tmp_path) == 0
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("args,stream,digests", [
+        (["count", "--bound", "7", "--bound", "2000"], None, {
+            "counts.csv": "e1636a9851bbe8c1b953bb7e292789257026d182f342fed46e7cae5becbf8a94",
+            "counts.json": "ed88d5efd71bb962ccd038851995a9578ba550b9560797840754e441df69192e"}),
+        (["count", "--bound", "200"], "--points", {
+            "counts.csv": "a072de26040e3ebac83f0261b33738691f879b9ba8cba68f8e87bc35de6c2fc3",
+            "counts.json": "97149c54ea9f30aa39939c3514152aa2bf0b7c156693e2922e7d6b87a3a42eff",
+            "stream": "b5e3a394c9d07a830dfa00bc78fb4d4cff518d69d049b7585a30cf1df8595dc0"}),
+        (["count", "--ring", "Zi", "--bound", "30"], "--points", {
+            "counts.csv": "05b8f5080de30d62d5ab260b1f0226b0ff43dc1ac8df44f1ef8cc3e329fbbc37",
+            "counts.json": "7a240b34fd09d3aa5faad459a706e8f384165fee2f10d289966ece52ccbe9c4b",
+            "stream": "6416dbed5ed44a015586b1d928107c7383b8e56befa84b5e3298363cd329733d"}),
+        (["torsor-count", "--bound", "100", "--bound", "1e6"], None, {
+            "counts.csv": "319ef1514e7a5427cb2bd775f3a76f4f096e4f5a919f527814451fc489a38d8a",
+            "counts.json": "073d79e48772456c54e0ef3a54eb46ee2e36a13adcf36b0f8acce44aad916b32"}),
+        (["torsor-count", "--bound", "200"], "--tuples", {
+            "counts.csv": "084a0ae5ad3a09017ff9eab9f73a5398b6934d3420f615453479bb0b3e69cf03",
+            "counts.json": "cb30cc8559976bb6a06da6fcc6219e825f51fe9c2e3efd9e68226ca7ad6c1f54",
+            "stream": "c2218dbb5f71d9883eb8f2fe401b917b6d3c6f17c11eb99424a80248abae7ad9"}),
+        (["compare", "--bound", "200"], None, {
+            "counts.csv": "f9e84eb36a59606a698a0be2313779c3a018254edd73bf368acd85c5c9a19d31",
+            "counts.json": "1cb1df80ff41adf82d18ffacfce3999725f9aa6e9c518739d2eafbdb094a4ceb"}),
+        # fit.json is left out: its floats come from numpy.linalg.lstsq
+        (["fit", "--bmin", "1e4", "--bmax", "1e6", "--samples", "8"], None, {
+            "counts.csv": "5b3e5985edbc3550ad27c9c4cf276c28d1dfd30ed30dd28afb7a184f2302b1a4",
+            "counts.json": "906f4d511c6b84a37091ba30627a596f847e90c6b8b6b0457061b9bde9cff84e"}),
+    ], ids=["count", "count-points", "count-zi-points", "torsor", "torsor-tuples",
+            "compare", "fit"])
+    def test_counting_artifacts_are_pinned(self, tmp_path, args, stream, digests):
+        out = tmp_path / "out"
+        extra = [stream, str(tmp_path / "stream")] if stream else []
+        assert run_cli(args + extra, out) == 0
+        for name, digest in digests.items():
+            path = (tmp_path if name == "stream" else out) / name
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+
     def test_deterministic_outputs(self, tmp_path):
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"
