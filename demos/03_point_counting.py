@@ -27,12 +27,13 @@ for h, pt in S.direct_points_with_heights(1):
 print("\npoint counts over Z, two routes:")
 print("  B     normal  torsor")
 bounds = (1, 10, 100)
-for d, f in zip(S.direct_counts(bounds), T.torsor_counts(bounds)):
-    print(f"  {d.bound!s:<5} {d.count:<7} {f.count}")
+for b, d, f in zip(bounds, S.direct_counts(bounds), T.torsor_counts(bounds)):
+    print(f"  {b!s:<5} {d:<7} {f}")
 
 print("\npoint counts over Z[i] in the normal form:")
-for d in S.direct_counts((1, 5, 20), ring=S.GAUSSIAN):
-    print(f"  N({d.bound}) = {d.count}")
+bounds = (1, 5, 20)
+for b, n in zip(bounds, S.direct_counts(bounds, ring=S.GAUSSIAN)):
+    print(f"  N({b}) = {n}")
 
 print("\nper-B agreement of normal-form and torsor counts up to 2000:", end=" ")
 agree = (S.direct_height_counts(2000) == T.torsor_height_counts(2000)).all()
@@ -41,7 +42,7 @@ print("exact" if agree else "BROKEN")
 print("\nthe fast path scales; N(B) for large B:")
 for b in (10 ** 5, 10 ** 6, 10 ** 7):
     t0 = time.perf_counter()
-    n = T.torsor_count(b).count
+    n = T.torsor_count(b)
     print(f"  N({b:>8}) = {n:>12}   ({time.perf_counter() - t0:.1f}s)")
 
 print("\npoints modulo p (always p^2 + p off the boundary line L):")

@@ -30,7 +30,7 @@ for bound in (10 ** 3, 10 ** 5, 10 ** 7):
 
 print("\nfit of real torsor counts against c2 (log B)^2 + c1 log B + c0:")
 bounds = [int(x) for x in np.round(np.logspace(4, 6.5, 12))]
-samples = [(b, r.count) for b, r in zip(bounds, T.torsor_counts(bounds))]
+samples = list(zip(bounds, T.torsor_counts(bounds)))
 fit = reporting.fit_log_quadratic(samples)
 c = C.leading_constant(C.get_field("Q")).c
 print(f"  over B in [{bounds[0]}, {bounds[-1]}]:"
@@ -38,6 +38,6 @@ print(f"  over B in [{bounds[0]}, {bounds[-1]}]:"
       f"  (relative deviation {abs(fit.c2 - c) / c:.1%})")
 
 print("\nratio N(B) / (c B log^2 B) drifting toward 1:")
-for r in T.torsor_counts([10 ** 4, 10 ** 5, 10 ** 6]):
-    b, n = int(r.bound), r.count
+bounds = [10 ** 4, 10 ** 5, 10 ** 6]
+for b, n in zip(bounds, T.torsor_counts(bounds)):
     print(f"  B = {b:>7}: {n / (c * b * math.log(b) ** 2):.4f}")

@@ -2,11 +2,14 @@
 
 Outputs under --output use fixed file names (counts.csv, jigsaw.json,
 slices.json, constants.json, fit.json) and are byte-identical across runs
-for a fixed configuration; pass --timings to include wall-clock columns.
-count, torsor-count and fit count all their bounds in one shared sweep that
-completes every bound at once (torsor-count and fit split the moduli a1,
-not the bounds, across forked workers), so there every row's elapsed is the
-time of the whole sweep, not the time of that bound alone.
+for a fixed configuration; pass --timings to fill the elapsed_s column.
+count, torsor-count, fit and compare time each counting call once, and every
+row of that call carries its time.  count, torsor-count and fit count all
+their bounds in one call (one histogram, or one sweep that splits the moduli
+a1, not the bounds, across forked workers), so a row's elapsed is the time
+of the whole call, not of that bound alone; compare makes one call per
+counter; count --points leaves the listing of the points out.  Only
+reporting writes the artifact files, the point and tuple streams included.
 
 Only the subcommands that count import numpy and the numpy-backed modules
 (constants, surface, torsor), in their own handlers; jigsaw, alpha and
@@ -23,6 +26,7 @@ Exit codes, so that CI can treat the status as the verdict:
 import argparse
 import math
 import sys
+import time
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -81,57 +85,68 @@ def _ascending(bounds):
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _report_counts(args, bounds, counters, predictor=None):
+    """Count every bound with each (method, count) and write the count report.
+
+    count(bounds) returns the counts in bound order.  Each call is timed
+    once, so under --timings every row of a method carries the time of its
+    whole call; without it the column is 0.0.  With several counters the
+    rows interleave them bound by bound.  Returns the rows.
+    """
+    tables = []
+    for method, count in counters:
+        start = time.perf_counter()
+        counts = count(bounds)
+        elapsed = time.perf_counter() - start if args.timings else 0.0
+        tables.append(reporting.count_rows(bounds, counts, method, predictor, elapsed))
+    rows = [row for group in zip(*tables) for row in group]
+    reporting.emit_report(rows, args.format, args.output)
+    return rows
+
+
+def _predicted_over_q():
+    from . import constants
+    return constants.leading_constant(constants.get_field("Q")).predicted_count
+
+
 def _cmd_count(args):
-    from . import constants, surface
+    from . import surface
     bounds = _ascending(args.bound)
     keyed = None
     if args.points_file:  # the counts are read off the listed points' heights
         keyed = surface.direct_points_with_heights(bounds[-1], ring=args.ring)
-    results = surface.direct_counts(bounds, ring=args.ring, keyed=keyed)
-    predictor = None
-    if args.ring == surface.INTEGERS:
-        predictor = constants.leading_constant(constants.get_field("Q")).predicted_count
-    rows = reporting.make_rows(results, predictor=predictor, timings=args.timings)
-    reporting.emit_report(rows, args.format, args.output)
+    rows = _report_counts(
+        args, bounds,
+        [("direct-divisor", lambda bs: surface.direct_counts(bs, ring=args.ring, keyed=keyed))],
+        _predicted_over_q() if args.ring == surface.INTEGERS else None)
     for row in rows:
         print(f"B={row.bound}: {row.count} ({row.method})")
     if args.points_file:
-        with open(args.points_file, "w", encoding="utf-8") as fh:
-            surface.write_point_stream(keyed, fh)
+        reporting.write_point_stream(args.points_file, keyed)
     return EXIT_OK
 
 
 def _cmd_torsor_count(args):
-    from . import constants, torsor
+    from . import torsor
     bounds = _ascending(args.bound)
-    results = torsor.torsor_counts(bounds)
-    breakdown = constants.leading_constant(constants.get_field("Q"))
-    rows = reporting.make_rows(results, predictor=breakdown.predicted_count,
-                               timings=args.timings)
-    reporting.emit_report(rows, args.format, args.output)
+    rows = _report_counts(args, bounds, [("torsor-fast", torsor.torsor_counts)],
+                          _predicted_over_q())
     for row in rows:
         print(f"B={row.bound}: {row.count} ({row.method})")
     if args.points_file:
-        with open(args.points_file, "w", encoding="utf-8") as fh:
-            torsor.write_tuple_stream(torsor.enumerate_normalized(bounds[-1]), fh)
+        reporting.write_tuple_stream(args.points_file,
+                                     torsor.enumerate_normalized(bounds[-1]))
     return EXIT_OK
 
 
 def _cmd_compare(args):
     from . import surface, torsor
     bound = int(args.bound)
-    direct = surface.direct_height_counts(bound)
-    lifted = torsor.torsor_height_counts(bound)
-    mismatches = [b for b in range(1, bound + 1) if direct[b] != lifted[b]]
-    rows = []
-    for b in range(1, bound + 1):
-        rows.append(reporting.CountRow(bound=Fraction(b), count=int(direct[b]),
-                                       predicted=None, ratio=None,
-                                       method="direct-divisor", elapsed=0.0))
-        rows.append(reporting.CountRow(bound=Fraction(b), count=int(lifted[b]),
-                                       predicted=None, ratio=None,
-                                       method="torsor-lifted", elapsed=0.0))
-    reporting.emit_report(rows, args.format, args.output)
+    # each histogram is cumulative, so N(b) is its entry at b
+    rows = _report_counts(args, range(1, bound + 1), [
+        ("direct-divisor", lambda bs: surface.direct_height_counts(bs[-1])[bs].tolist()),
+        ("torsor-lifted", lambda bs: torsor.torsor_height_counts(bs[-1])[bs].tolist())])
+    mismatches = [int(a.bound) for a, b in zip(rows[::2], rows[1::2]) if a.count != b.count]
     if mismatches:
         print(f"MISMATCH at B in {mismatches[:10]} (showing up to 10)")
         return EXIT_IDENTITY
@@ -230,12 +245,10 @@ def _cmd_fit(args):
     lo, hi = _ascending([args.bmin, args.bmax])
     grid = np.unique(np.round(np.logspace(np.log10(lo), np.log10(hi),
                                           args.samples)).astype(np.int64))
-    results = torsor.torsor_counts([int(b) for b in grid])
-    fit = reporting.fit_log_quadratic([(r.bound, r.count) for r in results])
     breakdown = constants.leading_constant(constants.get_field("Q"))
-    rows = reporting.make_rows(results, predictor=breakdown.predicted_count,
-                               timings=args.timings)
-    reporting.emit_report(rows, args.format, args.output)
+    rows = _report_counts(args, grid.tolist(), [("torsor-fast", torsor.torsor_counts)],
+                          breakdown.predicted_count)
+    fit = reporting.fit_log_quadratic([(row.bound, row.count) for row in rows])
     if "json" in args.format:
         reporting.write_file(args.output, "fit.json",
                              reporting.dump_json(fit.to_json_dict()))

@@ -1,4 +1,5 @@
-"""Report emission: CSV tables, JSON mirrors, static SVG charts, fits.
+"""Report emission: CSV tables, JSON mirrors, static SVG charts, fits, and
+the point and tuple streams.  Every artifact file dp4 writes is written here.
 
 Outputs are byte-deterministic for a fixed configuration: keys are sorted,
 floats go through repr, and timing columns are zeroed unless explicitly
@@ -26,18 +27,16 @@ class CountRow:
     elapsed: float
 
 
-def make_rows(results, predictor=None, timings=False):
-    """CountResults -> CountRows, attaching predictions where defined."""
+def count_rows(bounds, counts, method, predictor=None, elapsed=0.0):
+    """One CountRow per bound and its count, with the prediction where defined."""
     rows = []
-    for r in results:
-        predicted = None
-        ratio = None
-        if predictor is not None and float(r.bound) > 1.0:
-            predicted = predictor(float(r.bound))
-            ratio = r.count / predicted if predicted else None
-        rows.append(CountRow(bound=Fraction(r.bound), count=r.count,
-                             predicted=predicted, ratio=ratio, method=r.method,
-                             elapsed=r.elapsed if timings else 0.0))
+    for bound, count in zip(bounds, counts, strict=True):
+        predicted = ratio = None
+        if predictor is not None and float(bound) > 1.0:
+            predicted = predictor(float(bound))
+            ratio = count / predicted if predicted else None
+        rows.append(CountRow(bound=Fraction(bound), count=count, predicted=predicted,
+                             ratio=ratio, method=method, elapsed=elapsed))
     return rows
 
 
@@ -76,6 +75,20 @@ def write_file(outdir, name, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return path
+
+
+def write_point_stream(path, keyed):
+    """Write (height, point) pairs one a line, as 'x0:x1:x2:x3:x4,H'."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for h, pt in keyed:
+            fh.write(f"{pt},{h}\n")
+
+
+def write_tuple_stream(path, points):
+    """Write torsor points one a line, as 'a1,...,a9', as they are produced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for point in points:
+            fh.write(f"{point}\n")
 
 
 # ---------------------------------------------------------------------------

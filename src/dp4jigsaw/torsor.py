@@ -74,16 +74,14 @@ and the forked sweep against the in-process one.
 
 import os
 import threading
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
 
 from .errors import CoprimalityBroken, EquationViolated, NonUnitMiddle
-from .surface import MAX_DIRECT_BOUND, CountResult, _int_bound
+from .surface import MAX_DIRECT_BOUND, _int_bound
 
 #: Largest bound torsor_count accepts.  Its largest int64 intermediate is a
 #: dot product of class counts for one a1 and one bound (or a sum of
@@ -611,12 +609,10 @@ def torsor_counts(bounds):
     every bound with K >= a1 counts from it; each a1 > S reads its classes
     off the tables mod y = x - a1 <= S (_column_pairs) and adds a closed
     form (_tail_pairs).  The moduli are split across forked workers
-    (_sweep), so every bound's count completes at the end of the sweep,
-    and every result's elapsed is the time of the whole call.  Every bound
-    is checked first: one above MAX_TORSOR_BOUND raises OutOfRange before
-    any work.
+    (_sweep), so every bound's count completes at the end of the sweep.
+    Every bound is checked first: one above MAX_TORSOR_BOUND raises
+    OutOfRange before any work.
     """
-    t0 = time.perf_counter()
     ints = [_int_bound(b, MAX_TORSOR_BOUND) for b in bounds]
     states = list(map(_Bound, sorted(set(ints))))
     pairs = {state.b: state.pairs for state in states}
@@ -624,11 +620,7 @@ def torsor_counts(bounds):
     if live:
         for state, share in zip(live, _sweep(live)):
             pairs[state.b] += share
-    elapsed = time.perf_counter() - t0
-    # 4 = swap symmetry x units / |mu_K|
-    return [CountResult(bound=Fraction(bound), count=4 * pairs[b],
-                        method="torsor-fast", elapsed=elapsed)
-            for bound, b in zip(bounds, ints)]
+    return [4 * pairs[b] for b in ints]  # 4 = swap symmetry x units / |mu_K|
 
 
 def torsor_count(bound):
@@ -711,7 +703,3 @@ def enumerate_normalized(bound):
                     for a6 in (1, -1):
                         yield validate((a1, a2, 1, 1, 1, a6, a7, a8, a9))
 
-
-def write_tuple_stream(points, stream):
-    for point in points:
-        stream.write(f"{point}\n")

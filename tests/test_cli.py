@@ -94,6 +94,21 @@ class TestCli:
         assert run_cli(["modp", "--p", "5"], tmp_path) == 0
         assert "5,30,30,ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("p", [surface.MAX_MODP_PRIME + 8, 1009])
+    def test_modp_above_limit_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, p):
+        def walked(*args):
+            raise AssertionError("residue tuples were walked above MAX_MODP_PRIME")
+        monkeypatch.setattr(surface, "_surface_mod_p", walked)
+        assert run_cli(["modp", "--p", str(p)], tmp_path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(surface.MAX_MODP_PRIME) in captured.err
+
+    def test_modp_default_primes(self, tmp_path, capsys):
+        assert run_cli(["modp"], tmp_path) == 0
+        assert capsys.readouterr().out == (
+            "2,6,6,ok\n3,12,12,ok\n5,30,30,ok\n7,56,56,ok\n11,132,132,ok\n"
+            "13,182,182,ok\nZ points of height <= 20 on the surface: ok\n")
+
     def test_count_command_and_csv(self, tmp_path):
         assert run_cli(["count", "--bound", "1", "--bound", "50"], tmp_path) == 0
         rows = parse_counts_csv((tmp_path / "counts.csv").read_text())
@@ -172,10 +187,29 @@ class TestCli:
         assert main(["--output", str(tmp_path), "--timings", "torsor-count",
                      "--bound", "100", "--bound", "1e5", "--bound", "1e6"]) == 0
         rows = parse_counts_csv((tmp_path / "counts.csv").read_text())
-        assert [r.count for r in rows] == [torsor.torsor_count(b).count
+        assert [r.count for r in rows] == [torsor.torsor_count(b)
                                            for b in (100, 10 ** 5, 10 ** 6)]
         elapsed = [r.elapsed for r in rows]
         assert 0 < elapsed[0] <= elapsed[1] <= elapsed[2]
+
+    @pytest.mark.parametrize("args,methods", [
+        (["count", "--bound", "1/2", "--bound", "7", "--bound", "60"], ["direct-divisor"]),
+        (["count", "--ring", "Zi", "--bound", "3", "--bound", "20"], ["direct-divisor"]),
+        (["torsor-count", "--bound", "100", "--bound", "1e5"], ["torsor-fast"]),
+        (["fit", "--bmin", "1e3", "--bmax", "1e4", "--samples", "5"], ["torsor-fast"]),
+        (["compare", "--bound", "30"], ["direct-divisor", "torsor-lifted"]),
+    ], ids=["count", "count-zi", "torsor-count", "fit", "compare"])
+    def test_every_row_carries_the_time_of_its_counting_call(self, tmp_path, args,
+                                                               methods):
+        for timings in (True, False):
+            out = tmp_path / str(timings)
+            assert main(["--output", str(out)] + ["--timings"] * timings + args) == 0
+            rows = parse_counts_csv((out / "counts.csv").read_text())
+            assert sorted({r.method for r in rows}) == methods
+            for method in methods:
+                elapsed = {r.elapsed for r in rows if r.method == method}
+                assert len(elapsed) == 1
+                assert (elapsed.pop() > 0) if timings else elapsed == {0.0}
 
     def test_count_builds_one_histogram_for_every_bound(self, tmp_path, monkeypatch):
         calls = []

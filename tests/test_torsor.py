@@ -1,6 +1,5 @@
 """Torsor validation, descent to the surface, and count agreement."""
 
-import io
 import itertools
 import math
 import multiprocessing
@@ -14,6 +13,7 @@ from math import gcd, isqrt
 import numpy as np
 import pytest
 
+from dp4jigsaw import reporting
 from dp4jigsaw import surface as S
 from dp4jigsaw import torsor as T
 from dp4jigsaw.errors import (EquationViolated, NonpositiveBound,
@@ -87,7 +87,7 @@ class TestDescent:
 
 class TestCounts:
     def test_count_at_one(self):
-        assert T.torsor_count(1).count == 4
+        assert T.torsor_count(1) == 4
 
     def test_nonpositive(self):
         with pytest.raises(NonpositiveBound):
@@ -95,7 +95,7 @@ class TestCounts:
 
     def test_fast_equals_naive_to_300(self):
         for b in (1, 2, 3, 7, 20, 55, 137, 300):
-            assert T.torsor_count(b).count == naive_torsor_count(b)
+            assert T.torsor_count(b) == naive_torsor_count(b)
 
     def test_fast_equals_direct_to_300(self):
         lifted = T.torsor_height_counts(300)
@@ -105,7 +105,7 @@ class TestCounts:
     def test_histogram_matches_pointwise_counts(self):
         hist = T.torsor_height_counts(50)
         for b in (1, 10, 37, 50):
-            assert hist[b] == T.torsor_count(b).count
+            assert hist[b] == T.torsor_count(b)
 
     def test_histogram_naive_matches_fast(self):
         hist = T.torsor_height_counts(120)
@@ -142,27 +142,27 @@ class TestFastCounter:
 
     def test_oracle_every_b_to_500(self):
         for b in range(1, 501):
-            assert T.torsor_count(b).count == full_range_count(b), b
+            assert T.torsor_count(b) == full_range_count(b), b
 
     def test_oracle_random_bounds(self):
         rng = random.Random(20260)
         for b in (rng.randint(500, 2 * 10 ** 5) for _ in range(50)):
-            assert T.torsor_count(b).count == full_range_count(b), b
+            assert T.torsor_count(b) == full_range_count(b), b
 
     def test_oracle_where_isqrt_changes(self):
         # B = K^2 + K - 1 has M = K - 1 and B = K^2 + K has M = K, for odd and even K
         for n in list(range(1, 61)) + [99, 100]:
             for b in (n * n - 1, n * n, n * n + 1, n * n + n - 1, n * n + n, n * n + 2 * n):
                 if b >= 1:
-                    assert T.torsor_count(b).count == full_range_count(b), b
+                    assert T.torsor_count(b) == full_range_count(b), b
 
     def test_matches_height_counts_to_500(self):
         hist = T.torsor_height_counts(500)
         for b in range(1, 501):
-            assert T.torsor_count(b).count == hist[b], b
+            assert T.torsor_count(b) == hist[b], b
 
     def test_pinned_1e6(self):
-        assert T.torsor_count(10 ** 6).count == 311249256
+        assert T.torsor_count(10 ** 6) == 311249256
 
     def test_max_bound_fits_int64(self):
         b = T.MAX_TORSOR_BOUND
@@ -324,9 +324,9 @@ class TestColumns:
             return column_pairs(y, *args)
         monkeypatch.setattr(T, "_column_pairs", record)
         for b in range(4, 16):
-            assert T.torsor_count(b).count == full_range_count(b), b
+            assert T.torsor_count(b) == full_range_count(b), b
         assert set(ys) == {1}
-        assert T.torsor_count(16).count == full_range_count(16)  # K = 4, S = 2
+        assert T.torsor_count(16) == full_range_count(16)  # K = 4, S = 2
         assert set(ys) == {1, 2}
 
     def test_inverse_tables_only_up_to_s(self, monkeypatch):
@@ -338,7 +338,7 @@ class TestColumns:
             return inverse(m, *args)
         monkeypatch.setattr(T, "_inverse_table", record)
         monkeypatch.setattr(T, "FORK_MIN_MODULI", 10 ** 9)  # record in this process
-        assert T.torsor_count(3 * 10 ** 7).count == 13756575832
+        assert T.torsor_count(3 * 10 ** 7) == 13756575832
         # S = 5477 // 2 = 2738, against 5476 calls and 15001502 entries up to K
         assert sorted(moduli) == list(range(2, 2739))
         assert len(moduli) == 2737 and sum(moduli) == 3749690
@@ -392,33 +392,29 @@ class TestSharedSweep:
             bounds = [rng.randint(1, 3 * 10 ** 4) for _ in range(12)]
             bounds += rng.sample(bounds, 4)
             rng.shuffle(bounds)
-            results = T.torsor_counts(bounds)
-            assert [r.bound for r in results] == bounds
-            counts = [r.count for r in results]
+            counts = T.torsor_counts(bounds)
             assert counts == [full_range_count(b) for b in bounds], bounds
-            assert counts == [T.torsor_count(b).count for b in bounds], bounds
+            assert counts == [T.torsor_count(b) for b in bounds], bounds
 
     def test_where_isqrt_changes(self):
         bounds = [b for n in range(1, 61) for b in (n * n - 1, n * n, n * n + 1) if b]
-        counts = [r.count for r in T.torsor_counts(bounds)]
+        counts = T.torsor_counts(bounds)
         assert counts == [full_range_count(b) for b in bounds]
-        assert counts == [T.torsor_count(b).count for b in bounds]
+        assert counts == [T.torsor_count(b) for b in bounds]
 
     def test_fit_grid_equals_the_per_bound_counts(self):
         grid = np.unique(np.round(np.logspace(4, 7, 20)).astype(np.int64)).tolist()
         assert grid == self.FIT_GRID
-        results = T.torsor_counts(grid)
-        assert [r.count for r in results] == self.FIT_COUNTS
-        assert len({r.elapsed for r in results}) == 1  # the time of the whole sweep
+        assert T.torsor_counts(grid) == self.FIT_COUNTS
 
     def test_counts_are_python_ints(self):
         # a numpy integer would fail JSON output and could wrap around
-        for r in T.torsor_counts([3, 10 ** 4, 3 * 10 ** 4]):
-            assert type(r.count) is int
+        for n in T.torsor_counts([3, 10 ** 4, 3 * 10 ** 4]):
+            assert type(n) is int
 
     def test_fractional_and_empty_inputs(self):
         assert T.torsor_counts([]) == []
-        assert [r.count for r in T.torsor_counts([Fraction(1, 2), 3, 1])] == [
+        assert T.torsor_counts([Fraction(1, 2), 3, 1]) == [
             0, full_range_count(3), 4]
 
     def test_any_bound_above_limit_fails_before_any_work(self, monkeypatch):
@@ -460,12 +456,12 @@ class TestForkedSweep:
     def in_process(bounds):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(T, "FORK_MIN_MODULI", 10 ** 9)
-            return [r.count for r in T.torsor_counts(bounds)]
+            return T.torsor_counts(bounds)
 
     def test_fit_grid(self, shares, monkeypatch):
         monkeypatch.setattr(T, "SHARE_BLOCK", 128)
         grid = TestSharedSweep.FIT_GRID
-        assert [r.count for r in T.torsor_counts(grid)] == TestSharedSweep.FIT_COUNTS
+        assert T.torsor_counts(grid) == TestSharedSweep.FIT_COUNTS
         assert self.in_process(grid) == TestSharedSweep.FIT_COUNTS
         assert len(shares) == 1
         assert multiprocessing.active_children() == []
@@ -476,13 +472,13 @@ class TestForkedSweep:
             bounds = [rng.randint(1, 3 * 10 ** 4) for _ in range(10)]
             bounds += rng.sample(bounds, 4)
             rng.shuffle(bounds)
-            assert [r.count for r in T.torsor_counts(bounds)] == self.in_process(bounds)
+            assert T.torsor_counts(bounds) == self.in_process(bounds)
         assert len(shares) == 3
         assert multiprocessing.active_children() == []
 
     def test_where_isqrt_changes(self, shares):
         bounds = [b for n in range(1, 61) for b in (n * n - 1, n * n, n * n + 1) if b]
-        counts = [r.count for r in T.torsor_counts(bounds)]
+        counts = T.torsor_counts(bounds)
         assert counts == self.in_process(bounds)
         assert counts == [full_range_count(b) for b in bounds]
         # every modulus 2..S = 30 in exactly one block, the blocks dealt round-robin
@@ -495,7 +491,7 @@ class TestForkedSweep:
         for cpus, bound, workers in ((64, 30 ** 2, 4), (3, 40 ** 2, 3), (1, 40 ** 2, 0)):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             shares.clear()
-            assert T.torsor_count(bound).count == full_range_count(bound)
+            assert T.torsor_count(bound) == full_range_count(bound)
             assert [len(dealt) for dealt in shares] == ([workers] if workers else [])
         assert multiprocessing.active_children() == []
 
@@ -504,7 +500,7 @@ class TestForkedSweep:
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert T.torsor_count(40 ** 2).count == full_range_count(40 ** 2)
+            assert T.torsor_count(40 ** 2) == full_range_count(40 ** 2)
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -539,7 +535,7 @@ class TestForkedSweep:
 class TestNormalizedPoints:
     def test_enumeration_matches_counts(self):
         count = sum(1 for _ in T.enumerate_normalized(40))
-        assert count == 2 * T.torsor_count(40).count
+        assert count == 2 * T.torsor_count(40)
 
     def test_enumeration_streams(self):
         t0 = time.perf_counter()
@@ -556,17 +552,16 @@ class TestNormalizedPoints:
 
     def test_fiber_sizes_are_exactly_two(self):
         fibers = fibers_over_points(30)
-        assert len(fibers) == direct_count(30).count
+        assert len(fibers) == direct_count(30)
         assert {len(v) for v in fibers.values()} == {2}
 
     def test_fibers_cover_direct_points(self):
         fibers = fibers_over_points(25)
         assert set(fibers) == set(S.direct_points(25))
 
-    def test_tuple_stream(self):
-        buf = io.StringIO()
-        T.write_tuple_stream(T.enumerate_normalized(2), buf)
-        lines = buf.getvalue().strip().splitlines()
+    def test_tuple_stream(self, tmp_path):
+        reporting.write_tuple_stream(tmp_path / "tuples.txt", T.enumerate_normalized(2))
+        lines = (tmp_path / "tuples.txt").read_text().strip().splitlines()
         assert lines and all(len(line.split(",")) == 9 for line in lines)
         for line in lines:
             T.validate(tuple(int(x) for x in line.split(",")))
