@@ -35,24 +35,12 @@ class OutOfRange(Dp4Error):
 
 # --- surface arithmetic ---
 
-class NotOnSurface(Dp4Error):
-    """The point does not satisfy both defining equations."""
-
-
-class OnBoundary(Dp4Error):
-    """The point lies on the boundary line L = {x0 = x2 = x3 = 0}."""
-
-
 class NotPrime(Dp4Error):
     """A prime argument failed a primality check."""
 
 
 class NonpositiveBound(Dp4Error):
     """Count bounds must be positive."""
-
-
-class DegenerateCoordinates(Dp4Error):
-    """Height is undefined when (x0, x2, x3) = (0, 0, 0)."""
 
 
 # --- torsor ---

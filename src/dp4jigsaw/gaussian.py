@@ -14,9 +14,6 @@ class GaussInt:
     re: int
     im: int
 
-    def __add__(self, other):
-        return GaussInt(self.re + other.re, self.im + other.im)
-
     def __sub__(self, other):
         return GaussInt(self.re - other.re, self.im - other.im)
 

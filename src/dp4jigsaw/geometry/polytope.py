@@ -49,9 +49,6 @@ class AffineForm:
         """<coeffs, x> <= rhs"""
         return AffineForm.make([-Fraction(c) for c in coeffs], Fraction(rhs))
 
-    def evaluate(self, point):
-        return sum(Fraction(c) * Fraction(x) for c, x in zip(self.coeffs, point)) + self.const
-
     def as_row(self):
         return self.coeffs + (self.const,)
 
@@ -196,17 +193,8 @@ class HPolytope:
     def vertices(self):
         return self._vertices
 
-    def is_empty(self):
-        return not self._vertices
-
-    def contains(self, point, strict=False):
-        if len(point) != self.dimension:
-            raise DimensionMismatch("point length != dimension")
-        if strict:
-            return all(f.evaluate(point) > 0 for f in self.inequalities)
-        return all(f.evaluate(point) >= 0 for f in self.inequalities)
-
     def volume(self):
+        """Exact Lebesgue volume in the ambient dimension."""
         return _volume(self.dimension, self.inequalities, self._vertices)
 
 
@@ -278,11 +266,6 @@ def _volume(dim, forms, vertices):
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-def exact_volume(p):
-    """Exact Lebesgue volume of p in its ambient dimension."""
-    return p.volume()
-
 
 def _merged_rows_flat(p1, p2):
     rows = {}

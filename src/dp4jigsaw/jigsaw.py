@@ -82,8 +82,8 @@ built.
 alpha_sum sums face_volume over the C(q+r, r-1) edge multisets of an
 r-cone fan, C(q+4, 3) for the paper's, with multinomial weights.
 jigsaw_check keeps a second route for the union volume,
-exact_volume(union_polytope(q)).  The pyramid P' and its base
-P'_0 are P's rows pulled back to the census coordinates.  The
+union_polytope(q).volume().  The pyramid P' and its base P'_0 are P's rows
+pulled back to the census coordinates.  The
 triangulated face volumes and the pairwise disjointness checks of
 _FaceCache, the vertex-based strictly_feasible on each face polytope,
 and hand-written inequality lists for P' and P'_0 stay as the oracles
@@ -100,8 +100,8 @@ from .errors import IndexOutOfRange, NegativeRank, OutOfRange, PartitionFailure
 # strictly_feasible is not called here: it is the tests' oracle for the
 # strict-feasibility column, and bench/layers.py counts its calls by this name.
 from .geometry import (AffineForm, HPolytope, RationalCone, cone_contains_line,
-                       exact_volume, fix_coordinates, interiors_disjoint,
-                       pull_back, strictly_feasible)
+                       fix_coordinates, interiors_disjoint, pull_back,
+                       strictly_feasible)
 
 #: Edge labels of the Clemens path, in path order A7-A5, A5-A4, A4-A3, A3-A6.
 #: The cone of EDGE_LABELS[j] is spanned by FAN_RAYS[j] and FAN_RAYS[j + 1].
@@ -288,7 +288,7 @@ class _FaceCache:
     def volume(self, face):
         key = tuple(sorted(face))
         if key not in self.volumes:
-            self.volumes[key] = exact_volume(self.polytope(key))
+            self.volumes[key] = self.polytope(key).volume()
         return self.volumes[key]
 
     def pair_disjoint(self, f, g):
@@ -404,7 +404,7 @@ def jigsaw_check(q):
     """
     _check_listed_rank(q)
     per_face = _face_volumes(q)
-    union_volume = exact_volume(union_polytope(q))
+    union_volume = union_polytope(q).volume()
     total = sum(per_face.values(), Fraction(0))
     alpha = alpha_closed_form(q)
     alpha_total = (2 * q + 3) * total
@@ -584,7 +584,7 @@ def slice_census(a1, a0):
     total = Fraction(0)
     for face in all_faces(q):
         piece = HPolytope(2, fix_coordinates(pull_back(face_rows(face), matrix), fixed))
-        area = exact_volume(piece)
+        area = piece.volume()
         pieces[face] = SlicePiece(area=area, vertex_count=len(piece.vertices),
                                   vertices=piece.vertices)
         total += area

@@ -122,7 +122,7 @@ def _lines(x0, x1, x2, x3, x4):
 
 
 def on_surface(pt):
-    """Do both defining equations vanish at the point?"""
+    """Do both defining equations vanish at the point (over Z: GaussInt has no +)?"""
     return not any(_forms(*pt.coords))
 
 

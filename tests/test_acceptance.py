@@ -16,7 +16,6 @@ from dp4jigsaw import constants as C
 from dp4jigsaw import jigsaw, reporting
 from dp4jigsaw import surface as S
 from dp4jigsaw import torsor as T
-from dp4jigsaw.geometry import exact_volume
 from tests_support import (LOG_ANTICANONICAL_L, DivisorClass, box, direct_count,
                            enumerate_valid, fibers_over_points, generator_degree, height,
                            heights_triple_z, is_integral, lifted_height,
@@ -66,8 +65,8 @@ def test_criterion_1_stretch_q3():
 
 def test_criterion_2_pyramid_identity():
     for q in (0, 1, 2):
-        vol_p = exact_volume(jigsaw.pyramid_polytope(q))
-        vol_base = exact_volume(jigsaw.pyramid_base_polytope(q))
+        vol_p = jigsaw.pyramid_polytope(q).volume()
+        vol_base = jigsaw.pyramid_base_polytope(q).volume()
         assert vol_p == vol_base / (2 * q + 3)
     report("2: PASS - vol(P') = vol(P'_0)/(2q+3) exactly for q = 0, 1, 2")
 
@@ -252,21 +251,21 @@ def test_criterion_10_property_suites():
 
     # permutation symmetry of face volumes at q = 1
     for face in jigsaw.all_faces(1):
-        assert exact_volume(jigsaw.face_polytope(face)) == \
-            exact_volume(jigsaw.face_polytope(face[::-1]))
+        assert jigsaw.face_polytope(face).volume() == \
+            jigsaw.face_polytope(face[::-1]).volume()
 
     # unimodular volume invariance
     p = jigsaw.union_polytope(0)
-    v = exact_volume(p)
+    v = p.volume()
     for _ in range(5):
         u = random_unimodular(rng, 3)
-        assert exact_volume(transform_polytope(p, u)) == v
+        assert transform_polytope(p, u).volume() == v
 
     # Monte-Carlo consistency within 5 relative percent
     for poly, seed in [(jigsaw.union_polytope(1), 101),
                        (product_polytope(box([(0, 1), (0, 2)]), standard_simplex(2)), 102)]:
         est = monte_carlo_volume(poly, samples=1_000_000, seed=seed)
-        exact = float(exact_volume(poly))
+        exact = float(poly.volume())
         assert abs(est - exact) / exact < 0.05
 
     report("10: PASS - base-change round trips, torsor monomial degrees, "

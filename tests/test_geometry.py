@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from dp4jigsaw.errors import (DimensionMismatch, EmptyGeneratorList,
                               UnboundedInput)
 from dp4jigsaw.geometry import (AffineForm, HPolytope, RationalCone,
-                                cone_contains_line, exact_volume,
-                                interiors_disjoint, strictly_feasible)
+                                cone_contains_line, interiors_disjoint,
+                                strictly_feasible)
 from dp4jigsaw import jigsaw
 from dp4jigsaw.geometry.polytope import _lattice, _vertices_brute, _vertices_dd
 from dp4jigsaw.geometry._simplex import feasible
-from tests_support import (box, fraction_volume, lp_cone_contains_line,
+from tests_support import (box, evaluate, fraction_volume, lp_cone_contains_line,
                            lp_strictly_feasible, monte_carlo_volume,
                            product_polytope, random_unimodular, slice_polytope,
                            standard_simplex, transform_polytope)
@@ -75,25 +75,25 @@ class TestVertexEnumeration:
     def test_empty_polytope_is_fine(self):
         p = HPolytope(2, [AffineForm.ge([1, 0], 1), AffineForm.le([1, 0], 0),
                           AffineForm.ge([0, 1], 0), AffineForm.le([0, 1], 1)])
-        assert p.is_empty() and exact_volume(p) == 0
+        assert not p.vertices and p.volume() == 0
 
 
 class TestVolume:
     def test_standard_4_simplex(self):
-        assert exact_volume(standard_simplex(4)) == F(1, 24)
+        assert standard_simplex(4).volume() == F(1, 24)
 
     def test_q0_union_volume(self):
         # tetrahedron determinant 1/6; also alpha / (2q+3) = (1/2)/3
-        assert exact_volume(union_q0()) == F(1, 6)
+        assert union_q0().volume() == F(1, 6)
 
     def test_q0_face_57(self):
         p = q0_face([(-1, 0), (3, 1)])
-        assert exact_volume(p) == F(5, 54)
+        assert p.volume() == F(5, 54)
 
     def test_volume_of_flat_is_zero(self):
         p = HPolytope(2, [AffineForm.ge([1, 0], 0), AffineForm.le([1, 0], 0),
                           AffineForm.ge([0, 1], 0), AffineForm.le([0, 1], 1)])
-        assert exact_volume(p) == 0
+        assert p.volume() == 0
 
 
 def triangle_integral_x_plus_y(v1, v2, v3):
@@ -126,7 +126,7 @@ class TestFaceVolumeOracle:
         rows, triangles = self.CASES[edge]
         oracle = sum(triangle_integral_x_plus_y(*t) for t in triangles)
         assert oracle == self.EXPECTED[edge]
-        assert exact_volume(q0_face(rows)) == oracle
+        assert q0_face(rows).volume() == oracle
 
     def test_union_oracle(self):
         assert triangle_integral_x_plus_y((0, 0), (-1, 1), (0, 1)) == F(1, 6)
@@ -135,12 +135,12 @@ class TestFaceVolumeOracle:
 class TestSlice:
     def test_cube_slice(self):
         p = slice_polytope(box([(0, 1), (0, 1), (0, 1)]), [(2, F(1, 2))])
-        assert exact_volume(p) == 1
+        assert p.volume() == 1
         assert set(p.vertices) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_empty_slice(self):
         p = slice_polytope(box([(0, 1), (0, 1), (0, 1)]), [(2, F(3, 2))])
-        assert p.is_empty() and exact_volume(p) == 0
+        assert not p.vertices and p.volume() == 0
 
     def test_slice_validation(self):
         cube = box([(0, 1)] * 3)
@@ -150,7 +150,7 @@ class TestSlice:
             slice_polytope(cube, [(3, 0)])
 
     def test_square_slice_is_a_unit_segment(self):
-        assert exact_volume(slice_polytope(box([(0, 1)] * 2), [(0, F(1, 2))])) == 1
+        assert slice_polytope(box([(0, 1)] * 2), [(0, F(1, 2))]).volume() == 1
 
 
 class TestInteriorsDisjoint:
@@ -222,10 +222,10 @@ class TestVolumeInvariants:
         targets = [union_q0(), q0_face([(-1, 0), (3, 1)]),
                    standard_simplex(3), box([(0, 2), (-1, 1), (0, 1)])]
         for p in targets:
-            v = exact_volume(p)
+            v = p.volume()
             for _ in range(5):
                 u = random_unimodular(rng, p.dimension)
-                assert exact_volume(transform_polytope(p, u)) == v
+                assert transform_polytope(p, u).volume() == v
 
     def test_product_volumes(self):
         rng = random.Random(5)
@@ -236,14 +236,14 @@ class TestVolumeInvariants:
             s = standard_simplex(d2, scale=rng.randint(1, 2))
             prod = product_polytope(b, s)
             assert prod.dimension <= 6
-            assert exact_volume(prod) == exact_volume(b) * exact_volume(s)
+            assert prod.volume() == b.volume() * s.volume()
 
     def test_monte_carlo_consistency(self):
         from dp4jigsaw.jigsaw import union_polytope
         for p, seed in [(union_q0(), 11), (union_polytope(1), 12),
                         (product_polytope(box([(0, 1), (0, 2)]), standard_simplex(2)), 13)]:
             est = monte_carlo_volume(p, samples=1_000_000, seed=seed)
-            exact = float(exact_volume(p))
+            exact = float(p.volume())
             assert abs(est - exact) / exact < 0.05
 
     def test_volume_nonnegative_random(self):
@@ -255,7 +255,7 @@ class TestVolumeInvariants:
             rows += [tuple(1 if k == i else 0 for k in range(dim)) + (2,) for i in range(dim)]
             rows += [tuple(-1 if k == i else 0 for k in range(dim)) + (2,) for i in range(dim)]
             p = HPolytope(dim, [AffineForm.make(r[:-1], r[-1]) for r in rows])
-            assert exact_volume(p) >= 0
+            assert p.volume() >= 0
 
 
 class TestHullReconstruction:
@@ -287,12 +287,12 @@ class TestHullReconstruction:
     def test_vertices_satisfy_all_and_facets_are_tight(self, maker):
         p = maker()
         verts = p.vertices
-        assert all(f.evaluate(v) >= 0 for f in p.inequalities for v in verts)
-        if exact_volume(p) > 0:
+        assert all(evaluate(f, v) >= 0 for f in p.inequalities for v in verts)
+        if p.volume() > 0:
             for i, f in enumerate(p.inequalities):
                 if self._is_redundant(p, i):
                     continue
-                tight = [v for v in verts if f.evaluate(v) == 0]
+                tight = [v for v in verts if evaluate(f, v) == 0]
                 assert len(tight) >= p.dimension
 
 
@@ -315,7 +315,7 @@ class TestDualRoutes:
         cases = [union_q0(), q0_face([(0, 1), (-1, -1)]),
                  standard_simplex(3), box([(0, 1), (0, 0)])]
         for p in cases:
-            assert strictly_feasible(p) == (exact_volume(p) > 0)
+            assert strictly_feasible(p) == (p.volume() > 0)
 
 
 # ---------------------------------------------------------------------------

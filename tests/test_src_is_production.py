@@ -1,11 +1,13 @@
 """`src/` holds what `dp4` runs: one production route per job.
 
-Every top-level function and non-exception class under src/dp4jigsaw must be
-reachable from `cli.main` through the names that bodies read, resolved by
-each module's own definitions and relative imports.  A second route that
-only the tests run lives in tests/tests_support.py or in the test module that
-reads it.  PINNED lists the names that the benchmark harness still wraps or
-calls; what they read stays with them.
+Every top-level function and class under src/dp4jigsaw must be reachable
+from `cli.main` through the names that bodies read, resolved by each module's
+own definitions and relative imports, and so must every method: through an
+attribute of its name, or, for an operator method, its operator.  Every
+exception class must be raised or caught by reached code.  A second route
+that only the tests run lives in tests/tests_support.py or in the test module
+that reads it.  PINNED lists the names that the benchmark harness still wraps
+or calls; what they read stays with them.
 """
 
 import ast
@@ -29,10 +31,32 @@ PINNED = {
 }
 
 
+#: The operator that runs each operator method.  Any other dunder runs with
+#: its class: construction, printing, truth tests, attribute guards.
+OPERATORS = {
+    "__add__": ast.Add, "__radd__": ast.Add, "__sub__": ast.Sub, "__rsub__": ast.Sub,
+    "__mul__": ast.Mult, "__rmul__": ast.Mult, "__truediv__": ast.Div,
+    "__floordiv__": ast.FloorDiv, "__mod__": ast.Mod, "__pow__": ast.Pow,
+    "__matmul__": ast.MatMult, "__neg__": ast.USub, "__pos__": ast.UAdd,
+    "__invert__": ast.Invert, "__lt__": ast.Lt, "__le__": ast.LtE, "__gt__": ast.Gt,
+    "__ge__": ast.GtE, "__contains__": ast.In,
+}
+
+
+class _Code:
+    """What one def reads: the defs its names mean, every attribute name, the
+    operators it applies, and the defs it raises or catches."""
+
+    def __init__(self):
+        self.edges, self.attrs, self.ops, self.raised = set(), set(), set(), set()
+
+
 def _read_graph():
-    """(defs, edges): the top-level defs as "module.name", and for each def, and
-    each module's other top-level code under the module's name, the defs it reads."""
-    trees, scopes, nodes, edges = {}, {}, {}, {}
+    """(code, methods, modules): a _Code for every top-level def as
+    "module.name", every method as "module.Class.name" and each module's other
+    top-level code under the module's name; the methods of each class; and the
+    module names."""
+    trees, scopes, nodes, methods = {}, {}, {}, {}
     for path in sorted(PACKAGE.rglob("*.py")):
         parts = ("dp4jigsaw",) + path.relative_to(PACKAGE).with_suffix("").parts
         trees[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
@@ -47,11 +71,23 @@ def _read_graph():
                 for alias in node.names:
                     scopes[mod][alias.asname or alias.name] = f"{base}.{alias.name}"
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                key = scopes[mod][node.name] = f"{mod}.{node.name}"
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                key = mod
-            nodes.setdefault(key, (mod, []))[1].append(node)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                nodes.setdefault(mod, (mod, []))[1].append(node)
+                continue
+            key = scopes[mod][node.name] = f"{mod}.{node.name}"
+            own = nodes.setdefault(key, (mod, []))[1]
+            if isinstance(node, ast.FunctionDef):
+                own.append(node)
+                continue
+            own += [*node.bases, *node.keywords, *node.decorator_list]
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    methods.setdefault(key, []).append(f"{key}.{item.name}")
+                    nodes[f"{key}.{item.name}"] = (mod, [item])
+                else:
+                    own.append(item)
 
     def resolve(mod, name):
         """The def or module that name means in mod, through re-exports; else None."""
@@ -61,33 +97,77 @@ def _read_graph():
             target = scopes[owner].get(attr) if owner in trees else None
         return target
 
+    def ref(mod, expr):
+        """The def or module that a name or a module's attribute means in mod."""
+        if isinstance(expr, ast.Name):
+            return resolve(mod, expr.id)
+        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
+            owner = resolve(mod, expr.value.id)
+            return resolve(owner, expr.attr) if owner in trees else None
+        return None
+
+    code = {}
     for key, (mod, body) in nodes.items():
-        edges[key] = set()
+        c = code[key] = _Code()
         for sub in (sub for node in body for sub in ast.walk(node)):
-            if isinstance(sub, ast.Name):
-                edges[key].add(resolve(mod, sub.id))
-            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
-                owner = resolve(mod, sub.value.id)
-                edges[key].add(resolve(owner, sub.attr) if owner in trees else None)
-        edges[key].discard(None)
-    return {key for key in nodes if key not in trees}, edges
+            c.edges.add(ref(mod, sub))
+            if isinstance(sub, ast.Attribute):
+                c.attrs.add(sub.attr)
+            elif isinstance(sub, (ast.BinOp, ast.AugAssign, ast.UnaryOp)):
+                c.ops.add(type(sub.op))
+            elif isinstance(sub, ast.Compare):
+                c.ops.update(map(type, sub.ops))
+            elif isinstance(sub, ast.Raise) and sub.exc is not None:
+                c.raised.add(ref(mod, getattr(sub.exc, "func", sub.exc)))
+            elif isinstance(sub, ast.ExceptHandler) and sub.type is not None:
+                c.raised.update(ref(mod, kind) for kind in getattr(sub.type, "elts", [sub.type]))
+        c.edges.discard(None)
+    return code, methods, set(trees)
+
+
+def _runs(method, attrs, ops):
+    """Can code that reads these attribute names and applies these operators call it?"""
+    name = method.rpartition(".")[2]
+    if name.startswith("__") and name.endswith("__"):
+        return name not in OPERATORS or OPERATORS[name] in ops
+    return name in attrs
 
 
 def _unreached(*roots):
-    """Top-level functions and non-exception classes that cli.main and roots cannot reach."""
-    defs, edges = _read_graph()
-    seen, todo = set(), ["dp4jigsaw.cli.main", *roots]
+    """What cli.main and roots cannot reach: functions, methods and classes, and
+    exception classes that no reached code raises or catches.
+
+    A method is reached when its class is, and reached code reads an attribute
+    of the method's name or applies its operator.  Names are matched, not
+    types, so any object's attribute of that name, or any use of that
+    operator, keeps the method.
+    """
+    code, methods, modules = _read_graph()
+    # the harness wraps a pinned class's methods by name, so it is pinned whole
+    seen, todo = set(), ["dp4jigsaw.cli.main", *roots,
+                         *(method for root in roots for method in methods.get(root, ()))]
+    attrs, ops, raised = set(), set(), set()
     while todo:
-        key = todo.pop()
-        if key not in seen:
-            seen.add(key)
-            # reading a def runs its module's top-level code on import
-            todo += [*edges.get(key, ()), key.rpartition(".")[0]]
+        while todo:
+            key = todo.pop()
+            if key not in seen and key in code:
+                seen.add(key)
+                c = code[key]
+                attrs |= c.attrs
+                ops |= c.ops
+                raised |= c.raised
+                # reading a def runs its module's top-level code on import
+                todo += [*c.edges, key.rpartition(".")[0]]
+        todo = [method for cls in seen.intersection(methods) for method in methods[cls]
+                if method not in seen and _runs(method, attrs, ops)]
     out = set()
-    for key in defs - seen:
+    for key in set(code) - modules:
         mod, _, name = key.rpartition(".")
-        obj = getattr(importlib.import_module(mod), name)
-        if not (isinstance(obj, type) and issubclass(obj, BaseException)):
+        obj = getattr(importlib.import_module(mod), name) if mod in modules else None
+        if isinstance(obj, type) and issubclass(obj, BaseException):
+            if key not in raised:
+                out.add(key)
+        elif key not in seen:
             out.add(key)
     return out
 

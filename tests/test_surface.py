@@ -8,12 +8,12 @@ import pytest
 from dp4jigsaw import reporting
 from dp4jigsaw import surface as S
 from dp4jigsaw import torsor as T
-from dp4jigsaw.errors import (DegenerateCoordinates, NonpositiveBound,
-                              NotOnSurface, NotPrime, OnBoundary, OutOfRange)
+from dp4jigsaw.errors import NonpositiveBound, NotPrime, OutOfRange
 from dp4jigsaw.gaussian import GaussInt
-from tests_support import (direct_count, height, heights_triple_z,
-                           heights_triple_zi, is_integral, line_count_mod_p,
-                           make_point as mk, on_lines, surface_x2_zero_is_lines)
+from tests_support import (DegenerateCoordinates, NotOnSurface, OnBoundary,
+                           direct_count, height, heights_triple_z, heights_triple_zi,
+                           is_integral, line_count_mod_p, make_point as mk, on_lines,
+                           on_surface, surface_x2_zero_is_lines)
 
 
 class TestParseRing:
@@ -188,7 +188,7 @@ class TestGaussianCounts:
         pts = S.direct_points(5, ring=S.GAUSSIAN)
         assert len(pts) == direct_count(5, ring=S.GAUSSIAN)
         for pt in pts:
-            assert S.on_surface(pt)
+            assert on_surface(pt)
             assert on_lines(pt) == set()
             assert is_integral(pt)
             assert height(pt) <= 5

@@ -14,8 +14,7 @@ import numpy as np
 
 from dp4jigsaw import jigsaw
 from dp4jigsaw import surface as S
-from dp4jigsaw.errors import (DegenerateCoordinates, DimensionMismatch,
-                              IndexOutOfRange, NotOnSurface, OnBoundary)
+from dp4jigsaw.errors import Dp4Error, DimensionMismatch, IndexOutOfRange
 from dp4jigsaw.gaussian import GaussInt, exact_div
 from dp4jigsaw.geometry import (AffineForm, HPolytope, _simplex,
                                 fix_coordinates, pull_back)
@@ -72,6 +71,18 @@ def slice_polytope(p, fixed):
     return HPolytope(p.dimension - len(indices), rows)
 
 
+def evaluate(form, point):
+    """The exact value <coeffs, point> + const of an AffineForm."""
+    return sum(Fraction(c) * Fraction(x) for c, x in zip(form.coeffs, point)) + form.const
+
+
+def strictly_contains(p, point):
+    """Does every inequality of p hold strictly at the point?"""
+    if len(point) != p.dimension:
+        raise DimensionMismatch("point length != dimension")
+    return all(evaluate(form, point) > 0 for form in p.inequalities)
+
+
 def transform_polytope(p, matrix):
     """Pull back along x = M y: the polytope {y : M y in p}."""
     return HPolytope(len(matrix[0]), pull_back(p.inequalities, matrix))
@@ -84,7 +95,7 @@ def fraction_volume(dim, forms, vertices):
     coords = list(vertices)  # sorted, so the triangulation is deterministic
     tight_sets = []
     for form in forms:
-        tight = frozenset(i for i, v in enumerate(coords) if form.evaluate(v) == 0)
+        tight = frozenset(i for i, v in enumerate(coords) if evaluate(form, v) == 0)
         if tight:
             tight_sets.append(tight)
     total = Fraction(0)
@@ -98,7 +109,7 @@ def fraction_volume(dim, forms, vertices):
 
 def monte_carlo_volume(p, samples=1_000_000, seed=0):
     """Float hit-rate estimate of the volume; a sanity oracle, not a proof."""
-    if p.is_empty():
+    if not p.vertices:
         return 0.0
     verts = np.array([[float(x) for x in v] for v in p.vertices])
     lo = verts.min(axis=0)
@@ -405,6 +416,23 @@ def hand_pyramid_base_polytope(q):
 # Points on the surface by gcd, and the triple loops that assume no normal form
 # ---------------------------------------------------------------------------
 
+class NotOnSurface(Dp4Error):
+    """The point does not satisfy both defining equations."""
+
+
+class OnBoundary(Dp4Error):
+    """The point lies on the boundary line L = {x0 = x2 = x3 = 0}."""
+
+
+class DegenerateCoordinates(Dp4Error):
+    """Height is undefined when (x0, x2, x3) = (0, 0, 0)."""
+
+
+def gaussian_add(z, w):
+    """z + w: dp4 never adds Gaussian integers, so GaussInt has no __add__."""
+    return GaussInt(z.re + w.re, z.im + w.im)
+
+
 def gaussian_divides(w, z):
     """Does the nonzero Gaussian integer w divide z?"""
     num = z * w.conj()
@@ -441,9 +469,18 @@ def direct_count(bound, ring=S.INTEGERS):
     return S.direct_counts([bound], ring=ring)[0]
 
 
+def on_surface(pt):
+    """surface.on_surface over Z and Z[i].  dp4 tests the forms at points over
+    Z only, so GaussInt has no +, and the sum is taken here over Z[i]."""
+    if pt.ring == S.INTEGERS:
+        return S.on_surface(pt)
+    x0, x1, x2, x3, x4 = pt.coords
+    return not (x0 * x3 - x2 * x4 or gaussian_add(gaussian_add(x0 * x1, x1 * x3), x2 * x2))
+
+
 def on_lines(pt):
     """The subset of the three lines containing the point."""
-    if not S.on_surface(pt):
+    if not on_surface(pt):
         raise NotOnSurface(f"{pt} does not satisfy the surface equations")
     return S._lines(*pt.coords)
 
@@ -496,7 +533,7 @@ def heights_triple_zi(bound):
     for x0 in [zero] + canon:
         for x2 in (shell if x0 else canon):
             for x3 in shell + [zero]:
-                s = x0 + x3
+                s = gaussian_add(x0, x3)
                 if (s and gaussian_divides(s, x2 * x2) and gaussian_divides(x2, x0 * x3)
                         and gaussian_gcd([x0, x2, x3]).norm() == 1):
                     hist[max(x0.norm(), x2.norm(), x3.norm())] += 1
