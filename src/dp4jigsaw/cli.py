@@ -104,9 +104,9 @@ def _report_counts(args, bounds, counters, predictor=None):
     return rows
 
 
-def _predicted_over_q():
+def _leading_over_q():
     from . import constants
-    return constants.leading_constant(constants.get_field("Q")).predicted_count
+    return constants.leading_constant(constants.get_field("Q"))
 
 
 def _cmd_count(args):
@@ -118,7 +118,7 @@ def _cmd_count(args):
     rows = _report_counts(
         args, bounds,
         [("direct-divisor", lambda bs: surface.direct_counts(bs, ring=args.ring, keyed=keyed))],
-        _predicted_over_q() if args.ring == surface.INTEGERS else None)
+        _leading_over_q().predicted_count if args.ring == surface.INTEGERS else None)
     for row in rows:
         print(f"B={row.bound}: {row.count} ({row.method})")
     if args.points_file:
@@ -130,7 +130,7 @@ def _cmd_torsor_count(args):
     from . import torsor
     bounds = _ascending(args.bound)
     rows = _report_counts(args, bounds, [("torsor-fast", torsor.torsor_counts)],
-                          _predicted_over_q())
+                          _leading_over_q().predicted_count)
     for row in rows:
         print(f"B={row.bound}: {row.count} ({row.method})")
     if args.points_file:
@@ -241,11 +241,11 @@ def _cmd_constant(args):
 def _cmd_fit(args):
     import numpy as np
 
-    from . import constants, torsor
+    from . import torsor
     lo, hi = _ascending([args.bmin, args.bmax])
     grid = np.unique(np.round(np.logspace(np.log10(lo), np.log10(hi),
                                           args.samples)).astype(np.int64))
-    breakdown = constants.leading_constant(constants.get_field("Q"))
+    breakdown = _leading_over_q()
     rows = _report_counts(args, grid.tolist(), [("torsor-fast", torsor.torsor_counts)],
                           breakdown.predicted_count)
     fit = reporting.fit_log_quadratic([(row.bound, row.count) for row in rows])

@@ -11,8 +11,7 @@ from dp4jigsaw import jigsaw
 from dp4jigsaw.cli import main
 from dp4jigsaw.errors import (IndexOutOfRange, NegativeRank, OutOfRange,
                               PartitionFailure)
-from dp4jigsaw.geometry import (AffineForm, HPolytope, interiors_disjoint,
-                                polytope, strictly_feasible)
+from dp4jigsaw.geometry import AffineForm, HPolytope, polytope, strictly_feasible
 from tests_support import (evaluate, face_volume_fractions, hand_pyramid_base_polytope,
                            hand_pyramid_polytope, overlapping_faces,
                            slice_polytope, strictly_contains, transform_polytope)
