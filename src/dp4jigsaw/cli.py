@@ -24,6 +24,7 @@ Exit codes, so that CI can treat the status as the verdict:
 """
 
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -88,25 +89,32 @@ def _ascending(bounds):
 def _report_counts(args, bounds, counters, predictor=None):
     """Count every bound with each (method, count) and write the count report.
 
-    count(bounds) returns the counts in bound order.  Each call is timed
-    once, so under --timings every row of a method carries the time of its
-    whole call; without it the column is 0.0.  With several counters the
-    rows interleave them bound by bound.  Returns the rows.
+    count(bounds) returns the counts in bound order, as a list or an array.
+    Each call is timed once, so under --timings every row of a method
+    carries the time of its whole call; without it the column is 0.0.
+    With several counters the rows interleave them bound by bound.  The
+    rows are made as the report is written, a block at a time.  Returns
+    each counter's counts.
     """
-    tables = []
+    tables, rows = [], []
     for method, count in counters:
         start = time.perf_counter()
         counts = count(bounds)
         elapsed = time.perf_counter() - start if args.timings else 0.0
-        tables.append(reporting.count_rows(bounds, counts, method, predictor, elapsed))
-    rows = [row for group in zip(*tables) for row in group]
-    reporting.emit_report(rows, args.format, args.output)
-    return rows
+        tables.append(counts)
+        rows.append(reporting.count_rows(bounds, counts, method, predictor, elapsed))
+    reporting.emit_report(itertools.chain.from_iterable(zip(*rows)), args.format, args.output)
+    return tables
 
 
 def _leading_over_q():
     from . import constants
     return constants.leading_constant(constants.get_field("Q"))
+
+
+def _print_counts(bounds, counts, method):
+    for bound, count in zip(bounds, counts):
+        print(f"B={bound}: {count} ({method})")
 
 
 def _cmd_count(args):
@@ -115,12 +123,11 @@ def _cmd_count(args):
     keyed = None
     if args.points_file:  # the counts are read off the listed points' heights
         keyed = surface.direct_points_with_heights(bounds[-1], ring=args.ring)
-    rows = _report_counts(
+    [counts] = _report_counts(
         args, bounds,
         [("direct-divisor", lambda bs: surface.direct_counts(bs, ring=args.ring, keyed=keyed))],
         _leading_over_q().predicted_count if args.ring == surface.INTEGERS else None)
-    for row in rows:
-        print(f"B={row.bound}: {row.count} ({row.method})")
+    _print_counts(bounds, counts, "direct-divisor")
     if args.points_file:
         reporting.write_point_stream(args.points_file, keyed)
     return EXIT_OK
@@ -129,10 +136,9 @@ def _cmd_count(args):
 def _cmd_torsor_count(args):
     from . import torsor
     bounds = _ascending(args.bound)
-    rows = _report_counts(args, bounds, [("torsor-fast", torsor.torsor_counts)],
-                          _leading_over_q().predicted_count)
-    for row in rows:
-        print(f"B={row.bound}: {row.count} ({row.method})")
+    [counts] = _report_counts(args, bounds, [("torsor-fast", torsor.torsor_counts)],
+                              _leading_over_q().predicted_count)
+    _print_counts(bounds, counts, "torsor-fast")
     if args.points_file:
         reporting.write_tuple_stream(args.points_file,
                                      torsor.enumerate_normalized(bounds[-1]))
@@ -140,15 +146,20 @@ def _cmd_torsor_count(args):
 
 
 def _cmd_compare(args):
+    import numpy as np
+
     from . import surface, torsor
     bound = int(args.bound)
-    # each histogram is cumulative, so N(b) is its entry at b
-    rows = _report_counts(args, range(1, bound + 1), [
-        ("direct-divisor", lambda bs: surface.direct_height_counts(bs[-1])[bs].tolist()),
-        ("torsor-lifted", lambda bs: torsor.torsor_height_counts(bs[-1])[bs].tolist())])
-    mismatches = [int(a.bound) for a, b in zip(rows[::2], rows[1::2]) if a.count != b.count]
+    if bound < 1:
+        raise ConfigInvalid(f"compare needs a bound of at least 1, got {args.bound}")
+    # each histogram is cumulative, so N(b) is its entry at b; the rows read
+    # the two arrays in place
+    direct, lifted = _report_counts(args, range(1, bound + 1), [
+        ("direct-divisor", lambda bs: surface.direct_height_counts(bs[-1])[1:]),
+        ("torsor-lifted", lambda bs: torsor.torsor_height_counts(bs[-1])[1:])])
+    mismatches = (np.flatnonzero(direct != lifted)[:10] + 1).tolist()
     if mismatches:
-        print(f"MISMATCH at B in {mismatches[:10]} (showing up to 10)")
+        print(f"MISMATCH at B in {mismatches} (showing up to 10)")
         return EXIT_IDENTITY
     print(f"direct and torsor counts agree for every integer B <= {bound}")
     return EXIT_OK
@@ -243,12 +254,14 @@ def _cmd_fit(args):
 
     from . import torsor
     lo, hi = _ascending([args.bmin, args.bmax])
-    grid = np.unique(np.round(np.logspace(np.log10(lo), np.log10(hi),
-                                          args.samples)).astype(np.int64))
+    # the distinct rounded bounds, ascending (sorted in Python: np.unique's
+    # first call alone added 0.5 MB to the peak RSS)
+    grid = sorted(set(np.round(np.logspace(np.log10(lo), np.log10(hi),
+                                           args.samples)).astype(np.int64).tolist()))
     breakdown = _leading_over_q()
-    rows = _report_counts(args, grid.tolist(), [("torsor-fast", torsor.torsor_counts)],
-                          breakdown.predicted_count)
-    fit = reporting.fit_log_quadratic([(row.bound, row.count) for row in rows])
+    [counts] = _report_counts(args, grid, [("torsor-fast", torsor.torsor_counts)],
+                              breakdown.predicted_count)
+    fit = reporting.fit_log_quadratic(list(zip(grid, counts)))
     if "json" in args.format:
         reporting.write_file(args.output, "fit.json",
                              reporting.dump_json(fit.to_json_dict()))

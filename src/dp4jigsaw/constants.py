@@ -29,13 +29,22 @@ from .jigsaw import alpha_closed_form
 #: generous bound on the relative error of the float assembly itself
 FLOAT_ASSEMBLY_RELERR = 1e-14
 
-#: terms per block of the streamed L(2, chi) sum
-L2_BLOCK = 1 << 16
+#: Terms per block of the streamed L(2, chi) sum.  At the default 1e6 terms
+#: over d = -4, 2^16 a block took 37 ms and added 4.1 MB to the peak RSS,
+#: 2^13 took 28 ms and added 0.4 MB.
+L2_BLOCK = 1 << 13
 
-#: Largest prime bound N the Euler product accepts: an N + 1 byte sieve, then
-#: arrays and lists of the primes.  Measured over Q, the peak RSS grows by 7.6,
-#: 6.7 and 6.1 bytes per unit of N at N = 1e6, 3e6, 1e7 (37, 50, 91 MB; Q(i)
-#: less), so N = 5e7 peaks near 30 MB + 6.1 * 5e7 bytes = 335 MB.
+#: Numbers per segment of the Euler product's prime sieve.  Over Q(i), 2^16
+#: a segment had a traced peak of 0.5 MB and took 11 ms at N = 1e6 and
+#: 0.76 s at 5e7; 2^18 had 1.9 MB, 11 ms and 0.56 s.
+PRIME_SEGMENT = 1 << 16
+
+#: Largest prime bound N the Euler product accepts.  The segmented sieve
+#: holds O(sqrt N + PRIME_SEGMENT) numbers, so the bound limits time, not
+#: memory: on a 2-vCPU host `dp4 constant` took 0.23, 0.40 and 1.36 s at
+#: N = 1e6, 1e7, 5e7 over Q, and its peak RSS stayed at 29.7 MB (30.3 MB
+#: over Q(i)), the level of `dp4 modp`.  With one sieve of 0..N it had
+#: peaked at 34, 66 and 190 MB (37, 87 and 286 MB over Q(i)).
 MAX_PRIME_BOUND = 5 * 10 ** 7
 
 #: Largest period |d| whose character table L(2, chi_d) builds, one Python
@@ -181,10 +190,32 @@ def primes_up_to(n):
 # Euler products and zeta values
 # ---------------------------------------------------------------------------
 
-def _prime_norms(inv, bound):
-    """Norms (with multiplicity) of prime ideals of norm <= bound."""
+def _prime_segments(n):
+    """The primes <= n, ascending, as one int64 array per PRIME_SEGMENT numbers.
+
+    A segmented sieve of Eratosthenes (Bays & Hudson, BIT 1977): the primes
+    up to sqrt(n) strike their multiples from one segment at a time, so the
+    memory is O(sqrt(n) + PRIME_SEGMENT), not O(n).
+    """
+    base = primes_up_to(math.isqrt(n)).tolist()
+    for lo in range(0, n + 1, PRIME_SEGMENT):
+        hi = min(lo + PRIME_SEGMENT, n + 1)
+        sieve = np.ones(hi - lo, dtype=bool)
+        sieve[:max(2 - lo, 0)] = False
+        for p in base:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            sieve[start - lo::p] = False
+        yield np.flatnonzero(sieve) + lo
+
+
+def _norm_segments(inv, bound):
+    """Norms (with multiplicity) of the prime ideals of norm <= bound, one
+    int64 array per segment of rational primes, in the order of the primes."""
     if inv.degree == 1:
-        return primes_up_to(bound).tolist()
+        yield from _prime_segments(bound)
+        return
     if inv.degree != 2 or inv.quad_disc is None:
         raise UnsupportedField(
             f"prime classification needs Q or a quadratic field with quad_disc; "
@@ -193,15 +224,19 @@ def _prime_norms(inv, bound):
     # or leaves it inert, of norm p^2 (-1).  On odd n, n -> (d/n) has period
     # |d| for d = 0, 1 mod 4 (on every n) and 4|d| otherwise, where 2 is
     # alone in its class; so the symbol is taken once per class of primes
-    # mod the period, at its first prime.
+    # mod the period, at its first prime, into a table of min(period,
+    # bound + 1) bytes (4, 3 and 8 for the built-in quadratic fields).
     d = inv.quad_disc
     period = abs(d) if d % 4 in (0, 1) else 4 * abs(d)
-    primes = primes_up_to(bound)
-    _, first, cls = np.unique(primes % period, return_index=True, return_inverse=True)
-    chi = np.array([kronecker_symbol(d, p) for p in primes[first].tolist()],
-                   dtype=np.int8)[cls]
-    norms = np.where(chi == -1, primes * primes, primes)
-    return np.repeat(norms, np.where(chi == 1, 2, norms <= bound)).tolist()
+    chi = np.full(min(period, bound + 1), 2, dtype=np.int8)   # 2: not taken yet
+    for primes in _prime_segments(bound):
+        cls = primes % period
+        fresh = chi[cls] == 2
+        new, first = np.unique(cls[fresh], return_index=True)
+        chi[new] = [kronecker_symbol(d, p) for p in primes[fresh][first].tolist()]
+        seg = chi[cls]
+        norms = np.where(seg == -1, primes * primes, primes)
+        yield np.repeat(norms, np.where(seg == 1, 2, norms <= bound))
 
 
 @dataclass(frozen=True)
@@ -227,16 +262,22 @@ def finite_density_product(inv, prime_bound):
         raise OutOfRange("prime_bound must be >= 2")
     if prime_bound > MAX_PRIME_BOUND:
         raise OutOfRange(f"prime_bound must be <= {MAX_PRIME_BOUND}, got {prime_bound}")
-    norms = _prime_norms(inv, prime_bound)
-    # fsum reads the array one float at a time: no list of a float per ideal
-    log_value = math.fsum(np.log1p(-1.0 / np.array(norms, dtype=np.float64) ** 2))
-    value = math.exp(log_value)
+    factor_count = 0
+
+    def terms():
+        nonlocal factor_count
+        for norms in _norm_segments(inv, prime_bound):
+            factor_count += norms.size
+            yield from np.log1p(-1.0 / norms.astype(np.float64) ** 2).tolist()
+
+    # one fsum, exactly rounded, over the terms of every segment
+    value = math.exp(math.fsum(terms()))
     if inv.degree == 1:
         tail = 1.0 / prime_bound
     else:
         tail = 2.0 / prime_bound + prime_bound ** -1.5
     return EulerProductResult(
-        value=value, prime_bound=prime_bound, factor_count=len(norms),
+        value=value, prime_bound=prime_bound, factor_count=factor_count,
         tail_log_bound=tail,
         limit_low=value * math.exp(-tail) * (1 - FLOAT_ASSEMBLY_RELERR),
         limit_high=value * (1 + FLOAT_ASSEMBLY_RELERR),

@@ -6,20 +6,26 @@ floats go through repr, and timing columns are zeroed unless explicitly
 requested.
 """
 
+import contextlib
+import itertools
 import json
 import math
 import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .errors import DegenerateDesignMatrix, IoFailure
 
 CSV_HEADER = "B,count,predicted,ratio,method,elapsed_s"
 
+#: rows per write of the count report, so that its text never exceeds one block
+REPORT_BLOCK = 1 << 8
 
-@dataclass(frozen=True)
-class CountRow:
-    bound: Fraction
+
+class CountRow(NamedTuple):
+    bound: Fraction     # or the int it equals
     count: int
     predicted: float
     ratio: float
@@ -28,41 +34,41 @@ class CountRow:
 
 
 def count_rows(bounds, counts, method, predictor=None, elapsed=0.0):
-    """One CountRow per bound and its count, with the prediction where defined."""
-    rows = []
+    """Yield one CountRow per bound and its count, with the prediction where defined."""
     for bound, count in zip(bounds, counts, strict=True):
         predicted = ratio = None
         if predictor is not None and float(bound) > 1.0:
             predicted = predictor(float(bound))
             ratio = count / predicted if predicted else None
-        rows.append(CountRow(bound=Fraction(bound), count=count, predicted=predicted,
-                             ratio=ratio, method=method, elapsed=elapsed))
-    return rows
+        yield CountRow(bound, int(count), predicted, ratio, method, elapsed)
 
 
 def _fmt_opt_float(x):
     return "" if x is None else repr(float(x))
 
 
-def emit_counts_csv(rows):
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            str(r.bound), str(r.count), _fmt_opt_float(r.predicted),
-            _fmt_opt_float(r.ratio), r.method, repr(float(r.elapsed)),
-        ]))
-    return "\n".join(lines) + "\n"
+def _csv_line(r):
+    return (f"{r.bound!s},{r.count},{_fmt_opt_float(r.predicted)},"
+            f"{_fmt_opt_float(r.ratio)},{r.method},{float(r.elapsed)!r}")
 
 
-def rows_to_json_dict(rows):
-    return {
-        "counts": [
-            {"B": str(r.bound), "count": r.count,
-             "predicted": r.predicted, "ratio": r.ratio,
-             "method": r.method, "elapsed_s": r.elapsed}
-            for r in rows
-        ]
-    }
+def _json_float(x):
+    """x as json.dumps writes it: null, or a float by float.__repr__."""
+    if x is None:
+        return "null"
+    x = float(x)
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+#: One row of counts.json as json.dumps(sort_keys=True, indent=2) writes it.
+_JSON_ROW = ('    {{\n      "B": {},\n      "count": {},\n      "elapsed_s": {},\n'
+             '      "method": {},\n      "predicted": {},\n      "ratio": {}\n    }}')
+
+
+def _json_row(r):
+    return _JSON_ROW.format(encode_basestring_ascii(str(r.bound)), str(r.count),
+                            _json_float(r.elapsed), encode_basestring_ascii(r.method),
+                            _json_float(r.predicted), _json_float(r.ratio))
 
 
 def dump_json(obj):
@@ -123,9 +129,10 @@ def fit_log_quadratic(samples):
     ln = np.log(np.array(bounds))
     y = np.array([float(n) for _, n in samples]) / np.array(bounds)
     design = np.vstack([ln ** 2, ln, np.ones_like(ln)]).T
-    if np.linalg.matrix_rank(design) < 3:
+    # lstsq's rank has matrix_rank's default tolerance, from the same SVD
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < 3:
         raise DegenerateDesignMatrix("design matrix is rank deficient")
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     residual = float(np.linalg.norm(design @ coef - y))
     return FitResult(c2=float(coef[0]), c1=float(coef[1]), c0=float(coef[2]),
                      residual=residual, sample_count=len(samples))
@@ -180,20 +187,45 @@ def svg_line_chart(series, title, xlabel, ylabel, width=640, height=400):
     return "\n".join(parts) + "\n"
 
 
+#: counts.<format>: (head, row formatter, separator, tail), the parts of the whole text
+_REPORT_FILES = {
+    "csv": (CSV_HEADER + "\n", _csv_line, "\n", "\n"),
+    "json": ('{\n  "counts": [\n', _json_row, ",\n", "\n  ]\n}\n"),
+}
+
+
 def emit_report(rows, formats, outdir):
-    """Write the count report in the requested formats; returns paths."""
-    if not rows:
+    """Write the count report in the requested formats; returns paths.
+
+    rows may be any iterable, a generator included.  It is read once,
+    REPORT_BLOCK rows at a time, and each block goes to counts.csv and
+    counts.json before the next is made, with the bytes of the whole text.
+    Only the SVG chart keeps a point per row, as its text does.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         raise IoFailure("refusing to emit an empty report")
-    paths = []
-    if "csv" in formats:
-        paths.append(write_file(outdir, "counts.csv", emit_counts_csv(rows)))
-    if "json" in formats:
-        paths.append(write_file(outdir, "counts.json", dump_json(rows_to_json_dict(rows))))
-    if "svg" in formats:
-        pts = [(math.log(float(r.bound)), r.ratio)
-               for r in rows if r.ratio is not None]
-        if pts:
-            svg = svg_line_chart([("count/predicted", pts)],
-                                 "ratio vs log B", "log B", "ratio")
-            paths.append(write_file(outdir, "counts.svg", svg))
+    rows = itertools.chain([first], rows)
+    fmts = [fmt for fmt in _REPORT_FILES if fmt in formats]
+    if fmts:
+        os.makedirs(outdir, exist_ok=True)
+    paths = [os.path.join(outdir, f"counts.{fmt}") for fmt in fmts]
+    pts = []
+    with contextlib.ExitStack() as stack:
+        out = [(stack.enter_context(open(path, "w", encoding="utf-8")), *_REPORT_FILES[fmt])
+               for path, fmt in zip(paths, fmts)]
+        for fh, head, _, _, _ in out:
+            fh.write(head)
+        for i, block in enumerate(iter(lambda: list(itertools.islice(rows, REPORT_BLOCK)), [])):
+            for fh, _, fmt, sep, _ in out:
+                fh.write((sep if i else "") + sep.join(map(fmt, block)))
+            if "svg" in formats:
+                pts.extend((math.log(float(r.bound)), r.ratio)
+                           for r in block if r.ratio is not None)
+        for fh, _, _, _, tail in out:
+            fh.write(tail)
+    if pts:
+        svg = svg_line_chart([("count/predicted", pts)], "ratio vs log B", "log B", "ratio")
+        paths.append(write_file(outdir, "counts.svg", svg))
     return paths

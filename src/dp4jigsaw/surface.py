@@ -144,6 +144,9 @@ def _int_bound(bound, limit=None):
 #: from about five int32 arrays of length E and an int64 argsort: 28 bytes
 #: per entry, E = 1.4e7 and a peak RSS near 370 MB at B = 10^6; the
 #: histogram adds 8 (B + 1) bytes.  Over Z[i], O(B^2) time binds first.
+#: `dp4 compare`, which writes its report a block of rows at a time, took
+#: 2.3-2.7 s with a 60 MB peak RSS at B = 1e5 and 29 s with 374 MB at 1e6,
+#: on a 2-vCPU host; the sieve sets both peaks.
 MAX_DIRECT_BOUND = 10 ** 6
 
 

@@ -73,6 +73,8 @@ and the forked sweep against the in-process one.
 """
 
 import os
+import pickle
+import signal
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -486,8 +488,12 @@ SHARE_BLOCK = 128
 
 #: Smallest largest K = isqrt(B) of a sweep that is split across forked
 #: workers; smaller sweeps run in the calling process.  On a 2-vCPU host,
-#: medians of 31 runs of one bound B = K^2: 28 ms in process and 36 ms
-#: forked at K = 400, 37 ms both at K = 500, and 64 ms and 56 ms at K = 800.
+#: medians of 31 runs of one bound B = K^2 in one process: 27 ms in process
+#: and 36 ms forked at K = 400, 30 and 29 ms at K = 500, 55 and 50 ms at
+#: K = 800.  In fresh `dp4 --timings` processes (medians of 5, the counting
+#: call's elapsed_s, pinned to one CPU with taskset for in process), the
+#: fit grid took 0.43 s forked and 0.61 s in process, N(1e7) (K = 3162)
+#: 0.18 and 0.26 s, and N(3e7) 0.37 and 0.57 s.
 FORK_MIN_MODULI = 500
 
 
@@ -514,39 +520,48 @@ def _share_pairs(states, blocks):
     return totals
 
 
-def _run_share(conn, states, blocks):
-    """A worker's body: send (True, its share) or (False, the error) to conn."""
+def _run_share(read, write, states, blocks):
+    """A forked worker's body: write (True, its share) or (False, the error),
+    pickled, to the pipe's write end, then leave by os._exit, so that none of
+    the parent's exit handlers or buffered output runs here."""
+    status = 1
     try:
-        result = (True, _share_pairs(states, blocks))
-    except Exception as exc:  # the parent re-raises it
-        result = (False, exc)
-    conn.send(result)
-    conn.close()
+        os.close(read)
+        try:
+            result = (True, _share_pairs(states, blocks))
+        except Exception as exc:  # the parent re-raises it
+            result = (False, exc)
+        with os.fdopen(write, "wb") as out:
+            out.write(pickle.dumps(result))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _forked(states, shares):
     """_share_pairs(states, blocks) for each blocks in shares, one forked worker each.
 
     Returns the results in order.  A worker's error is raised here, and no
-    worker outlives the call: on any error the others are terminated, and
-    every one is joined.
+    worker outlives the call: on any error the others are killed, and every
+    one is reaped.  The workers are bare os.fork children: importing
+    multiprocessing alone added 0.8 MB to the peak RSS of a dp4 process.
     """
-    import multiprocessing
-    ctx = multiprocessing.get_context("fork")
-    workers, pipes = [], []
+    pids, pipes = [], []
     try:
         for blocks in shares:
-            recv, send = ctx.Pipe(duplex=False)
-            pipes.append(recv)
-            worker = ctx.Process(target=_run_share, args=(send, states, blocks),
-                                 daemon=True)
-            worker.start()
-            workers.append(worker)
-            send.close()
-        results = []
-        for recv in pipes:
+            read, write = os.pipe()
+            pipes.append(os.fdopen(read, "rb"))
             try:
-                ok, value = recv.recv()
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(read, write, states, blocks)   # never returns
+                pids.append(pid)
+            finally:
+                os.close(write)
+        results = []
+        for pipe in pipes:
+            try:
+                ok, value = pickle.load(pipe)
             except EOFError:
                 raise ChildProcessError("a torsor sweep worker exited without "
                                         "a result") from None
@@ -555,14 +570,14 @@ def _forked(states, shares):
             results.append(value)
         return results
     except BaseException:
-        for worker in workers:
-            worker.terminate()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for worker in workers:
-            worker.join()
-        for recv in pipes:
-            recv.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def _sweep(states):

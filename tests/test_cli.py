@@ -14,12 +14,13 @@ from dp4jigsaw import constants, jigsaw, reporting, surface, torsor
 from dp4jigsaw.cli import main
 from dp4jigsaw.errors import DegenerateDesignMatrix, IoFailure
 from dp4jigsaw.geometry import _simplex
+from tests_support import whole_count_report
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def parse_counts_csv(text):
-    """The CountRows of a counts.csv: the inverse of reporting.emit_counts_csv."""
+    """The CountRows of a counts.csv: the inverse of reporting.emit_report."""
     header, *lines = text.splitlines()
     assert header == reporting.CSV_HEADER
 
@@ -54,19 +55,45 @@ class TestFit:
             reporting.fit_log_quadratic([(10, 1), (10, 1), (20, 2), (30, 3)])
         with pytest.raises(DegenerateDesignMatrix):
             reporting.fit_log_quadratic([(1, 1), (10, 1), (20, 2), (30, 3)])
+        with pytest.raises(DegenerateDesignMatrix):  # distinct, but rank 1 in floats
+            reporting.fit_log_quadratic([(1e6 + k * 1e-9, k) for k in range(4)])
 
 
 class TestCsv:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         rows = [
             reporting.CountRow(F(1), 4, None, None, "direct-divisor", 0.0),
             reporting.CountRow(F(100), 5412, 2578.5340421027786,
                                2.0988669963754085, "torsor-fast", 0.125),
         ]
-        text = reporting.emit_counts_csv(rows)
+        reporting.emit_report(rows, ("csv",), tmp_path)
+        text = (tmp_path / "counts.csv").read_text()
         assert text.splitlines()[0] == "B,count,predicted,ratio,method,elapsed_s"
         assert text.splitlines()[1].startswith("1,4,,,direct-divisor")
         assert parse_counts_csv(text) == rows
+
+    @pytest.mark.parametrize("n", [1, 2, reporting.REPORT_BLOCK, reporting.REPORT_BLOCK + 1,
+                                   2 * reporting.REPORT_BLOCK + 3])
+    def test_streamed_report_equals_the_whole_text(self, tmp_path, n):
+        """Block by block, from a generator, the bytes of the text built whole."""
+        floats = [None, 0.0, -0.0, 1e-05, 0.1, 2578.5340421027786, 1e16, 1.5e300,
+                  math.inf, -math.inf, math.nan]
+        methods = ["direct-divisor", "torsor-lifted", "caf\u00e9 \"q\"\\"]
+
+        def rows():
+            for i in range(n):
+                yield reporting.CountRow(F(i + 1, 1 + i % 3), i * i, floats[i % 11],
+                                         floats[(i + 5) % 11], methods[i % 3],
+                                         float(i % 7) / 8)
+        reporting.emit_report(rows(), ("json", "csv"), tmp_path)
+        for name, text in whole_count_report(list(rows())).items():
+            assert (tmp_path / name).read_text(encoding="utf-8") == text, name
+
+    def test_report_writes_only_the_requested_formats(self, tmp_path):
+        rows = [reporting.CountRow(F(1), 4, None, None, "direct-divisor", 0.0)]
+        assert reporting.emit_report(rows, ("json",), tmp_path) == [
+            os.path.join(tmp_path, "counts.json")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.json"]
 
     def test_empty_report_refused(self):
         with pytest.raises(IoFailure):
@@ -118,6 +145,37 @@ class TestCli:
     def test_compare_command(self, tmp_path, capsys):
         assert run_cli(["compare", "--bound", "150"], tmp_path) == 0
         assert "agree" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bound", ["1/2", "0.999"])
+    def test_compare_below_one_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                       bound):
+        def started(*args):
+            raise AssertionError("counting started for a bound below 1")
+        monkeypatch.setattr(surface, "direct_height_counts", started)
+        monkeypatch.setattr(torsor, "torsor_height_counts", started)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["compare", "--bound", bound], tmp_path / "out") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 1" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_compare_names_the_first_ten_mismatches(self, tmp_path, monkeypatch, capsys):
+        lifted = torsor.torsor_height_counts
+
+        def off_from_7(bound):
+            hist = lifted(bound)
+            hist[7:] += 1
+            return hist
+        monkeypatch.setattr(torsor, "torsor_height_counts", off_from_7)
+        assert run_cli(["compare", "--bound", "30"], tmp_path) == 1
+        assert capsys.readouterr().out == (
+            f"MISMATCH at B in {list(range(7, 17))} (showing up to 10)\n")
+
+    def test_compare_at_bound_one(self, tmp_path, capsys):
+        assert run_cli(["compare", "--bound", "1"], tmp_path) == 0
+        rows = parse_counts_csv((tmp_path / "counts.csv").read_text())
+        assert [(r.bound, r.count, r.method) for r in rows] == [
+            (1, 4, "direct-divisor"), (1, 4, "torsor-lifted")]
 
     def test_slices_command(self, tmp_path):
         assert run_cli(["slices", "--a1", "1/5"], tmp_path) == 0
@@ -414,3 +472,43 @@ def test_geometry_commands_start_without_numpy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [
         ["jigsaw", 0, False], ["alpha", 0, False], ["slices", 0, False],
         ["--help", 0, False], ["count", 0, True]]
+
+
+COMPARE_CHILD = """
+import json
+import sys
+
+import numpy
+from dp4jigsaw import cli, reporting, surface, torsor
+
+
+def peak_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+
+
+base = peak_mb()
+status = cli.main(["--output", sys.argv[1], "compare", "--bound", "20000"])
+print(json.dumps([status, base, peak_mb()]))
+"""
+
+#: Most the peak RSS of compare --bound 20000 may grow over its post-import
+#: baseline.  Streamed, it grew by 5.7 MB (most of it the divisor sieve);
+#: with the report built whole (4e4 rows, a CSV and an indented JSON text)
+#: it grew by 74 MB.
+COMPARE_GROWTH_MB = 20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_compare_report_streams_in_bounded_memory(tmp_path):
+    """A fresh process: VmHWM, unlike ru_maxrss, starts again at exec."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", COMPARE_CHILD, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    status, base, peak = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0
+    assert peak - base < COMPARE_GROWTH_MB, (base, peak)
+    assert (tmp_path / "counts.json").stat().st_size > 6 * 10 ** 6

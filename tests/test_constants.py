@@ -4,12 +4,19 @@ import json
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from dp4jigsaw import constants as C
 from dp4jigsaw.errors import InvalidInvariants, OutOfRange, UnsupportedField
+from tests_support import whole_sieve_prime_norms
 
 CATALAN = 0.9159655941772190
+
+
+def segmented_norms(inv, bound):
+    """The norms of every segment of _norm_segments, in order, as Python ints."""
+    return [n for norms in C._norm_segments(inv, bound) for n in norms.tolist()]
 
 
 class TestRho:
@@ -76,7 +83,7 @@ class TestEulerProduct:
 
     def test_exact_partial_bound_2(self):
         def partial(label):
-            norms = C._prime_norms(C.get_field(label), 2)
+            norms = segmented_norms(C.get_field(label), 2)
             return math.prod(F(n * n - 1, n * n) for n in norms)
         assert partial("Q") == F(3, 4)
         assert partial("Q(i)") == F(3, 4)
@@ -110,7 +117,7 @@ class TestEulerProduct:
 
 
 class TestPrimeNorms:
-    """_prime_norms reads chi_d off one period; the oracle calls it per prime."""
+    """_norm_segments reads chi_d off one period; the oracle calls it per prime."""
 
     @staticmethod
     def per_prime(inv, bound):
@@ -128,9 +135,8 @@ class TestPrimeNorms:
     @pytest.mark.parametrize("label", ["Q(i)", "Q(sqrt-3)", "Q(sqrt2)"])
     def test_builtin_fields(self, label):
         inv = C.get_field(label)
-        norms = C._prime_norms(inv, 2 * 10 ** 5)
+        norms = segmented_norms(inv, 2 * 10 ** 5)
         assert norms == self.per_prime(inv, 2 * 10 ** 5)
-        assert all(type(n) is int for n in norms)
 
     def test_field_json(self, tmp_path):
         # Q(sqrt-7), and Z[sqrt-1] written by its non-fundamental d = -1:
@@ -141,13 +147,38 @@ class TestPrimeNorms:
                                         "abs_disc": 7, "regulator": 1.0,
                                         "class_number": 1, "mu": 2, "quad_disc": d}))
             inv = C.load_field(str(path))
-            assert C._prime_norms(inv, 10 ** 4) == self.per_prime(inv, 10 ** 4)
+            assert segmented_norms(inv, 10 ** 4) == self.per_prime(inv, 10 ** 4)
 
-    def test_every_small_discriminant(self):
+    @pytest.mark.parametrize("segment", [64, C.PRIME_SEGMENT])
+    def test_every_small_discriminant(self, monkeypatch, segment):
+        monkeypatch.setattr(C, "PRIME_SEGMENT", segment)  # classes met again across segments
         for d in [d for d in range(-60, 61) if d] + [4 * 10 ** 6 + 12, -(10 ** 9 + 7)]:
             inv = C.FieldInvariants("quadratic", r1=2, r2=0, abs_disc=abs(d),
                                     regulator=1.0, class_number=1, mu=2, quad_disc=d)
-            assert C._prime_norms(inv, 2000) == self.per_prime(inv, 2000), d
+            assert segmented_norms(inv, 2000) == self.per_prime(inv, 2000), d
+
+    FIELDS = ["Q", "Q(i)", "Q(sqrt-3)", "Q(sqrt2)"]
+    # each side of p^2 = bound (p = 2, 3, 5, 7, 11) and of multiples of 4 and 64
+    BOUNDS = [2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 48, 49, 50, 63, 64, 65, 120, 121, 122,
+              127, 128, 129, 1000]
+
+    @pytest.mark.parametrize("segment", [4, 64, C.PRIME_SEGMENT])
+    @pytest.mark.parametrize("label", FIELDS)
+    def test_segments_equal_the_whole_sieve(self, monkeypatch, label, segment):
+        monkeypatch.setattr(C, "PRIME_SEGMENT", segment)
+        inv = C.get_field(label)
+        for bound in self.BOUNDS + [segment - 1, segment, segment + 1]:
+            assert segmented_norms(inv, bound) == whole_sieve_prime_norms(inv, bound), bound
+
+    @pytest.mark.parametrize("label", FIELDS)
+    def test_product_equals_the_whole_sieve_product(self, label):
+        """One fsum over the same terms: value and factor count bit for bit."""
+        inv = C.get_field(label)
+        bound = 3 * C.PRIME_SEGMENT + 17
+        norms = np.array(whole_sieve_prime_norms(inv, bound), dtype=np.float64)
+        res = C.finite_density_product(inv, bound)
+        assert res.value == math.exp(math.fsum(np.log1p(-1.0 / norms ** 2)))
+        assert res.factor_count == norms.size
 
     def test_zero_discriminant_is_invalid(self):
         with pytest.raises(InvalidInvariants):

@@ -2,10 +2,12 @@
 
 Here, or in the one test module that reads it, lives each oracle: points and
 heights by gcd and triple loops over Z and Z[i], the torsor descent, simple
-polytopes, the Picard lattice, and brute-force routes for the kernels.
+polytopes, the Picard lattice, brute-force routes for the kernels, and the
+count report and the Euler product's norms built whole.
 tests/test_src_is_production.py keeps them out of `src/`.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt
@@ -14,6 +16,7 @@ import numpy as np
 
 from dp4jigsaw import jigsaw
 from dp4jigsaw import surface as S
+from dp4jigsaw.constants import kronecker_symbol, primes_up_to
 from dp4jigsaw.errors import Dp4Error, DimensionMismatch, IndexOutOfRange
 from dp4jigsaw.gaussian import GaussInt, exact_div
 from dp4jigsaw.geometry import (AffineForm, HPolytope, _simplex,
@@ -23,6 +26,7 @@ from dp4jigsaw.geometry._intlinalg import (clear_denominators, frac_det,
 from dp4jigsaw.geometry.polytope import (ConeLineDiagnostic, _full_dimensional,
                                          _triangulate_face)
 from dp4jigsaw.jigsaw import _FaceCache, all_faces
+from dp4jigsaw.reporting import CSV_HEADER
 from dp4jigsaw.torsor import enumerate_normalized, validate
 
 
@@ -645,3 +649,36 @@ def torsor_monomial_degrees():
     """Degrees of the torsor-equation monomials a1*a9, a2*a8, a3*a4^2*a5^3*a7 (all l0)."""
     d = {i: generator_degree(i) for i in range(1, 10)}
     return d[1] + d[9], d[2] + d[8], d[3] + 2 * d[4] + 3 * d[5] + d[7]
+
+
+# ---------------------------------------------------------------------------
+# The count report and the Euler product's norms, each built whole
+# ---------------------------------------------------------------------------
+
+def whole_count_report(rows):
+    """{file name: text} of counts.csv and counts.json, each built in one string:
+    the CSV by one join, the JSON by json.dumps(sort_keys=True, indent=2)."""
+    csv = [CSV_HEADER] + [",".join([
+        str(r.bound), str(r.count), "" if r.predicted is None else repr(float(r.predicted)),
+        "" if r.ratio is None else repr(float(r.ratio)), r.method, repr(float(r.elapsed)),
+    ]) for r in rows]
+    payload = {"counts": [{"B": str(r.bound), "count": r.count, "predicted": r.predicted,
+                           "ratio": r.ratio, "method": r.method, "elapsed_s": r.elapsed}
+                          for r in rows]}
+    return {"counts.csv": "\n".join(csv) + "\n",
+            "counts.json": json.dumps(payload, sort_keys=True, indent=2) + "\n"}
+
+
+def whole_sieve_prime_norms(inv, bound):
+    """Norms (with multiplicity) of the prime ideals of norm <= bound, from one
+    sieve of 0..bound and one np.unique over every prime's class."""
+    primes = primes_up_to(bound)
+    if inv.degree == 1:
+        return primes.tolist()
+    d = inv.quad_disc
+    period = abs(d) if d % 4 in (0, 1) else 4 * abs(d)
+    _, first, cls = np.unique(primes % period, return_index=True, return_inverse=True)
+    chi = np.array([kronecker_symbol(d, p) for p in primes[first].tolist()],
+                   dtype=np.int8)[cls]
+    norms = np.where(chi == -1, primes * primes, primes)
+    return np.repeat(norms, np.where(chi == 1, 2, norms <= bound)).tolist()
