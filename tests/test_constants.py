@@ -149,13 +149,16 @@ class TestPrimeNorms:
             inv = C.load_field(str(path))
             assert segmented_norms(inv, 10 ** 4) == self.per_prime(inv, 10 ** 4)
 
-    @pytest.mark.parametrize("segment", [64, C.PRIME_SEGMENT])
-    def test_every_small_discriminant(self, monkeypatch, segment):
-        monkeypatch.setattr(C, "PRIME_SEGMENT", segment)  # classes met again across segments
+    def test_every_small_discriminant(self):
         for d in [d for d in range(-60, 61) if d] + [4 * 10 ** 6 + 12, -(10 ** 9 + 7)]:
             inv = C.FieldInvariants("quadratic", r1=2, r2=0, abs_disc=abs(d),
                                     regulator=1.0, class_number=1, mu=2, quad_disc=d)
             assert segmented_norms(inv, 2000) == self.per_prime(inv, 2000), d
+
+    def test_every_small_discriminant_across_segments(self, monkeypatch):
+        """Segments of 64: each class's symbol is taken once and read again later."""
+        monkeypatch.setattr(C, "PRIME_SEGMENT", 64)
+        self.test_every_small_discriminant()
 
     FIELDS = ["Q", "Q(i)", "Q(sqrt-3)", "Q(sqrt2)"]
     # each side of p^2 = bound (p = 2, 3, 5, 7, 11) and of multiples of 4 and 64
