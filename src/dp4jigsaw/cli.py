@@ -60,6 +60,14 @@ def _positive(convert):
     return parse
 
 
+def _whole(text):
+    """An argparse type: a value as --bound takes it ("2e7" too) that is a whole number."""
+    value = _positive(Fraction)(text)
+    if value.denominator != 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number, got {text!r}")
+    return int(value)
+
+
 def _formats(text):
     formats = tuple(text.split(","))
     bad = set(formats) - set(FORMATS)
@@ -324,7 +332,7 @@ def _build_parser():
     p = sub.add_parser("constant", help="leading constant for a number field")
     p.add_argument("--field", default="Q")
     p.add_argument("--field-json")
-    p.add_argument("--prime-bound", type=int, default=10 ** 6)
+    p.add_argument("--prime-bound", type=_whole, default=10 ** 6)
     p.set_defaults(handler=_cmd_constant)
 
     p = sub.add_parser("fit", help="log-quadratic fit of real torsor counts")

@@ -29,29 +29,43 @@ each residue class in O(1), in O(sqrt B) memory:
   t is a1 - 1 or a1.  a8 = a1 is no unit mod a1, so the a8 terms over
   (t, M] are the a2 terms over (a1, K] (the same quotients, the same
   classes), less the term at K when M = K - 1; and the a8 up to t are one
-  whole period of the classes, a closed form (_Residues.period_sum);
+  whole period of the classes, a closed form (_Block.period_sum);
 * one sweep over a1 = 2..max K serves a whole list of bounds
-  (torsor_counts).  Each a1 gets one periodic array of the classes
-  -x^-1 mod a1 over 0..max K, with 0/1 unit weights (_Residues), and every
+  (torsor_counts).  Each a1 gets one periodic row of the classes
+  -x^-1 mod a1 over 0..max K, with 0/1 unit weights (_Block), and every
   bound with K >= a1 counts from plain slices of it, with one dot product
   against the weights;
 * each bound holds the quotients B // n and (B - 1) // n for n <= K once:
   they are the a8 range of a2 = n and the a2 limits of a8 = n;
 * the terms at K of the a8 side depend on a8 mod a1 alone: they are
-  summed per residue (_Residues.class_sum);
+  summed per residue (_Block.class_sum);
 * the inverse table mod m is built for the residues up to m // 2 and
   mirrored, inv[m - x] = m - inv[x].  Only the primes up to m // 2 go
   through an extended Euclid, one vectorized call over every (m, p) pair
-  of a block of consecutive moduli; the composites are products of
+  of a run of consecutive moduli; the composites are products of
   earlier entries, one vectorized step per level of a balanced
   factorization (_factor_tables);
+* the moduli up to S (below) are built a block of consecutive moduli at
+  a time, one row per modulus, in 2-D arrays of at most
+  SHARE_BLOCK_ELEMENTS values: the half inverse tables, one product per
+  factor level and one mirror for the block (_class_rows); the periodic
+  classes, weights and unit counts (_Block); the columns (_columns), with
+  every bound's column terms in one step (_column_pairs); and the closed
+  forms of every bound as arrays over the block's rows (_Block.rests).
+  The arrays are written into work arrays that every block reuses
+  (_Scratch).  Only the row kernel stays one call per (modulus, bound),
+  because its divisor a1 is a scalar: on a 2-vCPU host, int64
+  array // scalar took 1.0 ns an element, against 3.6 ns for
+  array // array, 3.5 ns for array % array and 1.6 ns for a gather, and a
+  kernel flattened across a block would divide by an array of the a1;
 * the sweep is split at S = max K // 2.  A modulus a1 > S reads classes
   only at x = a1 + y with 1 <= y <= K - a1 <= S, and there the class comes
   off the table mod y, which the row of a1 = y builds anyway: with
   u = a1^-1 mod y, c = -x^-1 mod a1 = (a1*u - 1) / y, exact since
   a1*u = 1 (mod y), and in [1, a1) since y < a1 and u < y (u = 1 at y = 1).
-  x is a unit mod a1 exactly when u exists.  So each y <= S runs its row
-  a1 = y and one column over a1 in (S, K - y] (_column_pairs).  As
+  x is a unit mod a1 exactly when u exists, and u = x^-1 mod y is read off
+  the row of y at x.  So each y <= S runs its row a1 = y and one column
+  over a1 in (S, K - y] (_column_pairs).  As
   K < 2*a1 there, x = a1 + y's term of class_sum(K, M) is
   g = 2 - [c > K - a1] + [c >= 2*a1 - K], and the column sums
   w*(2f - [x <= M]*g + 1), the 2f being f at x = K when M = K - 1.  The a8
@@ -78,9 +92,10 @@ import signal
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CoprimalityBroken, EquationViolated, NonUnitMiddle
 from .surface import MAX_DIRECT_BOUND, _int_bound
@@ -206,134 +221,237 @@ def _euclid_inverses(m, x):
     return inv
 
 
-def _inverse_table(m, tables=None, prime_inv=None):
-    """inv[i] = i^-1 mod m where gcd(i, m) = 1, else -1.
+class _Scratch:
+    """Work arrays that every block of a share writes into, one per name.
 
-    Only the residues up to m // 2 are built: the primes from prime_inv,
-    then each level of composites as a product inv[u] * inv[v] mod m of
-    earlier entries, one vectorized step per level.  A non-unit is held as
-    0 while filling, so a product with a non-unit factor stays 0; it becomes
-    -1.  The top half is the mirror inv[m - i] = m - inv[i], and m - i is a
-    unit exactly when i is.  tables is _factor_tables(n) for some
-    n >= m // 2, and prime_inv the inverses of the primes up to m // 2, in
-    order, from _euclid_inverses (-1 for a prime dividing m).  Given m
-    alone, both are built here.
+    A block's 2-D temporaries run to SHARE_BLOCK_ELEMENTS values, above
+    the 128 KB from which glibc's malloc maps each new array afresh, so
+    that its first write faults in one page per 4 KB.  A column step of 11
+    rows by 2000 values took 0.61 ms with fresh temporaries (183 page
+    faults) and 0.27 ms writing into these (none).  An array grows, at least
+    doubling, to the largest shape asked of its name, and holds the last
+    block's values.
     """
-    if m == 1:
-        return np.zeros(1, dtype=np.int64)
-    half = m // 2
-    if tables is None:
-        tables = _factor_tables(half)
-        prime_inv = _euclid_inverses(np.full(tables[1].size, m), tables[1])
+
+    def __init__(self):
+        self.arrays = {}
+
+    def __call__(self, name, shape, dtype=np.int64):
+        size = prod(shape)
+        array = self.arrays.get(name)
+        if array is None or array.size < size:      # at least doubled: few regrowths
+            array = self.arrays[name] = np.empty(max(size, 2 * getattr(array, "size", 0)),
+                                                 dtype=dtype)
+        return array[:size].reshape(shape)
+
+
+def _class_rows(ys, tables, prime_inv, work):
+    """classes[r, x] = -x^-1 mod ys[r] for x < ys[r] where a unit, else 0; shape (R, max ys).
+
+    ys are consecutive moduli >= 2; a row's entries at x >= ys[r] are
+    meaningless.  The inverses inv[x] = x^-1 mod y are built only up to
+    y // 2, for every row at once: the primes from prime_inv, then each
+    level of composites as a product inv[u] * inv[v] mod y of earlier
+    entries, one vectorized step per level for the block.  A non-unit is
+    held as 0, so a product with a non-unit factor stays 0.  The class of
+    x <= y // 2 is y - inv[x], and of the top half the mirror
+    y - inv[y - x] = inv[y - x], as y - x is a unit exactly when x is.  As y
+    steps by one per row, the entries inv[r, y - x] of the columns x >= x0
+    lie on one line of fixed stride in the flat table, so the mirror reads
+    the block through one sliding window view of the table reversed.
+    tables is _factor_tables(n) for some n >= max ys // 2, and prime_inv
+    the inverses of the primes up to y // 2 of each row, in order, row after
+    row, from _euclid_inverses (-1 for a prime dividing y).  The inverses
+    are work's "inverse" array and the classes its "base".
+    """
     levels, primes = tables
-    inv = np.zeros(m, dtype=np.int64)
-    inv[1] = 1
-    inv[primes[:prime_inv.size]] = np.maximum(prime_inv, 0)
+    m = ys[:, None]
+    rows, top = ys.size, int(ys[-1])
+    flat = work("inverse", (rows + rows * top,))    # rows zeros, then the table
+    flat.fill(0)
+    inv = flat[rows:].reshape(rows, top)
+    inv[:, 1] = 1
+    count = np.searchsorted(primes, ys // 2, "right")     # primes <= y // 2
+    index = np.repeat(np.arange(rows), count)
+    inv[index, primes[np.arange(index.size) - np.repeat(np.cumsum(count) - count, count)]] = \
+        np.maximum(prime_inv, 0)
+    half = top // 2 + 1
     for i, u, v in levels:
-        size = np.searchsorted(i, half, "right")
+        size = int(np.searchsorted(i, half - 1, "right"))
         if not size:
             break
-        inv[i[:size]] = inv[u[:size]] * inv[v[:size]] % m
-    low = inv[:half + 1]
-    low[low == 0] = -1
-    mirror = inv[m - half - 1:0:-1]        # inv[m - i] for i = half + 1..m - 1
-    inv[half + 1:] = np.where(mirror > 0, m - mirror, -1)
-    return inv
+        product = np.take(inv, u[:size], axis=1, out=work("product", (rows, size)))
+        product *= np.take(inv, v[:size], axis=1, out=work("factor", (rows, size)))
+        product %= m
+        inv[:, i[:size]] = product
+    classes = work("base", (rows, top))
+    low = np.subtract(m, inv[:, :half], out=classes[:, :half])
+    low *= inv[:, :half] > 0
+    # inv[r, y - x] at x = x0 + t is flat[rows + r*(top + 1) + ys[0] - x0 - t]
+    x0 = int(ys[0]) // 2 + 1
+    last = flat.size - 1 - rows - int(ys[0]) + x0       # that entry from the end, at r = t = 0
+    mirror = sliding_window_view(flat[::-1], top - x0)[last::-(top + 1)][:rows]
+    np.copyto(classes[:, x0:], mirror, where=np.arange(x0, top) > m // 2)
+    return classes
 
 
-def _inverse_tables(k, lo=2, tables=None):
-    """Yield (m, _inverse_table(m)) for m = lo..k, from one set of tables.
+def _class_blocks(lo, hi, rows, tables=None, work=None):
+    """Yield (ys, _class_rows(ys, ...)) for ys = lo..hi in blocks of rows moduli.
 
-    tables is _factor_tables(n) for some n >= k // 2, built here if not
-    given.  The inverses of the primes up to m // 2 come from one
-    _euclid_inverses call per block of consecutive moduli, each block at
-    most EUCLID_BLOCK_PAIRS (m, p) pairs (or one modulus, if that alone has
-    more).
+    tables is _factor_tables(n) for some n >= hi // 2, built here if not
+    given, and work a _Scratch (each block's classes overwrite the last).
+    The inverses of the primes up to y // 2 come from one _euclid_inverses
+    call per run of whole blocks, each run at most EUCLID_BLOCK_PAIRS
+    (y, p) pairs (or one block, if that alone has more).
     """
     if tables is None:
-        tables = _factor_tables(k // 2)
+        tables = _factor_tables(hi // 2)
+    work = work or _Scratch()
     primes = tables[1]
-    below = np.searchsorted(primes, np.arange(k + 2) // 2, "right")  # primes <= m // 2
-    offset = np.concatenate(([0], np.cumsum(below)))     # pairs of moduli < m
-    m = lo
-    while m <= k:
-        end = int(np.searchsorted(offset, offset[m] + EUCLID_BLOCK_PAIRS, "right")) - 1
-        end = min(max(end, m + 1), k + 1)
-        start = offset[m]
-        mods = np.repeat(np.arange(m, end), below[m:end])
-        pos = np.arange(offset[end] - start) - np.repeat(offset[m:end] - start,
-                                                        below[m:end])
+    below = np.searchsorted(primes, np.arange(hi + 2) // 2, "right")  # primes <= y // 2
+    offset = np.concatenate(([0], np.cumsum(below)))                  # pairs of moduli < y
+    edges = list(range(lo, hi + 1, rows)) + [hi + 1]
+    pairs = offset[edges].tolist()
+    first = 0
+    while first < len(edges) - 1:
+        last = first + 1
+        while last < len(edges) - 1 and pairs[last + 1] - pairs[first] <= EUCLID_BLOCK_PAIRS:
+            last += 1
+        start, end = edges[first], edges[last]
+        mods = np.repeat(np.arange(start, end), below[start:end])
+        pos = np.arange(mods.size) - np.repeat(offset[start:end] - offset[start],
+                                               below[start:end])
         inv = _euclid_inverses(mods, primes[pos])
-        for j in range(m, end):
-            yield j, _inverse_table(j, tables,
-                                    inv[offset[j] - start:offset[j + 1] - start])
-        m = end
+        for b in range(first, last):
+            ys = np.arange(edges[b], edges[b + 1], dtype=np.int64)
+            yield ys, _class_rows(ys, tables, inv[pairs[b] - pairs[first]:
+                                                    pairs[b + 1] - pairs[first]], work)
+        first = last
 
 
-def _periodic(table, n):
-    """table repeated over 0..n: out[x] = table[x % table.size]."""
-    out = np.empty(n + 1, dtype=table.dtype)
-    q = (n + 1) // table.size
-    out[:q * table.size].reshape(q, table.size)[:] = table
-    out[q * table.size:] = table[:n + 1 - q * table.size]
-    return out
+def _inverse_table(m):
+    """inv[i] = i^-1 mod m where gcd(i, m) = 1, else -1, from one row of _class_blocks."""
+    if m == 1:
+        return np.zeros(1, dtype=np.int64)
+    ((_, classes),) = _class_blocks(m, m, 1)
+    return np.where(classes[0] > 0, m - classes[0], -1)
 
 
-class _Residues:
-    """The a2 class of every a8 (and a8 class of every a2) for one a1 >= 2.
+#: Most values in each 2-D array of a block of moduli (a _Block): the
+#: block takes max(1, SHARE_BLOCK_ELEMENTS // (max K + 1)) consecutive
+#: moduli, so that its periodic classes and weights, its inverse tables
+#: and its columns, and the work arrays of one bound, each hold at most
+#: this many values, whatever B.  REMEASURE
+SHARE_BLOCK_ELEMENTS = 1 << 18
 
-    classes[x] = -x^-1 mod a1 for 0 <= x <= n, or 0 where gcd(x, a1) > 1,
-    and weights[x] is 1 on the units, 0 elsewhere: one periodic pair of
-    arrays that both halves of every bound slice.  n >= a1, so that they
-    hold a whole period.  cum[j] counts the units in 0..j.
+
+class _Block:
+    """The classes of consecutive moduli a1 = y <= S, one row each, for a whole sweep.
+
+    classes[r, x] = -x^-1 mod y for 0 <= x <= n, or 0 where gcd(x, y) > 1,
+    and weights[r, x] is 1 on the units, 0 elsewhere: one periodic pair of
+    rows that both halves of every bound slice, and the columns (_columns)
+    read.  base is _class_rows(ys, ...).  They are work's "classes" and
+    "weights" arrays.  Each method returns one value per row.
     """
 
-    def __init__(self, a1, inv, n):
-        unit = inv > 0
-        self.a1 = a1
-        self.cum = np.cumsum(unit)
-        self.phi = int(self.cum[-1])
-        self.classes = _periodic(np.where(unit, a1 - inv, 0), n)
-        self.weights = _periodic(unit.astype(np.int64), n)
+    def __init__(self, ys, base, n, work=None):
+        work = work or _Scratch()
+        self.ys = ys
+        unit = np.greater(base, 0, out=work("unit", base.shape, bool))
+        width = n + 1
+        size = ys.size * width + int(ys[-1])     # a row's last period spills into the next
+        classes, weights = work("classes", (size,)), work("weights", (size,))
+        for r, y in enumerate(ys.tolist()):
+            q = -(-width // y)
+            at = slice(r * width, r * width + q * y)
+            classes[at].reshape(q, y)[:] = base[r, :y]
+            weights[at].reshape(q, y)[:] = unit[r, :y]
+        self.classes = classes[:ys.size * width].reshape(ys.size, width)
+        self.weights = weights[:ys.size * width].reshape(ys.size, width)
+        # the units of row r in 1..j, with 0 no unit: cum[rows[r] + j] - cum[rows[r]]
+        self.cum = np.cumsum(unit.reshape(-1), out=work("cum", (unit.size,)))
+        self.rows = np.arange(ys.size) * base.shape[1]
+        self.start = self.cum[self.rows]
+        self.phi = self._cum(ys - 1)
+
+    def _cum(self, j):
+        """The units in 1..j of each row, 0 <= j < y."""
+        return self.cum[self.rows + j] - self.start
 
     def units(self, n):
         """The units among 1..n."""
-        q, r = divmod(n, self.a1)
-        return q * self.phi + int(self.cum[r])
+        q, r = np.divmod(n, self.ys)
+        return q * self.phi + self._cum(r)
 
     def period_sum(self, x):
-        """Sum over the units a8 of one period of (x - c)//a1 + (x + c)//a1, c its class.
+        """Sum over the units a8 of one period of (x - c)//y + (x + c)//y, c its class.
 
-        With x = q*a1 + s, a unit class c in [1, a1) gives
-        2q - [c > s] + [c >= a1 - s].  Over one period c runs through all
-        the units, which the map u -> a1 - u permutes, so a period sums to
+        With x = q*y + s, a unit class c in [1, y) gives
+        2q - [c > s] + [c >= y - s].  Over one period c runs through all
+        the units, which the map u -> y - u permutes, so a period sums to
         (2q - 1)*phi + 2*cum[s].
         """
-        q, s = divmod(x, self.a1)
-        return (2 * q - 1) * self.phi + 2 * int(self.cum[s])
+        q, s = np.divmod(x, self.ys)
+        return (2 * q - 1) * self.phi + 2 * self._cum(s)
 
     def class_sum(self, x, n):
         """The sum of period_sum(x) over the units a8 in 1..n instead of one period.
 
         The whole periods come from period_sum.  The part period, residues
-        1..n % a1, is counted directly, or as a period less its
-        complement, whichever is shorter.  Python ints throughout.
+        1..r = n % y, is counted directly when 2r <= y, else as a period
+        less its complement r+1..y-1.  The mirror x -> y - x, c -> y - c
+        maps the complement onto 1..y-1-r with the same summand
+        [c > s] - [c >= y - s] (0 on the non-units, c = 0), so every row
+        counts a prefix 1..L, L <= y // 2, of its classes, all in one step.
         """
-        a1 = self.a1
-        q, s = divmod(x, a1)
-        periods, r = divmod(n, a1)
-        if 2 * r <= a1:
-            lo, hi, sign = 1, r + 1, 1
-        else:
-            lo, hi, sign = r + 1, a1, -1
-            periods += 1
-        c = self.classes[lo:hi]
-        part = (2 * q * int(self.cum[hi - 1] - self.cum[lo - 1])
-                - int(np.count_nonzero(c > s)) + int(np.count_nonzero(c >= a1 - s)))
-        return periods * self.period_sum(x) + sign * part
+        y = self.ys
+        q, s = np.divmod(x, y)
+        periods, r = np.divmod(n, y)
+        upper = 2 * r > y
+        length = np.where(upper, y - 1 - r, r)
+        width = int(length.max())
+        c = self.classes[:, 1:width + 1]
+        inside = np.arange(width) < length[:, None]
+        count = ((c > s[:, None]).sum(axis=1, where=inside)
+                 - (c >= (y - s)[:, None]).sum(axis=1, where=inside))
+        part = 2 * q * self._cum(length) - count
+        return (periods + upper) * self.period_sum(x) + np.where(upper, -part, part)
+
+    def rests(self, bound):
+        """Each row's count less its _pair_counts_fast dot product, for one _Bound.
+
+        units(K) - units(y) + period_sum(B // y) - class_sum(K, M), less
+        f(K) when M = K - 1 for the rows y < K, whose dot product counts
+        the a8 = K term twice (_pair_counts_fast).
+        """
+        k, y = bound.k, self.ys
+        rest = (self.units(k) - self.phi + self.period_sum(bound.b // y)
+                - self.class_sum(k, bound.m))
+        if bound.m < k:
+            c, w = self.classes[:, k], self.weights[:, k]
+            f = (bound.under[k - 1] - c) // y + (bound.over[k - 1] + c) // y
+            rest -= np.where(y < k, f * w, 0)
+        return rest
+
+    def pairs(self, bound, columns, work):
+        """The pairs of the rows a1 = y <= K and of their columns, for one _Bound; an int.
+
+        columns is _columns(ys, ...) of this block.
+        """
+        k = bound.k
+        rest = self.rests(bound).tolist()
+        total = _column_pairs(self.ys, *columns, bound, work)
+        out = work("count", (k,)), work("over", (k,))
+        for r, y in enumerate(self.ys.tolist()):
+            if y > k:
+                break
+            total += _pair_counts_fast(y, self.classes[r, y + 1:k + 1], bound,
+                                       self.weights[r, y + 1:k + 1], rest[r], out)
+        return total
 
 
-def _pair_counts_fast(a1, classes, bound, residues):
+def _pair_counts_fast(a1, classes, bound, weights, rest, out):
     """Pairs (a2, a8) with a1 < a2, both halves, for one a1 >= 2 and one _Bound; an int.
 
     The kernel is, per x in (a1, K] with class c = classes[x - a1 - 1],
@@ -343,19 +461,20 @@ def _pair_counts_fast(a1, classes, bound, residues):
     the a2 of the classes of +-a8 up to (B-1)//a8 and B//a8; the a2 up to K
     are taken off with class_sum(K, M), and the a8 up to t, whose a2 range
     is cut at B // a1 instead, are one period_sum (module docstring).  So
-    the dot product serves the pair side once and the a8 side once, less
-    f(K) when M = K - 1.  classes is residues.classes[a1 + 1:K + 1], passed,
-    not sliced here, so that its length is the kernel's element count
-    (bench/layers.py reads it).
+    the dot product serves the pair side once and the a8 side once, and
+    rest, the row's _Block.rests, adds the closed forms and takes f(K) off
+    once when M = K - 1.  classes is the row's classes[a1 + 1:K + 1],
+    passed, not sliced here, so that its length is the kernel's element
+    count (bench/layers.py reads it), and out two int64 arrays of at least
+    that length.  The divisor stays the scalar a1.
     """
-    k, m = bound.k, bound.m
-    count = (bound.under[a1:k] - classes) // a1 + (bound.over[a1:k] + classes) // a1
-    weights = residues.weights[a1 + 1:k + 1]
-    dot = 2 * int(np.dot(count, weights))
-    if m < k and count.size:
-        dot -= int(count[-1] * weights[-1])
-    return (dot + residues.units(k) - residues.units(a1)
-            + residues.period_sum(bound.b // a1) - residues.class_sum(k, m))
+    k, size = bound.k, classes.size
+    count = np.subtract(bound.under[a1:k], classes, out=out[0][:size])
+    count //= a1
+    over = np.add(bound.over[a1:k], classes, out=out[1][:size])
+    over //= a1
+    count += over
+    return 2 * int(np.dot(count, weights)) + rest
 
 
 def _divisor_sum(n):
@@ -383,39 +502,62 @@ class _Bound:
         self.under = (b - 1) // n
 
 
-def _column(y, inv, s, n):
-    """(a1, classes, weights) of the column y: a1 = S+1..n-y, S = s, x = a1 + y.
+def _columns(ys, classes, weights, s, n, work):
+    """(a1, classes, weights) of the columns of the rows ys, on x = S+1+ys[0]..n, S = s.
 
-    classes[i] = -x^-1 mod a1 = (a1*u - 1) / y with u = a1^-1 mod y read off
-    inv, the inverse table mod y (inv = [1] at y = 1), and weights[i] is 1
-    where u exists, 0 elsewhere (a meaningless class).  y <= s < a1.
+    All three are 2-D, one row per y and one column per x, so that every
+    row reads the same quotients of x.  In row y, a1 = x - y, and
+    classes = -x^-1 mod a1 = (a1*u - 1) / y with u = a1^-1 mod y = x^-1
+    mod y = y - the row class of x: the rows' periodic classes at the same
+    x.  weights are 1 where u exists and a1 > S, 0 elsewhere (a
+    meaningless class): the leading a1 <= S of each row are not its
+    column.  They are work's "a1", "column classes" and "column weights".
     """
-    a1 = np.arange(s + 1, n - y + 1, dtype=np.int64)
-    start = (s + 1) % y
-    u = _periodic(np.concatenate((inv[start:], inv[:start])), a1.size - 1)  # inv[a1 % y]
-    return a1, (a1 * u - 1) // y, (u > 0).astype(np.int64)
+    x0 = s + 1 + int(ys[0])
+    shape = ys.size, max(n - x0 + 1, 0)
+    m = ys[:, None]
+    a1 = np.subtract(np.arange(x0, n + 1), m, out=work("a1", shape))
+    c = np.subtract(m, classes[:, x0:], out=work("column classes", shape))
+    c *= a1
+    c -= 1
+    c //= m
+    w = np.multiply(weights[:, x0:], a1 > s, out=work("column weights", shape))
+    return a1, c, w
 
 
-def _column_pairs(y, a1, classes, weights, bound):
-    """The _pair_counts_fast terms at x = a1 + y of every a1 in (S, K - y], for one _Bound.
+def _column_pairs(ys, a1, classes, weights, bound, work):
+    """The _pair_counts_fast terms at x = a1 + y, a1 in (S, K - y], of each row y; an int.
 
-    a1, classes and weights are _column(y, ...), cut here at a1 <= K - y.
-    As K < 2*a1, x's term of class_sum(K, M) is
-    g = 2 - [c > K - a1] + [c >= 2*a1 - K], and each a1 gets
-    w*(2f - g + 1), with f the kernel form, or w*(f + 1) at x = K when
-    M = K - 1; an int.
+    a1, classes and weights are _columns(ys, ...), cut here at x <= K.
+    Every row reads the same quotients (B-1) // x and B // x.  As K < 2*a1,
+    x's term of class_sum(K, M) is g = 2 - [c > K - a1] + [c >= 2*a1 - K],
+    and each a1 gets w*(2f - g + 1), with f the kernel form, or w*(f + 1)
+    at x = K, the last column, when M = K - 1; one step for the block.
     """
     k = bound.k
-    size = k - y - (int(a1[0]) - 1) if a1.size else 0
+    x0 = int(a1[0, 0] + ys[0]) if a1.size else k + 1
+    size = k - x0 + 1                       # x = x0..K
     if size <= 0:
         return 0
-    a1, c, w = a1[:size], classes[:size], weights[:size]
-    f = (bound.under[k - size:] - c) // a1 + (bound.over[k - size:] + c) // a1
-    rest = k - a1
-    g = 2 - (c > rest) + (c >= a1 - rest)
-    dot = int(np.dot(2 * f - g + 1, w))
+    a1, c, w = a1[:, :size], classes[:, :size], weights[:, :size]
+    shape = c.shape
+    f = np.subtract(bound.under[x0 - 1:k], c, out=work("f", shape))
+    f //= a1
+    other = np.add(bound.over[x0 - 1:k], c, out=work("other", shape))
+    other //= a1
+    f += other
+    last = f[:, -1].copy()
+    rest = np.subtract(k, a1, out=other)
+    test = np.greater(c, rest, out=work("test", shape, bool))
+    f *= 2
+    f -= 1
+    f += test
+    np.greater_equal(c, np.subtract(a1, rest, out=other), out=test)
+    f -= test
+    f *= w                                  # the terms w*(2f - g + 1)
+    dot = int(f.sum())
     if bound.m < k:
-        dot -= int(w[-1] * (f[-1] - g[-1]))
+        dot -= int((f[:, -1] - w[:, -1] * (last + 1)).sum())
     return dot
 
 
@@ -463,8 +605,9 @@ def _tail_pairs(states):
     """
     n = states[-1].k
     s = n // 2
-    column = _column(1, np.ones(1, dtype=np.int64), s, n)
-    totals = [_column_pairs(1, *column, state) for state in states]
+    y, one, work = np.ones(1, dtype=np.int64), np.ones((1, n + 1), dtype=np.int64), _Scratch()
+    columns = _columns(y, one - 1, one, s, n, work)      # every x is a unit mod 1, u = 1
+    totals = [_column_pairs(y, *columns, state, work) for state in states]
     for lo in range(s + 1, n + 1, TAIL_BLOCK):
         a1 = np.arange(lo, min(lo + TAIL_BLOCK, n + 1), dtype=np.int64)
         owner, d, mu = _squarefree_divisors(a1)
@@ -502,21 +645,21 @@ def _share_pairs(states, blocks):
 
     One int per state.  states are _Bound objects ascending in K, and
     blocks ascend up to hi <= S = states[-1].k // 2.  The share builds its
-    own factor tables and Euclid blocks.
+    own factor tables, and each range in _Block rows of at most
+    SHARE_BLOCK_ELEMENTS // (max K + 1) moduli.
     """
     n = states[-1].k
     ks = [state.k for state in states]
     tables = _factor_tables(blocks[-1][1] // 2)
+    rows = max(1, SHARE_BLOCK_ELEMENTS // (n + 1))
+    work = _Scratch()
     totals = [0] * len(states)
     for lo, hi in blocks:
-        for y, inv in _inverse_tables(hi, lo, tables):
-            residues = _Residues(y, inv, n)
-            column = _column(y, inv, n // 2, n)
-            for i in range(bisect_left(ks, y), len(states)):
-                state = states[i]
-                totals[i] += (_pair_counts_fast(y, residues.classes[y + 1:state.k + 1],
-                                                state, residues)
-                              + _column_pairs(y, *column, state))
+        for ys, base in _class_blocks(lo, hi, rows, tables, work):
+            block = _Block(ys, base, n, work)
+            columns = _columns(ys, block.classes, block.weights, n // 2, n, work)
+            for i in range(bisect_left(ks, int(ys[0])), len(states)):
+                totals[i] += block.pairs(states[i], columns, work)
     return totals
 
 
@@ -538,10 +681,11 @@ def _run_share(read, write, states, blocks):
         os._exit(status)
 
 
-def _forked(states, shares):
-    """_share_pairs(states, blocks) for each blocks in shares, one forked worker each.
+def _forked(states, shares, local):
+    """[local(states)] + [_share_pairs(states, blocks) for blocks in shares].
 
-    Returns the results in order.  A worker's error is raised here, and no
+    Each share runs in a forked worker of its own, and local runs here
+    while they do.  A worker's error, or local's, is raised here, and no
     worker outlives the call: on any error the others are killed, and every
     one is reaped.  The workers are bare os.fork children: importing
     multiprocessing alone added 0.8 MB to the peak RSS of a dp4 process.
@@ -558,7 +702,7 @@ def _forked(states, shares):
                 pids.append(pid)
             finally:
                 os.close(write)
-        results = []
+        results = [local(states)]
         for pipe in pipes:
             try:
                 ok, value = pickle.load(pipe)
@@ -587,10 +731,10 @@ def _sweep(states):
     column, go in blocks of SHARE_BLOCK consecutive moduli, dealt
     round-robin to one forked worker per CPU the process may run on, at
     most one per block; the column y = 1 and the a1 > S closed forms
-    (_tail_pairs) run here, and the exact partial counts are added here.
-    Below FORK_MIN_MODULI, with one CPU, without fork, or in a process that
-    runs threads (which a fork does not copy), one share takes every block
-    in this process.
+    (_tail_pairs) run here while the workers run, and the exact partial
+    counts are added here.  Below FORK_MIN_MODULI, with one CPU, without
+    fork, or in a process that runs threads (which a fork does not copy),
+    one share takes every block in this process.
     """
     n = states[-1].k
     s = n // 2
@@ -598,13 +742,13 @@ def _sweep(states):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(blocks))
     if not blocks:
-        shares = []
+        parts = [_tail_pairs(states)]
     elif (n < FORK_MIN_MODULI or workers < 2 or not hasattr(os, "fork")
             or threading.active_count() > 1):
-        shares = [_share_pairs(states, blocks)]
+        parts = [_tail_pairs(states), _share_pairs(states, blocks)]
     else:
-        shares = _forked(states, [blocks[w::workers] for w in range(workers)])
-    return [sum(column) for column in zip(_tail_pairs(states), *shares)]
+        parts = _forked(states, [blocks[w::workers] for w in range(workers)], _tail_pairs)
+    return [sum(column) for column in zip(*parts)]
 
 
 def torsor_counts(bounds):

@@ -354,6 +354,29 @@ class TestCli:
                         str(constants.MAX_PRIME_BOUND + 1)], tmp_path) == 2
         assert not (tmp_path / "constants.json").exists()
 
+    def test_constant_prime_bound_2e7_writes_the_bytes_of_20000000(self, tmp_path):
+        written = []
+        for text in ("2e7", "20000000"):
+            out = tmp_path / text
+            assert run_cli(["constant", "--field", "Q", "--prime-bound", text], out) == 0
+            written.append((out / "constants.json").read_bytes())
+        assert written[0] == written[1]
+        assert json.loads(written[0])["euler_product"]["prime_bound"] == 20000000
+
+    @pytest.mark.parametrize("text", ["2.5", "1e-3", "0", "-7", "inf", "x"])
+    def test_constant_prime_bound_not_whole_exits_2_before_any_work(self, tmp_path,
+                                                                    monkeypatch, text):
+        def started(*args):
+            raise AssertionError("the sieve started on a prime bound that is not whole")
+        monkeypatch.setattr(constants, "primes_up_to", started)
+        monkeypatch.setattr(constants, "_norm_segments", started)
+        assert run_cli(["constant", "--field", "Q", "--prime-bound", text], tmp_path) == 2
+        assert not (tmp_path / "constants.json").exists()
+
+    def test_constant_prime_bound_one_keeps_its_message(self, tmp_path, capsys):
+        assert run_cli(["constant", "--field", "Q", "--prime-bound", "1"], tmp_path) == 2
+        assert "prime_bound must be >= 2" in capsys.readouterr().err
+
     def test_constant_above_period_limit_exits_2_before_any_work(self, tmp_path, monkeypatch,
                                                                  capsys):
         # the chi table of d = -(1e9 + 7) would take about 40 min; no symbol may be evaluated

@@ -9,6 +9,7 @@ import copy
 import inspect
 import json
 import os
+import textwrap
 
 import pytest
 
@@ -179,20 +180,20 @@ def test_wrong_lattice_scale_in_volume(tmp_path, monkeypatch, lattice):
         assert base.volume() != jigsaw.alpha_closed_form(1)
 
 
-def _column_class_plus_one(y, inv, s, n, _column=torsor._column):
-    a1, classes, weights = _column(y, inv, s, n)
-    return a1, classes + 1, weights
+def _column_class_plus_one(ys, classes, weights, s, n, work, _columns=torsor._columns):
+    a1, column_classes, column_weights = _columns(ys, classes, weights, s, n, work)
+    return a1, column_classes + 1, column_weights
 
 
-def _column_without_m_below_k(y, a1, classes, weights, bound,
+def _column_without_m_below_k(ys, a1, classes, weights, bound, work,
                               _column_pairs=torsor._column_pairs):
     full = copy.copy(bound)
     full.m = full.k          # x = K counted as if M = K
-    return _column_pairs(y, a1, classes, weights, full)
+    return _column_pairs(ys, a1, classes, weights, full, work)
 
 
 @pytest.mark.parametrize("name,planted", [
-    ("_column", _column_class_plus_one),
+    ("_columns", _column_class_plus_one),
     ("_column_pairs", _column_without_m_below_k),
 ], ids=["class-plus-one", "no-m-below-k-correction"])
 def test_wrong_torsor_column_against_the_oracle(monkeypatch, name, planted):
@@ -207,12 +208,28 @@ def test_wrong_torsor_column_against_the_oracle(monkeypatch, name, planted):
     assert all(c != o for c, o in zip(counts, oracle)), counts
 
 
-def _kernel_without_f_k_correction(monkeypatch, _kernel=torsor._pair_counts_fast):
-    def planted(a1, classes, bound, residues):
-        full = copy.copy(bound)
-        full.m = full.k          # f(K) counted twice where M = K - 1
-        return _kernel(a1, classes, full, residues)
-    monkeypatch.setattr(torsor, "_pair_counts_fast", planted)
+def _recompiled(function, old, new):
+    """function compiled again from its source with old, found once, read as new."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(source.replace(old, new), vars(torsor), namespace)
+    return namespace[function.__name__]
+
+
+def test_class_mirror_off_by_one_against_the_oracle(monkeypatch):
+    # inv[y - x] read one entry up, inv[y - x + 1], for the top half of every row
+    bound = 41 ** 2
+    assert torsor.torsor_count(bound) == full_range_count(bound)
+    monkeypatch.setattr(torsor, "_class_rows", _recompiled(
+        torsor._class_rows, "[last::-(top + 1)]", "[last - 1::-(top + 1)]"))
+    assert torsor.torsor_count(bound) != full_range_count(bound)
+
+
+def _kernel_without_f_k_correction(monkeypatch):
+    # the rows' f(K) correction, which _Block.rests takes off where M = K - 1
+    monkeypatch.setattr(torsor._Block, "rests", _recompiled(
+        torsor._Block.rests, "if bound.m < k:", "if False:"))
 
 
 def _a1_one_row_off_by_one(monkeypatch):
@@ -224,17 +241,13 @@ def _a1_one_row_off_by_one(monkeypatch):
 
 
 def _tail_q_for_q_minus_one(monkeypatch):
-    # _tail_pairs recompiled from its source with q - 1 read as q
-    source = inspect.getsource(torsor._tail_pairs)
-    assert source.count("np.dot(q - 1,") == 1
-    namespace = {}
-    exec(source.replace("np.dot(q - 1,", "np.dot(q,"), vars(torsor), namespace)
-    monkeypatch.setattr(torsor, "_tail_pairs", namespace["_tail_pairs"])
+    monkeypatch.setattr(torsor, "_tail_pairs", _recompiled(
+        torsor._tail_pairs, "np.dot(q - 1,", "np.dot(q,"))
 
 
 def _deal_drops_a_block(monkeypatch, _forked=torsor._forked):
-    monkeypatch.setattr(torsor, "_forked", lambda states, shares: _forked(
-        states, [shares[0][:-1]] + shares[1:]))
+    monkeypatch.setattr(torsor, "_forked", lambda states, shares, local: _forked(
+        states, [shares[0][:-1]] + shares[1:], local))
 
 
 @pytest.mark.parametrize("plant", [

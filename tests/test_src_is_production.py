@@ -28,6 +28,7 @@ PINNED = {
     "dp4jigsaw.jigsaw.pyramid_polytope": "ROADMAP item 2: bench/jobs.py builds it",
     "dp4jigsaw.jigsaw.pyramid_base_polytope": "ROADMAP item 2: bench/jobs.py builds it",
     "dp4jigsaw.torsor.torsor_count": "ROADMAP item 2: bench/layers.py times it",
+    "dp4jigsaw.torsor._inverse_table": "ROADMAP item 2: bench/layers.py times it",
 }
 
 

@@ -178,7 +178,7 @@ class TestFastCounter:
         def started(*args):
             raise AssertionError("counting started above MAX_TORSOR_BOUND")
         monkeypatch.setattr(T, "_divisor_sum", started)
-        monkeypatch.setattr(T, "_inverse_table", started)
+        monkeypatch.setattr(T, "_class_rows", started)
         with pytest.raises(OutOfRange):
             T.torsor_count(T.MAX_TORSOR_BOUND + 1)
 
@@ -198,26 +198,43 @@ class TestResidueArithmetic:
         for m in range(4, 401, 2):  # m / 2 is its own mirror, and no unit
             assert T._inverse_table(m)[m // 2] == -1, m
 
+    @staticmethod
+    def block(lo, hi, n):
+        """The _Block of the moduli lo..hi, one block, its classes over 0..n."""
+        ((ys, base),) = T._class_blocks(lo, hi, hi - lo + 1)
+        return T._Block(ys, base, n)
+
     def test_class_sum_matches_a_scan(self):
         rng = random.Random(8128)
+        block = self.block(2, 60, 360)      # at least one period of every row
+        ys = block.ys.tolist()
         for _ in range(300):
-            a1 = rng.randint(2, 60)
             x, n = rng.randint(0, 500), rng.randint(0, 300)
-            inv = T._inverse_table(a1)
-            residues = T._Residues(a1, inv, max(n, a1))  # at least one period
-            scan = sum((x - c) // a1 + (x + c) // a1
-                       for c, w in zip(residues.classes[1:n + 1].tolist(),
-                                       residues.weights[1:n + 1].tolist()) if w)
-            assert residues.class_sum(x, n) == scan, (a1, x, n)
-            assert residues.units(n) == sum(gcd(a8, a1) == 1 for a8 in range(1, n + 1))
+            class_sum, units = block.class_sum(x, n).tolist(), block.units(n).tolist()
+            for r, a1 in enumerate(ys):
+                scan = sum((x - c) // a1 + (x + c) // a1
+                           for c, w in zip(block.classes[r, 1:n + 1].tolist(),
+                                           block.weights[r, 1:n + 1].tolist()) if w)
+                assert class_sum[r] == scan, (a1, x, n)
+                assert units[r] == sum(gcd(a8, a1) == 1 for a8 in range(1, n + 1))
+
+    def test_per_row_arguments(self):
+        # one x and one n per row, as rests passes B // y
+        block = self.block(2, 60, 360)
+        xs, ns = 1000 // block.ys, 300 - block.ys
+        for r in range(block.ys.size):
+            row = self.block(r + 2, r + 2, 360)
+            assert block.period_sum(xs)[r] == row.period_sum(int(xs[r]))[0]
+            assert block.class_sum(xs, ns)[r] == row.class_sum(int(xs[r]), int(ns[r]))[0]
+            assert block.units(ns)[r] == row.units(int(ns[r]))[0]
 
     def test_period_sum_is_a_whole_period_of_class_sum(self):
         # the a8 up to t = a1 - 1 or a1 are one period: a1 is no unit
-        for a1 in range(2, 60):
-            residues = T._Residues(a1, T._inverse_table(a1), a1)
-            for x in (0, 1, a1 - 1, a1, 3 * a1 + 2, 10 ** 6 + a1 // 2):
-                assert residues.period_sum(x) == residues.class_sum(x, a1 - 1), (a1, x)
-                assert residues.period_sum(x) == residues.class_sum(x, a1), (a1, x)
+        block = self.block(2, 59, 59)
+        for x in (0, 1, 57, 58, 3 * 59 + 2, 10 ** 6 + 29):
+            period = block.period_sum(x).tolist()
+            assert period == block.class_sum(x, block.ys - 1).tolist(), x
+            assert period == block.class_sum(x, block.ys).tolist(), x
 
     def test_both_halves_match_the_elementwise_formulas(self):
         rng = random.Random(31337)
@@ -234,10 +251,13 @@ class TestResidueArithmetic:
         seen = set()
         for a1, b in cases:
             bound = T._Bound(b)
+            k = bound.k
+            block = self.block(a1, a1, k)
+            out = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
             inv = T._inverse_table(a1)
-            residues = T._Residues(a1, inv, bound.k)
-            classes = residues.classes[a1 + 1:bound.k + 1]
-            assert (T._pair_counts_fast(a1, classes, bound, residues)
+            assert (T._pair_counts_fast(a1, block.classes[0, a1 + 1:k + 1], bound,
+                                        block.weights[0, a1 + 1:k + 1],
+                                        int(block.rests(bound)[0]), out)
                     == pair_counts_elementwise(a1, b, inv)
                     + a8_side_counts_elementwise(a1, b, inv)), (a1, b)
             if bound.m < a1:
@@ -248,26 +268,47 @@ class TestResidueArithmetic:
                 seen.add("a1 = K")
         assert seen == {"M < a1", "M % a1 = 0", "a1 = K"}
 
+    def test_rows_of_one_block_match_rows_alone(self):
+        # rows past K, M = K - 1 and M = K, and a1 = K inside one block
+        for b in (400, 419, 420, 30 ** 2 + 29, 1000):
+            bound = T._Bound(b)
+            block = self.block(2, 30, 31)
+            rests = block.rests(bound).tolist()
+            for r, a1 in enumerate(block.ys.tolist()):
+                if a1 <= bound.k:
+                    assert rests[r] == self.block(a1, a1, 31).rests(bound)[0], (b, a1)
+
 
 class TestColumns:
     """Above S = max K // 2: classes off the tables mod y, and closed forms per a1."""
 
     @staticmethod
-    def table(y):
-        return T._inverse_table(y) if y > 1 else np.ones(1, dtype=np.int64)
+    def columns(lo, hi, s, n):
+        """_columns of the rows y = lo..hi, or of the row y = 1 as _tail_pairs builds it."""
+        work = T._Scratch()
+        if lo == 1:
+            y, one = np.ones(1, dtype=np.int64), np.ones((1, n + 1), dtype=np.int64)
+            return y, T._columns(y, one - 1, one, s, n, work)
+        ((ys, base),) = T._class_blocks(lo, hi, hi - lo + 1)
+        block = T._Block(ys, base, n)
+        return ys, T._columns(ys, block.classes, block.weights, s, n, work)
 
     def test_column_classes_equal_pow(self):
         for k in range(2, 81):
             s = k // 2
-            for y in range(1, s + 1):
-                a1, classes, weights = T._column(y, self.table(y), s, k + y)
-                assert a1.tolist() == list(range(s + 1, k + 1))
-                for a, c, w in zip(a1.tolist(), classes.tolist(), weights.tolist()):
-                    assert w == (gcd(a + y, a) == 1), (k, y, a)
-                    if w:
-                        u = pow(a, -1, y) if y > 1 else 1
-                        assert (a * u - 1) % y == 0
-                        assert c == (a * u - 1) // y == -pow(a + y, -1, a) % a, (k, y, a)
+            n = k + s                  # every row runs to a1 = K at least
+            rows = [self.columns(1, 1, s, n)] + ([self.columns(2, s, s, n)] if s > 1 else [])
+            for ys, (a1, classes, weights) in rows:
+                for r, y in enumerate(ys.tolist()):
+                    xs = range(s + 1 + int(ys[0]), n + 1)
+                    assert a1[r].tolist() == [x - y for x in xs]
+                    for x, c, w in zip(xs, classes[r].tolist(), weights[r].tolist()):
+                        a = x - y
+                        assert w == (a > s and gcd(x, a) == 1), (k, y, a)
+                        if w:
+                            u = pow(a, -1, y) if y > 1 else 1
+                            assert (a * u - 1) % y == 0
+                            assert c == (a * u - 1) // y == -pow(x, -1, a) % a, (k, y, a)
 
     def test_squarefree_divisors(self):
         a = np.array(list(range(2, 400)) + [9699690, 2 ** 20, 999983, 2 * 999983,
@@ -300,17 +341,21 @@ class TestColumns:
             states = [T._Bound(b) for b in bounds]
             n = states[-1].k
             s = n // 2
-            columns = [T._column(y, self.table(y), s, n) for y in range(1, s + 1)]
+            work = T._Scratch()
+            columns = [self.columns(lo, min(lo + 4, s), s, n) for lo in range(2, s + 1, 5)]
             tails = T._tail_pairs(states)
             for state, tail in zip(states, tails):
                 k = state.k
                 rows = 0
-                for a1 in range(s + 1, k + 1):
-                    residues = T._Residues(a1, T._inverse_table(a1), k)
-                    rows += T._pair_counts_fast(a1, residues.classes[a1 + 1:k + 1],
-                                                state, residues)
-                split = tail + sum(T._column_pairs(y, *columns[y - 1], state)
-                                   for y in range(2, s + 1))
+                for a1 in range(s + 1, k + 1):      # _Block.pairs of a row above S alone
+                    ((ys, base),) = T._class_blocks(a1, a1, 1)
+                    block = T._Block(ys, base, k)
+                    assert T._column_pairs(ys, *T._columns(ys, block.classes, block.weights,
+                                                           s, k, work), state, work) == 0
+                    rows += block.pairs(state, T._columns(ys, block.classes, block.weights,
+                                                          s, k, work), work)
+                split = tail + sum(T._column_pairs(ys, *column, state, work)
+                                   for ys, column in columns)
                 assert split == rows, (bounds, state.b)
 
     def test_sweeps_with_s_equal_to_one(self, monkeypatch):
@@ -318,9 +363,9 @@ class TestColumns:
         ys = []
         column_pairs = T._column_pairs
 
-        def record(y, *args):
-            ys.append(y)
-            return column_pairs(y, *args)
+        def record(rows, *args):
+            ys.extend(rows.tolist())
+            return column_pairs(rows, *args)
         monkeypatch.setattr(T, "_column_pairs", record)
         for b in range(4, 16):
             assert T.torsor_count(b) == full_range_count(b), b
@@ -330,12 +375,12 @@ class TestColumns:
 
     def test_inverse_tables_only_up_to_s(self, monkeypatch):
         moduli = []
-        inverse = T._inverse_table
+        class_rows = T._class_rows
 
-        def record(m, *args):
-            moduli.append(m)
-            return inverse(m, *args)
-        monkeypatch.setattr(T, "_inverse_table", record)
+        def record(ys, *args):
+            moduli.extend(ys.tolist())
+            return class_rows(ys, *args)
+        monkeypatch.setattr(T, "_class_rows", record)
         monkeypatch.setattr(T, "FORK_MIN_MODULI", 10 ** 9)  # record in this process
         assert T.torsor_count(3 * 10 ** 7) == 13756575832
         # S = 5477 // 2 = 2738, against 5476 calls and 15001502 entries up to K
@@ -360,6 +405,30 @@ class TestSharedSweep:
     def pow_table(m):
         return [pow(x, -1, m) if gcd(x, m) == 1 else -1 for x in range(m)]
 
+    @staticmethod
+    def inverses(ys, classes):
+        """The inverse table mod each y off its row of classes, -1 for a non-unit."""
+        return [[y - c if c else -1 for c in row[:y]]
+                for y, row in zip(ys.tolist(), classes.tolist())]
+
+    @pytest.fixture(scope="class")
+    def oracles(self):
+        """product_inverse_table(m) of every m = 2..2000, checked once against pow."""
+        tables = {m: product_inverse_table(m).tolist() for m in range(2, 2001)}
+        assert all(tables[m] == self.pow_table(m) for m in range(2, 2001))
+        return tables
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 128])
+    def test_block_tables_match_the_product_oracle(self, oracles, rows):
+        moduli = []
+        for ys, classes in T._class_blocks(2, 2000, rows):
+            assert ys.size == min(rows, 2001 - ys[0])
+            assert classes.shape == (ys.size, ys[-1])
+            for y, inverse in zip(ys.tolist(), self.inverses(ys, classes)):
+                assert inverse == oracles[y], (rows, y)
+                moduli.append(y)
+        assert moduli == list(range(2, 2001))
+
     def test_tables_across_a_block_boundary(self, monkeypatch):
         blocks = []  # (first modulus, last modulus, pairs) of each Euclid call
         euclid = T._euclid_inverses
@@ -368,22 +437,38 @@ class TestSharedSweep:
             blocks.append((int(m.min()), int(m.max()), m.size))
             return euclid(m, x)
         monkeypatch.setattr(T, "_euclid_inverses", record)
-        for m, inv in T._inverse_tables(2000):
-            if len(blocks) > 2:  # the third block has started
+        for ys, classes in T._class_blocks(2, 2000, 7):
+            if len(blocks) > 2:  # the third run has started
                 break
-            assert inv.tolist() == self.pow_table(m), m
+            for y, inverse in zip(ys.tolist(), self.inverses(ys, classes)):
+                assert inverse == self.pow_table(y), y
         (first, end1, size1), (start2, end2, size2) = blocks[:2]
         assert first == 4  # no prime lies at or below m // 2 for m < 4
-        assert start2 == end1 + 1 and m == end2 + 1
+        assert start2 == end1 + 1 and ys[0] == end2 + 1
+        assert (end1 - 1) % 7 == (end2 - 1) % 7 == 0     # runs of whole blocks 2..8, ...
         assert max(size1, size2) <= T.EUCLID_BLOCK_PAIRS
 
     def test_tables_with_tiny_blocks(self, monkeypatch):
         monkeypatch.setattr(T, "EUCLID_BLOCK_PAIRS", 40)  # pi(m // 2) > 40 from m = 358
         moduli = []
-        for m, inv in T._inverse_tables(400):
-            assert inv.tolist() == self.pow_table(m), m
-            moduli.append(m)
+        for ys, classes in T._class_blocks(2, 400, 3):
+            for y, inverse in zip(ys.tolist(), self.inverses(ys, classes)):
+                assert inverse == self.pow_table(y), y
+                moduli.append(y)
         assert moduli == list(range(2, 401))
+
+    @pytest.mark.parametrize("s", [128, 129, 257])
+    def test_s_on_either_side_of_a_block_edge(self, s):
+        # SHARE_BLOCK = 128 moduli from y = 2: blocks end at 129 and 257
+        bounds = [(2 * s) ** 2, (2 * s + 1) ** 2 + 2 * s]     # K = 2S, M = K - 1; K = 2S + 1 = M
+        assert [isqrt(b) // 2 for b in bounds] == [s, s]
+        assert T.torsor_counts(bounds) == [full_range_count(b) for b in bounds]
+
+    def test_tiny_element_budget(self, monkeypatch):
+        bounds = [10 ** 4, 12345, 99999, 101 ** 2 + 101]
+        counts = T.torsor_counts(bounds)
+        monkeypatch.setattr(T, "SHARE_BLOCK_ELEMENTS", 40)    # one modulus a block
+        assert T.torsor_counts(bounds) == counts == [full_range_count(b) for b in bounds]
 
     def test_random_unsorted_lists_with_duplicates(self):
         rng = random.Random(4711)
@@ -420,9 +505,10 @@ class TestSharedSweep:
         def started(*args):
             raise AssertionError("counting started with a bound above MAX_TORSOR_BOUND")
         for name in ("_divisor_sum", "_factor_tables", "_euclid_inverses",
-                     "_inverse_table", "_inverse_tables", "_pair_counts_fast",
-                     "_column", "_column_pairs", "_squarefree_divisors",
-                     "_tail_pairs", "_share_pairs", "_forked", "_sweep"):
+                     "_class_rows", "_class_blocks", "_inverse_table", "_Block",
+                     "_pair_counts_fast", "_columns", "_column_pairs",
+                     "_squarefree_divisors", "_tail_pairs", "_share_pairs", "_forked",
+                     "_sweep"):
             monkeypatch.setattr(T, name, started)
         with pytest.raises(OutOfRange):
             T.torsor_counts([1e4, T.MAX_TORSOR_BOUND + 1])
@@ -454,9 +540,9 @@ class TestForkedSweep:
         recorded = []
         forked = T._forked
 
-        def record(states, shares):
+        def record(states, shares, local):
             recorded.append(shares)
-            return forked(states, shares)
+            return forked(states, shares, local)
         monkeypatch.setattr(T, "_forked", record)
         return recorded
 
@@ -471,6 +557,35 @@ class TestForkedSweep:
         grid = TestSharedSweep.FIT_GRID
         assert T.torsor_counts(grid) == TestSharedSweep.FIT_COUNTS
         assert self.in_process(grid) == TestSharedSweep.FIT_COUNTS
+        assert len(shares) == 1
+        assert no_child_processes()
+
+    def test_n_3e7(self, shares, monkeypatch):
+        monkeypatch.setattr(T, "SHARE_BLOCK", 128)
+        assert T.torsor_count(3 * 10 ** 7) == 13756575832
+        assert self.in_process([3 * 10 ** 7]) == [13756575832]
+        assert len(shares) == 1
+        assert no_child_processes()
+
+    def test_the_tail_runs_while_the_workers_run(self, shares, monkeypatch):
+        tail = T._tail_pairs
+        seen = []
+
+        def record(states):
+            # a worker not yet reaped: waitid without WNOWAIT would reap it
+            seen.append(os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT))
+            return tail(states)
+        monkeypatch.setattr(T, "_tail_pairs", record)
+        assert T.torsor_count(60 ** 2) == full_range_count(60 ** 2)
+        assert len(seen) == 1 and len(shares) == 1
+        assert no_child_processes()
+
+    def test_a_tail_error_still_reaps_the_workers(self, shares, monkeypatch):
+        def fails(states):
+            raise ArithmeticError("planted in the tail")
+        monkeypatch.setattr(T, "_tail_pairs", fails)
+        with pytest.raises(ArithmeticError, match="tail"):
+            T.torsor_count(60 ** 2)
         assert len(shares) == 1
         assert no_child_processes()
 
