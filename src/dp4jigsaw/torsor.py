@@ -104,12 +104,17 @@ from .surface import MAX_DIRECT_BOUND, _int_bound
 #: dot product of class counts for one a1 and one bound (or a sum of
 #: floor(n/k) in D(n)), at most the a1 = 1 row sum_{a2 <= B} (2B/a2 + 1),
 #: about B * (2 ln B + 1); at B = 10^17 that is 7.9e18 < 2^63 - 1 = 9.2e18.
-#: The per-residue sums, and their multiples by the number of whole periods
-#: of a8, are Python ints; an inverse-table product is below K^2 <= B.
-#: Above S = K // 2, a column product a1*u is below K*S <= B/2, and
-#: B // a1^2 <= B // S^2 <= 16, so f < 2B/S^2 <= 32, a column term
-#: 2f + 1 - g is below 64, and each a1 > S adds less than 32K in
-#: _tail_pairs, under 16B in all.  The O(B) running time is the practical
+#: A row's closed forms (_Block.rests) are below 2B + 10K: with y >= 2,
+#: period_sum(B // y) <= 2B/y + 2y, and class_sum(K, M) is at most
+#: M // y + 1 periods of period_sum(K) <= 2K + 2y and a part period below
+#: K + y; the rows' sums with the kernel are Python ints.  An inverse-table
+#: product is below S^2 <= B/4.  Above S = K // 2, a column
+#: product a1*u is below K*S <= B/2, and B // a1^2 <= B // S^2 <= 16, so
+#: f < 2B/S^2 <= 32, a column term 2f + 1 - g is below 64, a block's column
+#: sum below 64 * SHARE_BLOCK_ELEMENTS, and each a1 > S adds less than 32K
+#: in _tail_pairs, under 16B in all.  The columns run in int32: there
+#: B // x <= B // (S + 1) < 2K + 4 and a class is below K, so at B = 10^17
+#: they stay below 3K + 4 = 9.5e8 < 2^31 = 2.1e9.  The O(B) running time is the practical
 #: limit far below it.
 MAX_TORSOR_BOUND = 10 ** 17
 
@@ -339,9 +344,13 @@ def _inverse_table(m):
 
 #: Most values in each 2-D array of a block of moduli (a _Block): the
 #: block takes max(1, SHARE_BLOCK_ELEMENTS // (max K + 1)) consecutive
-#: moduli, so that its periodic classes and weights, its inverse tables
-#: and its columns, and the work arrays of one bound, each hold at most
-#: this many values, whatever B.  REMEASURE
+#: moduli, so that its periodic classes and weights, its inverse tables,
+#: its columns and the work arrays of one bound each hold at most about this
+#: many values, whatever B.  On a 2-vCPU host (medians of 7 interleaved
+#: in-process shares, CPU time) 2^16, 2^17, 2^18 and 2^19 took 0.36, 0.32,
+#: 0.31 and 0.33 s at N(3e7), and 0.28, 0.26, 0.25 and 0.26 s on the fit
+#: grid; one worker's share of N(1e9) took 10.2, 8.7, 6.3 and 5.3 s, with a
+#: traced peak of 6.0, 9.4, 15.6 and 29.6 MB.
 SHARE_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -360,7 +369,7 @@ class _Block:
         self.ys = ys
         unit = np.greater(base, 0, out=work("unit", base.shape, bool))
         width = n + 1
-        size = ys.size * width + int(ys[-1])     # a row's last period spills into the next
+        size = (ys.size + 1) * width             # a row's last period spills into the next
         classes, weights = work("classes", (size,)), work("weights", (size,))
         for r, y in enumerate(ys.tolist()):
             q = -(-width // y)
@@ -511,17 +520,18 @@ def _columns(ys, classes, weights, s, n, work):
     mod y = y - the row class of x: the rows' periodic classes at the same
     x.  weights are 1 where u exists and a1 > S, 0 elsewhere (a
     meaningless class): the leading a1 <= S of each row are not its
-    column.  They are work's "a1", "column classes" and "column weights".
+    column.  They are work's "a1", "column classes" and "column weights",
+    in int32 (MAX_TORSOR_BOUND), and a1*u is formed in int64.
     """
     x0 = s + 1 + int(ys[0])
     shape = ys.size, max(n - x0 + 1, 0)
     m = ys[:, None]
-    a1 = np.subtract(np.arange(x0, n + 1), m, out=work("a1", shape))
-    c = np.subtract(m, classes[:, x0:], out=work("column classes", shape))
-    c *= a1
-    c -= 1
-    c //= m
-    w = np.multiply(weights[:, x0:], a1 > s, out=work("column weights", shape))
+    a1 = np.subtract(np.arange(x0, n + 1), m, out=work("a1", shape, np.int32))
+    product = np.subtract(m, classes[:, x0:], out=work("column product", shape))
+    product *= a1
+    product -= 1
+    c = np.floor_divide(product, m, out=work("column classes", shape, np.int32))
+    w = np.multiply(weights[:, x0:], a1 > s, out=work("column weights", shape, np.int32))
     return a1, c, w
 
 
@@ -532,7 +542,8 @@ def _column_pairs(ys, a1, classes, weights, bound, work):
     Every row reads the same quotients (B-1) // x and B // x.  As K < 2*a1,
     x's term of class_sum(K, M) is g = 2 - [c > K - a1] + [c >= 2*a1 - K],
     and each a1 gets w*(2f - g + 1), with f the kernel form, or w*(f + 1)
-    at x = K, the last column, when M = K - 1; one step for the block.
+    at x = K, the last column, when M = K - 1; one step for the block, in
+    int32 (MAX_TORSOR_BOUND).
     """
     k = bound.k
     x0 = int(a1[0, 0] + ys[0]) if a1.size else k + 1
@@ -541,9 +552,10 @@ def _column_pairs(ys, a1, classes, weights, bound, work):
         return 0
     a1, c, w = a1[:, :size], classes[:, :size], weights[:, :size]
     shape = c.shape
-    f = np.subtract(bound.under[x0 - 1:k], c, out=work("f", shape))
+    f = np.subtract(bound.under[x0 - 1:k].astype(np.int32), c, out=work("f", shape, np.int32))
     f //= a1
-    other = np.add(bound.over[x0 - 1:k], c, out=work("other", shape))
+    other = np.add(bound.over[x0 - 1:k].astype(np.int32), c,
+                   out=work("other", shape, np.int32))
     other //= a1
     f += other
     last = f[:, -1].copy()
@@ -626,18 +638,19 @@ def _tail_pairs(states):
 
 #: Consecutive moduli y per block dealt to a sweep worker.  Dealt
 #: round-robin, the workers' shares differ by about one block's work; 32 to
-#: 256 timed the same at N(3e7) and on the fit grid on a 2-vCPU host.
+#: 256 timed the same on a 2-vCPU host, medians of 9 interleaved forked
+#: sweeps: 0.23 s at N(3e7) and 0.20 to 0.22 s on the fit grid.  A _Block
+#: takes at most one dealt block.
 SHARE_BLOCK = 128
 
 #: Smallest largest K = isqrt(B) of a sweep that is split across forked
-#: workers; smaller sweeps run in the calling process.  On a 2-vCPU host,
-#: medians of 31 runs of one bound B = K^2 in one process: 27 ms in process
-#: and 36 ms forked at K = 400, 30 and 29 ms at K = 500, 55 and 50 ms at
-#: K = 800.  In fresh `dp4 --timings` processes (medians of 5, the counting
-#: call's elapsed_s, pinned to one CPU with taskset for in process), the
-#: fit grid took 0.43 s forked and 0.61 s in process, N(1e7) (K = 3162)
-#: 0.18 and 0.26 s, and N(3e7) 0.37 and 0.57 s.
-FORK_MIN_MODULI = 500
+#: workers; smaller sweeps run in the calling process.  On a 2-vCPU host, in
+#: fresh `dp4 torsor-count --timings` processes (medians of 7, the counting
+#: call's elapsed_s, pinned to one CPU with taskset for in process), one
+#: bound B = K^2 took 13 ms in process and 28 ms forked at K = 500, 22 to
+#: 30 ms and 29 to 40 ms at K = 1000, 27 to 39 ms either way at K = 1200,
+#: 41 to 53 ms and 41 to 43 ms at K = 1500, and 158 and 107 ms at K = 3162.
+FORK_MIN_MODULI = 1200
 
 
 def _share_pairs(states, blocks):

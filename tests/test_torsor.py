@@ -173,6 +173,8 @@ class TestFastCounter:
         assert 16 * b < 2 ** 63 - 1
         for k in list(range(2, 2000)) + [isqrt(b)]:  # B <= K^2 + 2K <= 16 S^2
             assert k * k + 2 * k <= 16 * (k // 2) ** 2, k
+        # the int32 columns: B // x for x > S, plus a class below K
+        assert b // (s + 1) < 2 * k + 4 and 3 * k + 4 < 2 ** 31 - 1
 
     def test_bound_above_limit_fails_before_any_work(self, monkeypatch):
         def started(*args):
