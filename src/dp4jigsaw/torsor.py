@@ -42,7 +42,7 @@ each residue class in O(1), in O(sqrt B) memory:
 * the inverse table mod m is built for the residues up to m // 2 and
   mirrored, inv[m - x] = m - inv[x].  Only the primes up to m // 2 go
   through an extended Euclid, one vectorized call over every (m, p) pair
-  of a run of consecutive moduli; the composites are products of
+  of a block of consecutive moduli; the composites are products of
   earlier entries, one vectorized step per level of a balanced
   factorization (_factor_tables);
 * the moduli up to S (below) are built a block of consecutive moduli at
@@ -108,14 +108,14 @@ from .surface import MAX_DIRECT_BOUND, _int_bound
 #: period_sum(B // y) <= 2B/y + 2y, and class_sum(K, M) is at most
 #: M // y + 1 periods of period_sum(K) <= 2K + 2y and a part period below
 #: K + y; the rows' sums with the kernel are Python ints.  An inverse-table
-#: product is below S^2 <= B/4.  Above S = K // 2, a column
-#: product a1*u is below K*S <= B/2, and B // a1^2 <= B // S^2 <= 16, so
-#: f < 2B/S^2 <= 32, a column term 2f + 1 - g is below 64, a block's column
-#: sum below 64 * SHARE_BLOCK_ELEMENTS, and each a1 > S adds less than 32K
-#: in _tail_pairs, under 16B in all.  The columns run in int32: there
+#: product is below S^2 <= B/4.  Above S = K // 2, a column product a1*u
+#: is below K*S <= B/2, and B // a1^2 <= B // S^2 <= 16, so f < 2B/S^2
+#: <= 32, a column term 2f + 1 - g is below 64, a block's column sum below
+#: 64 * SHARE_BLOCK_ELEMENTS, and each a1 > S adds less than 32K in
+#: _tail_pairs, under 16B in all.  The columns run in int32: there
 #: B // x <= B // (S + 1) < 2K + 4 and a class is below K, so at B = 10^17
-#: they stay below 3K + 4 = 9.5e8 < 2^31 = 2.1e9.  The O(B) running time is the practical
-#: limit far below it.
+#: they stay below 3K + 4 = 9.5e8 < 2^31 = 2.1e9.  The O(B) running time
+#: is the practical limit far below it.
 MAX_TORSOR_BOUND = 10 ** 17
 
 
@@ -156,12 +156,6 @@ def validate(values):
 # ---------------------------------------------------------------------------
 # Counting
 # ---------------------------------------------------------------------------
-
-#: Most (modulus, prime) pairs that one batched Euclid call takes on.  Its
-#: dozen int64 work arrays then stay near 1 MB; at 2^15 pairs they added
-#: 5 MB to the peak RSS of N(3e7) and saved no time.
-EUCLID_BLOCK_PAIRS = 1 << 13
-
 
 def _factor_tables(n):
     """(levels, primes) for 0..n: the composites as balanced products, and the primes.
@@ -250,24 +244,23 @@ class _Scratch:
         return array[:size].reshape(shape)
 
 
-def _class_rows(ys, tables, prime_inv, work):
+def _class_rows(ys, tables, work):
     """classes[r, x] = -x^-1 mod ys[r] for x < ys[r] where a unit, else 0; shape (R, max ys).
 
     ys are consecutive moduli >= 2; a row's entries at x >= ys[r] are
     meaningless.  The inverses inv[x] = x^-1 mod y are built only up to
-    y // 2, for every row at once: the primes from prime_inv, then each
-    level of composites as a product inv[u] * inv[v] mod y of earlier
-    entries, one vectorized step per level for the block.  A non-unit is
-    held as 0, so a product with a non-unit factor stays 0.  The class of
-    x <= y // 2 is y - inv[x], and of the top half the mirror
-    y - inv[y - x] = inv[y - x], as y - x is a unit exactly when x is.  As y
-    steps by one per row, the entries inv[r, y - x] of the columns x >= x0
-    lie on one line of fixed stride in the flat table, so the mirror reads
-    the block through one sliding window view of the table reversed.
-    tables is _factor_tables(n) for some n >= max ys // 2, and prime_inv
-    the inverses of the primes up to y // 2 of each row, in order, row after
-    row, from _euclid_inverses (-1 for a prime dividing y).  The inverses
-    are work's "inverse" array and the classes its "base".
+    y // 2, for every row at once: the primes from one _euclid_inverses
+    call over every (y, p) pair of the block, then each level of composites
+    as a product inv[u] * inv[v] mod y of earlier entries, one vectorized
+    step per level for the block.  A non-unit is held as 0, so a product
+    with a non-unit factor stays 0.  The class of x <= y // 2 is
+    y - inv[x], and of the top half the mirror y - inv[y - x] = inv[y - x],
+    as y - x is a unit exactly when x is.  As y steps by one per row, the
+    entries inv[r, y - x] of the columns x >= x0 lie on one line of fixed
+    stride in the flat table, so the mirror reads the block through one
+    sliding window view of the table reversed.  tables is _factor_tables(n)
+    for some n >= max ys // 2.  The inverses are work's "inverse" array and
+    the classes its "base".
     """
     levels, primes = tables
     m = ys[:, None]
@@ -277,9 +270,9 @@ def _class_rows(ys, tables, prime_inv, work):
     inv = flat[rows:].reshape(rows, top)
     inv[:, 1] = 1
     count = np.searchsorted(primes, ys // 2, "right")     # primes <= y // 2
-    index = np.repeat(np.arange(rows), count)
-    inv[index, primes[np.arange(index.size) - np.repeat(np.cumsum(count) - count, count)]] = \
-        np.maximum(prime_inv, 0)
+    p = primes[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)]
+    inv[np.repeat(np.arange(rows), count), p] = np.maximum(
+        _euclid_inverses(np.repeat(ys, count), p), 0)
     half = top // 2 + 1
     for i, u, v in levels:
         size = int(np.searchsorted(i, half - 1, "right"))
@@ -300,57 +293,23 @@ def _class_rows(ys, tables, prime_inv, work):
     return classes
 
 
-def _class_blocks(lo, hi, rows, tables=None, work=None):
-    """Yield (ys, _class_rows(ys, ...)) for ys = lo..hi in blocks of rows moduli.
-
-    tables is _factor_tables(n) for some n >= hi // 2, built here if not
-    given, and work a _Scratch (each block's classes overwrite the last).
-    The inverses of the primes up to y // 2 come from one _euclid_inverses
-    call per run of whole blocks, each run at most EUCLID_BLOCK_PAIRS
-    (y, p) pairs (or one block, if that alone has more).
-    """
-    if tables is None:
-        tables = _factor_tables(hi // 2)
-    work = work or _Scratch()
-    primes = tables[1]
-    below = np.searchsorted(primes, np.arange(hi + 2) // 2, "right")  # primes <= y // 2
-    offset = np.concatenate(([0], np.cumsum(below)))                  # pairs of moduli < y
-    edges = list(range(lo, hi + 1, rows)) + [hi + 1]
-    pairs = offset[edges].tolist()
-    first = 0
-    while first < len(edges) - 1:
-        last = first + 1
-        while last < len(edges) - 1 and pairs[last + 1] - pairs[first] <= EUCLID_BLOCK_PAIRS:
-            last += 1
-        start, end = edges[first], edges[last]
-        mods = np.repeat(np.arange(start, end), below[start:end])
-        pos = np.arange(mods.size) - np.repeat(offset[start:end] - offset[start],
-                                               below[start:end])
-        inv = _euclid_inverses(mods, primes[pos])
-        for b in range(first, last):
-            ys = np.arange(edges[b], edges[b + 1], dtype=np.int64)
-            yield ys, _class_rows(ys, tables, inv[pairs[b] - pairs[first]:
-                                                    pairs[b + 1] - pairs[first]], work)
-        first = last
-
-
 def _inverse_table(m):
-    """inv[i] = i^-1 mod m where gcd(i, m) = 1, else -1, from one row of _class_blocks."""
+    """inv[i] = i^-1 mod m where gcd(i, m) = 1, else -1, from _class_rows."""
     if m == 1:
         return np.zeros(1, dtype=np.int64)
-    ((_, classes),) = _class_blocks(m, m, 1)
-    return np.where(classes[0] > 0, m - classes[0], -1)
+    classes = _class_rows(np.array([m]), _factor_tables(m // 2), _Scratch())[0]
+    return np.where(classes > 0, m - classes, -1)
 
 
 #: Most values in each 2-D array of a block of moduli (a _Block): the
 #: block takes max(1, SHARE_BLOCK_ELEMENTS // (max K + 1)) consecutive
-#: moduli, so that its periodic classes and weights, its inverse tables,
-#: its columns and the work arrays of one bound each hold at most about this
-#: many values, whatever B.  On a 2-vCPU host (medians of 7 interleaved
-#: in-process shares, CPU time) 2^16, 2^17, 2^18 and 2^19 took 0.36, 0.32,
-#: 0.31 and 0.33 s at N(3e7), and 0.28, 0.26, 0.25 and 0.26 s on the fit
-#: grid; one worker's share of N(1e9) took 10.2, 8.7, 6.3 and 5.3 s, with a
-#: traced peak of 6.0, 9.4, 15.6 and 29.6 MB.
+#: moduli, so that its periodic classes and weights, its inverse tables and
+#: Euclid pairs, its columns and the work arrays of one bound each hold at
+#: most about this many values, whatever B.  On a 2-vCPU host (medians of
+#: 7 interleaved in-process shares, CPU time) 2^16, 2^17, 2^18 and 2^19
+#: took 0.36, 0.32, 0.31 and 0.33 s at N(3e7), and 0.28, 0.26, 0.25 and
+#: 0.26 s on the fit grid; one worker's share of N(1e9) took 10.2, 8.7, 6.3
+#: and 5.3 s, with a traced peak of 6.0, 9.4, 15.6 and 29.6 MB.
 SHARE_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -359,13 +318,14 @@ class _Block:
 
     classes[r, x] = -x^-1 mod y for 0 <= x <= n, or 0 where gcd(x, y) > 1,
     and weights[r, x] is 1 on the units, 0 elsewhere: one periodic pair of
-    rows that both halves of every bound slice, and the columns (_columns)
-    read.  base is _class_rows(ys, ...).  They are work's "classes" and
-    "weights" arrays.  Each method returns one value per row.
+    rows that both halves of every bound slice, and the block's columns
+    (_columns, of S = n // 2) read.  base is _class_rows(ys, ...).  They are
+    work's "classes" and "weights" arrays, and every method but pairs
+    returns one value per row.
     """
 
     def __init__(self, ys, base, n, work=None):
-        work = work or _Scratch()
+        self.work = work = work or _Scratch()
         self.ys = ys
         unit = np.greater(base, 0, out=work("unit", base.shape, bool))
         width = n + 1
@@ -383,6 +343,7 @@ class _Block:
         self.rows = np.arange(ys.size) * base.shape[1]
         self.start = self.cum[self.rows]
         self.phi = self._cum(ys - 1)
+        self.columns = _columns(ys, self.classes, self.weights, n // 2, n, work)
 
     def _cum(self, j):
         """The units in 1..j of each row, 0 <= j < y."""
@@ -443,14 +404,11 @@ class _Block:
             rest -= np.where(y < k, f * w, 0)
         return rest
 
-    def pairs(self, bound, columns, work):
-        """The pairs of the rows a1 = y <= K and of their columns, for one _Bound; an int.
-
-        columns is _columns(ys, ...) of this block.
-        """
-        k = bound.k
+    def pairs(self, bound):
+        """The pairs of the rows a1 = y <= K and of their columns, for one _Bound; an int."""
+        k, work = bound.k, self.work
         rest = self.rests(bound).tolist()
-        total = _column_pairs(self.ys, *columns, bound, work)
+        total = _column_pairs(self.ys, *self.columns, bound, work)
         out = work("count", (k,)), work("over", (k,))
         for r, y in enumerate(self.ys.tolist()):
             if y > k:
@@ -658,7 +616,7 @@ def _share_pairs(states, blocks):
 
     One int per state.  states are _Bound objects ascending in K, and
     blocks ascend up to hi <= S = states[-1].k // 2.  The share builds its
-    own factor tables, and each range in _Block rows of at most
+    own factor tables, and splits each range into _Blocks of at most
     SHARE_BLOCK_ELEMENTS // (max K + 1) moduli.
     """
     n = states[-1].k
@@ -668,11 +626,11 @@ def _share_pairs(states, blocks):
     work = _Scratch()
     totals = [0] * len(states)
     for lo, hi in blocks:
-        for ys, base in _class_blocks(lo, hi, rows, tables, work):
-            block = _Block(ys, base, n, work)
-            columns = _columns(ys, block.classes, block.weights, n // 2, n, work)
-            for i in range(bisect_left(ks, int(ys[0])), len(states)):
-                totals[i] += block.pairs(states[i], columns, work)
+        for start in range(lo, hi + 1, rows):
+            ys = np.arange(start, min(start + rows, hi + 1), dtype=np.int64)
+            block = _Block(ys, _class_rows(ys, tables, work), n, work)
+            for i in range(bisect_left(ks, start), len(states)):
+                totals[i] += block.pairs(states[i])
     return totals
 
 

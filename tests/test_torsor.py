@@ -25,6 +25,14 @@ from tests_support import (a8_side_counts_elementwise, direct_count,
                            pair_counts_elementwise, product_inverse_table)
 
 
+def class_blocks(lo, hi, rows):
+    """(ys, classes) of the moduli lo..hi in blocks of rows, each from _class_rows."""
+    tables = T._factor_tables(hi // 2)
+    for start in range(lo, hi + 1, rows):
+        ys = np.arange(start, min(start + rows, hi + 1), dtype=np.int64)
+        yield ys, T._class_rows(ys, tables, T._Scratch())
+
+
 class TestValidate:
     def test_accepts_examples(self):
         T.validate((1, 1, 1, 1, 1, 1, 1, 0, -1))
@@ -203,7 +211,7 @@ class TestResidueArithmetic:
     @staticmethod
     def block(lo, hi, n):
         """The _Block of the moduli lo..hi, one block, its classes over 0..n."""
-        ((ys, base),) = T._class_blocks(lo, hi, hi - lo + 1)
+        ((ys, base),) = class_blocks(lo, hi, hi - lo + 1)
         return T._Block(ys, base, n)
 
     def test_class_sum_matches_a_scan(self):
@@ -291,7 +299,7 @@ class TestColumns:
         if lo == 1:
             y, one = np.ones(1, dtype=np.int64), np.ones((1, n + 1), dtype=np.int64)
             return y, T._columns(y, one - 1, one, s, n, work)
-        ((ys, base),) = T._class_blocks(lo, hi, hi - lo + 1)
+        ((ys, base),) = class_blocks(lo, hi, hi - lo + 1)
         block = T._Block(ys, base, n)
         return ys, T._columns(ys, block.classes, block.weights, s, n, work)
 
@@ -350,12 +358,10 @@ class TestColumns:
                 k = state.k
                 rows = 0
                 for a1 in range(s + 1, k + 1):      # _Block.pairs of a row above S alone
-                    ((ys, base),) = T._class_blocks(a1, a1, 1)
+                    ((ys, base),) = class_blocks(a1, a1, 1)
                     block = T._Block(ys, base, k)
-                    assert T._column_pairs(ys, *T._columns(ys, block.classes, block.weights,
-                                                           s, k, work), state, work) == 0
-                    rows += block.pairs(state, T._columns(ys, block.classes, block.weights,
-                                                          s, k, work), work)
+                    assert T._column_pairs(ys, *block.columns, state, work) == 0
+                    rows += block.pairs(state)
                 split = tail + sum(T._column_pairs(ys, *column, state, work)
                                    for ys, column in columns)
                 assert split == rows, (bounds, state.b)
@@ -423,7 +429,7 @@ class TestSharedSweep:
     @pytest.mark.parametrize("rows", [1, 2, 3, 7, 128])
     def test_block_tables_match_the_product_oracle(self, oracles, rows):
         moduli = []
-        for ys, classes in T._class_blocks(2, 2000, rows):
+        for ys, classes in class_blocks(2, 2000, rows):
             assert ys.size == min(rows, 2001 - ys[0])
             assert classes.shape == (ys.size, ys[-1])
             for y, inverse in zip(ys.tolist(), self.inverses(ys, classes)):
@@ -439,38 +445,44 @@ class TestSharedSweep:
             blocks.append((int(m.min()), int(m.max()), m.size))
             return euclid(m, x)
         monkeypatch.setattr(T, "_euclid_inverses", record)
-        for ys, classes in T._class_blocks(2, 2000, 7):
-            if len(blocks) > 2:  # the third run has started
+        for ys, classes in class_blocks(2, 2000, 7):
+            if len(blocks) > 2:  # the third block has started
                 break
             for y, inverse in zip(ys.tolist(), self.inverses(ys, classes)):
                 assert inverse == self.pow_table(y), y
         (first, end1, size1), (start2, end2, size2) = blocks[:2]
         assert first == 4  # no prime lies at or below m // 2 for m < 4
-        assert start2 == end1 + 1 and ys[0] == end2 + 1
-        assert (end1 - 1) % 7 == (end2 - 1) % 7 == 0     # runs of whole blocks 2..8, ...
-        assert max(size1, size2) <= T.EUCLID_BLOCK_PAIRS
+        assert (end1, start2, end2) == (8, 9, 15) and ys[0] == end2 + 1  # blocks 2..8, 9..15
+        primes = [2, 3, 5, 7]
+        assert size1 == sum(p <= m // 2 for m in range(2, 9) for p in primes)
+        assert size2 == sum(p <= m // 2 for m in range(9, 16) for p in primes)
 
     def test_tables_with_tiny_blocks(self, monkeypatch):
-        monkeypatch.setattr(T, "EUCLID_BLOCK_PAIRS", 40)  # pi(m // 2) > 40 from m = 358
+        # a tiny element budget: one modulus a block, the tables still exact
         moduli = []
-        for ys, classes in T._class_blocks(2, 400, 3):
-            for y, inverse in zip(ys.tolist(), self.inverses(ys, classes)):
-                assert inverse == self.pow_table(y), y
-                moduli.append(y)
-        assert moduli == list(range(2, 401))
+        class_rows = T._class_rows
+
+        def record(ys, *args):
+            classes = class_rows(ys, *args)
+            assert ys.size == 1
+            assert self.inverses(ys, classes) == [self.pow_table(int(ys[0]))]
+            moduli.extend(ys.tolist())
+            return classes
+        bounds = [10 ** 4, 12345, 99999, 101 ** 2 + 101]
+        counts = T.torsor_counts(bounds)
+        monkeypatch.setattr(T, "SHARE_BLOCK_ELEMENTS", 40)
+        monkeypatch.setattr(T, "FORK_MIN_MODULI", 10 ** 9)     # record in this process
+        monkeypatch.setattr(T, "_class_rows", record)
+        assert T.torsor_counts(bounds) == counts == [full_range_count(b) for b in bounds]
+        assert moduli == list(range(2, isqrt(max(bounds)) // 2 + 1))
 
     @pytest.mark.parametrize("s", [128, 129, 257])
     def test_s_on_either_side_of_a_block_edge(self, s):
         # SHARE_BLOCK = 128 moduli from y = 2: blocks end at 129 and 257
-        bounds = [(2 * s) ** 2, (2 * s + 1) ** 2 + 2 * s]     # K = 2S, M = K - 1; K = 2S + 1 = M
+        # K = 2S with M = K - 1, and K = 2S + 1 = M
+        bounds = [(2 * s) ** 2, (2 * s + 1) ** 2 + 2 * s]
         assert [isqrt(b) // 2 for b in bounds] == [s, s]
         assert T.torsor_counts(bounds) == [full_range_count(b) for b in bounds]
-
-    def test_tiny_element_budget(self, monkeypatch):
-        bounds = [10 ** 4, 12345, 99999, 101 ** 2 + 101]
-        counts = T.torsor_counts(bounds)
-        monkeypatch.setattr(T, "SHARE_BLOCK_ELEMENTS", 40)    # one modulus a block
-        assert T.torsor_counts(bounds) == counts == [full_range_count(b) for b in bounds]
 
     def test_random_unsorted_lists_with_duplicates(self):
         rng = random.Random(4711)
@@ -507,7 +519,7 @@ class TestSharedSweep:
         def started(*args):
             raise AssertionError("counting started with a bound above MAX_TORSOR_BOUND")
         for name in ("_divisor_sum", "_factor_tables", "_euclid_inverses",
-                     "_class_rows", "_class_blocks", "_inverse_table", "_Block",
+                     "_class_rows", "_inverse_table", "_Block",
                      "_pair_counts_fast", "_columns", "_column_pairs",
                      "_squarefree_divisors", "_tail_pairs", "_share_pairs", "_forked",
                      "_sweep"):
