@@ -265,8 +265,8 @@ def _class_rows(ys, tables, work):
     levels, primes = tables
     m = ys[:, None]
     rows, top = ys.size, int(ys[-1])
-    flat = work("inverse", (rows + rows * top,))    # rows zeros, then the table
-    flat.fill(0)
+    flat = work("inverse", (rows + rows * top,))    # rows zeros, which the mirror
+    flat.fill(0)                                    # reads past row 0, then the table
     inv = flat[rows:].reshape(rows, top)
     inv[:, 1] = 1
     count = np.searchsorted(primes, ys // 2, "right")     # primes <= y // 2
@@ -307,9 +307,10 @@ def _inverse_table(m):
 #: Euclid pairs, its columns and the work arrays of one bound each hold at
 #: most about this many values, whatever B.  On a 2-vCPU host (medians of
 #: 7 interleaved in-process shares, CPU time) 2^16, 2^17, 2^18 and 2^19
-#: took 0.36, 0.32, 0.31 and 0.33 s at N(3e7), and 0.28, 0.26, 0.25 and
-#: 0.26 s on the fit grid; one worker's share of N(1e9) took 10.2, 8.7, 6.3
-#: and 5.3 s, with a traced peak of 6.0, 9.4, 15.6 and 29.6 MB.
+#: took 0.41, 0.31, 0.28 and 0.31 s at N(3e7), and 0.33, 0.29, 0.29 and
+#: 0.28 s on the fit grid; one worker's share of N(1e9) took 7.0, 5.0, 4.7
+#: and 4.8 s (medians of 3), with a traced peak of 4.6, 7.8, 13.7 and
+#: 26.1 MB.
 SHARE_BLOCK_ELEMENTS = 1 << 18
 
 
