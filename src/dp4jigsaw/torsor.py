@@ -325,8 +325,8 @@ class _Block:
     returns one value per row.
     """
 
-    def __init__(self, ys, base, n, work=None):
-        self.work = work = work or _Scratch()
+    def __init__(self, ys, base, n, work):
+        self.work = work
         self.ys = ys
         unit = np.greater(base, 0, out=work("unit", base.shape, bool))
         width = n + 1

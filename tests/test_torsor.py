@@ -212,7 +212,7 @@ class TestResidueArithmetic:
     def block(lo, hi, n):
         """The _Block of the moduli lo..hi, one block, its classes over 0..n."""
         ((ys, base),) = class_blocks(lo, hi, hi - lo + 1)
-        return T._Block(ys, base, n)
+        return T._Block(ys, base, n, T._Scratch())
 
     def test_class_sum_matches_a_scan(self):
         rng = random.Random(8128)
@@ -300,7 +300,7 @@ class TestColumns:
             y, one = np.ones(1, dtype=np.int64), np.ones((1, n + 1), dtype=np.int64)
             return y, T._columns(y, one - 1, one, s, n, work)
         ((ys, base),) = class_blocks(lo, hi, hi - lo + 1)
-        block = T._Block(ys, base, n)
+        block = T._Block(ys, base, n, T._Scratch())
         return ys, T._columns(ys, block.classes, block.weights, s, n, work)
 
     def test_column_classes_equal_pow(self):
@@ -359,7 +359,7 @@ class TestColumns:
                 rows = 0
                 for a1 in range(s + 1, k + 1):      # _Block.pairs of a row above S alone
                     ((ys, base),) = class_blocks(a1, a1, 1)
-                    block = T._Block(ys, base, k)
+                    block = T._Block(ys, base, k, T._Scratch())
                     assert T._column_pairs(ys, *block.columns, state, work) == 0
                     rows += block.pairs(state)
                 split = tail + sum(T._column_pairs(ys, *column, state, work)
