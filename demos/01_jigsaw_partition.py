@@ -40,7 +40,7 @@ for q in (5, 10, 20):
 print("\nThe degenerate face is the all-(36) tuple; its effective cone")
 print("contains a line, the analytic obstruction to full dimensionality:")
 for face in reports[1].degenerate_faces:
-    cone = jigsaw.effective_generators(face)
+    cone = jigsaw.effective_generators(jigsaw.face_rows(face))
     gens = cone.generators
     lam = cone_contains_line(cone).line_combination
     combo = " + ".join(f"{c}*{g}" for c, g in zip(lam, gens) if c)

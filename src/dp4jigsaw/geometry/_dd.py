@@ -6,15 +6,23 @@ rays are kept as primitive integer vectors, so no Fraction arithmetic
 happens inside the hot loop.
 
 Extreme-ray adjacency uses the combinatorial test on tight-row bitmasks.
+Before that scan, a pair whose common tight-row mask has fewer than
+dim - 2 - len(lineality) bits is skipped: two adjacent extreme rays of a
+cone with that lineality share tight rows of rank dim - 2 - len(lineality),
+so they share at least that many rows (Fukuda and Prodon, "Double
+description method revisited", 1996).  The skip is only a necessary
+condition, and drops no adjacent pair because every mask is exact.
 Callers that need certified extremeness (vertex enumeration) re-verify
 candidates with an active-set rank check afterwards.
 """
+
+from operator import mul
 
 from ._intlinalg import primitive
 
 
 def _dot(h, v):
-    return sum(a * b for a, b in zip(h, v))
+    return sum(map(mul, h, v))
 
 
 def dd_cone(dim, rows):
@@ -23,7 +31,7 @@ def dd_cone(dim, rows):
     Both lists hold primitive integer vectors.  The cone equals
     span(lineality) + cone(rays).
     """
-    lineality = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    lineality = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
     rays = []  # entries [vector, tight-row bitmask]
     for idx, h in enumerate(rows):
         bit = 1 << idx
@@ -42,14 +50,14 @@ def dd_cone(dim, rows):
             for v in lineality:
                 t = _dot(h, v)
                 if t != 0:
-                    v = primitive(tuple(v[j] * s - ell[j] * t for j in range(dim)))
+                    v = primitive([a * s - b * t for a, b in zip(v, ell)])
                 new_lineality.append(v)
             lineality = new_lineality
             new_rays = []
             for vec, mask in rays:
                 t = _dot(h, vec)
                 if t != 0:
-                    vec = primitive(tuple(vec[j] * s - ell[j] * t for j in range(dim)))
+                    vec = primitive([a * s - b * t for a, b in zip(vec, ell)])
                 new_rays.append([vec, mask | bit])
             # The pivot survives as a ray: tight on every earlier row
             # (it came from the lineality space), strictly feasible for h.
@@ -71,29 +79,27 @@ def dd_cone(dim, rows):
             continue
 
         all_masks = [m for _, m, _ in plus] + [m for _, m in zero] + [m for _, m, _ in minus]
-        n_plus, n_zero = len(plus), len(zero)
+        min_common = dim - 2 - len(lineality)
         new_rays = [[vec, mask] for vec, mask, _ in plus] + zero
         seen = {vec for vec, _ in new_rays}
-        for ip, (vp, mp, tp) in enumerate(plus):
-            for im, (vm, mm, tm) in enumerate(minus):
+        for vp, mp, tp in plus:
+            for vm, mm, tm in minus:
                 common = mp & mm
-                im_global = n_plus + n_zero + im
-                adjacent = True
-                for k, mk in enumerate(all_masks):
-                    if k != ip and k != im_global and (mk & common) == common:
-                        adjacent = False
-                        break
-                if not adjacent:
+                if common.bit_count() < min_common:
                     continue
-                combo = primitive(tuple(tp * vm[j] - tm * vp[j] for j in range(dim)))
+                # the pair's own masks contain common; a third one rules it out
+                if len([mk for mk in all_masks if mk & common == common]) > 2:
+                    continue
+                combo = primitive([tp * a - tm * b for a, b in zip(vm, vp)])
                 if not any(combo) or combo in seen:
                     continue
                 seen.add(combo)
-                # exact tight set: accumulated masks can undershoot, which
-                # would poison later adjacency tests
-                mask = 0
-                for k in range(idx + 1):
-                    if _dot(rows[k], combo) == 0:
+                # exact tight set: h and the rows of common are tight, and the
+                # rest are tested, since an undershooting mask would poison
+                # later adjacency tests
+                mask = common | bit
+                for k in range(idx):
+                    if not common >> k & 1 and _dot(rows[k], combo) == 0:
                         mask |= 1 << k
                 new_rays.append([combo, mask])
         rays = new_rays

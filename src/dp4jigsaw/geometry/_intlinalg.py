@@ -3,7 +3,7 @@
 Everything in the geometry layer funnels through these helpers: content
 normalization of integer vectors, fraction-free (Bareiss) determinants and
 ranks, and small dense solves over Fraction.  Integer input stays in int:
-scaling an all-int vector builds no Fraction.  No floating point anywhere.
+scaling builds no Fraction for an int entry.  No floating point anywhere.
 """
 
 from fractions import Fraction
@@ -32,9 +32,9 @@ def _scale_to_int(vec):
     """(integer vector, m): a rational vector times m, the lcm of its denominators."""
     if all(type(x) is int for x in vec):
         return list(vec), 1
-    fracs = [Fraction(x) for x in vec]
+    fracs = [x if type(x) in (int, Fraction) else Fraction(x) for x in vec]
     mult = lcm(*[f.denominator for f in fracs])
-    return [int(f * mult) for f in fracs], mult
+    return [f.numerator * (mult // f.denominator) for f in fracs], mult
 
 
 def clear_denominators(vec):

@@ -8,6 +8,9 @@ by an integer rank check on its ray.  The brute-force active-set search
 `_vertices_brute` is kept only as the reference the tests compare against.
 Volumes come from a determinant triangulation fanned from a base vertex
 over recursively triangulated facets, on the vertices scaled to integers.
+The facets of a face are read off the vertex sets alone: the proper,
+nonempty intersections of the face with the rows' tight sets that are
+maximal under inclusion, with no rank check.
 Full-dimensionality and cone pointedness are read off double descriptions
 too; no linear program runs.
 
@@ -19,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 
 from ..errors import DimensionMismatch, EmptyGeneratorList, UnboundedInput
 from ._dd import dd_cone
@@ -115,7 +119,7 @@ def _vertices_dd(dim, rows):
     # Row (c, b) is active at x / t iff <c, x> + b t == 0, all in integers.
     certified = set()
     for ray in candidates:
-        active = [row[:dim] for row in rows if sum(a * z for a, z in zip(row, ray)) == 0]
+        active = [row[:dim] for row in rows if sum(map(mul, row, ray)) == 0]
         if active and int_rank(active) == dim:
             certified.add(tuple(Fraction(x, ray[dim]) for x in ray[:dim]))
     return certified, recession
@@ -202,31 +206,25 @@ class HPolytope:
 # Volume by recursive facet triangulation
 # ---------------------------------------------------------------------------
 
-def _triangulate_face(indices, face_dim, tight_sets, coords, memo):
-    """Triangulate the face with the given vertex-index set into simplices."""
-    key = indices
-    cached = memo.get(key)
+def _triangulate_face(indices, tight_sets, memo):
+    """Triangulate the face with the given vertex-index set into simplices.
+
+    The facets of a face F are the proper, nonempty sets F & tight that are
+    maximal under inclusion; a face with one vertex is its own simplex.
+    """
+    cached = memo.get(indices)
     if cached is not None:
         return cached
-    if face_dim == 0:
+    if len(indices) == 1:
         result = [tuple(indices)]
-        memo[key] = result
-        return result
-    base = min(indices)
-    subfaces = set()
-    for tight in tight_sets:
-        sub = indices & tight
-        if sub == indices or not sub:
-            continue
-        if affine_rank([coords[i] for i in sub]) == face_dim - 1:
-            subfaces.add(sub)
-    result = []
-    for sub in sorted(subfaces, key=sorted):
-        if base in sub:
-            continue
-        for simplex in _triangulate_face(sub, face_dim - 1, tight_sets, coords, memo):
-            result.append(simplex + (base,))
-    memo[key] = result
+    else:
+        base = min(indices)
+        subs = {indices & tight for tight in tight_sets} - {indices, frozenset()}
+        result = [simplex + (base,)
+                  for sub in sorted(subs, key=sorted)
+                  if base not in sub and not any(sub < other for other in subs)
+                  for simplex in _triangulate_face(sub, tight_sets, memo)]
+    memo[indices] = result
     return result
 
 
@@ -251,12 +249,11 @@ def _volume(dim, forms, vertices):
     for form in forms:
         const = form.const * scale
         tight = frozenset(i for i, v in enumerate(coords)
-                          if sum(c * x for c, x in zip(form.coeffs, v)) + const == 0)
+                          if sum(map(mul, form.coeffs, v)) + const == 0)
         if tight:
             tight_sets.append(tight)
     total = Fraction(0)
-    for simplex in _triangulate_face(frozenset(range(len(coords))), dim,
-                                     tight_sets, coords, {}):
+    for simplex in _triangulate_face(frozenset(range(len(coords))), tight_sets, {}):
         apex = coords[simplex[-1]]
         matrix = [[coords[i][j] - apex[j] for j in range(dim)] for i in simplex[:-1]]
         total += abs(frac_det(matrix))

@@ -228,14 +228,14 @@ def alpha_closed_form(q):
     return Fraction(1, factorial(q) * factorial(q + 2))
 
 
-def effective_generators(face):
-    """Generators of the effective cone attached to a face: its homogeneous rows.
+def effective_generators(rows):
+    """Generators of the effective cone attached to a face: the homogeneous face_rows.
 
     Coordinates are (a0, e_{0,1}, e_{0,2}, ..., e_{q,1}, e_{q,2}): the two
     classes supported everywhere come first, then per place the classes of
     the edge's two boundary components.
     """
-    return RationalCone.make([f.coeffs for f in face_rows(face) if f.const == 0])
+    return RationalCone.make([f.coeffs for f in rows if f.const == 0])
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +435,14 @@ def interior_certificate(face):
     u / (1 + |sum_n u_{n,2}|), returned only if every face row is positive
     there; a line combination means there is no interior point.
     """
-    diagnostic = cone_contains_line(effective_generators(face))
+    rows = face_rows(face)
+    diagnostic = cone_contains_line(effective_generators(rows))
     u = diagnostic.separating_functional
     if u is None:
         return diagnostic, None
     # <c, u/d> + b > 0 is <c, u> + b d > 0, since d > 0.
     d = 1 + abs(sum(u[2::2]))
-    inside = all(sum(map(mul, f.coeffs, u)) + f.const * d > 0 for f in face_rows(face))
+    inside = all(sum(map(mul, f.coeffs, u)) + f.const * d > 0 for f in rows)
     return diagnostic, tuple(Fraction(x, d) for x in u) if inside else None
 
 

@@ -398,9 +398,13 @@ class TestCli:
          "12b0d884c04143a71aac3cbc44c1740453a37ed9327027d388c82def057b0b36"),
         (["jigsaw", "--q", "3"], "jigsaw.json",
          "a9a7f983cf5b3219fd2f1cead51ab30dcfa6240bcbc971be31c07ea0a03a4aa2"),
+        (["jigsaw", "--q", "4"], "jigsaw.json",
+         "aaff2d59cbbcc382ec7951f354b3db9bdb5e6f4cc91d5c4e3f80f2d4b8c6f7c9"),
+        (["jigsaw", "--q", "5"], "jigsaw.json",
+         "fd8cbcad946038a90b7bdefd7c9a7ee19acdf6c3025d05fc63316299948db15c"),
         (["slices"], "slices.json",
          "7774d79ea54f59b61a561224481a931ccff302a32660dd5c89eddef1ccb73f24"),
-    ], ids=["q0", "q1", "q2", "q3", "slices"])
+    ], ids=["q0", "q1", "q2", "q3", "q4", "q5", "slices"])
     def test_geometry_artifacts_are_pinned(self, tmp_path, args, name, digest):
         assert run_cli(["--format", "json"] + args, tmp_path) == 0
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

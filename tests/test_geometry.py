@@ -22,7 +22,8 @@ from dp4jigsaw.geometry import (AffineForm, HPolytope, RationalCone,
 from dp4jigsaw import jigsaw
 from dp4jigsaw.geometry.polytope import _lattice, _vertices_brute, _vertices_dd
 from dp4jigsaw.geometry._simplex import feasible
-from tests_support import (box, evaluate, fraction_volume, lp_cone_contains_line,
+from tests_support import (OBLIQUE_PYRAMID, box, check_dd_cone, evaluate,
+                           fraction_volume, homogenized, lp_cone_contains_line,
                            lp_strictly_feasible, monte_carlo_volume,
                            product_polytope, random_unimodular, slice_polytope,
                            standard_simplex, transform_polytope)
@@ -393,6 +394,35 @@ class TestSingleEnumeratorProperties:
 
 
 @st.composite
+def cone_rows(draw):
+    """Rows of a cone {z : <h, z> >= 0} at the jigsaw's sizes: dim 1..9, up to 12 rows.
+
+    Some rows repeat another one scaled or negated, which makes degenerate
+    rays and lineality.
+    """
+    dim = draw(st.integers(1, 9))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(tuple)
+    rows = draw(st.lists(row, max_size=12))
+    for copy in draw(st.lists(st.sampled_from(rows), max_size=12 - len(rows))) if rows else ():
+        rows.append(tuple(draw(st.sampled_from([-1, 2])) * x for x in copy))
+    return dim, rows
+
+
+class TestDoubleDescription:
+    """dd_cone, the only vertex enumerator, on random cones."""
+
+    @PROPERTY_SETTINGS
+    @given(cone_rows())
+    @example((1, []))
+    @example((2, [(1, 0), (-1, 0)]))  # a line: no rays
+    @example((3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]))  # a plane's worth of lineality
+    @example(homogenized(jigsaw.face_rows(("57", "36"))))
+    @example(homogenized(jigsaw.face_rows(("36", "36"))))  # the flat face
+    def test_rays_and_lineality(self, case):
+        check_dd_cone(*case)
+
+
+@st.composite
 def cone_generators(draw):
     """Nonzero generators: the coefficient vectors of rows_through_a_point."""
     dim, rows = draw(rows_through_a_point())
@@ -447,11 +477,12 @@ class TestLatticeVolumeAgainstFractions:
     @example((3, [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 1),
                   (0, 0, 1, 0), (0, 0, -1, 1)]))  # flat square in 3-space
     @example((2, [(2, 3, -1), (-1, 0, 1), (0, -1, 1), (0, 1, 0), (1, 0, 0)]))  # (1/2, 0), (0, 1/3)
+    @example(OBLIQUE_PYRAMID)  # two facets meet in a vertex
     def test_clipped_rows(self, case):
         p = HPolytope(*case)
         assert p.volume() == fraction_volume(p.dimension, p.inequalities, p.vertices)
 
-    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("q", [0, 1, 2, 3])
     @pytest.mark.parametrize("build", [jigsaw.union_polytope, jigsaw.pyramid_polytope,
                                        jigsaw.pyramid_base_polytope],
                              ids=["union", "pyramid", "pyramid_base"])

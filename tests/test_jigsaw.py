@@ -259,25 +259,25 @@ class TestEveryFan:
 
 class TestEffectiveGenerators:
     def test_q0_57(self):
-        gens = jigsaw.effective_generators(("57",)).generators
+        gens = jigsaw.effective_generators(jigsaw.face_rows(("57",))).generators
         assert gens == ((1, 1, 0), (-1, 0, 1), (0, -1, 0), (0, 3, 1))
 
     def test_q0_36(self):
-        gens = jigsaw.effective_generators(("36",)).generators
+        gens = jigsaw.effective_generators(jigsaw.face_rows(("36",))).generators
         assert gens == ((1, 1, 0), (-1, 0, 1), (0, -1, -1), (0, 0, 1))
 
     def test_homogeneous_face_rows(self):
         # (57) is pinned by test_q0_57.
-        assert jigsaw.effective_generators(("36", "45")).generators == (
+        assert jigsaw.effective_generators(jigsaw.face_rows(("36", "45"))).generators == (
             (1, 1, 0, 1, 0), (-1, 0, 1, 0, 1), (0, -1, -1, 0, 0), (0, 0, 1, 0, 0),
             (0, 0, 0, -3, -1), (0, 0, 0, 2, 1))
-        assert jigsaw.effective_generators(("34", "57", "36")).generators == (
+        assert jigsaw.effective_generators(jigsaw.face_rows(("34", "57", "36"))).generators == (
             (1, 1, 0, 1, 0, 1, 0), (-1, 0, 1, 0, 1, 0, 1), (0, -2, -1, 0, 0, 0, 0),
             (0, 1, 1, 0, 0, 0, 0), (0, 0, 0, -1, 0, 0, 0), (0, 0, 0, 3, 1, 0, 0),
             (0, 0, 0, 0, 0, -1, -1), (0, 0, 0, 0, 0, 0, 1))
 
     def test_q1_45_34(self):
-        gens = jigsaw.effective_generators(("45", "34")).generators
+        gens = jigsaw.effective_generators(jigsaw.face_rows(("45", "34"))).generators
         assert len(gens) == 6
         assert (0, -3, -1, 0, 0) in gens
         assert (0, 0, 0, 1, 1) in gens
@@ -295,7 +295,7 @@ class TestDegenerateFaces:
             assert (point is not None) == strict[m]
             assert diagnostic.contains_line == (point is None)
             if point is None:
-                gens = jigsaw.effective_generators(face).generators
+                gens = jigsaw.effective_generators(jigsaw.face_rows(face)).generators
                 lam = diagnostic.line_combination
                 assert min(lam) >= 0 and any(lam)
                 assert not any(sum(c * g[j] for c, g in zip(lam, gens))

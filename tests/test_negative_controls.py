@@ -10,13 +10,15 @@ import inspect
 import json
 import os
 import textwrap
+from fractions import Fraction
 
 import pytest
 
 from dp4jigsaw import constants, jigsaw, surface, torsor
 from dp4jigsaw.cli import main
-from dp4jigsaw.geometry import ConeLineDiagnostic, polytope
-from tests_support import full_range_count, surface_x2_zero_is_lines
+from dp4jigsaw.geometry import ConeLineDiagnostic, HPolytope, _dd, polytope
+from tests_support import (OBLIQUE_PYRAMID, check_dd_cone, fraction_volume,
+                           full_range_count, homogenized, surface_x2_zero_is_lines)
 
 
 def run_cli(args, outdir):
@@ -213,7 +215,7 @@ def _recompiled(function, old, new):
     source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1, old
     namespace = {}
-    exec(source.replace(old, new), vars(torsor), namespace)
+    exec(source.replace(old, new), function.__globals__, namespace)
     return namespace[function.__name__]
 
 
@@ -280,3 +282,33 @@ def test_line_dropped_from_the_x2_zero_check(monkeypatch):
     lines = surface._lines
     monkeypatch.setattr(surface, "_lines", lambda *x: lines(*x) - {surface.LINE_LPP})
     assert not any(surface_x2_zero_is_lines(p) for p in primes)
+
+
+def test_non_maximal_subfaces_in_the_triangulation(monkeypatch):
+    # The oblique pyramid's apex lies on four facets, so the facet through
+    # the edge x = 2 meets the opposite facet at the apex alone: a vertex
+    # that the planted rule keeps as a facet, adding a short "simplex".  The
+    # jigsaw and pyramid volumes for q <= 3 do not change under this plant;
+    # the pyramid is an example of test_clipped_rows, whose oracle takes
+    # the facets by rank.
+    pyramid = HPolytope(*OBLIQUE_PYRAMID)
+    oracle = fraction_volume(3, pyramid.inequalities, pyramid.vertices)
+    assert pyramid.volume() == oracle == Fraction(8, 3)
+    monkeypatch.setattr(polytope, "_triangulate_face", _recompiled(
+        polytope._triangulate_face, " and not any(sub < other for other in subs)", ""))
+    assert pyramid.volume() != oracle
+
+
+def test_double_description_skip_tightened_by_one(tmp_path, monkeypatch):
+    args = ["jigsaw", "--q", "1"]
+    cone = homogenized(jigsaw.face_rows(("57", "36")))
+    assert run_cli(args, tmp_path) == 0
+    check_dd_cone(*cone)
+    # Adjacent rays may share exactly dim - 2 - len(lineality) tight rows;
+    # skipping those pairs loses the rays they would make.
+    planted = _recompiled(_dd.dd_cone, "dim - 2 - len(lineality)", "dim - 1 - len(lineality)")
+    monkeypatch.setattr(_dd, "dd_cone", planted)
+    monkeypatch.setattr(polytope, "dd_cone", planted)
+    with pytest.raises(AssertionError):
+        check_dd_cone(*cone)
+    assert run_cli(args, tmp_path) == 1

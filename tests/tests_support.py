@@ -10,7 +10,9 @@ tests/test_src_is_production.py keeps them out of `src/`.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial, gcd, isqrt
+from operator import mul
 
 import numpy as np
 
@@ -19,12 +21,11 @@ from dp4jigsaw import surface as S
 from dp4jigsaw.constants import kronecker_symbol, primes_up_to
 from dp4jigsaw.errors import Dp4Error, DimensionMismatch, IndexOutOfRange
 from dp4jigsaw.gaussian import GaussInt, exact_div
-from dp4jigsaw.geometry import (AffineForm, HPolytope, _simplex,
+from dp4jigsaw.geometry import (AffineForm, HPolytope, _dd, _simplex,
                                 fix_coordinates, pull_back)
-from dp4jigsaw.geometry._intlinalg import (clear_denominators, frac_det,
-                                           solve_square)
-from dp4jigsaw.geometry.polytope import (ConeLineDiagnostic, _full_dimensional,
-                                         _triangulate_face)
+from dp4jigsaw.geometry._intlinalg import (affine_rank, clear_denominators, frac_det,
+                                           int_rank, solve_square)
+from dp4jigsaw.geometry.polytope import ConeLineDiagnostic, _full_dimensional
 from dp4jigsaw.jigsaw import _FaceCache, all_faces
 from dp4jigsaw.reporting import CSV_HEADER
 from dp4jigsaw.torsor import enumerate_normalized, validate
@@ -92,8 +93,39 @@ def transform_polytope(p, matrix):
     return HPolytope(len(matrix[0]), pull_back(p.inequalities, matrix))
 
 
+#: A square pyramid with its apex (3, 1, 2) off the square [0, 2]^2 x {0}:
+#: four facets meet at the apex, so two facets can meet in a vertex alone.
+#: (dim, rows) for HPolytope; its volume is 8/3.
+OBLIQUE_PYRAMID = (3, [(0, 0, 1, 0), (2, 0, -3, 0), (-2, 0, 1, 4), (0, 2, -1, 0),
+                       (0, -2, -1, 4)])
+
+
+def _rank_triangulation(indices, face_dim, tight_sets, coords, memo):
+    """Triangulate a face whose facets are the sets F & tight of affine rank dim F - 1.
+
+    The facet rule by rank, a second route to polytope._triangulate_face,
+    which takes the sets maximal under inclusion.
+    """
+    cached = memo.get(indices)
+    if cached is not None:
+        return cached
+    if face_dim == 0:
+        result = [tuple(indices)]
+    else:
+        base = min(indices)
+        subfaces = {indices & tight for tight in tight_sets} - {indices, frozenset()}
+        result = [simplex + (base,)
+                  for sub in sorted(subfaces, key=sorted)
+                  if base not in sub
+                  and affine_rank([coords[i] for i in sub]) == face_dim - 1
+                  for simplex in _rank_triangulation(sub, face_dim - 1, tight_sets,
+                                                     coords, memo)]
+    memo[indices] = result
+    return result
+
+
 def fraction_volume(dim, forms, vertices):
-    """Oracle for polytope._volume: the same triangulation on Fraction vertices."""
+    """Oracle for polytope._volume: facets by rank, on the Fraction vertices."""
     if not _full_dimensional(dim, vertices):
         return Fraction(0)
     coords = list(vertices)  # sorted, so the triangulation is deterministic
@@ -103,12 +135,94 @@ def fraction_volume(dim, forms, vertices):
         if tight:
             tight_sets.append(tight)
     total = Fraction(0)
-    for simplex in _triangulate_face(frozenset(range(len(coords))), dim,
-                                     tight_sets, coords, {}):
+    for simplex in _rank_triangulation(frozenset(range(len(coords))), dim,
+                                       tight_sets, coords, {}):
         apex = coords[simplex[-1]]
         matrix = [[coords[i][j] - apex[j] for j in range(dim)] for i in simplex[:-1]]
         total += abs(frac_det(matrix))
     return total / factorial(dim)
+
+
+def null_space(matrix, dim):
+    """A basis of {z in Q^dim : m z = 0 for every row m}, by reduced row echelon form."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for col in range(dim):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(dim) if c not in pivots):
+        z = [Fraction(0)] * dim
+        z[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            z[col] = -rows[r][free]
+        basis.append(z)
+    return basis
+
+
+def row_values(rows, z):
+    """The primitive integer vector of <h, z> over the rows: z modulo the lineality."""
+    return clear_denominators([sum(map(mul, h, z)) for h in rows])
+
+
+def brute_extreme_rays(dim, rows):
+    """The extreme rays of {z : <h, z> >= 0 for h in rows}, each as its row_values.
+
+    With r the rank of the rows, an extreme ray is cut out by r - 1 of them of
+    rank r - 1: their null space is the lineality plus one direction w, and
+    w or -w is a ray iff its row values all have one sign.  Every subset of
+    r - 1 rows is tried.
+    """
+    rank = int_rank(rows)
+    found = set()
+    for subset in combinations(rows, rank - 1) if rank else ():
+        basis = null_space(subset, dim)
+        if len(basis) != dim - rank + 1:
+            continue  # the subset has rank below r - 1
+        w = next(v for v in (row_values(rows, z) for z in basis) if any(v))
+        if min(w) >= 0:
+            found.add(w)
+        elif max(w) <= 0:
+            found.add(tuple(-x for x in w))
+    return found
+
+
+def homogenized(forms):
+    """(dim + 1, rows) of the homogenization cone of {x : forms}, as _vertices_dd builds it."""
+    dim = len(forms[0].coeffs)
+    return dim + 1, [(0,) * dim + (1,)] + [form.as_row() for form in forms]
+
+
+def check_dd_cone(dim, rows):
+    """Assert that dd_cone generates {z : <h, z> >= 0 for h in rows}.
+
+    The lineality vectors are independent, tight on every row and as many
+    as the cone's lineality needs; every ray meets every row and is extreme,
+    with tight rows of rank dim - 1 - len(lineality); no two rays agree
+    modulo the lineality.  At small sizes the rays are also every ray of
+    brute_extreme_rays.
+    """
+    lineality, rays = _dd.dd_cone(dim, rows)  # read at call time, so a planted one is checked
+    assert len(lineality) == int_rank(lineality) == dim - int_rank(rows)
+    assert all(sum(map(mul, h, ell)) == 0 for h in rows for ell in lineality)
+    for ray in rays:
+        values = [sum(map(mul, h, ray)) for h in rows]
+        assert min(values, default=0) >= 0
+        tight = [h for h, value in zip(rows, values) if value == 0]
+        assert int_rank(tight) == dim - 1 - len(lineality)
+    found = {row_values(rows, ray) for ray in rays}
+    assert len(found) == len(rays)
+    if dim <= 6 and len(rows) <= 9:
+        assert found == brute_extreme_rays(dim, rows)
 
 
 def monte_carlo_volume(p, samples=1_000_000, seed=0):
