@@ -13,7 +13,6 @@ to recover (2q + 3) * vol(P) = 1/(q! (q+2)!).
 """
 
 from dp4jigsaw import jigsaw
-from dp4jigsaw.geometry import cone_contains_line
 
 print("edge fan rays rho0..rho4:", jigsaw.edge_fan())
 reports = {}
@@ -38,10 +37,10 @@ for q in (5, 10, 20):
           f"[equals 1/(q!(q+2)!): {total == jigsaw.alpha_closed_form(q)}]")
 
 print("\nThe degenerate face is the all-(36) tuple; its effective cone")
-print("contains a line, the analytic obstruction to full dimensionality:")
+print("contains a line, the analytic obstruction to full dimensionality.")
+print("The combination is read off s + t at each place's rays, then checked:")
 for face in reports[1].degenerate_faces:
-    cone = jigsaw.effective_generators(jigsaw.face_rows(face))
-    gens = cone.generators
-    lam = cone_contains_line(cone).line_combination
+    gens = jigsaw.effective_generators(jigsaw.face_rows(face)).generators
+    lam = jigsaw.interior_certificate(face)[0].line_combination
     combo = " + ".join(f"{c}*{g}" for c, g in zip(lam, gens) if c)
     print(f"  {jigsaw.face_key(face)}:  {combo} = 0")

@@ -220,11 +220,12 @@ def _cmd_alpha(args):
 
 def _cmd_slices(args):
     jigsaw.edge_fan()  # the census pieces' rows are derived from the fan's rays
+    rows = jigsaw.census_rows()
     payload = []
     ok = True
     for a1 in args.a1 or list(jigsaw.PUBLISHED_PIECE_COUNTS):
         a0 = args.a0 if args.a0 is not None else (1 + a1) / 2
-        census = jigsaw.slice_census(a1, a0)
+        census = jigsaw.slice_census(a1, a0, rows)
         payload.append(census.to_json_dict())
         ok = ok and census.union_verified
         print(f"a1={a1}, a0={a0}: {census.positive_count} positive pieces, "

@@ -106,14 +106,15 @@ def affine_rank(points):
 
 
 def frac_det(matrix):
-    """Exact determinant of a square matrix with rational entries."""
+    """Exact determinant of a square rational matrix; an int when every entry is one."""
     scaled = []
     denom = 1
     for row in matrix:
         ints, mult = _scale_to_int(row)
         scaled.append(ints)
         denom *= mult
-    return Fraction(bareiss_det(scaled), denom)
+    det = bareiss_det(scaled)
+    return det if denom == 1 else Fraction(det, denom)
 
 
 def solve_square(matrix, rhs):

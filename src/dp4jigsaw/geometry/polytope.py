@@ -11,8 +11,10 @@ over recursively triangulated facets, on the vertices scaled to integers.
 The facets of a face are read off the vertex sets alone: the proper,
 nonempty intersections of the face with the rows' tight sets that are
 maximal under inclusion, with no rank check.
-Full-dimensionality and cone pointedness are read off double descriptions
-too; no linear program runs.
+Full-dimensionality is read off the vertices; no linear program runs.
+Cone pointedness by double description (cone_contains_line) serves only
+the tests, as the oracle for the jigsaw's per-place cone certificates,
+and the benchmark, which times it.
 
 A polytope that is nonempty but not full-dimensional has volume exactly 0;
 that is a meaningful output here, not an error.
@@ -27,7 +29,7 @@ from operator import mul
 from ..errors import DimensionMismatch, EmptyGeneratorList, UnboundedInput
 from ._dd import dd_cone
 from ._intlinalg import (affine_rank, clear_denominators, frac_det, int_rank,
-                         solve_square)
+                         primitive, solve_square)
 
 
 @dataclass(frozen=True)
@@ -140,11 +142,20 @@ def _enumerate(dim, rows):
 
 
 def fix_coordinates(forms, values):
-    """The rows with x_i = values[i] substituted, over the remaining coordinates."""
+    """The rows with x_i = values[i] substituted, over the remaining coordinates.
+
+    In integers: each row is scaled by D, the lcm of the values'
+    denominators, so that every D x_i is an integer, then made primitive.
+    """
     values = {i: Fraction(v) for i, v in values.items()}
-    return [AffineForm.make([c for i, c in enumerate(f.coeffs) if i not in values],
-                            f.const + sum(f.coeffs[i] * v for i, v in values.items()))
-            for f in forms]
+    scale = lcm(*[v.denominator for v in values.values()])
+    scaled = [(i, v.numerator * (scale // v.denominator)) for i, v in values.items()]
+    rows = []
+    for f in forms:
+        row = primitive([c * scale for i, c in enumerate(f.coeffs) if i not in values]
+                        + [f.const * scale + sum(f.coeffs[i] * x for i, x in scaled)])
+        rows.append(AffineForm(row[:-1], row[-1]))
+    return rows
 
 
 def pull_back(forms, matrix):
@@ -252,12 +263,12 @@ def _volume(dim, forms, vertices):
                           if sum(map(mul, form.coeffs, v)) + const == 0)
         if tight:
             tight_sets.append(tight)
-    total = Fraction(0)
+    total = 0  # frac_det of integer rows is an int
     for simplex in _triangulate_face(frozenset(range(len(coords))), tight_sets, {}):
         apex = coords[simplex[-1]]
         matrix = [[coords[i][j] - apex[j] for j in range(dim)] for i in simplex[:-1]]
         total += abs(frac_det(matrix))
-    return total / (scale ** dim * factorial(dim))
+    return Fraction(total, scale ** dim * factorial(dim))
 
 
 # ---------------------------------------------------------------------------

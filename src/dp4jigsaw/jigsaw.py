@@ -68,16 +68,26 @@ positive.  So a face has volume 0 exactly when every coordinate lies on
 a ray with sigma <= 0, where the a0-interval has length 0.  On the
 table's fan those are rho3, rho4: the all-(36) face, for every q.
 
-The second route to it is duality.  A face's homogeneous rows cut out the
-cone C dual to its effective cone E, and its polytope is C cut by
-sum_n a_{n,2} <= 1, so the polytope has an interior point exactly when C
-does.  If E is pointed, a functional u positive on every generator is
-interior to C, and u / (1 + |sum_n u_{n,2}|) lies strictly inside the
-polytope; if E contains a line, a nonnegative combination of generators
-sums to 0 and no point is positive on all of them (Gordan).
-degenerate_face_report runs one double description per edge multiset and
-checks each witness point against the face rows; no face polytope is
-built.
+The second route is duality, one 2 x 2 block per place.  A face's
+homogeneous rows cut out the cone C dual to its effective cone E, and its
+polytope is C cut by sum_n a_{n,2} <= 1, so it has an interior point
+exactly when C does, that is, when E contains no line (Gordan 1873).  E is
+generated by g1 = (1; 1, 0, ...), g2 = (-1; 0, 1, ...) and, at each place
+with rays u, v, the edge rows alpha = (-u_t, u_s), beta = (v_t, -v_s).  As
+det(u, v) = 1, mu alpha + nu beta = (-1, -1) for mu = -sigma(v) and
+nu = -sigma(u), so lam = (1, 1, mu_0, nu_0, ..., mu_q, nu_q) sums the
+generators to 0, and lam >= 0 exactly when every ray the face uses has
+sigma <= 0.  Otherwise p_n = u + v, plus k = 1 + max(0, -sum_n sigma(u + v))
+times the ray of larger sigma where that sigma is positive, lies inside
+each cone, with sum_n sigma(p_n) > 0.  Over the doubled p_n,
+a0 = sum t - sum s lies strictly between -2 sum s and 2 sum t, and dividing
+by 1 + 2 sum t puts sum_n a_{n,2} below 1.  interior_certificate checks
+the witness exactly, the point against every face row or lam against the
+generators, so the verdict never rests on sigma alone and stays
+independent of face_volume: a lam that fails raises PartitionFailure, and
+a point that fails is reported as none, which the volume route flags.
+degenerate_face_report runs it once per edge multiset; cone_contains_line,
+pointedness by double description, is the tests' oracle for it.
 
 alpha_sum sums face_volume over the C(q+r, r-1) edge multisets of an
 r-cone fan, C(q+4, 3) for the paper's, with multinomial weights.
@@ -97,11 +107,12 @@ from math import factorial, prod
 from operator import mul
 
 from .errors import IndexOutOfRange, NegativeRank, OutOfRange, PartitionFailure
-# strictly_feasible is not called here: it is the tests' oracle for the
-# strict-feasibility column, and bench/layers.py counts its calls by this name.
-from .geometry import (AffineForm, HPolytope, RationalCone, cone_contains_line,
-                       fix_coordinates, interiors_disjoint, pull_back,
-                       strictly_feasible)
+# strictly_feasible and cone_contains_line are not called here: they are the
+# tests' oracles for the strict-feasibility and cone-line columns, and
+# bench/layers.py times them by these names.
+from .geometry import (AffineForm, ConeLineDiagnostic, HPolytope, RationalCone,
+                       cone_contains_line, fix_coordinates, interiors_disjoint,
+                       pull_back, strictly_feasible)
 
 #: Edge labels of the Clemens path, in path order A7-A5, A5-A4, A4-A3, A3-A6.
 #: The cone of EDGE_LABELS[j] is spanned by FAN_RAYS[j] and FAN_RAYS[j + 1].
@@ -111,14 +122,16 @@ EDGE_LABELS = ("57", "45", "34", "36")
 FAN_RAYS = ((0, 1), (-1, 3), (-1, 2), (-1, 1), (-1, 0))
 
 #: Largest q that jigsaw_check and degenerate_face_report accept.  They
-#: list all 4^(q+1) faces, triangulate P in dimension 2q + 3 and run one
-#: double description per edge multiset.  `dp4 jigsaw` at q = 4, 5, 6, 7
-#: took 0.6, 0.9, 2.0 and 6.5 s on a 2-vCPU Xeon, at 31, 33, 40 and 72 MB
-#: peak RSS, and wrote a jigsaw.json of 42 KB, 190 KB, 862 KB and 3.9 MB:
-#: each step in q costs 1.5-3.3x the time and 4x the faces.  Raising the
-#: cap waits only for a listing of polynomial size, one row per edge
-#: multiset (ROADMAP item 1).  alpha_sum, which lists edge multisets
-#: instead of faces, has no limit.
+#: list all 4^(q+1) faces, triangulate P in dimension 2q + 3 and check one
+#: per-place certificate per edge multiset.  `dp4 jigsaw --format json` at
+#: q = 4, 5, 6, 7 took medians of 0.19, 0.34, 0.7-1.1 and 3.3-4.5 s in
+#: fresh processes on a 2-vCPU Xeon (a range spans rounds on a host whose
+#: speed varied), at 17, 19, 28 and 59 MB peak RSS, and wrote a jigsaw.json
+#: of 42 KB, 190 KB, 862 KB and 3.9 MB: each step in q costs 1.8-4.5x the
+#: time and 4x the faces, and at q = 7 the triangulation of P took 2.7 to
+#: 3.2 s of it.  Raising the cap waits only for a listing of polynomial
+#: size, one row per edge multiset (ROADMAP item 1).  alpha_sum, which
+#: lists edge multisets instead of faces, has no limit.
 MAX_JIGSAW_RANK = 6
 
 #: The published positive-piece counts of the q = 1 census, by a1.
@@ -182,6 +195,14 @@ def _polytope_rows(blocks):
                                      for form in _place_rows(n, block, q)]
 
 
+def _edge_rays(edge):
+    """The rays u, v of an edge's cone: FAN_RAYS[j] and FAN_RAYS[j + 1]."""
+    if edge not in EDGE_LABELS:
+        raise IndexOutOfRange(f"unknown Clemens edge label {edge!r}")
+    j = EDGE_LABELS.index(edge)
+    return FAN_RAYS[j:j + 2]
+
+
 def _edge_block(edge):
     """The two rows of an edge on (s, t), derived from the rays u, v of its cone.
 
@@ -191,10 +212,7 @@ def _edge_block(edge):
     effective-cone generators.  Evaluating them on a dual vector reproduces
     the inequality block, which is why one pair serves both.
     """
-    if edge not in EDGE_LABELS:
-        raise IndexOutOfRange(f"unknown Clemens edge label {edge!r}")
-    j = EDGE_LABELS.index(edge)
-    (us, ut), (vs, vt) = FAN_RAYS[j:j + 2]
+    (us, ut), (vs, vt) = _edge_rays(edge)
     return (-ut, us), (vt, -vs)
 
 
@@ -430,20 +448,36 @@ def jigsaw_check(q):
 def interior_certificate(face):
     """The face's cone diagnostic, and a point strictly inside its polytope or None.
 
-    One double description of the effective cone decides both (see the
-    module docstring): a separating functional u gives the candidate
-    u / (1 + |sum_n u_{n,2}|), returned only if every face row is positive
-    there; a line combination means there is no interior point.
+    sigma at each place's rays picks the witness, a line combination or a
+    point, and it is checked exactly (see the module docstring).  The
+    diagnostic carries the line combination, or as the separating
+    functional the integer vector that the point scales down.  Raises
+    PartitionFailure when the line combination fails its check.
     """
     rows = face_rows(face)
-    diagnostic = cone_contains_line(effective_generators(rows))
-    u = diagnostic.separating_functional
-    if u is None:
-        return diagnostic, None
-    # <c, u/d> + b > 0 is <c, u> + b d > 0, since d > 0.
-    d = 1 + abs(sum(u[2::2]))
-    inside = all(sum(map(mul, f.coeffs, u)) + f.const * d > 0 for f in rows)
-    return diagnostic, tuple(Fraction(x, d) for x in u) if inside else None
+    rays = [_edge_rays(edge) for edge in face]
+    sigmas = [(us + ut, vs + vt) for (us, ut), (vs, vt) in rays]
+    if all(max(pair) <= 0 for pair in sigmas):
+        lam = (1, 1) + tuple(x for su, sv in sigmas for x in (-sv, -su))
+        gens = effective_generators(rows).generators
+        sums = [sum(map(mul, lam, column)) for column in zip(*gens)]
+        if min(lam) >= 0 and any(lam) and len(lam) == len(gens) and not any(sums):
+            return ConeLineDiagnostic(lam, None), None
+        raise PartitionFailure(f"face {face_key(face)}: the line combination {lam} "
+                               f"fails its check, and sigma gives no interior point")
+    k = 1 + max(0, -sum(map(sum, sigmas)))
+    points = []
+    for (u, v), (su, sv) in zip(rays, sigmas):
+        w, sw = (u, su) if su >= sv else (v, sv)
+        m = k if sw > 0 else 0
+        points.append((u[0] + v[0] + m * w[0], u[1] + v[1] + m * w[1]))
+    s_sum, t_sum = map(sum, zip(*points))
+    witness = (t_sum - s_sum,) + tuple(2 * x for p in points for x in p)
+    # <c, x/d> + b > 0 is <c, x> + b d > 0, since d > 0.
+    d = 1 + abs(sum(witness[2::2]))
+    inside = all(sum(map(mul, f.coeffs, witness)) + f.const * d > 0 for f in rows)
+    return (ConeLineDiagnostic(None, witness),
+            tuple(Fraction(x, d) for x in witness) if inside else None)
 
 
 def degenerate_face_report(q, per_face=None):
@@ -565,26 +599,33 @@ class SliceCensus:
         }
 
 
-def slice_census(a1, a0):
+def census_rows():
+    """Each q = 1 face's rows, pulled back by the pyramid change of variables."""
+    matrix = census_change_of_variables(1)
+    return {face: pull_back(face_rows(face), matrix) for face in all_faces(1)}
+
+
+def slice_census(a1, a0, rows=None):
     """Cross-section mosaic of the q = 1 face polytopes at a2 = 1 and given (a0, a1).
 
-    Each face's rows are pulled back by the pyramid change of variables and
-    fixed at (a0, a1, a2=1); the pieces are polygons in the remaining
-    coordinates (u_{1,1}, u_{1,2}) that tile the rectangle [0, a1] x [0, 1].
-    Returns per-face areas and vertex counts plus the exact union check.
+    Each face's pulled-back rows (census_rows(), which a caller slicing many
+    censuses passes as rows) are fixed at (a0, a1, a2=1); the pieces are
+    polygons in the remaining coordinates (u_{1,1}, u_{1,2}) that tile the
+    rectangle [0, a1] x [0, 1].  Returns per-face areas and vertex counts
+    plus the exact union check.
     """
     a1 = Fraction(a1)
     a0 = Fraction(a0)
     if not (0 < a1 <= a0 <= 1):
         raise OutOfRange("need 0 < a1 <= a0 <= 1")
-    q = 1
-    matrix = census_change_of_variables(q)
-    fixed = {0: a0, 1: a1, 2: Fraction(1)}
+    if rows is None:
+        rows = census_rows()
+    fixed = {0: a0, 1: a1, 2: 1}
     pieces = {}
     positive = []
     total = Fraction(0)
-    for face in all_faces(q):
-        piece = HPolytope(2, fix_coordinates(pull_back(face_rows(face), matrix), fixed))
+    for face, pulled in rows.items():
+        piece = HPolytope(2, fix_coordinates(pulled, fixed))
         area = piece.volume()
         pieces[face] = SlicePiece(area=area, vertex_count=len(piece.vertices),
                                   vertices=piece.vertices)
@@ -604,7 +645,7 @@ def slice_census(a1, a0):
             if not interiors_disjoint(p1, p2):
                 union_ok = False
     return SliceCensus(
-        q=q, a1=a1, a0=a0, pieces=pieces,
+        q=1, a1=a1, a0=a0, pieces=pieces,
         positive_count=len(positive), total_area=total,
         union_verified=union_ok,
     )

@@ -402,9 +402,11 @@ class TestCli:
          "aaff2d59cbbcc382ec7951f354b3db9bdb5e6f4cc91d5c4e3f80f2d4b8c6f7c9"),
         (["jigsaw", "--q", "5"], "jigsaw.json",
          "fd8cbcad946038a90b7bdefd7c9a7ee19acdf6c3025d05fc63316299948db15c"),
+        (["jigsaw", "--q", "6"], "jigsaw.json",
+         "c27d995a310056143d76346b54303d6f476bae2a704e23b3b46ef0ec00fe02f4"),
         (["slices"], "slices.json",
          "7774d79ea54f59b61a561224481a931ccff302a32660dd5c89eddef1ccb73f24"),
-    ], ids=["q0", "q1", "q2", "q3", "q4", "q5", "slices"])
+    ], ids=["q0", "q1", "q2", "q3", "q4", "q5", "q6", "slices"])
     def test_geometry_artifacts_are_pinned(self, tmp_path, args, name, digest):
         assert run_cli(["--format", "json"] + args, tmp_path) == 0
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -17,13 +17,15 @@ from hypothesis import strategies as st
 from dp4jigsaw.errors import (DimensionMismatch, EmptyGeneratorList,
                               UnboundedInput)
 from dp4jigsaw.geometry import (AffineForm, HPolytope, RationalCone,
-                                cone_contains_line, interiors_disjoint,
-                                strictly_feasible)
+                                cone_contains_line, fix_coordinates,
+                                interiors_disjoint, strictly_feasible)
 from dp4jigsaw import jigsaw
+from dp4jigsaw.geometry._intlinalg import frac_det
 from dp4jigsaw.geometry.polytope import _lattice, _vertices_brute, _vertices_dd
 from dp4jigsaw.geometry._simplex import feasible
-from tests_support import (OBLIQUE_PYRAMID, box, check_dd_cone, evaluate,
-                           fraction_volume, homogenized, lp_cone_contains_line,
+from tests_support import (OBLIQUE_PYRAMID, box, check_dd_cone, evaluate, fraction_det,
+                           fraction_fix_coordinates, fraction_volume,
+                           homogenized, lp_cone_contains_line,
                            lp_strictly_feasible, monte_carlo_volume,
                            product_polytope, random_unimodular, slice_polytope,
                            standard_simplex, transform_polytope)
@@ -497,3 +499,42 @@ class TestLatticeVolumeAgainstFractions:
         assert scale == 6
         assert max(points) == (3, 2, 1)
         assert p.volume() == fraction_volume(3, p.inequalities, p.vertices) == F(1, 36)
+
+
+@st.composite
+def forms_and_values(draw):
+    """Random integer forms in dim 1..5, and rational values for some coordinates."""
+    dim = draw(st.integers(1, 5))
+    entry = st.integers(-6, 6)
+    forms = [AffineForm(tuple(draw(st.lists(entry, min_size=dim, max_size=dim))),
+                        draw(entry))
+             for _ in range(draw(st.integers(0, 4)))]
+    value = st.one_of(st.integers(-3, 3),
+                      st.builds(F, st.integers(-7, 7), st.integers(1, 6)))
+    indices = draw(st.lists(st.integers(0, dim - 1), unique=True))
+    return forms, {i: draw(value) for i in indices}
+
+
+class TestIntegerSubstitution:
+    """fix_coordinates and frac_det in integers against their Fraction routes."""
+
+    @PROPERTY_SETTINGS
+    @given(forms_and_values())
+    @example(([AffineForm((2, -4, 6), 2)], {}))  # no values: the rows made primitive
+    @example(([AffineForm((3, 1), -1), AffineForm((0, 0), 0)], {0: F(-2, 3), 1: 0}))
+    @example(([AffineForm((1, 2, 3), 4)], {1: F(1, 2), 2: F(-1, 3)}))
+    def test_fix_coordinates(self, case):
+        forms, values = case
+        assert ([f.as_row() for f in fix_coordinates(forms, values)]
+                == [f.as_row() for f in fraction_fix_coordinates(forms, values)])
+
+    def test_frac_det(self):
+        rng = random.Random(11)
+        for n in range(6):
+            ints = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            det = frac_det(ints)
+            assert type(det) is int and det == fraction_det(ints)
+            fracs = [[F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
+                     for _ in range(n)]
+            assert frac_det(fracs) == fraction_det(fracs)
+        assert type(frac_det([[F(1, 2)]])) is F and frac_det([[F(1, 2)]]) == F(1, 2)

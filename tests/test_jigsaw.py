@@ -12,7 +12,8 @@ from dp4jigsaw.cli import main
 from dp4jigsaw.errors import (IndexOutOfRange, NegativeRank, OutOfRange,
                               PartitionFailure)
 from dp4jigsaw.geometry import AffineForm, HPolytope, polytope, strictly_feasible
-from tests_support import (evaluate, face_volume_fractions, hand_pyramid_base_polytope,
+from tests_support import (dd_interior_certificate, evaluate, face_volume_fractions,
+                           hand_pyramid_base_polytope,
                            hand_pyramid_polytope, overlapping_faces,
                            slice_polytope, strictly_contains, transform_polytope)
 
@@ -254,7 +255,10 @@ class TestEveryFan:
                         for ray in rays[jigsaw.EDGE_LABELS.index(edge):][:2]}
                 flat = all(s + t <= 0 for s, t in used)
                 assert (volume == 0) == flat
-                assert (jigsaw.interior_certificate(face)[1] is None) == flat
+                diagnostic, point = jigsaw.interior_certificate(face)
+                assert (point is None) == diagnostic.contains_line == flat
+                oracle, oracle_point = dd_interior_certificate(face)
+                assert oracle.contains_line == flat and (oracle_point is None) == flat
 
 
 class TestEffectiveGenerators:
@@ -308,8 +312,28 @@ class TestDegenerateFaces:
         assert report["strict_feasibility_zero_faces"] == expected
         assert report["volume_zero_faces"] == expected
 
+    @pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
+    def test_certificates_match_the_double_description(self, q):
+        for m in jigsaw.edge_multisets(q):
+            face = multiset_face(m)
+            diagnostic, point = jigsaw.interior_certificate(face)
+            oracle, oracle_point = dd_interior_certificate(face)
+            assert diagnostic.contains_line == oracle.contains_line
+            assert (point is None) == (oracle_point is None)
+            assert (point is None) == diagnostic.contains_line == (m == (0, 0, 0, q + 1))
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_report_runs_no_double_description(self, q, monkeypatch):
+        per_face = jigsaw._face_volumes(q)
+        calls = []
+        monkeypatch.setattr(polytope, "dd_cone", lambda *args: calls.append(args))
+        report = jigsaw.degenerate_face_report(q, per_face)
+        assert calls == []
+        assert report["oracles_agree"]
+        assert report["cone_line_faces"] == [jigsaw.face_key(("36",) * (q + 1))]
+
     def test_jigsaw_command_builds_no_face_polytope(self, tmp_path, monkeypatch):
-        # The report decides strict feasibility from one cone per edge
+        # The report decides strict feasibility from one certificate per edge
         # multiset; the face polytopes and their vertex oracle stay unused.
         calls = []
         for name in ("face_polytope", "strictly_feasible"):

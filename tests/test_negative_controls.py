@@ -16,7 +16,7 @@ import pytest
 
 from dp4jigsaw import constants, jigsaw, surface, torsor
 from dp4jigsaw.cli import main
-from dp4jigsaw.geometry import ConeLineDiagnostic, HPolytope, _dd, polytope
+from dp4jigsaw.geometry import HPolytope, _dd, polytope
 from tests_support import (OBLIQUE_PYRAMID, check_dd_cone, fraction_volume,
                            full_range_count, homogenized, surface_x2_zero_is_lines)
 
@@ -130,23 +130,36 @@ def test_census_change_of_variables_entry_in_slices(tmp_path, monkeypatch, entry
 def test_negated_separating_functional_in_jigsaw(tmp_path, monkeypatch):
     args = ["--format", "json", "jigsaw", "--q", "1"]
     assert run_cli(args, tmp_path) == 0
-    # A functional negative on every generator: no witness point passes the
-    # face rows, so the strict-feasibility column lists all 16 faces against
-    # the one volume-zero face.
-    diagnose = jigsaw.cone_contains_line
-
-    def negated(cone):
-        diagnostic = diagnose(cone)
-        u = diagnostic.separating_functional
-        if u is None:
-            return diagnostic
-        return ConeLineDiagnostic(None, tuple(-x for x in u))
-
-    monkeypatch.setattr(jigsaw, "cone_contains_line", negated)
+    # The interior witness negated, so negative on every generator: no point
+    # passes the face rows, and the strict-feasibility column lists all 16
+    # faces against the one volume-zero face.
+    monkeypatch.setattr(jigsaw, "interior_certificate", _recompiled(
+        jigsaw.interior_certificate, "d = 1 + abs(",
+        "witness = tuple(-x for x in witness); d = 1 + abs("))
     assert run_cli(args, tmp_path) == 1
     report = json.loads((tmp_path / "jigsaw.json").read_text())["degenerate_report"]
     assert len(report["strict_feasibility_zero_faces"]) == 16
     assert report["volume_zero_faces"] == ["36,36"]
+
+
+def test_swapped_line_combination_in_jigsaw(tmp_path, monkeypatch, capsys):
+    # mu = -sigma(v) and nu = -sigma(u) trade places: at the all-(36) face the
+    # combination no longer sums the generators to 0, and no point exists.
+    args = ["jigsaw", "--q", "1"]
+    assert run_cli(args, tmp_path) == 0
+    monkeypatch.setattr(jigsaw, "interior_certificate", _recompiled(
+        jigsaw.interior_certificate, "(-sv, -su)", "(-su, -sv)"))
+    assert run_cli(args, tmp_path) == 1
+    assert "face 36,36: the line combination (1, 1, 0, 1, 0, 1)" in capsys.readouterr().err
+
+
+def test_unscaled_constant_in_fix_coordinates(tmp_path, monkeypatch):
+    # The substituted values enter scaled by D, the constant as it was.
+    assert run_cli(["slices"], tmp_path) == 0
+    planted = _recompiled(polytope.fix_coordinates, "f.const * scale +", "f.const +")
+    monkeypatch.setattr(polytope, "fix_coordinates", planted)
+    monkeypatch.setattr(jigsaw, "fix_coordinates", planted)
+    assert run_cli(["slices"], tmp_path) == 1
 
 
 def _negated_scale(vertices, _lattice=polytope._lattice):

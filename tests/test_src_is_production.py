@@ -23,6 +23,8 @@ PINNED = {
     "dp4jigsaw.geometry.polytope._vertices_brute": "ROADMAP item 2: bench/layers.py times it",
     "dp4jigsaw.geometry.polytope.strictly_feasible":
         "ROADMAP item 2: bench/layers.py counts it through its import into jigsaw",
+    "dp4jigsaw.geometry.polytope.cone_contains_line":
+        "ROADMAP item 2: bench/layers.py times it through its import into jigsaw",
     "dp4jigsaw.jigsaw._FaceCache": "ROADMAP item 2: bench/layers.py probes its caches",
     "dp4jigsaw.jigsaw.face_polytope": "ROADMAP item 2: bench/layers.py counts its calls",
     "dp4jigsaw.jigsaw.pyramid_polytope": "ROADMAP item 2: bench/jobs.py builds it",

@@ -22,9 +22,10 @@ from dp4jigsaw.constants import kronecker_symbol, primes_up_to
 from dp4jigsaw.errors import Dp4Error, DimensionMismatch, IndexOutOfRange
 from dp4jigsaw.gaussian import GaussInt, exact_div
 from dp4jigsaw.geometry import (AffineForm, HPolytope, _dd, _simplex,
-                                fix_coordinates, pull_back)
-from dp4jigsaw.geometry._intlinalg import (affine_rank, clear_denominators, frac_det,
-                                           int_rank, solve_square)
+                                cone_contains_line, fix_coordinates, pull_back)
+from dp4jigsaw.geometry._intlinalg import (_scale_to_int, affine_rank, bareiss_det,
+                                           clear_denominators, frac_det, int_rank,
+                                           solve_square)
 from dp4jigsaw.geometry.polytope import ConeLineDiagnostic, _full_dimensional
 from dp4jigsaw.jigsaw import _FaceCache, all_faces
 from dp4jigsaw.reporting import CSV_HEADER
@@ -418,6 +419,43 @@ def face_volume_fractions(m57, m45, m34, m36):
     total = sum((f1[j1] * f2[j2] * f3[k - j1 - j2]
                  for j1 in range(k + 1) for j2 in range(k + 1 - j1)), Fraction(0))
     return total / (2 ** (m57 + m45) * factorial(2 * q + 3))
+
+
+def dd_interior_certificate(face):
+    """Oracle for jigsaw.interior_certificate: one double description per face.
+
+    cone_contains_line decides the effective cone.  A separating functional
+    u gives the candidate u / (1 + |sum_n u_{n,2}|), returned only if every
+    face row is positive there; a line combination means there is no
+    interior point.
+    """
+    rows = jigsaw.face_rows(face)
+    diagnostic = cone_contains_line(jigsaw.effective_generators(rows))
+    u = diagnostic.separating_functional
+    if u is None:
+        return diagnostic, None
+    d = 1 + abs(sum(u[2::2]))
+    inside = all(sum(map(mul, f.coeffs, u)) + f.const * d > 0 for f in rows)
+    return diagnostic, tuple(Fraction(x, d) for x in u) if inside else None
+
+
+def fraction_fix_coordinates(forms, values):
+    """Oracle for polytope.fix_coordinates: the substitution in Fraction."""
+    values = {i: Fraction(v) for i, v in values.items()}
+    return [AffineForm.make([c for i, c in enumerate(f.coeffs) if i not in values],
+                            f.const + sum(f.coeffs[i] * v for i, v in values.items()))
+            for f in forms]
+
+
+def fraction_det(matrix):
+    """Oracle for _intlinalg.frac_det: the determinant as a Fraction, always."""
+    scaled = []
+    denom = 1
+    for row in matrix:
+        ints, mult = _scale_to_int(row)
+        scaled.append(ints)
+        denom *= mult
+    return Fraction(bareiss_det(scaled), denom)
 
 
 def lp_cone_contains_line(cone):
