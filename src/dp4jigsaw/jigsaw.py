@@ -497,11 +497,11 @@ def degenerate_face_report(q, per_face=None):
         per_face = _face_volumes(q)
     faces = list(per_face)
     # Both verdicts depend only on the sorted face, as the volume does.
-    certificates = {k: interior_certificate(k)
-                    for k in dict.fromkeys(tuple(sorted(f)) for f in faces)}
+    keys = [tuple(sorted(f)) for f in faces]
+    certificates = {k: interior_certificate(k) for k in dict.fromkeys(keys)}
     volume_zero = [f for f in faces if per_face[f] == 0]
-    strict_zero = [f for f in faces if certificates[tuple(sorted(f))][1] is None]
-    cone_line = [f for f in faces if certificates[tuple(sorted(f))][0].contains_line]
+    strict_zero = [f for f, k in zip(faces, keys) if certificates[k][1] is None]
+    cone_line = [f for f, k in zip(faces, keys) if certificates[k][0].contains_line]
     report = {
         "q": q,
         "volume_zero_faces": sorted(face_key(f) for f in volume_zero),

@@ -33,8 +33,7 @@ each residue class in O(1), in O(sqrt B) memory:
 * one sweep over a1 = 2..max K serves a whole list of bounds
   (torsor_counts).  Each a1 gets one periodic row of the classes
   -x^-1 mod a1 over 0..max K, with 0/1 unit weights (_Block), and every
-  bound with K >= a1 counts from plain slices of it, with one dot product
-  against the weights;
+  bound with K >= a1 counts from plain slices of it, with one weighted sum;
 * each bound holds the quotients B // n and (B - 1) // n for n <= K once:
   they are the a8 range of a2 = n and the a2 limits of a8 = n;
 * the terms at K of the a8 side depend on a8 mod a1 alone: they are
@@ -53,11 +52,16 @@ each residue class in O(1), in O(sqrt B) memory:
   every bound's column terms in one step (_column_pairs); and the closed
   forms of every bound as arrays over the block's rows (_Block.rests).
   The arrays are written into work arrays that every block reuses
-  (_Scratch).  Only the row kernel stays one call per (modulus, bound),
-  because its divisor a1 is a scalar: on a 2-vCPU host, int64
-  array // scalar took 1.0 ns an element, against 3.6 ns for
-  array // array, 3.5 ns for array % array and 1.6 ns for a gather, and a
-  kernel flattened across a block would divide by an array of the a1;
+  (_Scratch).  The row kernel runs once per chunk of consecutive rows and
+  bound, at most ROW_CHUNK elements (_Block.pairs), and divides each row
+  by its a1, a column (R, 1) of the chunk's moduli.  numpy divides by a
+  broadcast column on its loop for a scalar divisor (libdivide) only where
+  a row is longer than half of np.getbufsize(), so every division by a
+  column of moduli runs with the buffer cut to 16 elements
+  (_floor_divide_rows).  On a 2-vCPU host (numpy 2.4, rows of 3163) that
+  took 0.95 ns an element in int64 and 0.36 ns in int32, against 3.6 and
+  2.6 ns under the default buffer of 8192; the kernel runs in int32 below
+  B = 2^31 (MAX_TORSOR_BOUND);
 * the sweep is split at S = max K // 2.  A modulus a1 > S reads classes
   only at x = a1 + y with 1 <= y <= K - a1 <= S, and there the class comes
   off the table mod y, which the row of a1 = y builds anyway: with
@@ -101,9 +105,16 @@ from .errors import CoprimalityBroken, EquationViolated, NonUnitMiddle
 from .surface import MAX_DIRECT_BOUND, _int_bound
 
 #: Largest bound torsor_count accepts.  Its largest int64 intermediate is a
-#: dot product of class counts for one a1 and one bound (or a sum of
-#: floor(n/k) in D(n)), at most the a1 = 1 row sum_{a2 <= B} (2B/a2 + 1),
-#: about B * (2 ln B + 1); at B = 10^17 that is 7.9e18 < 2^63 - 1 = 9.2e18.
+#: sum of class counts for one a1 and one bound (or a sum of floor(n/k) in
+#: D(n)), at most the a1 = 1 row sum_{a2 <= B} (2B/a2 + 1), about
+#: B * (2 ln B + 1); at B = 10^17 that is 7.9e18 < 2^63 - 1 = 9.2e18.  A
+#: kernel call sums a chunk of rows a1 >= 2, each below 2B(ln K + 1)/a1 + 2K.
+#: Below B = 2^30 all rows together count fewer than 2^40 pairs; above it a
+#: chunk of more than one row starts within ROW_CHUNK // 2 of K >= 2^15, so
+#: its 1/a1 sum to under 1/2 and it sums less than the a1 = 1 row.
+#: Below B = 2^31 the kernel runs in int32: its quotients are at most B - 1,
+#: B // x + c <= B // 3 + K as x > a1 >= 2 and the classes c are below a1,
+#: and each weighted count is below 2B/(x*a1) + 2; the sum is int64.
 #: A row's closed forms (_Block.rests) are below 2B + 10K: with y >= 2,
 #: period_sum(B // y) <= 2B/y + 2y, and class_sum(K, M) is at most
 #: M // y + 1 periods of period_sum(K) <= 2K + 2y and a part period below
@@ -221,7 +232,7 @@ def _euclid_inverses(m, x):
 
 
 class _Scratch:
-    """Work arrays that every block of a share writes into, one per name.
+    """Work arrays that every block of a share writes into, one per name and dtype.
 
     A block's 2-D temporaries run to SHARE_BLOCK_ELEMENTS values, above
     the 128 KB from which glibc's malloc maps each new array afresh, so
@@ -236,12 +247,29 @@ class _Scratch:
         self.arrays = {}
 
     def __call__(self, name, shape, dtype=np.int64):
-        size = prod(shape)
-        array = self.arrays.get(name)
+        size, key = prod(shape), (name, np.dtype(dtype))
+        array = self.arrays.get(key)
         if array is None or array.size < size:      # at least doubled: few regrowths
-            array = self.arrays[name] = np.empty(max(size, 2 * getattr(array, "size", 0)),
-                                                 dtype=dtype)
+            array = self.arrays[key] = np.empty(max(size, 2 * getattr(array, "size", 0)),
+                                                dtype=dtype)
         return array[:size].reshape(shape)
+
+
+def _floor_divide_rows(divisor, *arrays):
+    """array //= divisor in place for each of arrays, divisor a column (R, 1).
+
+    numpy divides by a scalar divisor on a fast loop (libdivide: division
+    by an invariant integer), and a broadcast column is a scalar to each
+    row's inner loop only when the row is not buffered, that is when it is
+    longer than half of np.getbufsize().  So the buffer is cut to 16
+    elements for the divisions alone: ufuncs that cast run slower under it.
+    """
+    old = np.setbufsize(16)
+    try:
+        for array in arrays:
+            array //= divisor
+    finally:
+        np.setbufsize(old)
 
 
 def _class_rows(ys, tables, work):
@@ -279,8 +307,12 @@ def _class_rows(ys, tables, work):
         if not size:
             break
         product = np.take(inv, u[:size], axis=1, out=work("product", (rows, size)))
-        product *= np.take(inv, v[:size], axis=1, out=work("factor", (rows, size)))
-        product %= m
+        factor = np.take(inv, v[:size], axis=1, out=work("factor", (rows, size)))
+        product *= factor
+        np.copyto(factor, product)
+        _floor_divide_rows(m, factor)
+        factor *= m
+        product -= factor                   # product % m
         inv[:, i[:size]] = product
     classes = work("base", (rows, top))
     low = np.subtract(m, inv[:, :half], out=classes[:, :half])
@@ -305,12 +337,12 @@ def _inverse_table(m):
 #: block takes max(1, SHARE_BLOCK_ELEMENTS // (max K + 1)) consecutive
 #: moduli, so that its periodic classes and weights, its inverse tables and
 #: Euclid pairs, its columns and the work arrays of one bound each hold at
-#: most about this many values, whatever B.  On a 2-vCPU host (medians of
-#: 7 interleaved in-process shares, CPU time) 2^16, 2^17, 2^18 and 2^19
-#: took 0.41, 0.31, 0.28 and 0.31 s at N(3e7), and 0.33, 0.29, 0.29 and
-#: 0.28 s on the fit grid; one worker's share of N(1e9) took 7.0, 5.0, 4.7
-#: and 4.8 s (medians of 3), with a traced peak of 4.6, 7.8, 13.7 and
-#: 26.1 MB.
+#: most about this many values, whatever B.  On a 2-vCPU host, one
+#: worker's share (every other SHARE_BLOCK block) in fresh processes,
+#: medians of 7 interleaved runs, CPU time: 2^16, 2^17, 2^18 and 2^19 took
+#: 0.156, 0.129, 0.125 and 0.129 s at N(3e7), and 0.110, 0.091, 0.085 and
+#: 0.084 s on the fit grid; the share of N(1e9) took 4.8, 4.3, 3.1 and
+#: 3.0 s (medians of 3), with a traced peak of 3.7, 6.3, 11.3 and 21.8 MB.
 SHARE_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -318,11 +350,13 @@ class _Block:
     """The classes of consecutive moduli a1 = y <= S, one row each, for a whole sweep.
 
     classes[r, x] = -x^-1 mod y for 0 <= x <= n, or 0 where gcd(x, y) > 1,
-    and weights[r, x] is 1 on the units, 0 elsewhere: one periodic pair of
-    rows that both halves of every bound slice, and the block's columns
-    (_columns, of S = n // 2) read.  base is _class_rows(ys, ...).  They are
-    work's "classes" and "weights" arrays, and every method but pairs
-    returns one value per row.
+    and weights[r, x] is 1 on the units x > y, 0 elsewhere: one periodic
+    pair of rows that both halves of every bound slice, and the block's
+    columns (_columns, of S = n // 2) read.  The weights are 0 up to x = y,
+    so that a chunk of rows can run the kernel over one range of x.  base is
+    _class_rows(ys, ...).  They are work's "classes" and "weights" arrays, in
+    int32 as the classes are below y, and every method but pairs returns one
+    value per row.
     """
 
     def __init__(self, ys, base, n, work):
@@ -331,12 +365,14 @@ class _Block:
         unit = np.greater(base, 0, out=work("unit", base.shape, bool))
         width = n + 1
         size = (ys.size + 1) * width             # a row's last period spills into the next
-        classes, weights = work("classes", (size,)), work("weights", (size,))
+        classes = work("classes", (size,), np.int32)
+        weights = work("weights", (size,), np.int32)
         for r, y in enumerate(ys.tolist()):
             q = -(-width // y)
             at = slice(r * width, r * width + q * y)
             classes[at].reshape(q, y)[:] = base[r, :y]
             weights[at].reshape(q, y)[:] = unit[r, :y]
+            weights[r * width:r * width + y] = 0
         self.classes = classes[:ys.size * width].reshape(ys.size, width)
         self.weights = weights[:ys.size * width].reshape(ys.size, width)
         # the units of row r in 1..j, with 0 no unit: cum[rows[r] + j] - cum[rows[r]]
@@ -393,8 +429,9 @@ class _Block:
         """Each row's count less its _pair_counts_fast dot product, for one _Bound.
 
         units(K) - units(y) + period_sum(B // y) - class_sum(K, M), less
-        f(K) when M = K - 1 for the rows y < K, whose dot product counts
-        the a8 = K term twice (_pair_counts_fast).
+        f(K) when M = K - 1 for the rows y < K, whose kernel sum counts
+        the a8 = K term twice (_pair_counts_fast); at y >= K the weight at
+        x = K is 0.
         """
         k, y = bound.k, self.ys
         rest = (self.units(k) - self.phi + self.period_sum(bound.b // y)
@@ -402,47 +439,64 @@ class _Block:
         if bound.m < k:
             c, w = self.classes[:, k], self.weights[:, k]
             f = (bound.under[k - 1] - c) // y + (bound.over[k - 1] + c) // y
-            rest -= np.where(y < k, f * w, 0)
+            rest -= f * w
         return rest
 
     def pairs(self, bound):
-        """The pairs of the rows a1 = y <= K and of their columns, for one _Bound; an int."""
-        k, work = bound.k, self.work
-        rest = self.rests(bound).tolist()
-        total = _column_pairs(self.ys, *self.columns, bound, work)
-        out = work("count", (k,)), work("over", (k,))
-        for r, y in enumerate(self.ys.tolist()):
-            if y > k:
-                break
-            total += _pair_counts_fast(y, self.classes[r, y + 1:k + 1], bound,
-                                       self.weights[r, y + 1:k + 1], rest[r], out)
+        """The pairs of the rows a1 = y <= K and of their columns, for one _Bound; an int.
+
+        The rows y < K go to _pair_counts_fast in chunks of consecutive rows
+        of at most ROW_CHUNK elements (one row when K - y is larger), each
+        over x = y + 1..K with y its first modulus: the weights are 0 up to
+        x = y in every row.  The divisor column takes the bound's dtype.
+        """
+        k, work, ys = bound.k, self.work, self.ys
+        rests = self.rests(bound)[:np.searchsorted(ys, k, "right")]   # the rows y <= K
+        total = _column_pairs(ys, *self.columns, bound, work) + int(rests.sum())
+        divisor = ys.astype(bound.over.dtype)[:, None]
+        r, below = 0, int(np.searchsorted(ys, k))                     # the rows y < K
+        while r < below:
+            y = int(ys[r])
+            end = min(r + max(1, ROW_CHUNK // (k - y)), below)
+            shape = end - r, k - y
+            out = work("count", shape, divisor.dtype), work("over", shape, divisor.dtype)
+            total += _pair_counts_fast(divisor[r:end], self.classes[r:end, y + 1:k + 1], bound,
+                                       self.weights[r:end, y + 1:k + 1], out)
+            r = end
         return total
 
 
-def _pair_counts_fast(a1, classes, bound, weights, rest, out):
-    """Pairs (a2, a8) with a1 < a2, both halves, for one a1 >= 2 and one _Bound; an int.
+def _pair_counts_fast(a1, classes, bound, weights, out):
+    """Twice the weighted kernel sum of a chunk of rows a1 >= 2, for one _Bound; an int.
 
-    The kernel is, per x in (a1, K] with class c = classes[x - a1 - 1],
-    f(x) = ((B-1)//x - c)//a1 + (B//x + c)//a1, weighted 0 where
-    gcd(a1, x) > 1.  For a2 = x <= K it counts the a8 of a2*a8 = -1
-    (mod a1) with a2*a8 in [-B, B-1], less one.  For a8 = x <= M it counts
-    the a2 of the classes of +-a8 up to (B-1)//a8 and B//a8; the a2 up to K
-    are taken off with class_sum(K, M), and the a8 up to t, whose a2 range
-    is cut at B // a1 instead, are one period_sum (module docstring).  So
-    the dot product serves the pair side once and the a8 side once, and
-    rest, the row's _Block.rests, adds the closed forms and takes f(K) off
-    once when M = K - 1.  classes is the row's classes[a1 + 1:K + 1],
-    passed, not sliced here, so that its length is the kernel's element
-    count (bench/layers.py reads it), and out two int64 arrays of at least
-    that length.  The divisor stays the scalar a1.
+    The kernel is, per row a1 and x in (x0 - 1, K] with class
+    c = classes[r, x - x0], f(x) = ((B-1)//x - c)//a1 + (B//x + c)//a1,
+    weighted 0 where gcd(a1, x) > 1 or x <= a1.  For a2 = x <= K it counts
+    the a8 of a2*a8 = -1 (mod a1) with a2*a8 in [-B, B-1], less one.  For
+    a8 = x <= M it counts the a2 of the classes of +-a8 up to (B-1)//a8 and
+    B//a8; the a2 up to K are taken off with class_sum(K, M), and the a8 up
+    to t, whose a2 range is cut at B // a1 instead, are one period_sum
+    (module docstring).  So the weighted sum serves the pair side once and
+    the a8 side once, and each row's _Block.rests adds the closed forms and
+    takes f(K) off once when M = K - 1.  a1 is the chunk's moduli as a
+    column (R, 1) in the dtype of the bound's quotients, classes and
+    weights are (R, K - x0 + 1), and out two arrays of that shape and dtype.
+    classes is the second positional argument, as bench/layers.py reads its
+    length.
     """
-    k, size = bound.k, classes.size
-    count = np.subtract(bound.under[a1:k], classes, out=out[0][:size])
-    count //= a1
-    over = np.add(bound.over[a1:k], classes, out=out[1][:size])
-    over //= a1
+    k = bound.k
+    x0 = k - classes.shape[1] + 1
+    count = np.subtract(bound.under[x0 - 1:k], classes, out=out[0])
+    over = np.add(bound.over[x0 - 1:k], classes, out=out[1])
+    _floor_divide_rows(a1, count, over)
     count += over
-    return 2 * int(np.dot(count, weights)) + rest
+    count *= weights
+    return 2 * int(count.sum(dtype=np.int64))
+
+
+#: Most elements of one _pair_counts_fast call: a chunk of consecutive rows
+#: y, or one row when K - y is larger.
+ROW_CHUNK = 1 << 14
 
 
 def _divisor_sum(n):
@@ -457,6 +511,7 @@ class _Bound:
     over[i] = B // (i + 1) and under[i] = (B - 1) // (i + 1) for i < K serve
     both halves: as -lo and hi of the a8 range of a2 = i + 1 <= K, and as
     the a2 limits of -a8 and +a8 for a8 = i + 1 <= M = B // (K + 1) <= K.
+    They are int32 when B < 2^31 (MAX_TORSOR_BOUND), else int64.
     """
 
     def __init__(self, b):
@@ -465,7 +520,7 @@ class _Bound:
         self.m = b // (self.k + 1)
         # the row a1 = 1, with the pair (1, 1); 0 < B < 1 has no pairs
         self.pairs = _divisor_sum(b - 1) + _divisor_sum(b) if b else 0
-        n = np.arange(1, self.k + 1, dtype=np.int64)
+        n = np.arange(1, self.k + 1, dtype=np.int32 if b < 2 ** 31 else np.int64)
         self.over = b // n
         self.under = (b - 1) // n
 
@@ -480,7 +535,8 @@ def _columns(ys, classes, weights, s, n, work):
     x.  weights are 1 where u exists and a1 > S, 0 elsewhere (a
     meaningless class): the leading a1 <= S of each row are not its
     column.  They are work's "a1", "column classes" and "column weights",
-    in int32 (MAX_TORSOR_BOUND), and a1*u is formed in int64.
+    in int32 (MAX_TORSOR_BOUND), and a1*u and its quotient by y are formed
+    in int64, on numpy's loop for a scalar divisor (_floor_divide_rows).
     """
     x0 = s + 1 + int(ys[0])
     shape = ys.size, max(n - x0 + 1, 0)
@@ -489,7 +545,9 @@ def _columns(ys, classes, weights, s, n, work):
     product = np.subtract(m, classes[:, x0:], out=work("column product", shape))
     product *= a1
     product -= 1
-    c = np.floor_divide(product, m, out=work("column classes", shape, np.int32))
+    _floor_divide_rows(m, product)
+    c = work("column classes", shape, np.int32)
+    c[...] = product
     w = np.multiply(weights[:, x0:], a1 > s, out=work("column weights", shape, np.int32))
     return a1, c, w
 
@@ -604,12 +662,13 @@ SHARE_BLOCK = 128
 
 #: Smallest largest K = isqrt(B) of a sweep that is split across forked
 #: workers; smaller sweeps run in the calling process.  On a 2-vCPU host, in
-#: fresh `dp4 torsor-count --timings` processes (medians of 7, the counting
+#: fresh `dp4 torsor-count --timings` processes (medians of 11, the counting
 #: call's elapsed_s, pinned to one CPU with taskset for in process), one
-#: bound B = K^2 took 13 ms in process and 28 ms forked at K = 500, 22 to
-#: 30 ms and 29 to 40 ms at K = 1000, 27 to 39 ms either way at K = 1200,
-#: 41 to 53 ms and 41 to 43 ms at K = 1500, and 158 and 107 ms at K = 3162.
-FORK_MIN_MODULI = 1200
+#: bound B = K^2 took 21 ms in process and 28 ms forked at K = 1200, 29 and
+#: 32 ms at K = 1500, 43 and 44 ms at K = 2000, 93 and 73 ms at K = 3162,
+#: and 199 and 143 ms at K = 5000.  While the second CPU was busy, forking
+#: lost at every K up to 5000.
+FORK_MIN_MODULI = 2000
 
 
 def _share_pairs(states, blocks):

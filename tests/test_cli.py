@@ -377,6 +377,18 @@ class TestCli:
         assert run_cli(["constant", "--field", "Q", "--prime-bound", "1"], tmp_path) == 2
         assert "prime_bound must be >= 2" in capsys.readouterr().err
 
+    def test_constant_prime_bound_two_is_one_factor(self, tmp_path):
+        # the least prime bound: the Euler factor of p = 2 alone
+        assert run_cli(["constant", "--field", "Q", "--prime-bound", "2"], tmp_path) == 0
+        euler = json.loads((tmp_path / "constants.json").read_text())["euler_product"]
+        assert (euler["prime_bound"], euler["factor_count"], euler["value"]) == (2, 1, 0.75)
+
+    @pytest.mark.parametrize("field, label", [("Q", "6/pi^2"), ("Q(i)", "1/zeta_K(2)")])
+    def test_constant_names_the_finite_product(self, tmp_path, field, label):
+        assert run_cli(["constant", "--field", field, "--prime-bound", "100"], tmp_path) == 0
+        payload = json.loads((tmp_path / "constants.json").read_text())
+        assert payload["symbolic"]["finite_product"] == label
+
     def test_constant_above_period_limit_exits_2_before_any_work(self, tmp_path, monkeypatch,
                                                                  capsys):
         # the chi table of d = -(1e9 + 7) would take about 40 min; no symbol may be evaluated

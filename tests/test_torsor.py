@@ -222,9 +222,10 @@ class TestResidueArithmetic:
             x, n = rng.randint(0, 500), rng.randint(0, 300)
             class_sum, units = block.class_sum(x, n).tolist(), block.units(n).tolist()
             for r, a1 in enumerate(ys):
+                # the units from gcd: the block's weights are 0 up to x = a1
                 scan = sum((x - c) // a1 + (x + c) // a1
-                           for c, w in zip(block.classes[r, 1:n + 1].tolist(),
-                                           block.weights[r, 1:n + 1].tolist()) if w)
+                           for a8, c in enumerate(block.classes[r, 1:n + 1].tolist(), 1)
+                           if gcd(a8, a1) == 1)
                 assert class_sum[r] == scan, (a1, x, n)
                 assert units[r] == sum(gcd(a8, a1) == 1 for a8 in range(1, n + 1))
 
@@ -260,23 +261,38 @@ class TestResidueArithmetic:
             cases += [(a1, b) for a1 in range(2, isqrt(b) + 1) if m % a1 == 0]
         seen = set()
         for a1, b in cases:
+            # one chunk: the rows a1..a1 + R - 1 <= K over x = a1 + 1..K
             bound = T._Bound(b)
             k = bound.k
-            block = self.block(a1, a1, k)
-            out = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
-            inv = T._inverse_table(a1)
-            assert (T._pair_counts_fast(a1, block.classes[0, a1 + 1:k + 1], bound,
-                                        block.weights[0, a1 + 1:k + 1],
-                                        int(block.rests(bound)[0]), out)
-                    == pair_counts_elementwise(a1, b, inv)
-                    + a8_side_counts_elementwise(a1, b, inv)), (a1, b)
-            if bound.m < a1:
-                seen.add("M < a1")
-            if bound.m % a1 == 0:
-                seen.add("M % a1 = 0")
-            if a1 == bound.k:
-                seen.add("a1 = K")
+            block = self.block(a1, min(a1 + rng.randint(0, 3), k), k)
+            shape, x = (block.ys.size, k - a1), slice(a1 + 1, k + 1)
+            out = np.empty(shape, bound.over.dtype), np.empty(shape, bound.over.dtype)
+            chunk = T._pair_counts_fast(block.ys[:, None].astype(bound.over.dtype),
+                                        block.classes[:, x], bound, block.weights[:, x], out)
+            rows = block.ys.tolist()
+            assert chunk + int(block.rests(bound).sum()) == sum(
+                pair_counts_elementwise(y, b, T._inverse_table(y))
+                + a8_side_counts_elementwise(y, b, T._inverse_table(y)) for y in rows), (rows, b)
+            for y in rows:
+                if bound.m < y:
+                    seen.add("M < a1")
+                if bound.m % y == 0:
+                    seen.add("M % a1 = 0")
+                if y == bound.k:
+                    seen.add("a1 = K")
         assert seen == {"M < a1", "M % a1 = 0", "a1 = K"}
+
+    @pytest.mark.parametrize("b", [2 ** 31 - 1, 2 ** 31])
+    def test_kernel_dtype_either_side_of_2_31(self, b):
+        # int32 quotients and divisors below 2^31, int64 from it; the block
+        # spans n = 2K + 2, so that its columns start above K and pairs
+        # counts the rows alone
+        bound = T._Bound(b)
+        assert bound.over.dtype == (np.int32 if b < 2 ** 31 else np.int64)
+        block = self.block(2, 6, 2 * bound.k + 2)
+        assert block.pairs(bound) == sum(
+            pair_counts_elementwise(y, b, T._inverse_table(y))
+            + a8_side_counts_elementwise(y, b, T._inverse_table(y)) for y in range(2, 7))
 
     def test_rows_of_one_block_match_rows_alone(self):
         # rows past K, M = K - 1 and M = K, and a1 = K inside one block
@@ -505,6 +521,28 @@ class TestSharedSweep:
         assert grid == self.FIT_GRID
         assert T.torsor_counts(grid) == self.FIT_COUNTS
 
+    @pytest.mark.parametrize("chunk", [1, 1 << 30])
+    def test_any_row_chunk_gives_the_same_counts(self, monkeypatch, chunk):
+        # one row a kernel call, or every row of a block in one call
+        grid = [b for b in self.FIT_GRID if b <= 10 ** 5] + [99999, 10 ** 5, 317 ** 2 + 317]
+        counts = T.torsor_counts(grid)
+        assert counts[:7] == self.FIT_COUNTS[:7]
+        monkeypatch.setattr(T, "ROW_CHUNK", chunk)
+        assert T.torsor_counts(grid) == counts
+
+    def test_the_buffer_size_is_restored(self):
+        size = np.getbufsize()
+        T.torsor_counts([10 ** 4, 3 * 10 ** 4])
+        assert np.getbufsize() == size
+        # a kernel error inside the divisions: a column of three moduli for two rows
+        bound = T._Bound(10 ** 4)
+        shape = 2, bound.k - 2
+        out = np.zeros(shape, np.int32), np.zeros(shape, np.int32)
+        with pytest.raises(ValueError):
+            T._pair_counts_fast(np.array([[2], [3], [4]], np.int32), np.zeros(shape, np.int32),
+                                bound, np.ones(shape, np.int32), out)
+        assert np.getbufsize() == size
+
     def test_counts_are_python_ints(self):
         # a numpy integer would fail JSON output and could wrap around
         for n in T.torsor_counts([3, 10 ** 4, 3 * 10 ** 4]):
@@ -647,7 +685,7 @@ class TestForkedSweep:
         kernel = T._pair_counts_fast
 
         def planted(a1, *args):
-            if a1 == 29:
+            if 29 in a1:                  # the chunk of rows that holds a1 = 29
                 raise ArithmeticError("planted in the worker of a1 = 29")
             return kernel(a1, *args)
         monkeypatch.setattr(T, "_pair_counts_fast", planted)
@@ -660,7 +698,7 @@ class TestForkedSweep:
         kernel = T._pair_counts_fast
 
         def dies(a1, *args):
-            if a1 == 29:
+            if 29 in a1:
                 os._exit(3)
             return kernel(a1, *args)
         monkeypatch.setattr(T, "_pair_counts_fast", dies)

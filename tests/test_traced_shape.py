@@ -2,10 +2,12 @@
 
 bench/layers.py counts the torsor kernel by wrapping _pair_counts_fast
 (calls, and len of its second positional argument) and the inverse tables
-by wrapping _inverse_table (calls, and its first positional argument).  A
-kernel that is renamed, called by keyword, or no longer called once per
-(a1, bound) with a1 <= S = max K // 2 changes these counts; the moduli
-above S go through the columns and closed forms, which build no table.  The
+by wrapping _inverse_table (calls, and its first positional argument).  The
+kernel runs once per chunk of consecutive rows a1 < K, a1 <= S = max K // 2,
+of one bound, and its second argument is the chunk's (rows, x) classes, so
+the benchmark's kernel_elements counts rows, not elements.  A kernel that is
+renamed, called by keyword, or chunked otherwise changes these counts; the
+moduli above S go through the columns and closed forms, which build no table.  The
 sweep builds its tables a block of moduli at a time (_class_rows), which
 the benchmark does not wrap, so its inverse counters read 0 on a sweep;
 TestColumns.test_inverse_tables_only_up_to_s counts the moduli there.  The
@@ -18,6 +20,8 @@ import pathlib
 import subprocess
 import sys
 from math import isqrt
+
+from dp4jigsaw import torsor as T
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -37,6 +41,18 @@ print(json.dumps({{name: metrics[name]["value"] for name in (
 """
 
 
+def chunk_rows(k, s):
+    """The rows of each kernel call for one K: each SHARE_BLOCK block of the
+    moduli 2..S takes its rows y < K max(1, ROW_CHUNK // (K - y)) at a time,
+    y the chunk's first row."""
+    for lo in range(2, s + 1, T.SHARE_BLOCK):
+        y, top = lo, min(lo + T.SHARE_BLOCK - 1, s, k - 1)
+        while y <= top:
+            end = min(y + max(1, T.ROW_CHUNK // (k - y)), top + 1)
+            yield end - y
+            y = end
+
+
 def test_torsor_counters_match_their_closed_forms():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -48,14 +64,16 @@ def test_torsor_counters_match_their_closed_forms():
     counters = json.loads(proc.stdout.splitlines()[-1])
     ks = [isqrt(b) for b in BOUNDS]
     s = max(ks) // 2
+    # every row a1 = 2..min(K - 1, S) in one chunk
+    assert sum(sum(chunk_rows(k, s)) for k in ks) == sum(min(k - 1, s) - 1 for k in ks)
     expected = {
-        # one kernel call per (a1, bound), a1 = 2..min(K, S), over the a2 in (a1, K]
-        "torsor.kernel_calls": sum(min(k, s) - 1 for k in ks),
-        "torsor.kernel_elements": sum(k - a1 for k in ks for a1 in range(2, min(k, s) + 1)),
+        # one kernel call per chunk of rows and bound, its length the chunk's rows
+        "torsor.kernel_calls": sum(1 for k in ks for _ in chunk_rows(k, s)),
+        "torsor.kernel_elements": sum(sum(chunk_rows(k, s)) for k in ks),
         # no per-modulus table: _inverse_table is off the sweep's path
         "torsor.inverse_calls": 0,
         "torsor.inverse_entries": 0,
     }
-    assert expected == {"torsor.kernel_calls": 256, "torsor.kernel_elements": 41903,
+    assert expected == {"torsor.kernel_calls": 5, "torsor.kernel_elements": 255,
                         "torsor.inverse_calls": 0, "torsor.inverse_entries": 0}
     assert counters == expected
