@@ -102,7 +102,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CoprimalityBroken, EquationViolated, NonUnitMiddle
-from .surface import MAX_DIRECT_BOUND, _int_bound
+from .surface import MAX_DIRECT_BOUND, _flat_blocks, _int_bound
 
 #: Largest bound torsor_count accepts.  Its largest int64 intermediate is a
 #: sum of class counts for one a1 and one bound (or a sum of floor(n/k) in
@@ -818,60 +818,50 @@ def torsor_count(bound):
     return torsor_counts([bound])[0]
 
 
-#: Least items per block of torsor_height_counts: candidate pairs (a1, a2),
-#: then values of a8.  A block also takes at least B // 16 items, so that
-#: its one bincount of length B + 1 stays a small part of its work.  At
-#: B = 2000, the default of dp4 compare, it took 5 ms and added 0.25 MB to
-#: the peak RSS (2.0 MB at 2^14 items a block, 5.1 MB at 2^16).  At B = 1e6
-#: (1.4e7 pairs, 1.6e8 values of a8) it took 11 s with a traced peak of
-#: 48 MB, 40 MB of it in arrays of length B; 2^14 items a block at every B
-#: took 19.5 s there.
-HEIGHT_BLOCK = 1 << 12
+#: Items per block of torsor_height_counts: candidate pairs (a1, a2), then
+#: values of a8, added into the histogram with one np.add.at a block.  On a
+#: 2-vCPU host 2^12, 2^13 and 2^14 items a block took 3.6, 2.6 and 2.3 ms at
+#: B = 2000, the default of dp4 compare, and 4.2, 3.5 and 3.0 s at B = 1e6
+#: (1.6e8 values of a8), with traced peaks of 31, 32 and 34 MB, nearly all
+#: of it in arrays of length B.
+HEIGHT_BLOCK = 1 << 13
 
 
-def _flat_blocks(sizes, block):
-    """Walk the sequence in which owner i repeats sizes[i] times, block items
-    at a time; yield each block's owners and ranks (0..sizes[i]-1 per owner)."""
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    total = int(ends[-1]) if ends.size else 0
-    for lo in range(0, total, block):
-        hi = min(lo + block, total)
-        first, last = np.searchsorted(ends, [lo, hi - 1], "right")
-        owners = np.arange(first, last + 1)
-        owner = np.repeat(owners, np.minimum(ends[owners], hi) - np.maximum(starts[owners], lo))
-        yield owner, np.arange(lo, hi, dtype=np.int64) - starts[owner]
+def _lifted_classes(a1, a2):
+    """-a2^-1 mod a1 pairwise over the coprime arrays (a1, a2); 0 where a1 = 1."""
+    classes = np.zeros(a1.size, dtype=np.int64)
+    mod = np.flatnonzero(a1 > 1)
+    classes[mod] = a1[mod] - _euclid_inverses(a1[mod], a2[mod] % a1[mod])
+    return classes
 
 
 def torsor_height_counts(bound):
     """Cumulative N(b) for all b <= bound, from one sweep over solutions.
 
     Each coprime pair (a1, a2) with a1*a2 <= bound runs its a8 over one
-    progression mod a1, of class -a2^-1 (one pow per pair), inside
+    progression mod a1, of class -a2^-1 (_lifted_classes, one extended
+    Euclid over the coprime pairs of a block), inside
     -(b // a2) <= a8 <= (b - 1) // a2, where |y| <= b and |y + 1| <= b for
     y = a2*a8; every height max(a1*a2, |y|, |y + 1|) is therefore <= b.  The
-    pairs, and then their values of a8, are taken max(HEIGHT_BLOCK, b // 16)
-    at a time, so the memory stays O(b + HEIGHT_BLOCK).  A bound above
+    pairs, and then their values of a8, are taken HEIGHT_BLOCK at a time
+    into one np.add.at on the histogram, so the memory stays
+    O(b + HEIGHT_BLOCK) and no block costs O(b).  A bound above
     MAX_DIRECT_BOUND, the range of its only caller dp4 compare, raises
     OutOfRange before any array is built.
     """
     b = _int_bound(bound, MAX_DIRECT_BOUND)
-    block = max(HEIGHT_BLOCK, b // 16)
     hist = np.zeros(b + 1, dtype=np.int64)
-    for i, rank in _flat_blocks(b // np.arange(1, b + 1), block):
+    for i, rank in _flat_blocks(b // np.arange(1, b + 1), HEIGHT_BLOCK):
         a1, a2 = i + 1, rank + 1     # a2 = 1..b // a1
         coprime = np.gcd(a1, a2) == 1
         a1, a2 = a1[coprime], a2[coprime]
         lo = -(b // a2)
-        r = -np.array([pow(y, -1, x) for x, y in zip(a1.tolist(), a2.tolist())],
-                      dtype=np.int64) % a1
-        first = lo + (r - lo) % a1
+        first = lo + (_lifted_classes(a1, a2) - lo) % a1
         sizes = np.maximum(((b - 1) // a2 - first) // a1 + 1, 0)
-        for j, k in _flat_blocks(sizes, block):
+        for j, k in _flat_blocks(sizes, HEIGHT_BLOCK):
             y = a2[j] * (first[j] + a1[j] * k)
-            hist += np.bincount(np.maximum(a1[j] * a2[j], np.maximum(np.abs(y), np.abs(y + 1))),
-                                minlength=b + 1)
-    return (2 * hist).cumsum()
+            np.add.at(hist, np.maximum(a1[j] * a2[j], np.maximum(np.abs(y), np.abs(y + 1))), 2)
+    return hist.cumsum()
 
 
 def enumerate_normalized(bound):

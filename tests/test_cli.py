@@ -14,7 +14,7 @@ from dp4jigsaw import constants, jigsaw, reporting, surface, torsor
 from dp4jigsaw.cli import main
 from dp4jigsaw.errors import DegenerateDesignMatrix, IoFailure
 from dp4jigsaw.geometry import _simplex
-from tests_support import whole_count_report
+from tests_support import CONSTANTS_DIGESTS, whole_count_report
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -124,8 +124,8 @@ class TestCli:
     @pytest.mark.parametrize("p", [surface.MAX_MODP_PRIME + 8, 1009])
     def test_modp_above_limit_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, p):
         def walked(*args):
-            raise AssertionError("residue tuples were walked above MAX_MODP_PRIME")
-        monkeypatch.setattr(surface, "_surface_mod_p", walked)
+            raise AssertionError("the census evaluated the forms above MAX_MODP_PRIME")
+        monkeypatch.setattr(surface, "_forms", walked)
         assert run_cli(["modp", "--p", str(p)], tmp_path) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and str(surface.MAX_MODP_PRIME) in captured.err
@@ -449,8 +449,10 @@ class TestCli:
         (["fit", "--bmin", "1e4", "--bmax", "1e6", "--samples", "8"], None, {
             "counts.csv": "5b3e5985edbc3550ad27c9c4cf276c28d1dfd30ed30dd28afb7a184f2302b1a4",
             "counts.json": "906f4d511c6b84a37091ba30627a596f847e90c6b8b6b0457061b9bde9cff84e"}),
+        *[(["constant", "--field", label], None, {"constants.json": digest})
+          for label, digest in CONSTANTS_DIGESTS.items()],
     ], ids=["count", "count-points", "count-zi-points", "torsor", "torsor-tuples",
-            "compare", "fit"])
+            "compare", "fit", *(f"constant-{label}" for label in CONSTANTS_DIGESTS)])
     def test_counting_artifacts_are_pinned(self, tmp_path, args, stream, digests):
         out = tmp_path / "out"
         extra = [stream, str(tmp_path / "stream")] if stream else []

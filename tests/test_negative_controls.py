@@ -6,6 +6,7 @@ defect.
 """
 
 import copy
+import hashlib
 import inspect
 import json
 import os
@@ -17,8 +18,10 @@ import pytest
 from dp4jigsaw import constants, jigsaw, surface, torsor
 from dp4jigsaw.cli import main
 from dp4jigsaw.geometry import HPolytope, _dd, polytope
-from tests_support import (OBLIQUE_PYRAMID, check_dd_cone, fraction_volume,
-                           full_range_count, homogenized, surface_x2_zero_is_lines)
+import tests_support
+from tests_support import (CONSTANTS_DIGESTS, OBLIQUE_PYRAMID, check_dd_cone,
+                           fraction_volume, full_range_count, homogenized,
+                           surface_x2_zero_is_lines)
 
 
 def run_cli(args, outdir):
@@ -28,13 +31,14 @@ def run_cli(args, outdir):
 def test_normal_form_divisor_bound_off_by_one(tmp_path, monkeypatch):
     args = ["compare", "--bound", "50"]
     assert run_cli(args, tmp_path) == 0
-    normal_form = surface._normal_form_z
+    blocks = surface._normal_form_blocks
 
     def drops_d_equal_to_bound(bound):
-        for m, d in normal_form(bound):
-            yield m, d[d < bound]
+        for m, d in blocks(bound):
+            keep = d < bound
+            yield m[keep], d[keep]
 
-    monkeypatch.setattr(surface, "_normal_form_z", drops_d_equal_to_bound)
+    monkeypatch.setattr(surface, "_normal_form_blocks", drops_d_equal_to_bound)
     assert run_cli(args, tmp_path) == 1
 
 
@@ -69,6 +73,20 @@ def test_wrong_zeta_k_2_in_constant(tmp_path, monkeypatch):
 
     monkeypatch.setattr(constants, "dedekind_zeta2", one_percent_high)
     assert run_cli(args, tmp_path) == 1
+
+
+def test_low_halves_dropped_from_the_exact_sum(tmp_path, monkeypatch):
+    # Without the low 26 bits of each significand, every term of L(2, chi)
+    # and of the Euler product is cut toward -infinity by up to 2^-26 of
+    # itself, and constants.json no longer has its pinned bytes.
+    args = ["constant", "--field", "Q(i)"]
+    written = tmp_path / "constants.json"
+    assert run_cli(args, tmp_path) == 0
+    assert hashlib.sha256(written.read_bytes()).hexdigest() == CONSTANTS_DIGESTS["Q(i)"]
+    monkeypatch.setattr(constants, "_exact_sum", _recompiled(
+        constants._exact_sum, "low += np.bincount(exponent, fraction, FREXP_BINS)", "pass"))
+    run_cli(args, tmp_path)
+    assert hashlib.sha256(written.read_bytes()).hexdigest() != CONSTANTS_DIGESTS["Q(i)"]
 
 
 def test_edge_inequality_row_in_jigsaw_and_alpha(tmp_path, monkeypatch):
@@ -292,8 +310,9 @@ def test_line_dropped_from_the_x2_zero_check(monkeypatch):
     assert all(surface_x2_zero_is_lines(p) for p in primes)
     # (0:0:0:1:t) lies on L'' alone, so without L'' it is a surface point
     # with x2 = 0 on no line
-    lines = surface._lines
-    monkeypatch.setattr(surface, "_lines", lambda *x: lines(*x) - {surface.LINE_LPP})
+    lines = tests_support.lines_through
+    monkeypatch.setattr(tests_support, "lines_through",
+                        lambda *x: lines(*x) - {surface.LINE_LPP})
     assert not any(surface_x2_zero_is_lines(p) for p in primes)
 
 

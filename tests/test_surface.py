@@ -1,6 +1,7 @@
 """Surface membership, heights, direct counts, and mod-p densities."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -12,8 +13,8 @@ from dp4jigsaw.errors import NonpositiveBound, NotPrime, OutOfRange
 from dp4jigsaw.gaussian import GaussInt
 from tests_support import (DegenerateCoordinates, NotOnSurface, OnBoundary,
                            direct_count, height, heights_triple_z, heights_triple_zi,
-                           is_integral, line_count_mod_p, make_point as mk, on_lines,
-                           on_surface, surface_x2_zero_is_lines)
+                           is_integral, count_mod_p_tuples, line_count_mod_p,
+                           make_point as mk, on_lines, on_surface, surface_x2_zero_is_lines)
 
 
 class TestParseRing:
@@ -103,6 +104,12 @@ class TestDirectCounts:
 
     def test_methods_agree_to_60(self):
         assert (heights_triple_z(60).cumsum() == S.direct_height_counts(60)).all()
+
+    @pytest.mark.parametrize("b", [1, 2, 10, 57, 300])
+    def test_direct_kernel_in_tiny_blocks(self, monkeypatch, b):
+        # blocks of 3 triples split the divisor pairs of one m
+        monkeypatch.setattr(S, "DIRECT_BLOCK", 3)
+        assert S.direct_height_counts(b).tolist() == T.torsor_height_counts(b).tolist()
 
     def test_pinned_1e5_equals_torsor(self):
         assert direct_count(10 ** 5) == 22747264 == T.torsor_count(10 ** 5)
@@ -207,13 +214,47 @@ class TestModP:
         assert S.count_mod_p(p) == p * p + p
         assert line_count_mod_p(p) == p + 1
 
+    def test_census_equals_the_tuple_census(self):
+        for p in range(2, 32):
+            if S.is_prime(p):
+                assert S.count_mod_p(p) == count_mod_p_tuples(p), p
+
+    @pytest.mark.parametrize("block", [1, 30, 10 ** 5])
+    def test_census_in_other_blocks(self, monkeypatch, block):
+        # grids of one free coordinate; of four to one as p runs to 7; of all four
+        monkeypatch.setattr(S, "CENSUS_BLOCK", block)
+        for p in (2, 3, 5, 7, 11):
+            assert S.count_mod_p(p) == p * p + p, p
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_x2_zero_cuts_out_the_lines(self, p):
         assert surface_x2_zero_is_lines(p)
 
-    def test_not_prime(self):
-        # all three read one census, which checks p first
-        for census in (S.count_mod_p, line_count_mod_p, surface_x2_zero_is_lines):
+    def test_not_prime(self, monkeypatch):
+        # each census checks p before it evaluates the forms
+        def evaluated(*x):
+            raise AssertionError("the forms were evaluated for a p that is not prime")
+        monkeypatch.setattr(S, "_forms", evaluated)
+        for census in (S.count_mod_p, count_mod_p_tuples, line_count_mod_p,
+                       surface_x2_zero_is_lines):
             for n in (1, 6):
                 with pytest.raises(NotPrime):
                     census(n)
+
+
+#: tracemalloc peaks, numpy's buffers included: count_mod_p(61) peaked at
+#: 0.34 MB (its blocks hold p^2 = 3721 tuples; the 1.4e7 tuples of p^4 at
+#: once would hold over 500 MB), and direct_height_counts(2 * 10**4) at
+#: 5.06 MB, nearly all of it the divisor sieve of 1..B.
+@pytest.mark.parametrize("call,arg,limit_mb", [
+    (S.count_mod_p, 61, 1.0),
+    (S.direct_height_counts, 2 * 10 ** 4, 6.0),
+], ids=["census-61", "direct-2e4"])
+def test_counting_checks_run_in_bounded_memory(call, arg, limit_mb):
+    tracemalloc.start()
+    try:
+        call(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2 ** 20, peak

@@ -122,6 +122,12 @@ class TestCounts:
         assert (S.direct_height_counts(10 ** 4)
                 == T.torsor_height_counts(10 ** 4)).all()
 
+    def test_lifted_classes_match_pow(self):
+        pairs = [(x, y) for x in range(1, 2001) for y in range(1, 2000 // x + 1)
+                 if gcd(x, y) == 1]
+        a1, a2 = np.array(pairs).T
+        assert T._lifted_classes(a1, a2).tolist() == [-pow(y, -1, x) % x for x, y in pairs]
+
     def test_histogram_above_limit_fails_before_any_work(self, monkeypatch):
         def started(*args):
             raise AssertionError("the histogram started above MAX_DIRECT_BOUND")
@@ -135,8 +141,8 @@ class TestCounts:
 
     @pytest.mark.parametrize("b", [1, 2, 10, 57, 300])
     def test_histogram_in_tiny_blocks(self, monkeypatch, b):
-        # blocks of max(3, b // 16) items split the pairs of one a1, and the a8
-        # of one pair, across blocks
+        # blocks of 3 items split the pairs of one a1, and the a8 of one pair,
+        # across blocks
         monkeypatch.setattr(T, "HEIGHT_BLOCK", 3)
         assert T.torsor_height_counts(b).tolist() == lifted_height_counts_loop(b).tolist()
 

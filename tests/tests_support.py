@@ -10,7 +10,7 @@ tests/test_src_is_production.py keeps them out of `src/`.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial, gcd, isqrt
 from operator import mul
 
@@ -19,7 +19,7 @@ import numpy as np
 from dp4jigsaw import jigsaw
 from dp4jigsaw import surface as S
 from dp4jigsaw.constants import kronecker_symbol, primes_up_to
-from dp4jigsaw.errors import Dp4Error, DimensionMismatch, IndexOutOfRange
+from dp4jigsaw.errors import Dp4Error, DimensionMismatch, IndexOutOfRange, NotPrime
 from dp4jigsaw.gaussian import GaussInt, exact_div
 from dp4jigsaw.geometry import (AffineForm, HPolytope, _dd, _simplex,
                                 cone_contains_line, fix_coordinates, pull_back)
@@ -30,6 +30,16 @@ from dp4jigsaw.geometry.polytope import ConeLineDiagnostic, _full_dimensional
 from dp4jigsaw.jigsaw import _FaceCache, all_faces
 from dp4jigsaw.reporting import CSV_HEADER
 from dp4jigsaw.torsor import enumerate_normalized, validate
+
+
+#: sha256 of constants.json from `dp4 constant --field <label>` at the
+#: default prime bound.  math.fsum over the same terms writes the same bytes.
+CONSTANTS_DIGESTS = {
+    "Q": "06e59c20997c277a0306221c35b1d3eb2e086a0d3b3fdf07b28bda8999e2b9bc",
+    "Q(i)": "65e18ce2800bf2059f085153f6bfdc5e3386e38ffb8afd81104dd4b84f235129",
+    "Q(sqrt-3)": "009a8fe19f0756727eed01056cdc34b69523cec29e699fa0d90e56e995ffd3d5",
+    "Q(sqrt2)": "ddd7484d7231d6a7c04eed71e0d22ba093c0b48917d26bc3d67362e2e8ee9e36",
+}
 
 
 def random_unimodular(rng, dim, max_entry=3):
@@ -638,7 +648,7 @@ def on_lines(pt):
     """The subset of the three lines containing the point."""
     if not on_surface(pt):
         raise NotOnSurface(f"{pt} does not satisfy the surface equations")
-    return S._lines(*pt.coords)
+    return lines_through(*pt.coords)
 
 
 def _size_and_gcd(pt):
@@ -696,14 +706,50 @@ def heights_triple_zi(bound):
     return hist
 
 
+def lines_through(x0, x1, x2, x3, x4):
+    """The subset of the three lines whose equations hold at a coordinate tuple."""
+    out = set()
+    if not (x0 or x2 or x3):
+        out.add(S.LINE_L)
+    if not (x1 or x2 or x3):
+        out.add(S.LINE_LP)
+    if not (x0 or x1 or x2):
+        out.add(S.LINE_LPP)
+    return out
+
+
+def surface_mod_p(p):
+    """(x, lines_through(*x)) for every x in P^4(F_p) on the surface: the
+    tuple census that surface.count_mod_p runs on arrays.
+
+    x runs over the canonical representatives, leading coordinate 1, as
+    tuples of residues in [0, p), so a coordinate vanishes mod p exactly
+    when it is 0.  NotPrime unless p is prime.
+    """
+    if not S.is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    for lead in range(5):
+        for tail in product(range(p), repeat=4 - lead):
+            x = (0,) * lead + (1,) + tail
+            eq1, eq2 = S._forms(*x)
+            if eq1 % p or eq2 % p:
+                continue
+            yield x, lines_through(*x)
+
+
+def count_mod_p_tuples(p):
+    """surface.count_mod_p by the tuple census: the points off L."""
+    return sum(S.LINE_L not in lines for _, lines in surface_mod_p(p))
+
+
 def line_count_mod_p(p):
     """|L(F_p)| = p + 1: points with x0 = x2 = x3 = 0, all on the surface."""
-    return sum(S.LINE_L in lines for _, lines in S._surface_mod_p(p))
+    return sum(S.LINE_L in lines for _, lines in surface_mod_p(p))
 
 
 def surface_x2_zero_is_lines(p):
     """Exhaustive check that S intersected with {x2 = 0} is the three lines."""
-    return all((x[2] == 0) == bool(lines) for x, lines in S._surface_mod_p(p))
+    return all((x[2] == 0) == bool(lines) for x, lines in surface_mod_p(p))
 
 
 # ---------------------------------------------------------------------------
