@@ -137,19 +137,20 @@ def _cmd_count(args):
         _leading_over_q().predicted_count if args.ring == surface.INTEGERS else None)
     _print_counts(bounds, counts, "direct-divisor")
     if args.points_file:
-        reporting.write_point_stream(args.points_file, keyed)
+        reporting.write_lines(args.points_file, (f"{pt},{h}" for h, pt in keyed))
     return EXIT_OK
 
 
 def _cmd_torsor_count(args):
     from . import torsor
     bounds = _ascending(args.bound)
+    # the tuples' bound is checked before any count
+    points = torsor.enumerate_normalized(bounds[-1]) if args.points_file else None
     [counts] = _report_counts(args, bounds, [("torsor-fast", torsor.torsor_counts)],
                               _leading_over_q().predicted_count)
     _print_counts(bounds, counts, "torsor-fast")
-    if args.points_file:
-        reporting.write_tuple_stream(args.points_file,
-                                     torsor.enumerate_normalized(bounds[-1]))
+    if points is not None:
+        reporting.write_lines(args.points_file, points)
     return EXIT_OK
 
 
@@ -224,11 +225,10 @@ def _cmd_slices(args):
     payload = []
     ok = True
     for a1 in args.a1 or list(jigsaw.PUBLISHED_PIECE_COUNTS):
-        a0 = args.a0 if args.a0 is not None else (1 + a1) / 2
-        census = jigsaw.slice_census(a1, a0, rows)
+        census = jigsaw.slice_census(a1, rows)
         payload.append(census.to_json_dict())
         ok = ok and census.union_verified
-        print(f"a1={a1}, a0={a0}: {census.positive_count} positive pieces, "
+        print(f"a1={a1}: {census.positive_count} positive pieces, "
               f"area {census.total_area}, union {'ok' if census.union_verified else 'FAIL'}")
         published = jigsaw.PUBLISHED_PIECE_COUNTS.get(a1, census.positive_count)
         if census.positive_count != published:
@@ -327,7 +327,6 @@ def _build_parser():
 
     p = sub.add_parser("slices", help="cross-section census at q = 1")
     p.add_argument("--a1", action="append", type=Fraction)
-    p.add_argument("--a0", type=Fraction)
     p.set_defaults(handler=_cmd_slices)
 
     p = sub.add_parser("constant", help="leading constant for a number field")

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InvalidInvariants, OutOfRange, UnsupportedField
 from .jigsaw import alpha_closed_form
+from .surface import primes_up_to
 
 #: generous bound on the relative error of the float assembly itself
 FLOAT_ASSEMBLY_RELERR = 1e-14
@@ -144,24 +145,18 @@ def omega_arch(inv):
 
 
 def kronecker_symbol(d, n):
-    """Kronecker symbol (d/n) for n >= 1."""
+    """Kronecker symbol (d/n) for n >= 0."""
     if n == 0:
         return 1 if d in (1, -1) else 0
     result = 1
-    if n < 0:
-        n = -n
-        if d < 0:
-            result = -result
     while n % 2 == 0:
         n //= 2
         if d % 2 == 0:
             return 0
         if d % 8 in (3, 5):
             result = -result
-    if n == 1:
-        return result
     a = d % n
-    # Jacobi symbol (a/n) for odd n >= 3 by quadratic reciprocity.
+    # Jacobi symbol (a/n) for odd n by quadratic reciprocity; (a/1) = 1, as a = 0 there.
     while a:
         while a % 2 == 0:
             a //= 2
@@ -172,18 +167,6 @@ def kronecker_symbol(d, n):
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def primes_up_to(n):
-    """All primes <= n via a numpy sieve."""
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

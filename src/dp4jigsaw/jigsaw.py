@@ -574,7 +574,6 @@ class SlicePiece:
 class SliceCensus:
     q: int
     a1: Fraction
-    a0: Fraction
     pieces: dict
     positive_count: int
     total_area: Fraction
@@ -584,7 +583,6 @@ class SliceCensus:
         return {
             "q": self.q,
             "a1": str(self.a1),
-            "a0": str(self.a0),
             "pieces": {
                 face_key(f): {
                     "area": str(p.area),
@@ -605,22 +603,23 @@ def census_rows():
     return {face: pull_back(face_rows(face), matrix) for face in all_faces(1)}
 
 
-def slice_census(a1, a0, rows=None):
-    """Cross-section mosaic of the q = 1 face polytopes at a2 = 1 and given (a0, a1).
+def slice_census(a1, rows=None):
+    """Cross-section mosaic of the q = 1 face polytopes at a2 = 1 and a given a1.
 
     Each face's pulled-back rows (census_rows(), which a caller slicing many
     censuses passes as rows) are fixed at (a0, a1, a2=1); the pieces are
     polygons in the remaining coordinates (u_{1,1}, u_{1,2}) that tile the
-    rectangle [0, a1] x [0, 1].  Returns per-face areas and vertex counts
-    plus the exact union check.
+    rectangle [0, a1] x [0, 1].  a0 enters only the common rows a1 <= a0 <=
+    a2 (a test checks it), so every a0 in [a1, 1] gives the same pieces:
+    a0 = (1 + a1) / 2 here.  Returns per-face areas and vertex counts plus
+    the exact union check.
     """
     a1 = Fraction(a1)
-    a0 = Fraction(a0)
-    if not (0 < a1 <= a0 <= 1):
-        raise OutOfRange("need 0 < a1 <= a0 <= 1")
+    if not (0 < a1 <= 1):
+        raise OutOfRange("need 0 < a1 <= 1")
     if rows is None:
         rows = census_rows()
-    fixed = {0: a0, 1: a1, 2: 1}
+    fixed = {0: (1 + a1) / 2, 1: a1, 2: 1}
     pieces = {}
     positive = []
     total = Fraction(0)
@@ -645,7 +644,7 @@ def slice_census(a1, a0, rows=None):
             if not interiors_disjoint(p1, p2):
                 union_ok = False
     return SliceCensus(
-        q=1, a1=a1, a0=a0, pieces=pieces,
+        q=1, a1=a1, pieces=pieces,
         positive_count=len(positive), total_area=total,
         union_verified=union_ok,
     )

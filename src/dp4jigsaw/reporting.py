@@ -83,18 +83,12 @@ def write_file(outdir, name, text):
     return path
 
 
-def write_point_stream(path, keyed):
-    """Write (height, point) pairs one a line, as 'x0:x1:x2:x3:x4,H'."""
+def write_lines(path, items):
+    """Write each item's text one a line, as the items are produced: the point
+    stream ('x0:x1:x2:x3:x4,H') and the tuple stream ('a1,...,a9')."""
     with open(path, "w", encoding="utf-8") as fh:
-        for h, pt in keyed:
-            fh.write(f"{pt},{h}\n")
-
-
-def write_tuple_stream(path, points):
-    """Write torsor points one a line, as 'a1,...,a9', as they are produced."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for point in points:
-            fh.write(f"{point}\n")
+        for item in items:
+            fh.write(f"{item}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -51,21 +51,6 @@ INTEGERS = GroundRing("rational-integers")
 GAUSSIAN = GroundRing("gaussian-integers")
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 #: The spellings parse_ring accepts for each ring, in any letter case.
 RING_SPELLINGS = ((INTEGERS, ("Z", "ZZ", "int", "rational-integers")),
                   (GAUSSIAN, ("Zi", "Z[i]", "gaussian", "gaussian-integers")))
@@ -123,19 +108,34 @@ def _int_bound(bound, limit=None):
     return b
 
 
+def primes_up_to(n):
+    """All primes <= n, ascending, from one sieve of Eratosthenes."""
+    if n < 2:
+        return np.empty(0, dtype=np.int64)
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve).astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # Direct counting in the normal form x0 + x3 = 1
 # ---------------------------------------------------------------------------
 
-#: Largest bound the direct counter accepts.  The divisor sieve of 1..B
-#: has E = sum_{n <= B} d(n) ~ B (ln B + 2 gamma - 1) int32 entries, built
-#: from about five int32 arrays of length E and an int64 argsort: 28 bytes
-#: per entry, E = 1.4e7 and a peak RSS near 370 MB at B = 10^6; the
-#: histogram adds 8 (B + 1) bytes.  Over Z[i], O(B^2) time binds first.
-#: `dp4 compare`, which writes its report a block of rows at a time, took
-#: 2.3-2.7 s with a 60 MB peak RSS at B = 1e5 and 29 s with 374 MB at 1e6,
-#: on a 2-vCPU host; the sieve sets both peaks.
-MAX_DIRECT_BOUND = 10 ** 6
+#: Largest bound the direct counter accepts, per ring.  Over Z, the divisor
+#: sieve of 1..B has E = sum_{n <= B} d(n) ~ B (ln B + 2 gamma - 1) int32
+#: entries, built from about five int32 arrays of length E and an int64
+#: argsort: 28 bytes per entry, E = 1.4e7 and a peak RSS near 370 MB at
+#: B = 10^6; the histogram adds 8 (B + 1) bytes.  `dp4 compare`, which
+#: writes its report a block of rows at a time, took 2.3-2.7 s with a 60 MB
+#: peak RSS at B = 1e5 and 29 s with 374 MB at 1e6, on a 2-vCPU host; the
+#: sieve sets both peaks.  Over Z[i] the x0 scan tests each x2 of norm <= B
+#: for each of ~pi B values of x0: fresh `dp4 count --ring Zi` took 0.49,
+#: 1.3, 3.3, 24 and 48 s at B = 1e3, 3e3, 5e3, 1e4 and (no limit) 2e4, with
+#: peaks of 29-39 MB.  Both limits keep a count under half a minute.
+MAX_DIRECT_BOUND = {INTEGERS: 10 ** 6, GAUSSIAN: 10 ** 4}
 
 
 #: Largest bound at which direct_points_with_heights lists the points, per
@@ -226,7 +226,7 @@ def _normal_form_zi(bound):
 
 def direct_height_counts(bound, ring=INTEGERS):
     """Cumulative counts N(b) for all integer b <= bound, as an array."""
-    b = _int_bound(bound, MAX_DIRECT_BOUND)
+    b = _int_bound(bound, MAX_DIRECT_BOUND.get(ring))
     hist = np.zeros(b + 2, dtype=np.int64)     # hist[b + 1] takes the heights above b
     if ring == INTEGERS:
         for m, d in _normal_form_blocks(b):
@@ -246,10 +246,10 @@ def direct_counts(bounds, ring=INTEGERS, keyed=None):
 
     keyed, if given, is direct_points_with_heights at the largest bound.  It
     lists exactly the points counted, so the histogram is that of its
-    heights, and nothing is enumerated again.  A bound above
+    heights, and nothing is enumerated again.  A bound above the ring's
     MAX_DIRECT_BOUND raises OutOfRange before any work.
     """
-    ints = [_int_bound(b, MAX_DIRECT_BOUND) for b in bounds]
+    ints = [_int_bound(b, MAX_DIRECT_BOUND.get(ring)) for b in bounds]
     if not ints:
         return []
     if keyed is None:
@@ -325,7 +325,7 @@ def count_mod_p(p):
     """
     if p > MAX_MODP_PRIME:
         raise OutOfRange(f"p must be <= {MAX_MODP_PRIME}, got {p}")
-    if not is_prime(p):
+    if p not in primes_up_to(p).tolist():
         raise NotPrime(f"{p} is not prime")
     grid = 1
     while grid < 4 and p ** (grid + 1) <= CENSUS_BLOCK:

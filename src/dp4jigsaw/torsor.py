@@ -77,11 +77,11 @@ each residue class in O(1), in O(sqrt B) memory:
   period_sum(B // a1) - period_sum(K), with phi(a1) and the unit counts by
   inclusion-exclusion over the prime divisors of a1 (_tail_pairs).  Only the
   inverse tables up to S are built, a quarter of the entries;
-* the moduli y <= S are independent: blocks of SHARE_BLOCK consecutive
-  moduli are dealt round-robin to forked workers, at most one per CPU the
-  process may run on, and each worker returns one exact partial count per
-  bound (_sweep).  Small sweeps, and hosts without fork, run the same share
-  in the calling process.
+* the moduli y <= S are independent: their _Blocks are dealt round-robin
+  to forked workers, at most one per CPU the process may run on, and each
+  worker returns one exact partial count per bound (_sweep).  Small
+  sweeps, and hosts without fork, run the same share in the calling
+  process.
 
 Each bound's arrays hold O(sqrt B) values, and the count is integer
 arithmetic throughout.  The tests check it against a naive scan of a8,
@@ -102,7 +102,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CoprimalityBroken, EquationViolated, NonUnitMiddle
-from .surface import MAX_DIRECT_BOUND, _flat_blocks, _int_bound
+from .surface import INTEGERS, MAX_DIRECT_BOUND, _flat_blocks, _int_bound, primes_up_to
 
 #: Largest bound torsor_count accepts.  Its largest int64 intermediate is a
 #: sum of class counts for one a1 and one bound (or a sum of floor(n/k) in
@@ -334,15 +334,15 @@ def _inverse_table(m):
 
 
 #: Most values in each 2-D array of a block of moduli (a _Block): the
-#: block takes max(1, SHARE_BLOCK_ELEMENTS // (max K + 1)) consecutive
-#: moduli, so that its periodic classes and weights, its inverse tables and
-#: Euclid pairs, its columns and the work arrays of one bound each hold at
-#: most about this many values, whatever B.  On a 2-vCPU host, one
-#: worker's share (every other SHARE_BLOCK block) in fresh processes,
-#: medians of 7 interleaved runs, CPU time: 2^16, 2^17, 2^18 and 2^19 took
-#: 0.156, 0.129, 0.125 and 0.129 s at N(3e7), and 0.110, 0.091, 0.085 and
-#: 0.084 s on the fit grid; the share of N(1e9) took 4.8, 4.3, 3.1 and
-#: 3.0 s (medians of 3), with a traced peak of 3.7, 6.3, 11.3 and 21.8 MB.
+#: block takes max(1, min(SHARE_BLOCK, SHARE_BLOCK_ELEMENTS // (max K + 1)))
+#: consecutive moduli, so that its classes and weights, inverse tables and
+#: Euclid pairs, columns and the work arrays of one bound each hold at most
+#: about this many values, whatever B.  On a 2-vCPU host, one worker's
+#: share (every other block of 128 moduli) in fresh processes, medians of 7
+#: interleaved runs, CPU time: 2^16, 2^17, 2^18 and 2^19 took 0.156, 0.129,
+#: 0.125 and 0.129 s at N(3e7), and 0.110, 0.091, 0.085 and 0.084 s on the
+#: fit grid; the share of N(1e9) took 4.8, 4.3, 3.1 and 3.0 s (medians of
+#: 3), with a traced peak of 3.7, 6.3, 11.3 and 21.8 MB.
 SHARE_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -495,7 +495,13 @@ def _pair_counts_fast(a1, classes, bound, weights, out):
 
 
 #: Most elements of one _pair_counts_fast call: a chunk of consecutive rows
-#: y, or one row when K - y is larger.
+#: y, or one row when K - y is larger.  It is kept for its bounds, not for
+#: speed: above B = 2^30 it keeps a call's int64 sum below the a1 = 1 row's
+#: (MAX_TORSOR_BOUND), and it caps the kernel's two work arrays.  In
+#: process on a 2-vCPU host (min and median of 7), one call per whole
+#: _Block took 0.211 and 0.223 s at N(3e7), against 0.218 and 0.224 s, and
+#: 0.141 and 0.145 s on the fit grid, against 0.150 and 0.151 s, but its
+#: traced peak was 0.7 MB higher at B = 1e6 and 1.7 MB at 3.9e6 and 3e7.
 ROW_CHUNK = 1 << 14
 
 
@@ -590,18 +596,19 @@ def _column_pairs(ys, a1, classes, weights, bound, work):
     return dot
 
 
-def _squarefree_divisors(a):
+def _squarefree_divisors(a, primes):
     """(owner, d, mu): each squarefree divisor d of each a[owner], mu = Moebius(d).
 
-    Sorted by owner.  Trial division by the primes up to sqrt(max a) leaves
-    each a[i] at most one prime factor above them, and each prime factor p
-    of a[i] doubles its rows: d -> d*p with mu negated.
+    Sorted by owner.  Trial division by primes (an array), every prime up
+    to sqrt(max a) among them, leaves each a[i] at most one prime factor
+    besides, and each prime factor p of a[i] doubles its rows: d -> d*p
+    with mu negated.
     """
     owner = np.arange(a.size)
     d = np.ones(a.size, dtype=np.int64)
     mu = np.ones(a.size, dtype=np.int64)
     rest = a.copy()
-    for p in _factor_tables(isqrt(int(a.max())))[1].tolist() + [None]:
+    for p in primes.tolist() + [None]:
         # p = None: the prime factor left in rest, if any
         hit = rest > 1 if p is None else rest % p == 0
         rows = hit[owner]
@@ -630,16 +637,17 @@ def _tail_pairs(states):
     = 2(q - 1)*phi(a1) + 2*units(r) - 2*units(K - a1), with q, r =
     divmod(B // a1, a1) and units(j) the units mod a1 in 1..j: sums of
     mu(d)*(j // d) over the squarefree divisors d of a1, taken per block of
-    TAIL_BLOCK moduli.  At y = 1, u = 1.
+    TAIL_BLOCK moduli, with one sieve of primes for all.  At y = 1, u = 1.
     """
     n = states[-1].k
     s = n // 2
     y, one, work = np.ones(1, dtype=np.int64), np.ones((1, n + 1), dtype=np.int64), _Scratch()
     columns = _columns(y, one - 1, one, s, n, work)      # every x is a unit mod 1, u = 1
     totals = [_column_pairs(y, *columns, state, work) for state in states]
+    primes = primes_up_to(isqrt(n))
     for lo in range(s + 1, n + 1, TAIL_BLOCK):
         a1 = np.arange(lo, min(lo + TAIL_BLOCK, n + 1), dtype=np.int64)
-        owner, d, mu = _squarefree_divisors(a1)
+        owner, d, mu = _squarefree_divisors(a1, primes)
         starts = np.searchsorted(owner, np.arange(a1.size))
         phi = np.add.reduceat(mu * (a1[owner] // d), starts)
         for i, state in enumerate(states):
@@ -653,11 +661,11 @@ def _tail_pairs(states):
     return totals
 
 
-#: Consecutive moduli y per block dealt to a sweep worker.  Dealt
-#: round-robin, the workers' shares differ by about one block's work; 32 to
-#: 256 timed the same on a 2-vCPU host, medians of 9 interleaved forked
-#: sweeps: 0.23 s at N(3e7) and 0.20 to 0.22 s on the fit grid.  A _Block
-#: takes at most one dealt block.
+#: Most consecutive moduli y in one _Block, the unit dealt to a sweep
+#: worker.  Dealt round-robin, the workers' shares differ by about one
+#: block's work; 32 to 256 timed the same on a 2-vCPU host, medians of 9
+#: interleaved forked sweeps: 0.23 s at N(3e7) and 0.20 to 0.22 s on the
+#: fit grid.
 SHARE_BLOCK = 128
 
 #: Smallest largest K = isqrt(B) of a sweep that is split across forked
@@ -675,22 +683,19 @@ def _share_pairs(states, blocks):
     """The pairs of the rows a1 = y and the columns y in the (lo, hi) ranges of blocks.
 
     One int per state.  states are _Bound objects ascending in K, and
-    blocks ascend up to hi <= S = states[-1].k // 2.  The share builds its
-    own factor tables, and splits each range into _Blocks of at most
-    SHARE_BLOCK_ELEMENTS // (max K + 1) moduli.
+    blocks ascend up to hi <= S = states[-1].k // 2, one _Block each.  The
+    share builds its own factor tables.
     """
     n = states[-1].k
     ks = [state.k for state in states]
     tables = _factor_tables(blocks[-1][1] // 2)
-    rows = max(1, SHARE_BLOCK_ELEMENTS // (n + 1))
     work = _Scratch()
     totals = [0] * len(states)
     for lo, hi in blocks:
-        for start in range(lo, hi + 1, rows):
-            ys = np.arange(start, min(start + rows, hi + 1), dtype=np.int64)
-            block = _Block(ys, _class_rows(ys, tables, work), n, work)
-            for i in range(bisect_left(ks, start), len(states)):
-                totals[i] += block.pairs(states[i])
+        ys = np.arange(lo, hi + 1, dtype=np.int64)
+        block = _Block(ys, _class_rows(ys, tables, work), n, work)
+        for i in range(bisect_left(ks, lo), len(states)):
+            totals[i] += block.pairs(states[i])
     return totals
 
 
@@ -759,17 +764,18 @@ def _sweep(states):
     """The pairs with a1 = 2..max K for each of states (ascending in K >= 2).
 
     The moduli y = 2..S, S = max K // 2, each with its row a1 = y and its
-    column, go in blocks of SHARE_BLOCK consecutive moduli, dealt
-    round-robin to one forked worker per CPU the process may run on, at
-    most one per block; the column y = 1 and the a1 > S closed forms
-    (_tail_pairs) run here while the workers run, and the exact partial
-    counts are added here.  Below FORK_MIN_MODULI, with one CPU, without
-    fork, or in a process that runs threads (which a fork does not copy),
-    one share takes every block in this process.
+    column, go in _Blocks (SHARE_BLOCK_ELEMENTS), dealt round-robin to one
+    forked worker per CPU the process may run on, at most one per block;
+    the column y = 1 and the a1 > S closed forms (_tail_pairs) run here
+    while the workers run, and the exact partial counts are added here.
+    Below FORK_MIN_MODULI, with one CPU, without fork, or in a process that
+    runs threads (which a fork does not copy), one share takes every block
+    in this process.
     """
     n = states[-1].k
     s = n // 2
-    blocks = [(lo, min(lo + SHARE_BLOCK - 1, s)) for lo in range(2, s + 1, SHARE_BLOCK)]
+    rows = max(1, min(SHARE_BLOCK, SHARE_BLOCK_ELEMENTS // (n + 1)))
+    blocks = [(lo, min(lo + rows - 1, s)) for lo in range(2, s + 1, rows)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(blocks))
     if not blocks:
@@ -835,51 +841,64 @@ def _lifted_classes(a1, a2):
     return classes
 
 
-def torsor_height_counts(bound):
-    """Cumulative N(b) for all b <= bound, from one sweep over solutions.
+def _lifted_pairs(b):
+    """Yield (a1, a2, first, sizes) arrays a block at a time: every lift with a7 = +1.
 
-    Each coprime pair (a1, a2) with a1*a2 <= bound runs its a8 over one
-    progression mod a1, of class -a2^-1 (_lifted_classes, one extended
-    Euclid over the coprime pairs of a block), inside
-    -(b // a2) <= a8 <= (b - 1) // a2, where |y| <= b and |y + 1| <= b for
-    y = a2*a8; every height max(a1*a2, |y|, |y + 1|) is therefore <= b.  The
-    pairs, and then their values of a8, are taken HEIGHT_BLOCK at a time
-    into one np.add.at on the histogram, so the memory stays
-    O(b + HEIGHT_BLOCK) and no block costs O(b).  A bound above
-    MAX_DIRECT_BOUND, the range of its only caller dp4 compare, raises
-    OutOfRange before any array is built.
+    Each coprime pair (a1, a2) with a1*a2 <= b runs its a8 over one
+    progression first + a1*k, k < size, of class -a2^-1 mod a1
+    (_lifted_classes, one extended Euclid over the coprime pairs of a
+    block), inside -(b // a2) <= a8 <= (b - 1) // a2, where |y| <= b and
+    |y + 1| <= b for y = a2*a8; every height max(a1*a2, |y|, |y + 1|) is
+    therefore <= b.  The candidate pairs ascend in a1, then a2, HEIGHT_BLOCK
+    at a time, so the memory stays O(b + HEIGHT_BLOCK).
     """
-    b = _int_bound(bound, MAX_DIRECT_BOUND)
-    hist = np.zeros(b + 1, dtype=np.int64)
     for i, rank in _flat_blocks(b // np.arange(1, b + 1), HEIGHT_BLOCK):
         a1, a2 = i + 1, rank + 1     # a2 = 1..b // a1
         coprime = np.gcd(a1, a2) == 1
         a1, a2 = a1[coprime], a2[coprime]
         lo = -(b // a2)
         first = lo + (_lifted_classes(a1, a2) - lo) % a1
-        sizes = np.maximum(((b - 1) // a2 - first) // a1 + 1, 0)
+        yield a1, a2, first, np.maximum(((b - 1) // a2 - first) // a1 + 1, 0)
+
+
+def torsor_height_counts(bound):
+    """Cumulative N(b) for all b <= bound, from one walk over the lifts.
+
+    The a8 of the pairs of _lifted_pairs, HEIGHT_BLOCK at a time, add 2 at
+    their heights (each lift and its negation in a7, a8, a9) in one
+    np.add.at a block, so no block costs O(b).  A bound above
+    MAX_DIRECT_BOUND over Z, the range of its only caller dp4 compare,
+    raises OutOfRange before any array is built.
+    """
+    b = _int_bound(bound, MAX_DIRECT_BOUND[INTEGERS])
+    hist = np.zeros(b + 1, dtype=np.int64)
+    for a1, a2, first, sizes in _lifted_pairs(b):
         for j, k in _flat_blocks(sizes, HEIGHT_BLOCK):
             y = a2[j] * (first[j] + a1[j] * k)
             np.add.at(hist, np.maximum(a1[j] * a2[j], np.maximum(np.abs(y), np.abs(y + 1))), 2)
     return hist.cumsum()
 
 
-def enumerate_normalized(bound):
-    """Yield every torsor point with a1, a2 >= 1, a3 = a4 = a5 = 1 and height <= bound."""
-    b = _int_bound(bound)
-    for a1 in range(1, b + 1):
-        for a2 in range(1, b // a1 + 1):
-            if gcd(a1, a2) != 1:
-                continue
-            for a7 in (1, -1):
-                # y = a2*a8 must satisfy |y| <= B and |y + a7| <= B
-                y_lo, y_hi = (-b, b - 1) if a7 == 1 else (1 - b, b)
-                lo = -(-y_lo // a2)  # ceil
-                hi = y_hi // a2
-                r = (-a7 * pow(a2, -1, a1)) % a1
-                first = lo + (r - lo) % a1
-                for a8 in range(first, hi + 1, a1):
-                    a9 = -(a2 * a8 + a7) // a1
-                    for a6 in (1, -1):
-                        yield validate((a1, a2, 1, 1, 1, a6, a7, a8, a9))
+def _lifts(a1, a2, first, size):
+    """The points of one pair of _lifted_pairs: a7 = +1, then a7 = -1, each
+    ascending in a8, with a6 = +1 then -1.  The a7 = -1 lifts are the
+    a7 = +1 lifts with a8 and a9 negated: a2*a8 runs over [1 - b, b] in the
+    class of +1 mod a1, not over [-b, b - 1] in that of -1."""
+    last = first + a1 * (size - 1)
+    for a7, a8s in ((1, range(first, last + 1, a1)), (-1, range(-last, 1 - first, a1))):
+        for a8 in a8s:
+            a9 = -(a2 * a8 + a7) // a1
+            for a6 in (1, -1):
+                yield validate((a1, a2, 1, 1, 1, a6, a7, a8, a9))
 
+
+def enumerate_normalized(bound):
+    """Every torsor point with a1, a2 >= 1, a3 = a4 = a5 = 1 and height <= bound.
+
+    An iterator over the pairs (a1, a2) of the walk of torsor_height_counts,
+    in its order (_lifts).  A bound above MAX_DIRECT_BOUND over Z raises
+    OutOfRange here, before any point is made.
+    """
+    walk = _lifted_pairs(_int_bound(bound, MAX_DIRECT_BOUND[INTEGERS]))
+    return (point for block in walk for pair in zip(*(column.tolist() for column in block))
+            for point in _lifts(*pair))

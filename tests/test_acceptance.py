@@ -78,19 +78,19 @@ def test_criterion_2_pyramid_identity():
 def test_criterion_3_slice_census():
     expected = {F(1, 5): 7, F(2, 5): 11, F(3, 5): 11}
     for a1, count in expected.items():
-        censuses = [jigsaw.slice_census(a1, (1 + a1) / 2),
-                    jigsaw.slice_census(a1, F(9, 10))]
-        for census in censuses:
-            assert census.positive_count == count
-            assert census.total_area == a1
-            assert census.union_verified
-            for piece in census.pieces.values():
-                if piece.area > 0:
-                    assert piece.vertex_count in (3, 4)
-        assert {f: p.area for f, p in censuses[0].pieces.items()} == \
-               {f: p.area for f, p in censuses[1].pieces.items()}
+        census = jigsaw.slice_census(a1)
+        assert census.positive_count == count
+        assert census.total_area == a1
+        assert census.union_verified
+        for piece in census.pieces.values():
+            if piece.area > 0:
+                assert piece.vertex_count in (3, 4)
+    # a0 enters only the common rows a1 <= a0 <= a2 = 1, constant on the slice
+    for pulled in jigsaw.census_rows().values():
+        assert {(row.coeffs, row.const) for row in pulled if row.coeffs[0]} == {
+            ((1, -1, 0, 0, 0), 0), ((-1, 0, 1, 0, 0), 0)}
     report("3: PASS - piece counts 7/11/11 at a1 = 1/5, 2/5, 3/5; "
-           "3-4 vertices each; areas sum to a1; a0-invariant")
+           "3-4 vertices each; areas sum to a1; a0 only in a1 <= a0 <= a2")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ from tests_support import CONSTANTS_DIGESTS, whole_count_report
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+#: sha256 of the tuple stream of `dp4 torsor-count --bound 200 --tuples`
+TUPLES_200 = "c2218dbb5f71d9883eb8f2fe401b917b6d3c6f17c11eb99424a80248abae7ad9"
+
 
 def parse_counts_csv(text):
     """The CountRows of a counts.csv: the inverse of reporting.emit_report."""
@@ -334,6 +337,25 @@ class TestCli:
         assert run_cli(["count", "--bound", "1e9"], tmp_path) == 2
         assert not (tmp_path / "counts.csv").exists()
 
+    def test_tuples_above_limit_exit_2_before_any_count(self, tmp_path, monkeypatch):
+        def started(*args):
+            raise AssertionError("counting started for tuples above MAX_DIRECT_BOUND")
+        monkeypatch.setattr(torsor, "torsor_counts", started)
+        monkeypatch.setattr(torsor, "_flat_blocks", started)
+        bound = str(surface.MAX_DIRECT_BOUND[surface.INTEGERS] + 1)
+        stream = tmp_path / "tuples.txt"
+        assert run_cli(["torsor-count", "--bound", bound, "--tuples", str(stream)],
+                       tmp_path / "out") == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tuple_stream_in_tiny_blocks_is_the_pinned_stream(self, tmp_path, monkeypatch):
+        # blocks of 3 candidate pairs split the pairs of one a1 across blocks
+        monkeypatch.setattr(torsor, "HEIGHT_BLOCK", 3)
+        stream = tmp_path / "tuples.txt"
+        assert run_cli(["torsor-count", "--bound", "200", "--tuples", str(stream)],
+                       tmp_path / "out") == 0
+        assert hashlib.sha256(stream.read_bytes()).hexdigest() == TUPLES_200
+
     @pytest.mark.parametrize("ring", ["Z", "Zi"])
     def test_points_above_limit_exits_2_before_any_work(self, tmp_path, monkeypatch, ring):
         def started(*args):
@@ -417,7 +439,7 @@ class TestCli:
         (["jigsaw", "--q", "6"], "jigsaw.json",
          "c27d995a310056143d76346b54303d6f476bae2a704e23b3b46ef0ec00fe02f4"),
         (["slices"], "slices.json",
-         "7774d79ea54f59b61a561224481a931ccff302a32660dd5c89eddef1ccb73f24"),
+         "c2ae189ee9d31b2f173aeeafc66fae153b4669d12dd5c2ca1f0a832dd9c79406"),
     ], ids=["q0", "q1", "q2", "q3", "q4", "q5", "q6", "slices"])
     def test_geometry_artifacts_are_pinned(self, tmp_path, args, name, digest):
         assert run_cli(["--format", "json"] + args, tmp_path) == 0
@@ -441,7 +463,7 @@ class TestCli:
         (["torsor-count", "--bound", "200"], "--tuples", {
             "counts.csv": "084a0ae5ad3a09017ff9eab9f73a5398b6934d3420f615453479bb0b3e69cf03",
             "counts.json": "cb30cc8559976bb6a06da6fcc6219e825f51fe9c2e3efd9e68226ca7ad6c1f54",
-            "stream": "c2218dbb5f71d9883eb8f2fe401b917b6d3c6f17c11eb99424a80248abae7ad9"}),
+            "stream": TUPLES_200}),
         (["compare", "--bound", "200"], None, {
             "counts.csv": "f9e84eb36a59606a698a0be2313779c3a018254edd73bf368acd85c5c9a19d31",
             "counts.json": "1cb1df80ff41adf82d18ffacfce3999725f9aa6e9c518739d2eafbdb094a4ceb"}),

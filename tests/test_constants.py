@@ -42,7 +42,30 @@ class TestOmegaArch:
         assert C.omega_arch(mixed) == pytest.approx(64 * math.pi ** 2)
 
 
+def kronecker_oracle(d, n):
+    """(d/n) for n >= 0 as a product over the primes of n: Euler's criterion
+    d^((p-1)/2) mod p at each odd p, the rule on d mod 8 at 2, and
+    (d/0) = [d = +-1]."""
+    if n == 0:
+        return int(d in (1, -1))
+    result, p = 1, 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            if p == 2:
+                result *= 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
+            else:
+                result *= {0: 0, 1: 1, p - 1: -1}[pow(d, (p - 1) // 2, p)]
+        p += 1
+    return result
+
+
 class TestKronecker:
+    def test_against_the_multiplicative_oracle(self):
+        for d in range(-60, 61):
+            if d:
+                for n in range(301):
+                    assert C.kronecker_symbol(d, n) == kronecker_oracle(d, n), (d, n)
     def test_chi_minus_4(self):
         vals = [C.kronecker_symbol(-4, n) for n in range(1, 9)]
         assert vals == [1, 0, -1, 0, 1, 0, -1, 0]

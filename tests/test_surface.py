@@ -123,7 +123,7 @@ class TestDirectCounts:
         monkeypatch.setattr(S.np, "zeros", started)
         for call in (direct_count, S.direct_points):
             with pytest.raises(OutOfRange):
-                call(S.MAX_DIRECT_BOUND + 1, ring=ring)
+                call(S.MAX_DIRECT_BOUND[ring] + 1, ring=ring)
 
     @pytest.mark.parametrize("ring", [S.INTEGERS, S.GAUSSIAN])
     def test_shared_histogram_matches_single_counts(self, ring):
@@ -138,7 +138,7 @@ class TestDirectCounts:
             raise AssertionError("counting started above MAX_DIRECT_BOUND")
         monkeypatch.setattr(S, "direct_height_counts", started)
         with pytest.raises(OutOfRange):
-            S.direct_counts([10, S.MAX_DIRECT_BOUND + 1, 20])
+            S.direct_counts([10, S.MAX_DIRECT_BOUND[S.INTEGERS] + 1, 20])
 
     def test_nonpositive_bound(self):
         with pytest.raises(NonpositiveBound):
@@ -163,11 +163,13 @@ class TestDirectCounts:
         assert [mk(pt.coords, ring=ring) for pt in pts] == pts
         assert pts == sorted(pts, key=lambda pt: (height(pt), str(pt)))
         stream = tmp_path / "points.txt"
-        reporting.write_point_stream(stream, S.direct_points_with_heights(bound, ring=ring))
+        reporting.write_lines(stream, (f"{pt},{h}" for h, pt in
+                                       S.direct_points_with_heights(bound, ring=ring)))
         assert stream.read_text().splitlines() == [f"{pt},{height(pt)}" for pt in pts]
 
     def test_point_stream_format(self, tmp_path):
-        reporting.write_point_stream(tmp_path / "points.txt", S.direct_points_with_heights(1))
+        reporting.write_lines(tmp_path / "points.txt",
+                              (f"{pt},{h}" for h, pt in S.direct_points_with_heights(1)))
         lines = (tmp_path / "points.txt").read_text().strip().splitlines()
         assert len(lines) == 4
         for line in lines:
@@ -180,6 +182,21 @@ class TestGaussianCounts:
     def test_count_at_one(self):
         # the four rational points times extra unit images
         assert direct_count(1, ring=S.GAUSSIAN) == 8
+
+    def test_histogram_above_limit_fails_before_any_work(self, monkeypatch):
+        class Scanned(Exception):
+            pass
+
+        def started(*args):
+            raise Scanned(args)
+        monkeypatch.setattr(S, "_normal_form_zi", started)
+        limit = S.MAX_DIRECT_BOUND[S.GAUSSIAN]
+        assert S.MAX_POINTS_BOUND[S.GAUSSIAN] <= limit < S.MAX_DIRECT_BOUND[S.INTEGERS]
+        for call in (S.direct_height_counts, lambda b, ring: S.direct_counts([1, b], ring)):
+            with pytest.raises(OutOfRange):
+                call(limit + 1, ring=S.GAUSSIAN)
+            with pytest.raises(Scanned):      # the limit itself is accepted
+                call(limit, ring=S.GAUSSIAN)
 
     def test_monotone_and_contains_rational_points(self):
         counts = S.direct_height_counts(10, ring=S.GAUSSIAN)
@@ -215,9 +232,8 @@ class TestModP:
         assert line_count_mod_p(p) == p + 1
 
     def test_census_equals_the_tuple_census(self):
-        for p in range(2, 32):
-            if S.is_prime(p):
-                assert S.count_mod_p(p) == count_mod_p_tuples(p), p
+        for p in S.primes_up_to(31).tolist():
+            assert S.count_mod_p(p) == count_mod_p_tuples(p), p
 
     @pytest.mark.parametrize("block", [1, 30, 10 ** 5])
     def test_census_in_other_blocks(self, monkeypatch, block):
@@ -240,6 +256,24 @@ class TestModP:
             for n in (1, 6):
                 with pytest.raises(NotPrime):
                     census(n)
+
+    @pytest.mark.parametrize("p,error", [(-3, NotPrime), (0, NotPrime), (1, NotPrime),
+                                         (4, NotPrime), (87, NotPrime),
+                                         (S.MAX_MODP_PRIME + 1, OutOfRange),
+                                         (S.MAX_MODP_PRIME + 8, OutOfRange)])
+    def test_refused_before_any_census_array(self, monkeypatch, p, error):
+        def built(*args, **kwargs):
+            raise AssertionError("the census built an array for a refused p")
+        monkeypatch.setattr(S.np, "zeros", built)
+        monkeypatch.setattr(S.np, "indices", built)
+        monkeypatch.setattr(S, "_forms", built)
+        with pytest.raises(error):
+            S.count_mod_p(p)
+
+    def test_the_sieve_matches_trial_division(self):
+        assert S.primes_up_to(1).tolist() == S.primes_up_to(-3).tolist() == []
+        assert S.primes_up_to(1000).tolist() == [
+            n for n in range(2, 1001) if all(n % f for f in range(2, n))]
 
 
 #: tracemalloc peaks, numpy's buffers included: count_mod_p(61) peaked at

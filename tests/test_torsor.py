@@ -132,8 +132,9 @@ class TestCounts:
         def started(*args):
             raise AssertionError("the histogram started above MAX_DIRECT_BOUND")
         monkeypatch.setattr(T, "_flat_blocks", started)
-        with pytest.raises(OutOfRange):
-            T.torsor_height_counts(S.MAX_DIRECT_BOUND + 1)
+        for walk in (T.torsor_height_counts, T.enumerate_normalized):   # --tuples too
+            with pytest.raises(OutOfRange):
+                walk(S.MAX_DIRECT_BOUND[S.INTEGERS] + 1)
 
     @pytest.mark.parametrize("b", [1, 2, 3, 10, 57, 300, 2000])
     def test_histogram_equals_the_per_pair_loop(self, b):
@@ -345,7 +346,7 @@ class TestColumns:
     def test_squarefree_divisors(self):
         a = np.array(list(range(2, 400)) + [9699690, 2 ** 20, 999983, 2 * 999983,
                                             3 ** 4 * 7 ** 2 * 101], dtype=np.int64)
-        owner, d, mu = T._squarefree_divisors(a)
+        owner, d, mu = T._squarefree_divisors(a, S.primes_up_to(isqrt(int(a.max())) + 50))
         assert (np.diff(owner) >= 0).all()
         for i, n in enumerate(a.tolist()):
             primes, rest, p = [], n, 2
@@ -565,8 +566,8 @@ class TestSharedSweep:
         for name in ("_divisor_sum", "_factor_tables", "_euclid_inverses",
                      "_class_rows", "_inverse_table", "_Block",
                      "_pair_counts_fast", "_columns", "_column_pairs",
-                     "_squarefree_divisors", "_tail_pairs", "_share_pairs", "_forked",
-                     "_sweep"):
+                     "_squarefree_divisors", "primes_up_to", "_tail_pairs", "_share_pairs",
+                     "_forked", "_sweep"):
             monkeypatch.setattr(T, name, started)
         with pytest.raises(OutOfRange):
             T.torsor_counts([1e4, T.MAX_TORSOR_BOUND + 1])
@@ -741,7 +742,7 @@ class TestNormalizedPoints:
         assert set(fibers) == set(S.direct_points(25))
 
     def test_tuple_stream(self, tmp_path):
-        reporting.write_tuple_stream(tmp_path / "tuples.txt", T.enumerate_normalized(2))
+        reporting.write_lines(tmp_path / "tuples.txt", T.enumerate_normalized(2))
         lines = (tmp_path / "tuples.txt").read_text().strip().splitlines()
         assert lines and all(len(line.split(",")) == 9 for line in lines)
         for line in lines:

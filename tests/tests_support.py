@@ -18,7 +18,7 @@ import numpy as np
 
 from dp4jigsaw import jigsaw
 from dp4jigsaw import surface as S
-from dp4jigsaw.constants import kronecker_symbol, primes_up_to
+from dp4jigsaw.constants import kronecker_symbol
 from dp4jigsaw.errors import Dp4Error, DimensionMismatch, IndexOutOfRange, NotPrime
 from dp4jigsaw.gaussian import GaussInt, exact_div
 from dp4jigsaw.geometry import (AffineForm, HPolytope, _dd, _simplex,
@@ -726,7 +726,7 @@ def surface_mod_p(p):
     tuples of residues in [0, p), so a coordinate vanishes mod p exactly
     when it is 0.  NotPrime unless p is prime.
     """
-    if not S.is_prime(p):
+    if p not in S.primes_up_to(p).tolist():
         raise NotPrime(f"{p} is not prime")
     for lead in range(5):
         for tail in product(range(p), repeat=4 - lead):
@@ -870,7 +870,7 @@ def whole_count_report(rows):
 def whole_sieve_prime_norms(inv, bound):
     """Norms (with multiplicity) of the prime ideals of norm <= bound, from one
     sieve of 0..bound and one np.unique over every prime's class."""
-    primes = primes_up_to(bound)
+    primes = S.primes_up_to(bound)
     if inv.degree == 1:
         return primes.tolist()
     d = inv.quad_disc
