@@ -8,8 +8,10 @@ row of that call carries its time.  count, torsor-count and fit count all
 their bounds in one call (one histogram, or one sweep that splits the moduli
 a1, not the bounds, across forked workers), so a row's elapsed is the time
 of the whole call, not of that bound alone; compare makes one call per
-counter; count --points leaves the listing of the points out.  Only
-reporting writes the artifact files, the point and tuple streams included.
+counter, checks the two cumulative histograms at every B <= bound, and
+reports them at B = 1, 2, 5, 10, ... and the bound; count --points leaves
+the listing of the points out.  Only reporting writes the artifact files,
+the point and tuple streams included.
 
 Only the subcommands that count import numpy and the numpy-backed modules
 (constants, surface, torsor), in their own handlers; jigsaw, alpha and
@@ -19,8 +21,9 @@ Exit codes, so that CI can treat the status as the verdict:
 
     0  every identity the subcommand checks holds;
     1  an identity or a published value it gates on fails;
-    2  a malformed or out-of-range value (argparse rejects it before any
-       work, or the handler raises a Dp4Error that is not IdentityFailed).
+    2  a malformed or out-of-range value, or an artifact that cannot be
+       written (argparse rejects the value before any work, or the handler
+       raises a Dp4Error that is not IdentityFailed, IoFailure included).
 """
 
 import argparse
@@ -32,7 +35,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import jigsaw, reporting
-from .errors import ConfigInvalid, Dp4Error, IdentityFailed
+from .errors import ConfigInvalid, Dp4Error, IdentityFailed, OutOfRange
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -100,9 +103,9 @@ def _report_counts(args, bounds, counters, predictor=None):
     count(bounds) returns the counts in bound order, as a list or an array.
     Each call is timed once, so under --timings every row of a method
     carries the time of its whole call; without it the column is 0.0.
-    With several counters the rows interleave them bound by bound.  The
-    rows are made as the report is written, a block at a time.  Returns
-    each counter's counts.
+    With several counters the rows interleave them bound by bound, one row
+    per bound and counter, and the report is written whole.  Returns each
+    counter's counts.
     """
     tables, rows = [], []
     for method, count in counters:
@@ -111,7 +114,8 @@ def _report_counts(args, bounds, counters, predictor=None):
         elapsed = time.perf_counter() - start if args.timings else 0.0
         tables.append(counts)
         rows.append(reporting.count_rows(bounds, counts, method, predictor, elapsed))
-    reporting.emit_report(itertools.chain.from_iterable(zip(*rows)), args.format, args.output)
+    reporting.emit_report(list(itertools.chain.from_iterable(zip(*rows))), args.format,
+                          args.output)
     return tables
 
 
@@ -154,6 +158,13 @@ def _cmd_torsor_count(args):
     return EXIT_OK
 
 
+def _report_grid(bound):
+    """B = 1, 2, 5, 10, 20, 50, ... <= bound, and bound itself."""
+    grid = [m * 10 ** e for e in range(len(str(bound))) for m in (1, 2, 5)
+            if m * 10 ** e <= bound]
+    return grid if grid[-1] == bound else grid + [bound]
+
+
 def _cmd_compare(args):
     import numpy as np
 
@@ -161,12 +172,18 @@ def _cmd_compare(args):
     bound = int(args.bound)
     if bound < 1:
         raise ConfigInvalid(f"compare needs a bound of at least 1, got {args.bound}")
-    # each histogram is cumulative, so N(b) is its entry at b; the rows read
-    # the two arrays in place
-    direct, lifted = _report_counts(args, range(1, bound + 1), [
-        ("direct-divisor", lambda bs: surface.direct_height_counts(bs[-1])[1:]),
-        ("torsor-lifted", lambda bs: torsor.torsor_height_counts(bs[-1])[1:])])
-    mismatches = (np.flatnonzero(direct != lifted)[:10] + 1).tolist()
+    hists = []  # each counter's cumulative histogram: N(b) at b, for every b <= bound
+
+    def read_at_grid(histogram):
+        def count(grid):
+            hists.append(histogram(bound))
+            return hists[-1][grid]
+        return count
+    _report_counts(args, _report_grid(bound), [
+        ("direct-divisor", read_at_grid(surface.direct_height_counts)),
+        ("torsor-lifted", read_at_grid(torsor.torsor_height_counts))])
+    direct, lifted = hists
+    mismatches = np.flatnonzero(direct != lifted)[:10].tolist()
     if mismatches:
         print(f"MISMATCH at B in {mismatches} (showing up to 10)")
         return EXIT_IDENTITY
@@ -263,6 +280,8 @@ def _cmd_fit(args):
 
     from . import torsor
     lo, hi = _ascending([args.bmin, args.bmax])
+    if args.samples > torsor.MAX_SWEEP_BOUNDS:
+        raise OutOfRange(f"--samples must be <= {torsor.MAX_SWEEP_BOUNDS}, got {args.samples}")
     # the distinct rounded bounds, ascending (sorted in Python: np.unique's
     # first call alone added 0.5 MB to the peak RSS)
     grid = sorted(set(np.round(np.logspace(np.log10(lo), np.log10(hi),

@@ -6,22 +6,16 @@ floats go through repr, and timing columns are zeroed unless explicitly
 requested.
 """
 
-import contextlib
-import itertools
 import json
 import math
 import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .errors import DegenerateDesignMatrix, IoFailure
 
 CSV_HEADER = "B,count,predicted,ratio,method,elapsed_s"
-
-#: rows per write of the count report, so that its text never exceeds one block
-REPORT_BLOCK = 1 << 8
 
 
 class CountRow(NamedTuple):
@@ -52,43 +46,32 @@ def _csv_line(r):
             f"{_fmt_opt_float(r.ratio)},{r.method},{float(r.elapsed)!r}")
 
 
-def _json_float(x):
-    """x as json.dumps writes it: null, or a float by float.__repr__."""
-    if x is None:
-        return "null"
-    x = float(x)
-    return repr(x) if math.isfinite(x) else json.dumps(x)
-
-
-#: One row of counts.json as json.dumps(sort_keys=True, indent=2) writes it.
-_JSON_ROW = ('    {{\n      "B": {},\n      "count": {},\n      "elapsed_s": {},\n'
-             '      "method": {},\n      "predicted": {},\n      "ratio": {}\n    }}')
-
-
-def _json_row(r):
-    return _JSON_ROW.format(encode_basestring_ascii(str(r.bound)), str(r.count),
-                            _json_float(r.elapsed), encode_basestring_ascii(r.method),
-                            _json_float(r.predicted), _json_float(r.ratio))
-
-
 def dump_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def write_file(outdir, name, text):
-    os.makedirs(outdir, exist_ok=True)
+    """Write text to outdir/name, making outdir; an OSError raises IoFailure."""
     path = os.path.join(outdir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from None
     return path
 
 
 def write_lines(path, items):
     """Write each item's text one a line, as the items are produced: the point
-    stream ('x0:x1:x2:x3:x4,H') and the tuple stream ('a1,...,a9')."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(f"{item}\n")
+    stream ('x0:x1:x2:x3:x4,H') and the tuple stream ('a1,...,a9').  An
+    OSError becomes IoFailure."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for item in items:
+                fh.write(f"{item}\n")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -181,45 +164,24 @@ def svg_line_chart(series, title, xlabel, ylabel, width=640, height=400):
     return "\n".join(parts) + "\n"
 
 
-#: counts.<format>: (head, row formatter, separator, tail), the parts of the whole text
-_REPORT_FILES = {
-    "csv": (CSV_HEADER + "\n", _csv_line, "\n", "\n"),
-    "json": ('{\n  "counts": [\n', _json_row, ",\n", "\n  ]\n}\n"),
-}
-
-
 def emit_report(rows, formats, outdir):
-    """Write the count report in the requested formats; returns paths.
-
-    rows may be any iterable, a generator included.  It is read once,
-    REPORT_BLOCK rows at a time, and each block goes to counts.csv and
-    counts.json before the next is made, with the bytes of the whole text.
-    Only the SVG chart keeps a point per row, as its text does.
+    """Write the count report, a list of CountRows, in the requested formats;
+    returns the paths.  Each file's text is built whole: counts.csv by one
+    join, counts.json by dump_json, and the SVG chart from the rows' ratios.
     """
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
+    if not rows:
         raise IoFailure("refusing to emit an empty report")
-    rows = itertools.chain([first], rows)
-    fmts = [fmt for fmt in _REPORT_FILES if fmt in formats]
-    if fmts:
-        os.makedirs(outdir, exist_ok=True)
-    paths = [os.path.join(outdir, f"counts.{fmt}") for fmt in fmts]
-    pts = []
-    with contextlib.ExitStack() as stack:
-        out = [(stack.enter_context(open(path, "w", encoding="utf-8")), *_REPORT_FILES[fmt])
-               for path, fmt in zip(paths, fmts)]
-        for fh, head, _, _, _ in out:
-            fh.write(head)
-        for i, block in enumerate(iter(lambda: list(itertools.islice(rows, REPORT_BLOCK)), [])):
-            for fh, _, fmt, sep, _ in out:
-                fh.write((sep if i else "") + sep.join(map(fmt, block)))
-            if "svg" in formats:
-                pts.extend((math.log(float(r.bound)), r.ratio)
-                           for r in block if r.ratio is not None)
-        for fh, _, _, _, tail in out:
-            fh.write(tail)
-    if pts:
+    paths = []
+    if "csv" in formats:
+        paths.append(write_file(outdir, "counts.csv",
+                                "\n".join([CSV_HEADER, *map(_csv_line, rows)]) + "\n"))
+    if "json" in formats:
+        paths.append(write_file(outdir, "counts.json", dump_json({"counts": [
+            {"B": str(r.bound), "count": r.count, "predicted": r.predicted,
+             "ratio": r.ratio, "method": r.method, "elapsed_s": r.elapsed}
+            for r in rows]})))
+    pts = [(math.log(float(r.bound)), r.ratio) for r in rows if r.ratio is not None]
+    if "svg" in formats and pts:
         svg = svg_line_chart([("count/predicted", pts)], "ratio vs log B", "log B", "ratio")
         paths.append(write_file(outdir, "counts.svg", svg))
     return paths

@@ -128,10 +128,9 @@ def primes_up_to(n):
 #: sieve of 1..B has E = sum_{n <= B} d(n) ~ B (ln B + 2 gamma - 1) int32
 #: entries, built from about five int32 arrays of length E and an int64
 #: argsort: 28 bytes per entry, E = 1.4e7 and a peak RSS near 370 MB at
-#: B = 10^6; the histogram adds 8 (B + 1) bytes.  `dp4 compare`, which
-#: writes its report a block of rows at a time, took 2.3-2.7 s with a 60 MB
-#: peak RSS at B = 1e5 and 29 s with 374 MB at 1e6, on a 2-vCPU host; the
-#: sieve sets both peaks.  Over Z[i] the x0 scan tests each x2 of norm <= B
+#: B = 10^6; the histogram adds 8 (B + 1) bytes.  A fresh `dp4 compare`
+#: took 0.76-0.86 s with a 60 MB peak RSS (VmHWM) at B = 1e5 and 7.9-8.7 s
+#: with 375 MB at 1e6, on a 2-vCPU host; the sieve sets both peaks.  Over Z[i] the x0 scan tests each x2 of norm <= B
 #: for each of ~pi B values of x0: fresh `dp4 count --ring Zi` took 0.49,
 #: 1.3, 3.3, 24 and 48 s at B = 1e3, 3e3, 5e3, 1e4 and (no limit) 2e4, with
 #: peaks of 29-39 MB.  Both limits keep a count under half a minute.

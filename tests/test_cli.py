@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from dp4jigsaw import constants, jigsaw, reporting, surface, torsor
@@ -75,21 +76,18 @@ class TestCsv:
         assert text.splitlines()[1].startswith("1,4,,,direct-divisor")
         assert parse_counts_csv(text) == rows
 
-    @pytest.mark.parametrize("n", [1, 2, reporting.REPORT_BLOCK, reporting.REPORT_BLOCK + 1,
-                                   2 * reporting.REPORT_BLOCK + 3])
+    @pytest.mark.parametrize("n", [1, 2, 11])
     def test_streamed_report_equals_the_whole_text(self, tmp_path, n):
-        """Block by block, from a generator, the bytes of the text built whole."""
+        """The bytes of json.dumps and of one join, at signed zeros, inf, nan
+        and methods that JSON escapes."""
         floats = [None, 0.0, -0.0, 1e-05, 0.1, 2578.5340421027786, 1e16, 1.5e300,
                   math.inf, -math.inf, math.nan]
         methods = ["direct-divisor", "torsor-lifted", "caf\u00e9 \"q\"\\"]
-
-        def rows():
-            for i in range(n):
-                yield reporting.CountRow(F(i + 1, 1 + i % 3), i * i, floats[i % 11],
-                                         floats[(i + 5) % 11], methods[i % 3],
-                                         float(i % 7) / 8)
-        reporting.emit_report(rows(), ("json", "csv"), tmp_path)
-        for name, text in whole_count_report(list(rows())).items():
+        rows = [reporting.CountRow(F(i + 1, 1 + i % 3), i * i, floats[i % 11],
+                                   floats[(i + 5) % 11], methods[i % 3], float(i % 7) / 8)
+                for i in range(n)]
+        reporting.emit_report(rows, ("json", "csv"), tmp_path)
+        for name, text in whole_count_report(rows).items():
             assert (tmp_path / name).read_text(encoding="utf-8") == text, name
 
     def test_report_writes_only_the_requested_formats(self, tmp_path):
@@ -110,6 +108,14 @@ class TestCsv:
 
 def run_cli(args, outdir):
     return main(["--output", str(outdir)] + args)
+
+
+def src_env():
+    """The environment of a child process that imports this tree's dp4jigsaw."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 class TestCli:
@@ -368,6 +374,17 @@ class TestCli:
                         "--points", str(points)], tmp_path) == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_fit_above_sweep_limit_exits_2_before_any_work(self, tmp_path, monkeypatch,
+                                                            capsys):
+        def started(*args, **kwargs):
+            raise AssertionError("the fit grid was built above MAX_SWEEP_BOUNDS")
+        monkeypatch.setattr(np, "logspace", started)
+        monkeypatch.setattr(torsor, "_Bound", started)
+        assert run_cli(["fit", "--samples", str(torsor.MAX_SWEEP_BOUNDS + 1)],
+                       tmp_path / "out") == 2
+        assert str(torsor.MAX_SWEEP_BOUNDS) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_constant_above_prime_limit_exits_2_before_any_work(self, tmp_path, monkeypatch):
         def started(*args):
             raise AssertionError("the sieve started above MAX_PRIME_BOUND")
@@ -465,8 +482,8 @@ class TestCli:
             "counts.json": "cb30cc8559976bb6a06da6fcc6219e825f51fe9c2e3efd9e68226ca7ad6c1f54",
             "stream": TUPLES_200}),
         (["compare", "--bound", "200"], None, {
-            "counts.csv": "f9e84eb36a59606a698a0be2313779c3a018254edd73bf368acd85c5c9a19d31",
-            "counts.json": "1cb1df80ff41adf82d18ffacfce3999725f9aa6e9c518739d2eafbdb094a4ceb"}),
+            "counts.csv": "1ec0a7f93e4e9fedf8e9f2abb457078bcdd60eb03d086fea78adf877d143f884",
+            "counts.json": "41086e05db338921a4d15d82fbaa14d440dae6028aeabd7bc513b9b058b930c2"}),
         # fit.json is left out: its floats come from numpy.linalg.lstsq
         (["fit", "--bmin", "1e4", "--bmax", "1e6", "--samples", "8"], None, {
             "counts.csv": "5b3e5985edbc3550ad27c9c4cf276c28d1dfd30ed30dd28afb7a184f2302b1a4",
@@ -495,14 +512,28 @@ class TestCli:
     def test_compare_labels_its_two_counters(self, tmp_path):
         assert run_cli(["compare", "--bound", "20"], tmp_path) == 0
         rows = parse_counts_csv((tmp_path / "counts.csv").read_text())
-        assert [r.method for r in rows] == ["direct-divisor", "torsor-lifted"] * 20
-        assert [r.bound for r in rows[::2]] == list(range(1, 21))
+        assert [r.method for r in rows] == ["direct-divisor", "torsor-lifted"] * 5
+        assert [r.bound for r in rows[::2]] == [1, 2, 5, 10, 20]
+        assert [r.bound for r in rows[1::2]] == [1, 2, 5, 10, 20]
         assert all(a.count == b.count for a, b in zip(rows[::2], rows[1::2]))
 
     @pytest.mark.parametrize("command", ["alpha", "jigsaw"])
     def test_failed_identity_exits_1(self, tmp_path, monkeypatch, command):
         monkeypatch.setattr(jigsaw, "alpha_closed_form", lambda q: F(1, 3))
         assert run_cli([command, "--q", "0"], tmp_path) == 1
+
+    @pytest.mark.parametrize("case", ["output-is-a-file", "points-dir-missing"])
+    def test_unwritable_artifact_exits_2_without_a_traceback(self, tmp_path, case):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = (["--output", str(taken), "jigsaw", "--q", "0"] if case == "output-is-a-file"
+                else ["--output", str(tmp_path / "out"), "count", "--bound", "10",
+                      "--points", str(tmp_path / "missing" / "p.txt")])
+        proc = subprocess.run([sys.executable, "-m", "dp4jigsaw.cli", *argv],
+                              capture_output=True, text=True, env=src_env(), timeout=300)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write ")
+        assert "Traceback" not in proc.stderr
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(
@@ -528,11 +559,8 @@ print(json.dumps(seen))
 
 def test_geometry_commands_start_without_numpy(tmp_path):
     """jigsaw, alpha, slices and --help never load numpy; count does."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", STARTUP_CHILD, str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=src_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout.splitlines()[-1]) == [
         ["jigsaw", 0, False], ["alpha", 0, False], ["slices", 0, False],
@@ -558,22 +586,18 @@ print(json.dumps([status, base, peak_mb()]))
 """
 
 #: Most the peak RSS of compare --bound 20000 may grow over its post-import
-#: baseline.  Streamed, it grew by 5.7 MB (most of it the divisor sieve);
-#: with the report built whole (4e4 rows, a CSV and an indented JSON text)
-#: it grew by 74 MB.
+#: baseline.  It grew by 5.4 MB, most of it the divisor sieve; a report of
+#: every B built whole (4e4 rows, a CSV and an indented JSON text) grew it
+#: by 74 MB.
 COMPARE_GROWTH_MB = 20
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-def test_compare_report_streams_in_bounded_memory(tmp_path):
+def test_compare_runs_in_bounded_memory(tmp_path):
     """A fresh process: VmHWM, unlike ru_maxrss, starts again at exec."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", COMPARE_CHILD, str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=src_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     status, base, peak = json.loads(proc.stdout.splitlines()[-1])
     assert status == 0
     assert peak - base < COMPARE_GROWTH_MB, (base, peak)
-    assert (tmp_path / "counts.json").stat().st_size > 6 * 10 ** 6

@@ -560,6 +560,17 @@ class TestSharedSweep:
         assert T.torsor_counts([Fraction(1, 2), 3, 1]) == [
             0, full_range_count(3), 4]
 
+    def test_more_bounds_than_the_limit_fail_before_any_work(self, monkeypatch):
+        bounds = list(range(1, T.MAX_SWEEP_BOUNDS + 1))
+        counts = T.torsor_counts(bounds)
+        assert T.torsor_counts(bounds[::-1] + bounds) == counts[::-1] + counts
+
+        def built(*args):
+            raise AssertionError("a _Bound was built for more than MAX_SWEEP_BOUNDS bounds")
+        monkeypatch.setattr(T, "_Bound", built)
+        with pytest.raises(OutOfRange):
+            T.torsor_counts(bounds + [T.MAX_SWEEP_BOUNDS + 1])
+
     def test_any_bound_above_limit_fails_before_any_work(self, monkeypatch):
         def started(*args):
             raise AssertionError("counting started with a bound above MAX_TORSOR_BOUND")

@@ -12,6 +12,9 @@ sweep builds its tables a block of moduli at a time (_class_rows), which
 the benchmark does not wrap, so its inverse counters read 0 on a sweep;
 TestColumns.test_inverse_tables_only_up_to_s counts the moduli there.  The
 wrappers patch the module, so the sweep runs in a child process.
+
+The benchmark's reporting.bytes_written adds up the texts passed to
+reporting.write_file, which writes every artifact of the count report.
 """
 
 import json
@@ -53,13 +56,18 @@ def chunk_rows(k, s):
             y = end
 
 
-def test_torsor_counters_match_their_closed_forms():
+def traced_child(code, *args):
+    """Run code in a child that imports this tree's dp4jigsaw and bench/layers."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "bench")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True,
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                           text=True, env=env, timeout=300)
+
+
+def test_torsor_counters_match_their_closed_forms():
+    proc = traced_child(CHILD)
     assert proc.returncode == 0, proc.stderr[-2000:]
     counters = json.loads(proc.stdout.splitlines()[-1])
     ks = [isqrt(b) for b in BOUNDS]
@@ -77,3 +85,26 @@ def test_torsor_counters_match_their_closed_forms():
     assert expected == {"torsor.kernel_calls": 5, "torsor.kernel_elements": 255,
                         "torsor.inverse_calls": 0, "torsor.inverse_entries": 0}
     assert counters == expected
+
+
+BYTES_CHILD = """
+import json
+import sys
+import layers
+from dp4jigsaw import cli
+rec = layers.Recorder()
+missing = layers.install(rec)
+status = cli.main(["--output", sys.argv[1], "count", "--bound", "10"])
+metrics = layers.layer_metrics(rec, missing)
+print(json.dumps([status, metrics["reporting.bytes_written"]["value"]]))
+"""
+
+
+def test_traced_bytes_are_the_count_report_sizes(tmp_path):
+    proc = traced_child(BYTES_CHILD, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    status, written = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0
+    names = sorted(os.listdir(tmp_path))
+    assert names == ["counts.csv", "counts.json"]
+    assert written == sum((tmp_path / name).stat().st_size for name in names) > 0
