@@ -282,6 +282,8 @@ def _cmd_fit(args):
     lo, hi = _ascending([args.bmin, args.bmax])
     if args.samples > torsor.MAX_SWEEP_BOUNDS:
         raise OutOfRange(f"--samples must be <= {torsor.MAX_SWEEP_BOUNDS}, got {args.samples}")
+    if hi > torsor.MAX_TORSOR_BOUND:     # int64 would wrap in the grid below
+        raise OutOfRange(f"--bmax must be <= {torsor.MAX_TORSOR_BOUND}, got {args.bmax:g}")
     # the distinct rounded bounds, ascending (sorted in Python: np.unique's
     # first call alone added 0.5 MB to the peak RSS)
     grid = sorted(set(np.round(np.logspace(np.log10(lo), np.log10(hi),

@@ -15,6 +15,7 @@ classification of split/inert/ramified primes), and must be supplied
 otherwise.  All floating evaluation carries explicit error bounds.
 """
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -31,8 +32,8 @@ FLOAT_ASSEMBLY_RELERR = 1e-14
 
 #: Terms per block of the streamed L(2, chi) sum.  At the default 1e6 terms
 #: over d = -4 (5e5 live terms), on a 2-vCPU host, 2^11, 2^13 and 2^16 terms
-#: a block took 6.7, 5.3 and 6.9 ms into _exact_sum, with traced peaks of
-#: 0.17, 0.57 and 4.3 MB.
+#: a block took 18.5, 20.0 and 17.3 ms into math.fsum (medians of 9), with
+#: traced peaks of 0.13, 0.50 and 4.0 MB.
 L2_BLOCK = 1 << 13
 
 #: Numbers per segment of the Euler product's prime sieve.  Over Q(i), 2^16
@@ -173,52 +174,6 @@ def kronecker_symbol(d, n):
 # Euler products and zeta values
 # ---------------------------------------------------------------------------
 
-#: np.frexp writes a finite double as f * 2^e with 1/2 <= |f| < 1 and e in
-#: [-1073, 1024]: the sum's accumulators hold one bin per e.
-FREXP_MIN_EXPONENT, FREXP_BINS = -1073, 2098
-
-#: Most terms one _exact_sum takes.  A term's significand M = f * 2^53 is an
-#: integer below 2^53 in magnitude, split as M = H * 2^26 + L with
-#: -2^27 <= H < 2^27 and 0 <= L < 2^26.  Any partial sum of n of the H is
-#: an integer of magnitude at most n * 2^27, so float64 adds n <= 2^26 of
-#: them exactly, in any order; the L, held as L / 2^26 in [0, 1), have room
-#: to spare.
-EXACT_SUM_TERMS = 1 << 26
-
-
-def _exact_sum(arrays):
-    """The sum of every entry of the float64 arrays, exactly rounded.
-
-    Exactly rounded, it is the double that math.fsum returns (Shewchuk, DCG
-    1997), whatever the blocking and the order of the terms.  Each term is
-    M * 2^(e - 53) with an integer M below 2^53; the two halves of M are
-    summed per exponent e with np.bincount, every partial sum exact in
-    float64 (EXACT_SUM_TERMS), and the per-exponent totals are combined as
-    Python ints and rounded once (per-exponent accumulators: Neal, "Fast
-    exact summation using small and large superaccumulators", 2015).
-    """
-    high = np.zeros(FREXP_BINS)
-    low = np.zeros(FREXP_BINS)
-    count = 0
-    for terms in arrays:
-        fraction, exponent = np.frexp(terms)
-        fraction *= 2.0 ** 27              # M / 2^26, exactly
-        whole = np.floor(fraction)         # H
-        fraction -= whole                  # L / 2^26, exactly
-        exponent -= FREXP_MIN_EXPONENT
-        high += np.bincount(exponent, whole, FREXP_BINS)
-        low += np.bincount(exponent, fraction, FREXP_BINS)
-        count += terms.size
-    assert count <= EXACT_SUM_TERMS, count
-    low *= 2.0 ** 26
-    bins = np.flatnonzero((high != 0) | (low != 0))
-    if not bins.size:
-        return 0.0
-    base = int(bins[0])
-    total = sum(((int(high[e]) << 26) + int(low[e])) << int(e - base) for e in bins)
-    return float(Fraction(total) * Fraction(2) ** (base + FREXP_MIN_EXPONENT - 53))
-
-
 def _prime_segments(n):
     """The primes <= n, ascending, as one int64 array per PRIME_SEGMENT numbers.
 
@@ -285,7 +240,9 @@ def finite_density_product(inv, prime_bound):
     [limit_low, limit_high] contains it.  Tail: each rational prime above
     the bound carries at most two ideals of norm >= p, and inert primes
     above sqrt(bound) at most one of norm p^4-ish, giving
-    -log(tail product) <= 2/X + X^(-3/2) (<= 1/X over Q).
+    -log(tail product) <= 2/X + X^(-3/2) (<= 1/X over Q).  The log of every
+    factor, one numpy segment of primes at a time, goes into one math.fsum,
+    the exactly rounded sum, so the segmenting cannot change the value.
     """
     if prime_bound < 2:
         raise OutOfRange("prime_bound must be >= 2")
@@ -297,10 +254,9 @@ def finite_density_product(inv, prime_bound):
         nonlocal factor_count
         for norms in _norm_segments(inv, prime_bound):
             factor_count += norms.size
-            yield np.log1p(-1.0 / norms.astype(np.float64) ** 2)
+            yield np.log1p(-1.0 / norms.astype(np.float64) ** 2).tolist()
 
-    # one exactly rounded sum over the terms of every segment
-    value = math.exp(_exact_sum(terms()))
+    value = math.exp(math.fsum(itertools.chain.from_iterable(terms())))
     if inv.degree == 1:
         tail = 1.0 / prime_bound
     else:
@@ -319,8 +275,9 @@ def dirichlet_l2(d, terms=10 ** 6):
     Direct summation of the periodic character over its live terms, the n
     <= terms with chi(n) != 0 (exact zeros cannot move an exactly rounded
     sum): n = r + period * k over the residues r in 1..period with chi(r)
-    != 0, at most L2_BLOCK terms a block, into one _exact_sum, so the
-    blocking cannot change the value.  Abel summation bounds the tail by
+    != 0, at most L2_BLOCK terms a block, into one math.fsum, which rounds
+    the exact sum once (Shewchuk, DCG 1997), so the blocking cannot change
+    the value.  Abel summation bounds the tail by
     2 * max|partial sums| / terms^2.  A period above MAX_L2_PERIOD raises
     OutOfRange before the table is built.
     """
@@ -343,9 +300,9 @@ def dirichlet_l2(d, terms=10 ** 6):
             for k in range(0, terms // period + 1, rows):
                 n = first + period * k     # ascending, exact
                 top = np.searchsorted(n, terms, "right")
-                yield signs[:top] / n[:top] ** 2
+                yield (signs[:top] / n[:top] ** 2).tolist()
 
-    value = _exact_sum(blocks())
+    value = math.fsum(itertools.chain.from_iterable(blocks()))
     partial_max = float(np.max(np.abs(np.cumsum(chi_period))))
     tail = 2.0 * max(partial_max, 1.0) / terms ** 2
     return value, tail

@@ -51,17 +51,15 @@ each residue class in O(1), in O(sqrt B) memory:
   classes, weights and unit counts (_Block); the columns (_columns), with
   every bound's column terms in one step (_column_pairs); and the closed
   forms of every bound as arrays over the block's rows (_Block.rests).
-  The arrays are written into work arrays that every block reuses
-  (_Scratch).  The row kernel runs once per chunk of consecutive rows and
-  bound, at most ROW_CHUNK elements (_Block.pairs), and divides each row
-  by its a1, a column (R, 1) of the chunk's moduli.  numpy divides by a
-  broadcast column on its loop for a scalar divisor (libdivide) only where
-  a row is longer than half of np.getbufsize(), so every division by a
-  column of moduli runs with the buffer cut to 16 elements
-  (_floor_divide_rows).  On a 2-vCPU host (numpy 2.4, rows of 3163) that
-  took 0.95 ns an element in int64 and 0.36 ns in int32, against 3.6 and
-  2.6 ns under the default buffer of 8192; the kernel runs in int32 below
-  B = 2^31 (MAX_TORSOR_BOUND);
+  The row kernel runs once per block and bound (_Block.pairs), and
+  divides each row by its a1, a column (R, 1) of the block's moduli.
+  numpy divides by a broadcast column on its loop for a scalar divisor
+  (libdivide) only where a row is longer than half of np.getbufsize(), so
+  every division by a column of moduli runs with the buffer cut to 16
+  elements (_floor_divide_rows).  On a 2-vCPU host (numpy 2.4, rows of
+  3163) that took 0.95 ns an element in int64 and 0.36 ns in int32,
+  against 3.6 and 2.6 ns under the default buffer of 8192; the kernel
+  runs in int32 below B = 2^31 (MAX_TORSOR_BOUND);
 * the sweep is split at S = max K // 2.  A modulus a1 > S reads classes
   only at x = a1 + y with 1 <= y <= K - a1 <= S, and there the class comes
   off the table mod y, which the row of a1 = y builds anyway: with
@@ -96,7 +94,7 @@ import signal
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -104,14 +102,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import CoprimalityBroken, EquationViolated, NonUnitMiddle, OutOfRange
 from .surface import INTEGERS, MAX_DIRECT_BOUND, _flat_blocks, _int_bound, primes_up_to
 
-#: Largest bound torsor_count accepts.  Its largest int64 intermediate is a
+#: Largest bound torsor_count takes (MAX_SWEEP_ROOTS refuses one bound
+#: above about 1e14 first, for memory).  Its largest int64 intermediate is a
 #: sum of class counts for one a1 and one bound (or a sum of floor(n/k) in
 #: D(n)), at most the a1 = 1 row sum_{a2 <= B} (2B/a2 + 1), about
 #: B * (2 ln B + 1); at B = 10^17 that is 7.9e18 < 2^63 - 1 = 9.2e18.  A
-#: kernel call sums a chunk of rows a1 >= 2, each below 2B(ln K + 1)/a1 + 2K.
-#: Below B = 2^30 all rows together count fewer than 2^40 pairs; above it a
-#: chunk of more than one row starts within ROW_CHUNK // 2 of K >= 2^15, so
-#: its 1/a1 sum to under 1/2 and it sums less than the a1 = 1 row.
+#: kernel call sums the rows a1 >= 2 of one _Block, each below
+#: 2B(ln K + 1)/a1 + 2K.  Below B = 2^36 all rows together sum below
+#: 2B(ln K + 1)^2 + 2K^2 < 2^45; from it on, max K >= 2^18 =
+#: SHARE_BLOCK_ELEMENTS, so every _Block is a single row a1 >= 2 and a call
+#: sums less than the a1 = 1 row.
 #: Below B = 2^31 the kernel runs in int32: its quotients are at most B - 1,
 #: B // x + c <= B // 3 + K as x > a1 >= 2 and the classes c are below a1,
 #: and each weighted count is below 2B/(x*a1) + 2; the sum is int64.
@@ -135,6 +135,15 @@ MAX_TORSOR_BOUND = 10 ** 17
 #: 2-vCPU host took 0.64 s and 33.4 MB at 20 samples, 0.92 s and 33.8 MB
 #: at 200, 3.1 s and 42 MB at 1000, and 5.6 s and 52 MB at 2000.
 MAX_SWEEP_BOUNDS = 200
+
+#: Largest sum of isqrt(B) over the distinct bounds of one sweep.  A _Bound
+#: holds two arrays of isqrt(B) quotients, int64 from B = 2^31, and builds
+#: them from a third: in a fresh process on a 2-vCPU host, _Bound(10^12)
+#: alone raised VmHWM by 22.8 MB and _Bound(10^14) by 229 MB, about 24
+#: bytes per unit of isqrt(B).  So one bound is refused above about 1e14,
+#: where the O(B) sweep would run for days (N(1e9) took 3.6 s), and 200
+#: bounds below 2^31, with int32 quotients, always pass.
+MAX_SWEEP_ROOTS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -238,30 +247,6 @@ def _euclid_inverses(m, x):
     return inv
 
 
-class _Scratch:
-    """Work arrays that every block of a share writes into, one per name and dtype.
-
-    A block's 2-D temporaries run to SHARE_BLOCK_ELEMENTS values, above
-    the 128 KB from which glibc's malloc maps each new array afresh, so
-    that its first write faults in one page per 4 KB.  A column step of 11
-    rows by 2000 values took 0.61 ms with fresh temporaries (183 page
-    faults) and 0.27 ms writing into these (none).  An array grows, at least
-    doubling, to the largest shape asked of its name, and holds the last
-    block's values.
-    """
-
-    def __init__(self):
-        self.arrays = {}
-
-    def __call__(self, name, shape, dtype=np.int64):
-        size, key = prod(shape), (name, np.dtype(dtype))
-        array = self.arrays.get(key)
-        if array is None or array.size < size:      # at least doubled: few regrowths
-            array = self.arrays[key] = np.empty(max(size, 2 * getattr(array, "size", 0)),
-                                                dtype=dtype)
-        return array[:size].reshape(shape)
-
-
 def _floor_divide_rows(divisor, *arrays):
     """array //= divisor in place for each of arrays, divisor a column (R, 1).
 
@@ -279,7 +264,7 @@ def _floor_divide_rows(divisor, *arrays):
         np.setbufsize(old)
 
 
-def _class_rows(ys, tables, work):
+def _class_rows(ys, tables):
     """classes[r, x] = -x^-1 mod ys[r] for x < ys[r] where a unit, else 0; shape (R, max ys).
 
     ys are consecutive moduli >= 2; a row's entries at x >= ys[r] are
@@ -294,14 +279,13 @@ def _class_rows(ys, tables, work):
     entries inv[r, y - x] of the columns x >= x0 lie on one line of fixed
     stride in the flat table, so the mirror reads the block through one
     sliding window view of the table reversed.  tables is _factor_tables(n)
-    for some n >= max ys // 2.  The inverses are work's "inverse" array and
-    the classes its "base".
+    for some n >= max ys // 2.
     """
     levels, primes = tables
     m = ys[:, None]
     rows, top = ys.size, int(ys[-1])
-    flat = work("inverse", (rows + rows * top,))    # rows zeros, which the mirror
-    flat.fill(0)                                    # reads past row 0, then the table
+    # rows zeros, which the mirror reads past row 0, then the table
+    flat = np.zeros(rows + rows * top, dtype=np.int64)
     inv = flat[rows:].reshape(rows, top)
     inv[:, 1] = 1
     count = np.searchsorted(primes, ys // 2, "right")     # primes <= y // 2
@@ -313,15 +297,12 @@ def _class_rows(ys, tables, work):
         size = int(np.searchsorted(i, half - 1, "right"))
         if not size:
             break
-        product = np.take(inv, u[:size], axis=1, out=work("product", (rows, size)))
-        factor = np.take(inv, v[:size], axis=1, out=work("factor", (rows, size)))
-        product *= factor
-        np.copyto(factor, product)
-        _floor_divide_rows(m, factor)
-        factor *= m
-        product -= factor                   # product % m
+        product = inv[:, u[:size]] * inv[:, v[:size]]
+        quotient = product.copy()
+        _floor_divide_rows(m, quotient)
+        product -= quotient * m             # product % m
         inv[:, i[:size]] = product
-    classes = work("base", (rows, top))
+    classes = np.empty((rows, top), dtype=np.int64)
     low = np.subtract(m, inv[:, :half], out=classes[:, :half])
     low *= inv[:, :half] > 0
     # inv[r, y - x] at x = x0 + t is flat[rows + r*(top + 1) + ys[0] - x0 - t]
@@ -336,20 +317,21 @@ def _inverse_table(m):
     """inv[i] = i^-1 mod m where gcd(i, m) = 1, else -1, from _class_rows."""
     if m == 1:
         return np.zeros(1, dtype=np.int64)
-    classes = _class_rows(np.array([m]), _factor_tables(m // 2), _Scratch())[0]
+    classes = _class_rows(np.array([m]), _factor_tables(m // 2))[0]
     return np.where(classes > 0, m - classes, -1)
 
 
 #: Most values in each 2-D array of a block of moduli (a _Block): the
 #: block takes max(1, min(SHARE_BLOCK, SHARE_BLOCK_ELEMENTS // (max K + 1)))
 #: consecutive moduli, so that its classes and weights, inverse tables and
-#: Euclid pairs, columns and the work arrays of one bound each hold at most
-#: about this many values, whatever B.  On a 2-vCPU host, one worker's
-#: share (every other block of 128 moduli) in fresh processes, medians of 7
-#: interleaved runs, CPU time: 2^16, 2^17, 2^18 and 2^19 took 0.156, 0.129,
-#: 0.125 and 0.129 s at N(3e7), and 0.110, 0.091, 0.085 and 0.084 s on the
-#: fit grid; the share of N(1e9) took 4.8, 4.3, 3.1 and 3.0 s (medians of
-#: 3), with a traced peak of 3.7, 6.3, 11.3 and 21.8 MB.
+#: Euclid pairs, columns and the kernel's temporaries for one bound each
+#: hold at most about this many values while max K < 2^18, and one row of
+#: max K + 1 values from there on.  On a 2-vCPU host, one worker's
+#: share (every other block) in fresh processes, medians of 7 interleaved
+#: runs, CPU time: 2^16, 2^17, 2^18 and 2^19 took 0.164, 0.145, 0.141 and
+#: 0.150 s at N(3e7), and 0.107, 0.088, 0.087 and 0.093 s on the fit grid;
+#: the share of N(1e9) took 5.9, 4.4, 3.6 and 3.3 s (medians of 3), with a
+#: traced peak of 2.7, 4.7, 8.6 and 16.4 MB.
 SHARE_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -360,20 +342,18 @@ class _Block:
     and weights[r, x] is 1 on the units x > y, 0 elsewhere: one periodic
     pair of rows that both halves of every bound slice, and the block's
     columns (_columns, of S = n // 2) read.  The weights are 0 up to x = y,
-    so that a chunk of rows can run the kernel over one range of x.  base is
-    _class_rows(ys, ...).  They are work's "classes" and "weights" arrays, in
-    int32 as the classes are below y, and every method but pairs returns one
-    value per row.
+    so that all the rows run the kernel over one range of x.  base is
+    _class_rows(ys, ...).  Both are int32, as the classes are below y, and
+    every method but pairs returns one value per row.
     """
 
-    def __init__(self, ys, base, n, work):
-        self.work = work
+    def __init__(self, ys, base, n):
         self.ys = ys
-        unit = np.greater(base, 0, out=work("unit", base.shape, bool))
+        unit = base > 0
         width = n + 1
         size = (ys.size + 1) * width             # a row's last period spills into the next
-        classes = work("classes", (size,), np.int32)
-        weights = work("weights", (size,), np.int32)
+        classes = np.empty(size, dtype=np.int32)
+        weights = np.empty(size, dtype=np.int32)
         for r, y in enumerate(ys.tolist()):
             q = -(-width // y)
             at = slice(r * width, r * width + q * y)
@@ -383,11 +363,11 @@ class _Block:
         self.classes = classes[:ys.size * width].reshape(ys.size, width)
         self.weights = weights[:ys.size * width].reshape(ys.size, width)
         # the units of row r in 1..j, with 0 no unit: cum[rows[r] + j] - cum[rows[r]]
-        self.cum = np.cumsum(unit.reshape(-1), out=work("cum", (unit.size,)))
+        self.cum = np.cumsum(unit.reshape(-1), dtype=np.int64)
         self.rows = np.arange(ys.size) * base.shape[1]
         self.start = self.cum[self.rows]
         self.phi = self._cum(ys - 1)
-        self.columns = _columns(ys, self.classes, self.weights, n // 2, n, work)
+        self.columns = _columns(ys, self.classes, self.weights, n // 2, n)
 
     def _cum(self, j):
         """The units in 1..j of each row, 0 <= j < y."""
@@ -452,29 +432,23 @@ class _Block:
     def pairs(self, bound):
         """The pairs of the rows a1 = y <= K and of their columns, for one _Bound; an int.
 
-        The rows y < K go to _pair_counts_fast in chunks of consecutive rows
-        of at most ROW_CHUNK elements (one row when K - y is larger), each
-        over x = y + 1..K with y its first modulus: the weights are 0 up to
-        x = y in every row.  The divisor column takes the bound's dtype.
+        The rows y < K go to one _pair_counts_fast call over x = ys[0] + 1..K:
+        the weights are 0 up to x = y in every row.  The divisor column
+        takes the bound's dtype.
         """
-        k, work, ys = bound.k, self.work, self.ys
+        k, ys = bound.k, self.ys
         rests = self.rests(bound)[:np.searchsorted(ys, k, "right")]   # the rows y <= K
-        total = _column_pairs(ys, *self.columns, bound, work) + int(rests.sum())
-        divisor = ys.astype(bound.over.dtype)[:, None]
-        r, below = 0, int(np.searchsorted(ys, k))                     # the rows y < K
-        while r < below:
-            y = int(ys[r])
-            end = min(r + max(1, ROW_CHUNK // (k - y)), below)
-            shape = end - r, k - y
-            out = work("count", shape, divisor.dtype), work("over", shape, divisor.dtype)
-            total += _pair_counts_fast(divisor[r:end], self.classes[r:end, y + 1:k + 1], bound,
-                                       self.weights[r:end, y + 1:k + 1], out)
-            r = end
+        total = _column_pairs(ys, *self.columns, bound) + int(rests.sum())
+        below = int(np.searchsorted(ys, k))                           # the rows y < K
+        if below:
+            x = slice(int(ys[0]) + 1, k + 1)
+            total += _pair_counts_fast(ys[:below, None].astype(bound.over.dtype),
+                                       self.classes[:below, x], bound, self.weights[:below, x])
         return total
 
 
-def _pair_counts_fast(a1, classes, bound, weights, out):
-    """Twice the weighted kernel sum of a chunk of rows a1 >= 2, for one _Bound; an int.
+def _pair_counts_fast(a1, classes, bound, weights):
+    """Twice the weighted kernel sum of the rows a1 >= 2 of a block, for one _Bound; an int.
 
     The kernel is, per row a1 and x in (x0 - 1, K] with class
     c = classes[r, x - x0], f(x) = ((B-1)//x - c)//a1 + (B//x + c)//a1,
@@ -485,31 +459,19 @@ def _pair_counts_fast(a1, classes, bound, weights, out):
     to t, whose a2 range is cut at B // a1 instead, are one period_sum
     (module docstring).  So the weighted sum serves the pair side once and
     the a8 side once, and each row's _Block.rests adds the closed forms and
-    takes f(K) off once when M = K - 1.  a1 is the chunk's moduli as a
-    column (R, 1) in the dtype of the bound's quotients, classes and
-    weights are (R, K - x0 + 1), and out two arrays of that shape and dtype.
-    classes is the second positional argument, as bench/layers.py reads its
-    length.
+    takes f(K) off once when M = K - 1.  a1 is the rows' moduli as a
+    column (R, 1) in the dtype of the bound's quotients, and classes and
+    weights are (R, K - x0 + 1).  classes is the second positional
+    argument, as bench/layers.py reads its length.
     """
     k = bound.k
     x0 = k - classes.shape[1] + 1
-    count = np.subtract(bound.under[x0 - 1:k], classes, out=out[0])
-    over = np.add(bound.over[x0 - 1:k], classes, out=out[1])
+    count = bound.under[x0 - 1:k] - classes
+    over = bound.over[x0 - 1:k] + classes
     _floor_divide_rows(a1, count, over)
     count += over
     count *= weights
     return 2 * int(count.sum(dtype=np.int64))
-
-
-#: Most elements of one _pair_counts_fast call: a chunk of consecutive rows
-#: y, or one row when K - y is larger.  It is kept for its bounds, not for
-#: speed: above B = 2^30 it keeps a call's int64 sum below the a1 = 1 row's
-#: (MAX_TORSOR_BOUND), and it caps the kernel's two work arrays.  In
-#: process on a 2-vCPU host (min and median of 7), one call per whole
-#: _Block took 0.211 and 0.223 s at N(3e7), against 0.218 and 0.224 s, and
-#: 0.141 and 0.145 s on the fit grid, against 0.150 and 0.151 s, but its
-#: traced peak was 0.7 MB higher at B = 1e6 and 1.7 MB at 3.9e6 and 3e7.
-ROW_CHUNK = 1 << 14
 
 
 def _divisor_sum(n):
@@ -538,7 +500,7 @@ class _Bound:
         self.under = (b - 1) // n
 
 
-def _columns(ys, classes, weights, s, n, work):
+def _columns(ys, classes, weights, s, n):
     """(a1, classes, weights) of the columns of the rows ys, on x = S+1+ys[0]..n, S = s.
 
     All three are 2-D, one row per y and one column per x, so that every
@@ -547,25 +509,19 @@ def _columns(ys, classes, weights, s, n, work):
     mod y = y - the row class of x: the rows' periodic classes at the same
     x.  weights are 1 where u exists and a1 > S, 0 elsewhere (a
     meaningless class): the leading a1 <= S of each row are not its
-    column.  They are work's "a1", "column classes" and "column weights",
-    in int32 (MAX_TORSOR_BOUND), and a1*u and its quotient by y are formed
-    in int64, on numpy's loop for a scalar divisor (_floor_divide_rows).
+    column.  All three are int32 (MAX_TORSOR_BOUND), and a1*u and its
+    quotient by y are formed in int64, on numpy's loop for a scalar divisor
+    (_floor_divide_rows).
     """
     x0 = s + 1 + int(ys[0])
-    shape = ys.size, max(n - x0 + 1, 0)
     m = ys[:, None]
-    a1 = np.subtract(np.arange(x0, n + 1), m, out=work("a1", shape, np.int32))
-    product = np.subtract(m, classes[:, x0:], out=work("column product", shape))
-    product *= a1
-    product -= 1
+    a1 = (np.arange(x0, n + 1) - m).astype(np.int32)
+    product = (m - classes[:, x0:]) * a1 - 1
     _floor_divide_rows(m, product)
-    c = work("column classes", shape, np.int32)
-    c[...] = product
-    w = np.multiply(weights[:, x0:], a1 > s, out=work("column weights", shape, np.int32))
-    return a1, c, w
+    return a1, product.astype(np.int32), weights[:, x0:] * (a1 > s)
 
 
-def _column_pairs(ys, a1, classes, weights, bound, work):
+def _column_pairs(ys, a1, classes, weights, bound):
     """The _pair_counts_fast terms at x = a1 + y, a1 in (S, K - y], of each row y; an int.
 
     a1, classes and weights are _columns(ys, ...), cut here at x <= K.
@@ -581,25 +537,13 @@ def _column_pairs(ys, a1, classes, weights, bound, work):
     if size <= 0:
         return 0
     a1, c, w = a1[:, :size], classes[:, :size], weights[:, :size]
-    shape = c.shape
-    f = np.subtract(bound.under[x0 - 1:k].astype(np.int32), c, out=work("f", shape, np.int32))
-    f //= a1
-    other = np.add(bound.over[x0 - 1:k].astype(np.int32), c,
-                   out=work("other", shape, np.int32))
-    other //= a1
-    f += other
-    last = f[:, -1].copy()
-    rest = np.subtract(k, a1, out=other)
-    test = np.greater(c, rest, out=work("test", shape, bool))
-    f *= 2
-    f -= 1
-    f += test
-    np.greater_equal(c, np.subtract(a1, rest, out=other), out=test)
-    f -= test
-    f *= w                                  # the terms w*(2f - g + 1)
-    dot = int(f.sum())
+    f = ((bound.under[x0 - 1:k].astype(np.int32) - c) // a1
+         + (bound.over[x0 - 1:k].astype(np.int32) + c) // a1)
+    rest = k - a1
+    terms = w * (2 * f - 1 + (c > rest) - (c >= a1 - rest))     # w*(2f - g + 1)
+    dot = int(terms.sum())
     if bound.m < k:
-        dot -= int((f[:, -1] - w[:, -1] * (last + 1)).sum())
+        dot -= int((terms[:, -1] - w[:, -1] * (f[:, -1] + 1)).sum())
     return dot
 
 
@@ -648,9 +592,9 @@ def _tail_pairs(states):
     """
     n = states[-1].k
     s = n // 2
-    y, one, work = np.ones(1, dtype=np.int64), np.ones((1, n + 1), dtype=np.int64), _Scratch()
-    columns = _columns(y, one - 1, one, s, n, work)      # every x is a unit mod 1, u = 1
-    totals = [_column_pairs(y, *columns, state, work) for state in states]
+    y, one = np.ones(1, dtype=np.int64), np.ones((1, n + 1), dtype=np.int32)
+    columns = _columns(y, one - 1, one, s, n)       # every x is a unit mod 1, u = 1
+    totals = [_column_pairs(y, *columns, state) for state in states]
     primes = primes_up_to(isqrt(n))
     for lo in range(s + 1, n + 1, TAIL_BLOCK):
         a1 = np.arange(lo, min(lo + TAIL_BLOCK, n + 1), dtype=np.int64)
@@ -696,11 +640,10 @@ def _share_pairs(states, blocks):
     n = states[-1].k
     ks = [state.k for state in states]
     tables = _factor_tables(blocks[-1][1] // 2)
-    work = _Scratch()
     totals = [0] * len(states)
     for lo, hi in blocks:
         ys = np.arange(lo, hi + 1, dtype=np.int64)
-        block = _Block(ys, _class_rows(ys, tables, work), n, work)
+        block = _Block(ys, _class_rows(ys, tables), n)
         for i in range(bisect_left(ks, lo), len(states)):
             totals[i] += block.pairs(states[i])
     return totals
@@ -813,14 +756,19 @@ def torsor_counts(bounds):
     off the tables mod y = x - a1 <= S (_column_pairs) and adds a closed
     form (_tail_pairs).  The moduli are split across forked workers
     (_sweep), so every bound's count completes at the end of the sweep.
-    Every bound is checked first: one above MAX_TORSOR_BOUND, or more than
-    MAX_SWEEP_BOUNDS distinct bounds, raise OutOfRange before any work.
+    Every bound is checked first: one above MAX_TORSOR_BOUND, more than
+    MAX_SWEEP_BOUNDS distinct bounds, or distinct bounds whose isqrt sum
+    passes MAX_SWEEP_ROOTS, raise OutOfRange before any work.
     """
     ints = [_int_bound(b, MAX_TORSOR_BOUND) for b in bounds]
     distinct = sorted(set(ints))
     if len(distinct) > MAX_SWEEP_BOUNDS:
         raise OutOfRange(f"at most {MAX_SWEEP_BOUNDS} distinct bounds a sweep, "
                          f"got {len(distinct)}")
+    roots = sum(map(isqrt, distinct))
+    if roots > MAX_SWEEP_ROOTS:
+        raise OutOfRange(f"the isqrt(B) of a sweep's distinct bounds must sum to at most "
+                         f"{MAX_SWEEP_ROOTS} (one B up to about 1e14), got {roots}")
     states = list(map(_Bound, distinct))
     pairs = {state.b: state.pairs for state in states}
     live = [state for state in states if state.k >= 2]

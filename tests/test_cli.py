@@ -385,6 +385,17 @@ class TestCli:
         assert str(torsor.MAX_SWEEP_BOUNDS) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_fit_above_bound_limit_exits_2_before_any_work(self, tmp_path, monkeypatch,
+                                                            capsys):
+        def started(*args, **kwargs):
+            raise AssertionError("the fit grid was built above MAX_TORSOR_BOUND")
+        monkeypatch.setattr(np, "logspace", started)
+        monkeypatch.setattr(torsor, "_Bound", started)
+        assert run_cli(["fit", "--bmax", "1e19"], tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "--bmax" in err and str(torsor.MAX_TORSOR_BOUND) in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_constant_above_prime_limit_exits_2_before_any_work(self, tmp_path, monkeypatch):
         def started(*args):
             raise AssertionError("the sieve started above MAX_PRIME_BOUND")

@@ -6,8 +6,6 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dp4jigsaw import constants as C
 from dp4jigsaw.errors import InvalidInvariants, OutOfRange, UnsupportedField
@@ -216,34 +214,6 @@ class TestPrimeNorms:
 
 
 #: Finite doubles from 2^-1000 to 2^1000 in magnitude, of either sign, and zeros.
-SUMMANDS = st.one_of(
-    st.sampled_from([0.0, -0.0]),
-    st.builds(math.ldexp, st.integers(-2 ** 53 + 1, 2 ** 53 - 1), st.integers(-1053, 947)))
-
-
-class TestExactSum:
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(st.lists(SUMMANDS, max_size=60), st.integers(0, 60),
-           st.lists(st.integers(0, 120), max_size=5))
-    def test_equals_fsum(self, terms, negated, cuts):
-        """Any terms, some cancelled exactly by their negations, in any blocks."""
-        terms = terms + [-x for x in terms[:negated]]
-        blocks = np.split(np.array(terms, dtype=np.float64),
-                          sorted(min(c, len(terms)) for c in cuts))
-        assert C._exact_sum(blocks) == math.fsum(terms)
-
-    def test_equals_fsum_on_the_l2_terms(self):
-        n = np.arange(1, 5 * C.L2_BLOCK, dtype=np.float64)
-        terms = np.where(n % 4 == 1, 1.0, -1.0) / n ** 2
-        assert C._exact_sum(np.array_split(terms, 7)) == math.fsum(terms.tolist())
-
-    def test_term_count_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(C, "EXACT_SUM_TERMS", 3)
-        assert C._exact_sum([np.ones(2), np.ones(1)]) == 3.0
-        with pytest.raises(AssertionError):
-            C._exact_sum([np.ones(2), np.ones(2)])
-
-
 class TestZeta:
     def test_l2_chi_minus_4_is_catalan(self):
         value, tail = C.dirichlet_l2(-4)

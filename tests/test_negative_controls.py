@@ -6,7 +6,6 @@ defect.
 """
 
 import copy
-import hashlib
 import inspect
 import json
 import os
@@ -19,7 +18,7 @@ from dp4jigsaw import constants, jigsaw, surface, torsor
 from dp4jigsaw.cli import main
 from dp4jigsaw.geometry import HPolytope, _dd, polytope
 import tests_support
-from tests_support import (CONSTANTS_DIGESTS, OBLIQUE_PYRAMID, check_dd_cone,
+from tests_support import (OBLIQUE_PYRAMID, check_dd_cone,
                            fraction_volume, full_range_count, homogenized,
                            surface_x2_zero_is_lines)
 
@@ -73,20 +72,6 @@ def test_wrong_zeta_k_2_in_constant(tmp_path, monkeypatch):
 
     monkeypatch.setattr(constants, "dedekind_zeta2", one_percent_high)
     assert run_cli(args, tmp_path) == 1
-
-
-def test_low_halves_dropped_from_the_exact_sum(tmp_path, monkeypatch):
-    # Without the low 26 bits of each significand, every term of L(2, chi)
-    # and of the Euler product is cut toward -infinity by up to 2^-26 of
-    # itself, and constants.json no longer has its pinned bytes.
-    args = ["constant", "--field", "Q(i)"]
-    written = tmp_path / "constants.json"
-    assert run_cli(args, tmp_path) == 0
-    assert hashlib.sha256(written.read_bytes()).hexdigest() == CONSTANTS_DIGESTS["Q(i)"]
-    monkeypatch.setattr(constants, "_exact_sum", _recompiled(
-        constants._exact_sum, "low += np.bincount(exponent, fraction, FREXP_BINS)", "pass"))
-    run_cli(args, tmp_path)
-    assert hashlib.sha256(written.read_bytes()).hexdigest() != CONSTANTS_DIGESTS["Q(i)"]
 
 
 def test_edge_inequality_row_in_jigsaw_and_alpha(tmp_path, monkeypatch):
@@ -213,16 +198,16 @@ def test_wrong_lattice_scale_in_volume(tmp_path, monkeypatch, lattice):
         assert base.volume() != jigsaw.alpha_closed_form(1)
 
 
-def _column_class_plus_one(ys, classes, weights, s, n, work, _columns=torsor._columns):
-    a1, column_classes, column_weights = _columns(ys, classes, weights, s, n, work)
+def _column_class_plus_one(ys, classes, weights, s, n, _columns=torsor._columns):
+    a1, column_classes, column_weights = _columns(ys, classes, weights, s, n)
     return a1, column_classes + 1, column_weights
 
 
-def _column_without_m_below_k(ys, a1, classes, weights, bound, work,
+def _column_without_m_below_k(ys, a1, classes, weights, bound,
                               _column_pairs=torsor._column_pairs):
     full = copy.copy(bound)
     full.m = full.k          # x = K counted as if M = K
-    return _column_pairs(ys, a1, classes, weights, full, work)
+    return _column_pairs(ys, a1, classes, weights, full)
 
 
 @pytest.mark.parametrize("name,planted", [

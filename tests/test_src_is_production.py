@@ -7,7 +7,9 @@ attribute of its name, or, for an operator method, its operator.  Every
 exception class must be raised or caught by reached code.  A second route
 that only the tests run lives in tests/tests_support.py or in the test module
 that reads it.  PINNED lists the names that the benchmark harness still wraps
-or calls; what they read stays with them.
+or calls; what they read stays with them.  Every name a module imports is
+read in that module or listed in its __all__, but for the imports in
+BENCH_IMPORTS, through which the harness reaches a name.
 """
 
 import ast
@@ -33,6 +35,11 @@ PINNED = {
     "dp4jigsaw.torsor._inverse_table": "ROADMAP item 2: bench/layers.py times it",
 }
 
+#: {module: names} that a module imports and does not read, for the harness.
+BENCH_IMPORTS = {
+    "dp4jigsaw.jigsaw": {"strictly_feasible", "cone_contains_line"},
+}
+
 
 #: The operator that runs each operator method.  Any other dunder runs with
 #: its class: construction, printing, truth tests, attribute guards.
@@ -54,15 +61,21 @@ class _Code:
         self.edges, self.attrs, self.ops, self.raised = set(), set(), set(), set()
 
 
+def _module_paths():
+    """{module name: path} of every module under src/dp4jigsaw."""
+    paths = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = ("dp4jigsaw",) + path.relative_to(PACKAGE).with_suffix("").parts
+        paths[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return paths
+
+
 def _read_graph():
     """(code, methods, modules): a _Code for every top-level def as
     "module.name", every method as "module.Class.name" and each module's other
     top-level code under the module's name; the methods of each class; and the
     module names."""
-    trees, scopes, nodes, methods = {}, {}, {}, {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        parts = ("dp4jigsaw",) + path.relative_to(PACKAGE).with_suffix("").parts
-        trees[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    trees, scopes, nodes, methods = _module_paths(), {}, {}, {}
     for mod, path in trees.items():
         tree = ast.parse(path.read_text())
         package = mod if path.name == "__init__.py" else mod.rpartition(".")[0]
@@ -184,3 +197,32 @@ def test_every_name_in_src_is_reached_from_the_command():
 def test_every_pinned_name_is_still_unreached():
     # A pinned name that dp4 now reaches, or that is gone, leaves the list.
     assert sorted(set(PINNED) - _unreached()) == []
+
+
+def _unread_imports():
+    """{module: names} that each module imports, at any depth, and neither
+    reads nor lists in its __all__; modules without such a name are left out."""
+    out = {}
+    for mod, path in _module_paths().items():
+        tree = ast.parse(path.read_text())
+        imported, read, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):    # import a.b binds a
+                imported.update((alias.asname or alias.name).partition(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "__all__" for target in node.targets):
+                exported.update(ast.literal_eval(node.value))
+        if imported - read - exported:
+            out[mod] = imported - read - exported
+    return out
+
+
+def test_every_import_in_src_is_read():
+    # An exemption that is read again, or whose import is gone, leaves BENCH_IMPORTS.
+    assert _unread_imports() == BENCH_IMPORTS, "drop each import that nothing reads"

@@ -30,7 +30,7 @@ def class_blocks(lo, hi, rows):
     tables = T._factor_tables(hi // 2)
     for start in range(lo, hi + 1, rows):
         ys = np.arange(start, min(start + rows, hi + 1), dtype=np.int64)
-        yield ys, T._class_rows(ys, tables, T._Scratch())
+        yield ys, T._class_rows(ys, tables)
 
 
 class TestValidate:
@@ -219,7 +219,7 @@ class TestResidueArithmetic:
     def block(lo, hi, n):
         """The _Block of the moduli lo..hi, one block, its classes over 0..n."""
         ((ys, base),) = class_blocks(lo, hi, hi - lo + 1)
-        return T._Block(ys, base, n, T._Scratch())
+        return T._Block(ys, base, n)
 
     def test_class_sum_matches_a_scan(self):
         rng = random.Random(8128)
@@ -268,16 +268,15 @@ class TestResidueArithmetic:
             cases += [(a1, b) for a1 in range(2, isqrt(b) + 1) if m % a1 == 0]
         seen = set()
         for a1, b in cases:
-            # one chunk: the rows a1..a1 + R - 1 <= K over x = a1 + 1..K
+            # one call: the rows a1..a1 + R - 1 <= K over x = a1 + 1..K
             bound = T._Bound(b)
             k = bound.k
             block = self.block(a1, min(a1 + rng.randint(0, 3), k), k)
-            shape, x = (block.ys.size, k - a1), slice(a1 + 1, k + 1)
-            out = np.empty(shape, bound.over.dtype), np.empty(shape, bound.over.dtype)
-            chunk = T._pair_counts_fast(block.ys[:, None].astype(bound.over.dtype),
-                                        block.classes[:, x], bound, block.weights[:, x], out)
+            x = slice(a1 + 1, k + 1)
+            kernel = T._pair_counts_fast(block.ys[:, None].astype(bound.over.dtype),
+                                         block.classes[:, x], bound, block.weights[:, x])
             rows = block.ys.tolist()
-            assert chunk + int(block.rests(bound).sum()) == sum(
+            assert kernel + int(block.rests(bound).sum()) == sum(
                 pair_counts_elementwise(y, b, T._inverse_table(y))
                 + a8_side_counts_elementwise(y, b, T._inverse_table(y)) for y in rows), (rows, b)
             for y in rows:
@@ -318,13 +317,12 @@ class TestColumns:
     @staticmethod
     def columns(lo, hi, s, n):
         """_columns of the rows y = lo..hi, or of the row y = 1 as _tail_pairs builds it."""
-        work = T._Scratch()
         if lo == 1:
-            y, one = np.ones(1, dtype=np.int64), np.ones((1, n + 1), dtype=np.int64)
-            return y, T._columns(y, one - 1, one, s, n, work)
+            y, one = np.ones(1, dtype=np.int64), np.ones((1, n + 1), dtype=np.int32)
+            return y, T._columns(y, one - 1, one, s, n)
         ((ys, base),) = class_blocks(lo, hi, hi - lo + 1)
-        block = T._Block(ys, base, n, T._Scratch())
-        return ys, T._columns(ys, block.classes, block.weights, s, n, work)
+        block = T._Block(ys, base, n)
+        return ys, T._columns(ys, block.classes, block.weights, s, n)
 
     def test_column_classes_equal_pow(self):
         for k in range(2, 81):
@@ -374,7 +372,6 @@ class TestColumns:
             states = [T._Bound(b) for b in bounds]
             n = states[-1].k
             s = n // 2
-            work = T._Scratch()
             columns = [self.columns(lo, min(lo + 4, s), s, n) for lo in range(2, s + 1, 5)]
             tails = T._tail_pairs(states)
             for state, tail in zip(states, tails):
@@ -382,10 +379,10 @@ class TestColumns:
                 rows = 0
                 for a1 in range(s + 1, k + 1):      # _Block.pairs of a row above S alone
                     ((ys, base),) = class_blocks(a1, a1, 1)
-                    block = T._Block(ys, base, k, T._Scratch())
-                    assert T._column_pairs(ys, *block.columns, state, work) == 0
+                    block = T._Block(ys, base, k)
+                    assert T._column_pairs(ys, *block.columns, state) == 0
                     rows += block.pairs(state)
-                split = tail + sum(T._column_pairs(ys, *column, state, work)
+                split = tail + sum(T._column_pairs(ys, *column, state)
                                    for ys, column in columns)
                 assert split == rows, (bounds, state.b)
 
@@ -528,15 +525,6 @@ class TestSharedSweep:
         assert grid == self.FIT_GRID
         assert T.torsor_counts(grid) == self.FIT_COUNTS
 
-    @pytest.mark.parametrize("chunk", [1, 1 << 30])
-    def test_any_row_chunk_gives_the_same_counts(self, monkeypatch, chunk):
-        # one row a kernel call, or every row of a block in one call
-        grid = [b for b in self.FIT_GRID if b <= 10 ** 5] + [99999, 10 ** 5, 317 ** 2 + 317]
-        counts = T.torsor_counts(grid)
-        assert counts[:7] == self.FIT_COUNTS[:7]
-        monkeypatch.setattr(T, "ROW_CHUNK", chunk)
-        assert T.torsor_counts(grid) == counts
-
     def test_the_buffer_size_is_restored(self):
         size = np.getbufsize()
         T.torsor_counts([10 ** 4, 3 * 10 ** 4])
@@ -544,10 +532,9 @@ class TestSharedSweep:
         # a kernel error inside the divisions: a column of three moduli for two rows
         bound = T._Bound(10 ** 4)
         shape = 2, bound.k - 2
-        out = np.zeros(shape, np.int32), np.zeros(shape, np.int32)
         with pytest.raises(ValueError):
             T._pair_counts_fast(np.array([[2], [3], [4]], np.int32), np.zeros(shape, np.int32),
-                                bound, np.ones(shape, np.int32), out)
+                                bound, np.ones(shape, np.int32))
         assert np.getbufsize() == size
 
     def test_counts_are_python_ints(self):
@@ -570,6 +557,44 @@ class TestSharedSweep:
         monkeypatch.setattr(T, "_Bound", built)
         with pytest.raises(OutOfRange):
             T.torsor_counts(bounds + [T.MAX_SWEEP_BOUNDS + 1])
+
+    def test_bounds_past_the_root_budget_fail_before_any_work(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+        monkeypatch.setattr(T, "_Bound", built)
+        edge = (T.MAX_SWEEP_ROOTS + 1) ** 2 - 1      # isqrt = MAX_SWEEP_ROOTS
+        for bounds in ([edge], [edge, edge], [(T.MAX_SWEEP_ROOTS - 2) ** 2, 4, 4]):
+            with pytest.raises(Built):               # within the budget: counting starts
+                T.torsor_counts(bounds)
+        for bounds in ([edge + 1], [edge, 1], [T.MAX_TORSOR_BOUND],
+                       [(T.MAX_SWEEP_ROOTS // 2) ** 2, (T.MAX_SWEEP_ROOTS // 2) ** 2 + 1, 4]):
+            with pytest.raises(OutOfRange, match=str(T.MAX_SWEEP_ROOTS)):
+                T.torsor_counts(bounds)
+
+    def test_every_block_is_one_row_from_max_k_2_18(self, monkeypatch):
+        # from B = 2^36 on a kernel call sums one row a1 >= 2 (MAX_TORSOR_BOUND)
+        dealt = []
+
+        def share(states, blocks):
+            dealt.extend(blocks)
+            return [0] * len(states)
+
+        def forked(states, shares, local):
+            return [share(states, blocks) for blocks in shares]
+        monkeypatch.setattr(T, "_share_pairs", share)
+        monkeypatch.setattr(T, "_forked", forked)
+        monkeypatch.setattr(T, "_tail_pairs", lambda states: [0] * len(states))
+        for bounds, rows in (([(2 ** 16 - 1) ** 2], 4), ([10 ** 4, 2 ** 36], 1),
+                             ([2 ** 36 + 5 * 2 ** 18], 1)):
+            dealt.clear()
+            T.torsor_counts(bounds)
+            s = isqrt(max(bounds)) // 2
+            assert [y for lo, hi in sorted(dealt) for y in range(lo, hi + 1)] == list(
+                range(2, s + 1))
+            assert max(hi - lo + 1 for lo, hi in dealt) == rows, bounds
 
     def test_any_bound_above_limit_fails_before_any_work(self, monkeypatch):
         def started(*args):
@@ -703,7 +728,7 @@ class TestForkedSweep:
         kernel = T._pair_counts_fast
 
         def planted(a1, *args):
-            if 29 in a1:                  # the chunk of rows that holds a1 = 29
+            if 29 in a1:                  # the block of rows that holds a1 = 29
                 raise ArithmeticError("planted in the worker of a1 = 29")
             return kernel(a1, *args)
         monkeypatch.setattr(T, "_pair_counts_fast", planted)

@@ -3,10 +3,11 @@
 bench/layers.py counts the torsor kernel by wrapping _pair_counts_fast
 (calls, and len of its second positional argument) and the inverse tables
 by wrapping _inverse_table (calls, and its first positional argument).  The
-kernel runs once per chunk of consecutive rows a1 < K, a1 <= S = max K // 2,
-of one bound, and its second argument is the chunk's (rows, x) classes, so
-the benchmark's kernel_elements counts rows, not elements.  A kernel that is
-renamed, called by keyword, or chunked otherwise changes these counts; the
+kernel runs once per block of consecutive moduli and bound, over the rows
+a1 < K, a1 <= S = max K // 2, of the block, and its second argument is
+their (rows, x) classes, so the benchmark's kernel_elements counts rows, not
+elements.  A kernel that is renamed, called by keyword, or called per row
+or per chunk of rows changes these counts; the
 moduli above S go through the columns and closed forms, which build no table.  The
 sweep builds its tables a block of moduli at a time (_class_rows), which
 the benchmark does not wrap, so its inverse counters read 0 on a sweep;
@@ -44,16 +45,12 @@ print(json.dumps({{name: metrics[name]["value"] for name in (
 """
 
 
-def chunk_rows(k, s):
+def block_rows(k, s):
     """The rows of each kernel call for one K: each SHARE_BLOCK block of the
-    moduli 2..S takes its rows y < K max(1, ROW_CHUNK // (K - y)) at a time,
-    y the chunk's first row."""
-    for lo in range(2, s + 1, T.SHARE_BLOCK):
-        y, top = lo, min(lo + T.SHARE_BLOCK - 1, s, k - 1)
-        while y <= top:
-            end = min(y + max(1, T.ROW_CHUNK // (k - y)), top + 1)
-            yield end - y
-            y = end
+    moduli 2..S with a row y < K takes all its rows y < K in one call."""
+    top = min(s, k - 1)
+    for lo in range(2, top + 1, T.SHARE_BLOCK):
+        yield min(lo + T.SHARE_BLOCK - 1, top) - lo + 1
 
 
 def traced_child(code, *args):
@@ -72,17 +69,17 @@ def test_torsor_counters_match_their_closed_forms():
     counters = json.loads(proc.stdout.splitlines()[-1])
     ks = [isqrt(b) for b in BOUNDS]
     s = max(ks) // 2
-    # every row a1 = 2..min(K - 1, S) in one chunk
-    assert sum(sum(chunk_rows(k, s)) for k in ks) == sum(min(k - 1, s) - 1 for k in ks)
+    # every row a1 = 2..min(K - 1, S) in exactly one call
+    assert sum(sum(block_rows(k, s)) for k in ks) == sum(min(k - 1, s) - 1 for k in ks)
     expected = {
-        # one kernel call per chunk of rows and bound, its length the chunk's rows
-        "torsor.kernel_calls": sum(1 for k in ks for _ in chunk_rows(k, s)),
-        "torsor.kernel_elements": sum(sum(chunk_rows(k, s)) for k in ks),
+        # one kernel call per block and bound, its length the block's rows y < K
+        "torsor.kernel_calls": sum(1 for k in ks for _ in block_rows(k, s)),
+        "torsor.kernel_elements": sum(sum(block_rows(k, s)) for k in ks),
         # no per-modulus table: _inverse_table is off the sweep's path
         "torsor.inverse_calls": 0,
         "torsor.inverse_entries": 0,
     }
-    assert expected == {"torsor.kernel_calls": 5, "torsor.kernel_elements": 255,
+    assert expected == {"torsor.kernel_calls": 3, "torsor.kernel_elements": 255,
                         "torsor.inverse_calls": 0, "torsor.inverse_entries": 0}
     assert counters == expected
 
