@@ -213,7 +213,6 @@ class TestPrimeNorms:
                               class_number=1, mu=2, quad_disc=0)
 
 
-#: Finite doubles from 2^-1000 to 2^1000 in magnitude, of either sign, and zeros.
 class TestZeta:
     def test_l2_chi_minus_4_is_catalan(self):
         value, tail = C.dirichlet_l2(-4)
