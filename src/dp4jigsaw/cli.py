@@ -55,7 +55,10 @@ MODP_POINT_BOUND = 20
 def _positive(convert):
     """An argparse type: convert, then require a finite value > 0."""
     def parse(text):
-        value = convert(text)
+        try:
+            value = convert(text)
+        except ZeroDivisionError:   # Fraction("1/0")
+            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
         if not 0 < value < math.inf:
             raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
         return value
@@ -216,22 +219,22 @@ def _cmd_jigsaw(args):
     report = jigsaw.jigsaw_check(args.q)
     payload = report.to_json_dict()
     degenerate = payload["degenerate_report"] = jigsaw.degenerate_face_report(
-        args.q, report.per_face)
+        args.q, report.rows)
     if "json" in args.format:
         reporting.write_file(args.output, "jigsaw.json", reporting.dump_json(payload))
     print(f"q={args.q}: {4 ** (args.q + 1)} faces, alpha_sum = "
           f"{report.alpha_sum} = {report.alpha_closed} (closed form), "
           f"union volume {report.union_volume}")
     if not degenerate["oracles_agree"]:
-        print(f"degenerate faces FAIL: volume zero {degenerate['volume_zero_faces']}, "
-              f"strict feasibility zero {degenerate['strict_feasibility_zero_faces']}")
+        print(f"degenerate multisets FAIL: volume zero {degenerate['volume_zero_multisets']}, "
+              f"strict feasibility zero {degenerate['strict_feasibility_zero_multisets']}")
         return EXIT_IDENTITY
     return EXIT_OK
 
 
 def _cmd_alpha(args):
+    total = jigsaw.alpha_sum(args.q)    # checks q before the factorials below
     closed = jigsaw.alpha_closed_form(args.q)
-    total = jigsaw.alpha_sum(args.q)
     print(f"alpha({args.q}) = {closed}; jigsaw sum = {total}")
     return EXIT_OK if total == closed else EXIT_IDENTITY
 
@@ -288,6 +291,7 @@ def _cmd_fit(args):
     # first call alone added 0.5 MB to the peak RSS)
     grid = sorted(set(np.round(np.logspace(np.log10(lo), np.log10(hi),
                                            args.samples)).astype(np.int64).tolist()))
+    reporting.check_fit_bounds(grid)
     breakdown = _leading_over_q()
     [counts] = _report_counts(args, grid, [("torsor-fast", torsor.torsor_counts)],
                               breakdown.predicted_count)
@@ -342,12 +346,13 @@ def _build_parser():
     p.add_argument("--q", type=int, default=1)
     p.set_defaults(handler=_cmd_jigsaw)
 
-    p = sub.add_parser("alpha", help="closed form vs the fan-certified multiset sum")
+    p = sub.add_parser("alpha", help="closed form vs the fan-certified multiset sum at "
+                                     f"unit rank q <= {jigsaw.MAX_ALPHA_RANK}")
     p.add_argument("--q", type=int, default=1)
     p.set_defaults(handler=_cmd_alpha)
 
     p = sub.add_parser("slices", help="cross-section census at q = 1")
-    p.add_argument("--a1", action="append", type=Fraction)
+    p.add_argument("--a1", action="append", type=_positive(Fraction))
     p.set_defaults(handler=_cmd_slices)
 
     p = sub.add_parser("constant", help="leading constant for a number field")

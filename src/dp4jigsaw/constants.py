@@ -72,8 +72,11 @@ class FieldInvariants:
             raise InvalidInvariants("need r1, r2 >= 0 with r1 + r2 >= 1")
         if self.abs_disc < 1 or self.class_number < 1 or self.mu < 2 or self.mu % 2:
             raise InvalidInvariants("|disc| >= 1, h >= 1, |mu| even and >= 2")
-        if self.regulator <= 0:
-            raise InvalidInvariants("regulator must be positive")
+        if not 0 < self.regulator < math.inf:      # NaN fails too
+            raise InvalidInvariants("regulator must be positive and finite")
+        if self.zeta2 is not None and not 1 < self.zeta2 < math.inf:
+            raise InvalidInvariants("zeta2 must be finite and > 1, as zeta_K(2) is "
+                                    "for every number field")
         if self.quad_disc is not None and self.degree != 2:
             raise InvalidInvariants("quad_disc only makes sense for quadratic fields")
         if self.quad_disc == 0:

@@ -89,15 +89,17 @@ a point that fails is reported as none, which the volume route flags.
 degenerate_face_report runs it once per edge multiset; cone_contains_line,
 pointedness by double description, is the tests' oracle for it.
 
-alpha_sum sums face_volume over the C(q+r, r-1) edge multisets of an
-r-cone fan, C(q+4, 3) for the paper's, with multinomial weights.
-jigsaw_check keeps a second route for the union volume,
-union_polytope(q).volume().  The pyramid P' and its base P'_0 are P's rows
-pulled back to the census coordinates.  The
-triangulated face volumes and the pairwise disjointness checks of
-_FaceCache, the vertex-based strictly_feasible on each face polytope,
-and hand-written inequality lists for P' and P'_0 stay as the oracles
-the tests compare against.
+Permuting the places permutes coordinate blocks, so a face's volume and
+verdicts depend only on its edge multiset.  multiset_rows yields, on one
+certified fan, a row per multiset, C(q+r, r-1) for an r-cone fan: its edges
+in path order, the number of faces that permute them, and their
+face_volume.  alpha_sum sums the rows as a stream; jigsaw_check keeps them
+for its report and checks them against union_polytope(q).volume().  The
+pyramid P' and its base P'_0 are P's rows pulled back to the census
+coordinates.  The triangulated face volumes and the pairwise disjointness
+checks of _FaceCache, the vertex-based strictly_feasible on each face
+polytope, and hand-written inequality lists for P' and P'_0 stay as the
+oracles the tests compare against.
 """
 
 from dataclasses import dataclass
@@ -121,18 +123,21 @@ EDGE_LABELS = ("57", "45", "34", "36")
 #: The rays rho0..rho4 of the edge fan, in (s, t) = (a_{n,1}, a_{n,2}).
 FAN_RAYS = ((0, 1), (-1, 3), (-1, 2), (-1, 1), (-1, 0))
 
-#: Largest q that jigsaw_check and degenerate_face_report accept.  They
-#: list all 4^(q+1) faces, triangulate P in dimension 2q + 3 and check one
-#: per-place certificate per edge multiset.  `dp4 jigsaw --format json` at
-#: q = 4, 5, 6, 7 took medians of 0.19, 0.34, 0.7-1.1 and 3.3-4.5 s in
-#: fresh processes on a 2-vCPU Xeon (a range spans rounds on a host whose
-#: speed varied), at 17, 19, 28 and 59 MB peak RSS, and wrote a jigsaw.json
-#: of 42 KB, 190 KB, 862 KB and 3.9 MB: each step in q costs 1.8-4.5x the
-#: time and 4x the faces, and at q = 7 the triangulation of P took 2.7 to
-#: 3.2 s of it.  Raising the cap waits only for a listing of polynomial
-#: size, one row per edge multiset (ROADMAP item 1).  alpha_sum, which
-#: lists edge multisets instead of faces, has no limit.
+#: Largest q that jigsaw_check accepts.  Its report has one row per edge
+#: multiset, C(q+4, 3), so the cap bounds only the triangulation of P in
+#: dimension 2q + 3.  `dp4 jigsaw --format json` at q = 6 took 0.5-0.8 s in
+#: fresh processes on a 2-vCPU Xeon, at a 19 MB peak RSS, for a 12 KB
+#: jigsaw.json; at q = 7 it took 2.3-2.4 s, of which the triangulation of P
+#: took 2.0 s.  Taking vol(P) by principal parts instead (ROADMAP item 1)
+#: is what lifts the cap.
 MAX_JIGSAW_RANK = 6
+
+#: Largest q that alpha_sum accepts: it streams C(q+4, 3) face_volume calls,
+#: each a product of series cut at degree k <= q + 2.  Fresh `dp4 alpha`
+#: processes took 0.8, 10, 24-27, 30 and 40 s at q = 40, 80, 100, 105 and
+#: 110 on a 2-vCPU Xeon, at a 17 MB peak RSS; the limit keeps a run under
+#: half a minute.
+MAX_ALPHA_RANK = 100
 
 #: The published positive-piece counts of the q = 1 census, by a1.
 PUBLISHED_PIECE_COUNTS = {Fraction(1, 5): 7, Fraction(2, 5): 11, Fraction(3, 5): 11}
@@ -148,15 +153,6 @@ REFERENCE_EMPTY_INTERIOR_FACE_Q1 = ("57", "57")
 def _check_rank(q):
     if not isinstance(q, int) or q < 0:
         raise NegativeRank(f"unit rank must be a nonnegative integer, got {q!r}")
-
-
-def _check_listed_rank(q):
-    """_check_rank, and q <= MAX_JIGSAW_RANK for the routes that list every face."""
-    _check_rank(q)
-    if q > MAX_JIGSAW_RANK:
-        raise OutOfRange(f"q = {q} is above MAX_JIGSAW_RANK = {MAX_JIGSAW_RANK}, "
-                         f"the largest rank at which every face is listed; "
-                         f"`dp4 alpha --q {q}` sums the face volumes at any q")
 
 
 def face_key(face):
@@ -263,21 +259,21 @@ def effective_generators(rows):
 @dataclass(frozen=True)
 class JigsawReport:
     q: int
-    per_face: dict
+    rows: tuple     # multiset_rows(q): (edges, faces, volume) per edge multiset
     union_volume: Fraction
     alpha_sum: Fraction
     alpha_closed: Fraction
-    degenerate_faces: tuple
     disjointness_verified: bool
 
     def to_json_dict(self):
         return {
             "q": self.q,
-            "faces": {face_key(f): str(v) for f, v in sorted(self.per_face.items())},
+            "multisets": {face_key(edges): {"faces": n, "volume": str(v)}
+                          for edges, n, v in self.rows},
             "union_volume": str(self.union_volume),
             "alpha_sum": str(self.alpha_sum),
             "alpha_closed": str(self.alpha_closed),
-            "degenerate_faces": sorted(face_key(f) for f in self.degenerate_faces),
+            "degenerate_multisets": [face_key(edges) for edges, _, v in self.rows if v == 0],
             "disjointness_verified": self.disjointness_verified,
         }
 
@@ -382,32 +378,33 @@ def multiplicities(face):
     return tuple(face.count(edge) for edge in EDGE_LABELS)
 
 
-def edge_multisets(q):
-    """The multiplicities of every multiset of q + 1 edges: C(q+r, r-1) of them."""
+def multiset_rows(q):
+    """Yield (edges, faces, volume) per multiset of q + 1 edges, on one certified fan.
+
+    edges lists the multiset in path order, faces is the multinomial number
+    of faces that permute it, and volume is their face_volume.  Raises
+    PartitionFailure when edge_fan or face_volume refuses the fan.
+    """
     _check_rank(q)
-    return [multiplicities(face)
-            for face in combinations_with_replacement(EDGE_LABELS, q + 1)]
+    rays, n = edge_fan(), factorial(q + 1)
+    for edges in combinations_with_replacement(EDGE_LABELS, q + 1):
+        m = multiplicities(edges)
+        yield edges, n // prod(map(factorial, m)), face_volume(m, rays=rays)
+
+
+def _volume_sum(rows):
+    return sum((n * v for _, n, v in rows), Fraction(0))
 
 
 def alpha_sum(q):
     """(2q+3) * vol(P) from the face volumes read off the edge fan.
 
-    Each edge multiset stands for the multinomial number of faces that
-    permute it.  Raises PartitionFailure when face_volume refuses the fan.
+    Above MAX_ALPHA_RANK it raises OutOfRange before any multiset is listed.
     """
     _check_rank(q)
-    n = factorial(q + 1)
-    rays = edge_fan()
-    total = sum((n // prod(map(factorial, m)) * face_volume(m, rays=rays)
-                 for m in edge_multisets(q)), Fraction(0))
-    return (2 * q + 3) * total
-
-
-def _face_volumes(q):
-    """face_volume of each face, once per edge multiset, on one certified fan."""
-    rays = edge_fan()
-    volumes = {m: face_volume(m, rays=rays) for m in edge_multisets(q)}
-    return {f: volumes[multiplicities(f)] for f in all_faces(q)}
+    if q > MAX_ALPHA_RANK:
+        raise OutOfRange(f"q = {q} is above MAX_ALPHA_RANK = {MAX_ALPHA_RANK}")
+    return (2 * q + 3) * _volume_sum(multiset_rows(q))
 
 
 def jigsaw_check(q):
@@ -420,10 +417,14 @@ def jigsaw_check(q):
     PartitionFailure; it would mean an implementation bug.  Above
     MAX_JIGSAW_RANK it raises OutOfRange before any polytope is built.
     """
-    _check_listed_rank(q)
-    per_face = _face_volumes(q)
+    _check_rank(q)
+    if q > MAX_JIGSAW_RANK:
+        raise OutOfRange(f"q = {q} is above MAX_JIGSAW_RANK = {MAX_JIGSAW_RANK}, "
+                         f"the largest rank at which P is triangulated; `dp4 alpha` "
+                         f"sums the face volumes to q = {MAX_ALPHA_RANK}")
+    rows = tuple(multiset_rows(q))
     union_volume = union_polytope(q).volume()
-    total = sum(per_face.values(), Fraction(0))
+    total = _volume_sum(rows)
     alpha = alpha_closed_form(q)
     alpha_total = (2 * q + 3) * total
 
@@ -436,11 +437,10 @@ def jigsaw_check(q):
 
     return JigsawReport(
         q=q,
-        per_face=per_face,
+        rows=rows,
         union_volume=union_volume,
         alpha_sum=alpha_total,
         alpha_closed=alpha,
-        degenerate_faces=tuple(f for f, v in per_face.items() if v == 0),
         disjointness_verified=True,
     )
 
@@ -480,38 +480,32 @@ def interior_certificate(face):
             tuple(Fraction(x, d) for x in witness) if inside else None)
 
 
-def degenerate_face_report(q, per_face=None):
-    """Compare the volume-zero faces against the cone diagnostic.
+def degenerate_face_report(q, rows):
+    """Compare the volume-zero edge multisets against the cone diagnostic.
 
-    The volumes are per_face, the face -> volume map of jigsaw_check's
-    report, or else come from face_volume.  interior_certificate runs once
-    per edge multiset: a face is strictly feasible when its checked witness
-    point exists, and its effective cone contains a line when the line
-    combination does.  For q = 1 the report also records whether the
-    reference face ((57),(57)) is among the degenerate ones - it is not
-    under these inequality systems, and the report states the discrepancy
-    rather than resolving it.
+    rows are multiset_rows(q), as jigsaw_check's report keeps them.
+    interior_certificate runs once per row: a multiset is strictly feasible
+    when its checked witness point exists, and its effective cone contains
+    a line when the line combination does.  For q = 1 the report also
+    records whether the reference face ((57),(57)) is among the degenerate
+    ones - it is not under these inequality systems, and the report states
+    the discrepancy rather than resolving it.
     """
-    _check_listed_rank(q)
-    if per_face is None:
-        per_face = _face_volumes(q)
-    faces = list(per_face)
-    # Both verdicts depend only on the sorted face, as the volume does.
-    keys = [tuple(sorted(f)) for f in faces]
-    certificates = {k: interior_certificate(k) for k in dict.fromkeys(keys)}
-    volume_zero = [f for f in faces if per_face[f] == 0]
-    strict_zero = [f for f, k in zip(faces, keys) if certificates[k][1] is None]
-    cone_line = [f for f, k in zip(faces, keys) if certificates[k][0].contains_line]
+    certified = [(face_key(edges), volume, *interior_certificate(edges))
+                 for edges, _, volume in rows]
+    volume_zero = [key for key, volume, _, _ in certified if volume == 0]
+    strict_zero = [key for key, _, _, point in certified if point is None]
+    cone_line = [key for key, _, diagnostic, _ in certified if diagnostic.contains_line]
     report = {
         "q": q,
-        "volume_zero_faces": sorted(face_key(f) for f in volume_zero),
-        "strict_feasibility_zero_faces": sorted(face_key(f) for f in strict_zero),
-        "cone_line_faces": sorted(face_key(f) for f in cone_line),
-        "oracles_agree": sorted(volume_zero) == sorted(strict_zero),
+        "volume_zero_multisets": volume_zero,
+        "strict_feasibility_zero_multisets": strict_zero,
+        "cone_line_multisets": cone_line,
+        "oracles_agree": volume_zero == strict_zero,
     }
     if q == 1:
-        ref = REFERENCE_EMPTY_INTERIOR_FACE_Q1
-        report["reference_empty_interior_face"] = face_key(ref)
+        ref = face_key(REFERENCE_EMPTY_INTERIOR_FACE_Q1)
+        report["reference_empty_interior_face"] = ref
         report["reference_face_is_degenerate"] = ref in volume_zero
         report["note"] = (
             "The face (57),(57) is sometimes described as the empty-interior "

@@ -90,19 +90,25 @@ class FitResult:
         return asdict(self)
 
 
+def check_fit_bounds(bounds):
+    """Raise DegenerateDesignMatrix unless there are four or more distinct bounds > 1."""
+    if len(bounds) < 4:
+        raise DegenerateDesignMatrix("need at least 4 samples")
+    if len(set(bounds)) != len(bounds) or any(b <= 1 for b in bounds):
+        raise DegenerateDesignMatrix("bounds must be distinct and > 1")
+
+
 def fit_log_quadratic(samples):
     """Least-squares fit of N/B ~ c2 (log B)^2 + c1 log B + c0.
 
     Exact quadratic-in-log data is reproduced with (numerically) zero
-    residual.  Requires at least four samples at distinct bounds B > 1.
+    residual.  Requires at least four samples at distinct bounds B > 1
+    (check_fit_bounds).
     """
     import numpy as np  # the only numpy user here; dp4 jigsaw never loads it
 
-    if len(samples) < 4:
-        raise DegenerateDesignMatrix("need at least 4 samples")
     bounds = [float(b) for b, _ in samples]
-    if len(set(bounds)) != len(bounds) or any(b <= 1.0 for b in bounds):
-        raise DegenerateDesignMatrix("bounds must be distinct and > 1")
+    check_fit_bounds(bounds)
     ln = np.log(np.array(bounds))
     y = np.array([float(n) for _, n in samples]) / np.array(bounds)
     design = np.vstack([ln ** 2, ln, np.ones_like(ln)]).T

@@ -41,7 +41,7 @@ def test_criterion_1_jigsaw_identity():
         rep = jigsaw.jigsaw_check(q)  # raises PartitionFailure on any mismatch
         dt = time.perf_counter() - t0
         assert rep.alpha_sum == alpha
-        assert sum(rep.per_face.values(), F(0)) == rep.union_volume
+        assert sum((n * v for _, n, v in rep.rows), F(0)) == rep.union_volume
         assert rep.disjointness_verified
         if q == 2:
             elapsed_q2 = dt
@@ -101,11 +101,11 @@ def test_criterion_4_degenerate_faces():
     expected = {0: ["36"], 1: ["36,36"], 2: ["36,36,36"]}
     reference_status = None
     for q, faces in expected.items():
-        rep = jigsaw.degenerate_face_report(q)
-        assert rep["volume_zero_faces"] == faces
-        assert rep["strict_feasibility_zero_faces"] == faces  # independent oracle
+        rep = jigsaw.degenerate_face_report(q, jigsaw.multiset_rows(q))
+        assert rep["volume_zero_multisets"] == faces
+        assert rep["strict_feasibility_zero_multisets"] == faces  # independent oracle
         assert rep["oracles_agree"]
-        assert rep["cone_line_faces"] == faces
+        assert rep["cone_line_multisets"] == faces
         if q == 1:
             reference_status = rep["reference_face_is_degenerate"]
     agreement = "agrees" if reference_status else "DISAGREES"

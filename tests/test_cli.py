@@ -123,7 +123,7 @@ class TestCli:
         assert run_cli(["jigsaw", "--q", "1"], tmp_path) == 0
         payload = json.loads((tmp_path / "jigsaw.json").read_text())
         assert payload["alpha_sum"] == "1/6"
-        assert payload["degenerate_faces"] == ["36,36"]
+        assert payload["degenerate_multisets"] == ["36,36"]
         assert payload["degenerate_report"]["reference_empty_interior_face"] == "57,57"
 
     def test_modp_command(self, tmp_path, capsys):
@@ -230,8 +230,15 @@ class TestCli:
         ["fit", "--bmin", "1e5", "--bmax", "1e4"],
         ["fit", "--bmin", "0"],
         ["jigsaw", "--q", "1", "--allow-large"],
+        ["count", "--bound", "1/0"],
+        ["slices", "--a1", "1/0"],
+        ["constant", "--prime-bound", "1/0"],
+        ["fit", "--bmin", "1e4", "--bmax", "1e4"],
+        ["fit", "--samples", "3"],
+        ["fit", "--bmin", "1", "--bmax", "1e4", "--samples", "5"],
     ], ids=["bound", "ring", "a1", "bmin", "field-json", "zero", "descending", "format",
-            "fit-descending", "fit-zero", "allow-large"])
+            "fit-descending", "fit-zero", "allow-large", "bound-over-0", "a1-over-0",
+            "prime-bound-over-0", "fit-one-bound", "fit-three-samples", "fit-bound-one"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, args):
         def started(*args):
             raise AssertionError("work started on a rejected value")
@@ -335,6 +342,15 @@ class TestCli:
         monkeypatch.setattr(jigsaw, "face_polytope", built)
         assert run_cli(["jigsaw", "--q", str(jigsaw.MAX_JIGSAW_RANK + 1)], tmp_path) == 2
         assert not (tmp_path / "jigsaw.json").exists()
+
+    @pytest.mark.parametrize("q", [jigsaw.MAX_ALPHA_RANK + 1, 10 ** 8])
+    def test_alpha_above_limit_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, q):
+        def listed(*args, **kwargs):
+            raise AssertionError("a multiset was listed above MAX_ALPHA_RANK")
+        monkeypatch.setattr(jigsaw, "face_volume", listed)
+        assert run_cli(["alpha", "--q", str(q)], tmp_path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(jigsaw.MAX_ALPHA_RANK) in captured.err
 
     def test_count_above_limit_exits_2_before_any_work(self, tmp_path, monkeypatch):
         def started(*args):
@@ -451,21 +467,38 @@ class TestCli:
         assert "supply zeta2" in capsys.readouterr().err
         assert not (tmp_path / "constants.json").exists()
 
+    @pytest.mark.parametrize("entry", [
+        {"regulator": "nan"}, {"regulator": "inf"}, {"regulator": 1e400}, {"zeta2": 0},
+        {"zeta2": -1, "quad_disc": -4}, {"zeta2": "nan", "quad_disc": -4}, {"zeta2": 1}],
+        ids=["regulator-nan", "regulator-inf", "regulator-1e400", "zeta2-0", "zeta2-neg",
+             "zeta2-nan", "zeta2-1"])
+    def test_constant_field_json_out_of_range_exits_2(self, tmp_path, capsys, entry):
+        # a regulator must be finite and > 0, and zeta_K(2) > 1 for every number field;
+        # NaN or Infinity would also make constants.json invalid JSON
+        field = tmp_path / "field.json"
+        invariants = {"label": "K", "r1": 0, "r2": 1, "mu": 4, "abs_disc": 4,
+                      "regulator": 1.0, "class_number": 1, **entry}
+        # json.dumps spells the float 1e400 as Infinity; write the number instead
+        field.write_text(json.dumps(invariants).replace("Infinity", "1e400"))
+        assert run_cli(["constant", "--field-json", str(field)], tmp_path / "out") == 2
+        assert next(iter(entry)) in capsys.readouterr().err    # the message names it
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("args,name,digest", [
         (["jigsaw", "--q", "0"], "jigsaw.json",
-         "b6f4e10d77d50ef77dfb1db3ca38eb840cf07f5cdb64a21ff62bf0f1ec6f75a1"),
+         "4147b94e2fb7d42ba3d5085a3720f83c9804c73f9019c81a37b80eee754c1238"),
         (["jigsaw", "--q", "1"], "jigsaw.json",
-         "6ddd81d997a5fd6ec9687b78021046831ca6f3db1ebfa615990b0a78d05915d7"),
+         "5037479c2fafc98b5e3d18b1b8e959ab24429c634c347e67b54854ae8737c763"),
         (["jigsaw", "--q", "2"], "jigsaw.json",
-         "12b0d884c04143a71aac3cbc44c1740453a37ed9327027d388c82def057b0b36"),
+         "11fd8dcb2c5444f864d00c9182332a5816884206ee67214d0eb13d8f94364316"),
         (["jigsaw", "--q", "3"], "jigsaw.json",
-         "a9a7f983cf5b3219fd2f1cead51ab30dcfa6240bcbc971be31c07ea0a03a4aa2"),
+         "d93950ce2228170cd0dfa30d565508ce93de2878309f7c24a88656da54491663"),
         (["jigsaw", "--q", "4"], "jigsaw.json",
-         "aaff2d59cbbcc382ec7951f354b3db9bdb5e6f4cc91d5c4e3f80f2d4b8c6f7c9"),
+         "23cea0d719c7589f7242adc8943cd51d4b24e8ef4a1a7758279284be6362b865"),
         (["jigsaw", "--q", "5"], "jigsaw.json",
-         "fd8cbcad946038a90b7bdefd7c9a7ee19acdf6c3025d05fc63316299948db15c"),
+         "b59723c030bc6bce8ee00eff5ffd92d7de80258219b86756990ed9b07e43178f"),
         (["jigsaw", "--q", "6"], "jigsaw.json",
-         "c27d995a310056143d76346b54303d6f476bae2a704e23b3b46ef0ec00fe02f4"),
+         "b9faa8758a182cf9b9d65b00914b4ec107fd7b1398cc68d50a2f790294e812ca"),
         (["slices"], "slices.json",
          "c2ae189ee9d31b2f173aeeafc66fae153b4669d12dd5c2ca1f0a832dd9c79406"),
     ], ids=["q0", "q1", "q2", "q3", "q4", "q5", "q6", "slices"])

@@ -324,3 +324,11 @@ class TestInvariantsIO:
         with pytest.raises(InvalidInvariants):
             C.FieldInvariants("bad", r1=1, r2=0, abs_disc=1, regulator=1.0,
                               class_number=1, mu=3)
+        for regulator in (math.nan, math.inf, 0.0):
+            with pytest.raises(InvalidInvariants, match="regulator"):
+                C.FieldInvariants("bad", r1=1, r2=0, abs_disc=1, regulator=regulator,
+                                  class_number=1, mu=2)
+        for zeta2 in (math.nan, math.inf, 1.0, 0.0, -1.0):
+            with pytest.raises(InvalidInvariants, match="zeta2"):
+                C.FieldInvariants("bad", r1=0, r2=1, abs_disc=4, regulator=1.0,
+                                  class_number=1, mu=4, zeta2=zeta2, quad_disc=-4)

@@ -2,8 +2,10 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
+from math import comb
 
 import pytest
 
@@ -12,8 +14,8 @@ from dp4jigsaw.cli import main
 from dp4jigsaw.errors import (IndexOutOfRange, NegativeRank, OutOfRange,
                               PartitionFailure)
 from dp4jigsaw.geometry import AffineForm, HPolytope, polytope, strictly_feasible
-from tests_support import (dd_interior_certificate, evaluate, face_volume_fractions,
-                           hand_pyramid_base_polytope,
+from tests_support import (dd_interior_certificate, edge_multisets, evaluate,
+                           face_volume_fractions, hand_pyramid_base_polytope,
                            hand_pyramid_polytope, overlapping_faces,
                            slice_polytope, strictly_contains, transform_polytope)
 
@@ -100,28 +102,51 @@ class TestAlpha:
         assert jigsaw.alpha_closed_form(2) == F(1, 48)
 
 
+def degenerate(rows):
+    return [edges for edges, _, volume in rows if volume == 0]
+
+
 class TestJigsawCheck:
     def test_q0_report(self):
         report = jigsaw.jigsaw_check(0)
-        assert report.per_face == Q0_EXPECTED
+        assert {edges: volume for edges, _, volume in report.rows} == Q0_EXPECTED
+        assert [n for _, n, _ in report.rows] == [1, 1, 1, 1]
         assert report.union_volume == F(1, 6)
         assert report.alpha_sum == F(1, 2)
-        assert report.degenerate_faces == (("36",),)
+        assert degenerate(report.rows) == [("36",)]
         assert report.disjointness_verified
         assert report.alpha_sum == 3 * report.union_volume
 
     def test_q1_report(self):
         report = jigsaw.jigsaw_check(1)
-        assert len(report.per_face) == 16
+        assert len(report.rows) == 10
+        assert sum(n for _, n, _ in report.rows) == 16
         assert report.alpha_sum == F(1, 6)
         assert report.union_volume == F(1, 30)
-        assert report.degenerate_faces == (("36", "36"),)
+        assert degenerate(report.rows) == [("36", "36")]
 
     def test_json_payload_is_sorted_and_stringly(self):
-        payload = jigsaw.jigsaw_check(0).to_json_dict()
-        assert payload["faces"]["57"] == "5/54"
-        assert payload["alpha_sum"] == "1/2"
-        assert list(payload["faces"]) == sorted(payload["faces"])
+        payload = jigsaw.jigsaw_check(1).to_json_dict()
+        assert payload["multisets"]["57,45"] == {"faces": 2, "volume": "17/12960"}
+        assert payload["alpha_sum"] == "1/6"
+        assert payload["degenerate_multisets"] == ["36,36"]
+        # each key lists its edges in path order, so a face has one key
+        order = jigsaw.EDGE_LABELS.index
+        assert all(key.split(",") == sorted(key.split(","), key=order)
+                   for key in payload["multisets"])
+
+    @pytest.mark.parametrize("q", range(7))
+    def test_rows_are_the_edge_multisets_in_path_order(self, q):
+        rows = list(jigsaw.multiset_rows(q))
+        keys = [edges for edges, _, _ in rows]
+        assert len(keys) == len(set(keys)) == comb(q + 4, 3)
+        order = jigsaw.EDGE_LABELS.index
+        assert all(list(edges) == sorted(edges, key=order) and len(edges) == q + 1
+                   for edges in keys)
+        assert sum(n for _, n, _ in rows) == 4 ** (q + 1)
+        if q <= 4:  # every face, sorted into path order, is counted by its row
+            faces = Counter(tuple(sorted(f, key=order)) for f in jigsaw.all_faces(q))
+            assert faces == {edges: n for edges, n, _ in rows}
 
     def test_rank_cap(self, monkeypatch):
         def built(*args):
@@ -129,10 +154,12 @@ class TestJigsawCheck:
         monkeypatch.setattr(jigsaw, "union_polytope", built)
         monkeypatch.setattr(jigsaw, "face_polytope", built)
         q = jigsaw.MAX_JIGSAW_RANK + 1
-        for call in (jigsaw.jigsaw_check, jigsaw.degenerate_face_report):
-            with pytest.raises(OutOfRange):
-                call(q)
+        with pytest.raises(OutOfRange):
+            jigsaw.jigsaw_check(q)
         assert jigsaw.alpha_sum(q) == jigsaw.alpha_closed_form(q)
+        report = jigsaw.degenerate_face_report(q, jigsaw.multiset_rows(q))
+        assert report["oracles_agree"] and report["cone_line_multisets"] == [
+            jigsaw.face_key(("36",) * (q + 1))]
 
 
 class TestClosedForm:
@@ -141,7 +168,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("q", [0, 1, 2, 3])
     def test_face_volume_equals_triangulation(self, q):
         cache = jigsaw._FaceCache()
-        for m in jigsaw.edge_multisets(q):
+        for m in edge_multisets(q):
             face = multiset_face(m)
             assert jigsaw.multiplicities(face) == m
             assert jigsaw.face_volume(m) == cache.volume(face)
@@ -152,7 +179,7 @@ class TestClosedForm:
 
     def test_integer_sum_equals_the_fraction_sum_to_8(self):
         for q in range(9):
-            for m in jigsaw.edge_multisets(q):
+            for m in edge_multisets(q):
                 assert jigsaw.face_volume(m) == face_volume_fractions(*m)
 
     @pytest.mark.parametrize("q", [0, 1, 2])
@@ -165,7 +192,7 @@ class TestClosedForm:
 
     def test_only_the_all_36_multiset_is_degenerate_to_8(self):
         for q in range(9):
-            multisets = jigsaw.edge_multisets(q)
+            multisets = edge_multisets(q)
             assert len(multisets) == (q + 4) * (q + 3) * (q + 2) // 6
             assert [m for m in multisets if jigsaw.face_volume(m) == 0] == [(0, 0, 0, q + 1)]
 
@@ -238,7 +265,7 @@ class TestEveryFan:
         assert jigsaw.edge_fan() == rays
         if not sigma_nonnegative(rays):
             ray = next((s, t) for s, t in rays if t > 0 > s + t)
-            for m in jigsaw.edge_multisets(1):
+            for m in edge_multisets(1):
                 with pytest.raises(PartitionFailure, match=re.escape(str(ray))):
                     jigsaw.face_volume(m)
             return
@@ -246,7 +273,7 @@ class TestEveryFan:
             assert jigsaw.alpha_sum(q) == jigsaw.alpha_closed_form(q)
         cache = jigsaw._FaceCache()
         for q in range(2):
-            for m in jigsaw.edge_multisets(q):
+            for m in edge_multisets(q):
                 face = multiset_face(m)
                 volume = jigsaw.face_volume(m)
                 assert volume == cache.volume(face)
@@ -291,7 +318,7 @@ class TestDegenerateFaces:
     @pytest.mark.parametrize("q", [0, 1, 2])
     def test_certificates_match_the_vertex_oracle(self, q):
         strict = {}
-        for m in jigsaw.edge_multisets(q):
+        for m in edge_multisets(q):
             face = multiset_face(m)
             p = jigsaw.face_polytope(face)
             diagnostic, point = jigsaw.interior_certificate(face)
@@ -306,15 +333,15 @@ class TestDegenerateFaces:
                                for j in range(len(gens[0])))
             else:
                 assert strictly_contains(p, point)
-        expected = sorted(jigsaw.face_key(f) for f in jigsaw.all_faces(q)
-                          if not strict[jigsaw.multiplicities(f)])
-        report = jigsaw.degenerate_face_report(q)
-        assert report["strict_feasibility_zero_faces"] == expected
-        assert report["volume_zero_faces"] == expected
+        expected = [jigsaw.face_key(multiset_face(m)) for m in edge_multisets(q)
+                    if not strict[m]]
+        report = jigsaw.degenerate_face_report(q, jigsaw.multiset_rows(q))
+        assert report["strict_feasibility_zero_multisets"] == expected
+        assert report["volume_zero_multisets"] == expected
 
     @pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
     def test_certificates_match_the_double_description(self, q):
-        for m in jigsaw.edge_multisets(q):
+        for m in edge_multisets(q):
             face = multiset_face(m)
             diagnostic, point = jigsaw.interior_certificate(face)
             oracle, oracle_point = dd_interior_certificate(face)
@@ -324,13 +351,13 @@ class TestDegenerateFaces:
 
     @pytest.mark.parametrize("q", [1, 3])
     def test_report_runs_no_double_description(self, q, monkeypatch):
-        per_face = jigsaw._face_volumes(q)
+        rows = list(jigsaw.multiset_rows(q))
         calls = []
         monkeypatch.setattr(polytope, "dd_cone", lambda *args: calls.append(args))
-        report = jigsaw.degenerate_face_report(q, per_face)
+        report = jigsaw.degenerate_face_report(q, rows)
         assert calls == []
         assert report["oracles_agree"]
-        assert report["cone_line_faces"] == [jigsaw.face_key(("36",) * (q + 1))]
+        assert report["cone_line_multisets"] == [jigsaw.face_key(("36",) * (q + 1))]
 
     def test_jigsaw_command_builds_no_face_polytope(self, tmp_path, monkeypatch):
         # The report decides strict feasibility from one certificate per edge
@@ -367,7 +394,7 @@ class TestDegenerateFaces:
             return volume(m, **kw)
         monkeypatch.setattr(jigsaw, "face_volume", counted)
         assert main(["--output", str(tmp_path), "jigsaw", "--q", "2"]) == 0
-        assert sorted(calls) == sorted(jigsaw.edge_multisets(2)) and len(calls) == 20
+        assert sorted(calls) == sorted(edge_multisets(2)) and len(calls) == 20
 
     def test_alpha_command_certifies_the_fan_once(self, tmp_path, monkeypatch):
         calls = []
@@ -386,12 +413,12 @@ class TestDegenerateFaces:
         p = jigsaw.face_polytope(("57", "57"))
         point = (F(3, 10), F(-1, 20), F(3, 10), F(-1, 20), F(3, 10))
         assert strictly_contains(p, point)
-        report = jigsaw.degenerate_face_report(1)
-        assert report["volume_zero_faces"] == ["36,36"]
+        report = jigsaw.degenerate_face_report(1, jigsaw.multiset_rows(1))
+        assert report["volume_zero_multisets"] == ["36,36"]
         assert report["reference_empty_interior_face"] == "57,57"
         assert report["reference_face_is_degenerate"] is False
         assert report["oracles_agree"]
-        assert report["cone_line_faces"] == ["36,36"]
+        assert report["cone_line_multisets"] == ["36,36"]
 
 
 class TestSymmetryAndUnions:

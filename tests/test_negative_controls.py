@@ -134,15 +134,15 @@ def test_negated_separating_functional_in_jigsaw(tmp_path, monkeypatch):
     args = ["--format", "json", "jigsaw", "--q", "1"]
     assert run_cli(args, tmp_path) == 0
     # The interior witness negated, so negative on every generator: no point
-    # passes the face rows, and the strict-feasibility column lists all 16
-    # faces against the one volume-zero face.
+    # passes the face rows, and the strict-feasibility column lists all 10
+    # edge multisets against the one volume-zero multiset.
     monkeypatch.setattr(jigsaw, "interior_certificate", _recompiled(
         jigsaw.interior_certificate, "d = 1 + abs(",
         "witness = tuple(-x for x in witness); d = 1 + abs("))
     assert run_cli(args, tmp_path) == 1
     report = json.loads((tmp_path / "jigsaw.json").read_text())["degenerate_report"]
-    assert len(report["strict_feasibility_zero_faces"]) == 16
-    assert report["volume_zero_faces"] == ["36,36"]
+    assert len(report["strict_feasibility_zero_multisets"]) == 10
+    assert report["volume_zero_multisets"] == ["36,36"]
 
 
 def test_swapped_line_combination_in_jigsaw(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,7 @@ tests/test_src_is_production.py keeps them out of `src/`.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial, gcd, isqrt
 from operator import mul
 
@@ -395,6 +395,12 @@ def enumerate_valid(coord_bound):
                         points.append(validate(
                             (a1, a2, a3, a4, a5, a6, a7, a8, a9)))
     return points
+
+
+def edge_multisets(q):
+    """The multiplicities of every multiset of q + 1 edges, in jigsaw.multiset_rows order."""
+    return [jigsaw.multiplicities(edges)
+            for edges in combinations_with_replacement(jigsaw.EDGE_LABELS, q + 1)]
 
 
 def overlapping_faces(q):
